@@ -38,6 +38,7 @@ from .mechanisms import (
     ENUM_CAP,
     MIX_PERM_WEIGHT,
     MIX_PRUGD_WEIGHT,
+    MIX_SMALL_N,
     Mechanism,
     get_mechanism,
 )
@@ -153,10 +154,10 @@ class RatioReport:
     ratio: Fraction
 
 
-def ratio(mechanism: str | Mechanism, g: NominationGraph, cap: Optional[int] = None) -> RatioReport:
+def ratio(mechanism: str | Mechanism, g: NominationGraph) -> RatioReport:
     """Expected indegree of the selection divided by the maximum indegree."""
     mech = get_mechanism(mechanism) if isinstance(mechanism, str) else mechanism
-    dist = mech.exact(g, cap=cap)
+    dist = mech.exact(g)
     delta, _, _ = g.max_indegree_and_top()
     expected = dist.expected_indegree(g)
     return RatioReport(g, mech.name, expected, delta, expected / delta)
@@ -200,8 +201,9 @@ class GraphSweep:
 
     Lists are parallel, indexed by the iter_out_tuples enumeration
     order.  runs/left_max_violations count the orderings executed by the
-    scan-based evaluators and how many of them missed the maximum
-    indegree from the left (always expected to be zero).
+    perm scan (only when "perm" is swept; mix's own scan is not counted)
+    and how many of them missed the maximum indegree from the left
+    (always expected to be zero).
     """
 
     n: int
@@ -223,57 +225,28 @@ class GraphSweep:
         return graph_at(self.n, index)
 
 
+def _counts_ratio(deg: Sequence[int], nums: Sequence[int], den: int, delta: int) -> Fraction:
+    """Performance ratio of selection counts nums over den."""
+    return Fraction(sum(d * c for d, c in zip(deg, nums)), den * delta)
+
+
 def _sweep_range(n: int, mechanisms: tuple[str, ...], start: int, stop: int) -> GraphSweep:
     result = GraphSweep(n, mechanisms, ratios={m: [] for m in mechanisms})
-    want_perm = "perm" in mechanisms or "mix" in mechanisms
-    want_prugd = "prugd" in mechanisms or "mix" in mechanisms
-    nfact = engine.factorial(n)
-    sweep_iter = itertools.islice(iter_out_tuples(n), start, stop)
-    for out in sweep_iter:
-        out0 = np.array(out, dtype=np.int16) - 1
-        deg = np.bincount(out0, minlength=n).astype(np.int64)
-        delta = int(deg.max())
+    paths = {m: get_mechanism(m).counts for m in mechanisms if m != "perm"}
+    for out in itertools.islice(iter_out_tuples(n), start, stop):
+        g = NominationGraph(out)
+        deg = g.indegrees()
+        delta = max(deg)
         result.deltas.append(delta)
-        result.high2_counts.append(int((deg >= 2).sum()))
-        result.top_counts.append(int((deg == delta).sum()))
-
-        perm_ratio = prugd_ratio = None
-        if want_perm:
-            counts, runs, violations = engine.selection_counts(out0)
+        result.high2_counts.append(sum(d >= 2 for d in deg))
+        result.top_counts.append(deg.count(delta))
+        if "perm" in mechanisms:
+            counts, runs, violations = engine.selection_counts(engine.out_array(g))
             result.runs += runs
             result.left_max_violations += violations
-            perm_ratio = Fraction(int(np.dot(deg, counts)), nfact * delta)
-        if want_prugd:
-            exp_num = 0
-            for vbar in range(n):
-                reduced = out0.copy()
-                reduced[vbar] = -1
-                qc, qruns = engine.runner_up_gap_quarter_counts(reduced)
-                exp_num += int(np.dot(deg, qc))
-                exp_num += int(deg[vbar]) * (4 * qruns - int(qc.sum()))
-            prugd_ratio = Fraction(exp_num, 4 * nfact * n * delta)
-
-        for m in mechanisms:
-            if m == "perm":
-                result.ratios[m].append(perm_ratio)
-            elif m == "rd":
-                result.ratios[m].append(Fraction(int(np.dot(deg, deg)), n * delta))
-            elif m == "prug":
-                qc, qruns = engine.runner_up_gap_quarter_counts(out0)
-                result.ratios[m].append(
-                    Fraction(int(np.dot(deg, qc)), 4 * qruns * delta)
-                )
-            elif m == "prugd":
-                result.ratios[m].append(prugd_ratio)
-            elif m == "mix":
-                if n <= 5:
-                    result.ratios[m].append(
-                        Fraction(int(np.dot(deg, deg)), n * delta)
-                    )
-                else:
-                    result.ratios[m].append(
-                        MIX_PERM_WEIGHT * perm_ratio + MIX_PRUGD_WEIGHT * prugd_ratio
-                    )
+            result.ratios["perm"].append(_counts_ratio(deg, counts.tolist(), runs, delta))
+        for m, path in paths.items():
+            result.ratios[m].append(_counts_ratio(deg, *path(g), delta))
     return result
 
 
@@ -289,28 +262,21 @@ def sweep_graphs(
 ) -> GraphSweep:
     """Exact ratios of the given mechanisms over all of the size-n class.
 
-    budget_rows caps the total number of orderings the sweep would run;
-    beyond it the sweep refuses rather than run for hours.
+    budget_rows caps the sweep's work, counted as n! per graph for each
+    ordering scan (perm, and mix above MIX_SMALL_N) and n^2 per graph
+    for each closed form; beyond it the sweep refuses rather than run
+    for hours.
     """
     mechanisms = tuple(mechanisms)
     for m in mechanisms:
         if m not in _SWEEP_MECHS:
             raise InputError(f"unknown mechanism {m!r}; expected one of {_SWEEP_MECHS}")
     count = graph_count(n)
-    nfact = engine.factorial(n)
-    per_graph = 0
-    for m in mechanisms:
-        if m == "rd" or (m == "mix" and n <= 5):
-            per_graph += 1
-        elif m in ("perm", "prug"):
-            per_graph += nfact
-        elif m == "prugd":
-            per_graph += nfact * n
-        elif m == "mix":
-            per_graph += nfact * (n + 1)
+    scans = sum(m == "perm" or (m == "mix" and n > MIX_SMALL_N) for m in mechanisms)
+    per_graph = scans * engine.factorial(n) + (len(mechanisms) - scans) * n * n
     if count * per_graph > budget_rows:
         raise CapacityError(
-            f"sweep at n={n} needs {count * per_graph} orderings, over the "
+            f"sweep at n={n} needs {count * per_graph} units of work, over the "
             f"budget of {budget_rows}; raise budget_rows or reduce n"
         )
     if jobs <= 1:

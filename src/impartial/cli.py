@@ -5,10 +5,12 @@ sampling), verify (the verification suite; exit code doubles as CI
 signal), figure3 (the per-delta guarantee table), worst-case (exhaustive
 minimum-ratio search).
 
-Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error,
-3 an exact computation exceeded its enumeration cap.  Outputs embed the
-full run configuration and carry no timestamps, so identical invocations
-produce identical bytes.
+Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error
+(including numbers rejected at parse time and unreadable graph files),
+3 an exact computation exceeded its cap: the ordering scan behind perm
+and mix, or the work budget of an exhaustive sweep or check.  Outputs
+embed the full run configuration and carry no timestamps, so identical
+invocations produce identical bytes.
 """
 from __future__ import annotations
 
@@ -73,7 +75,14 @@ def _resolve_seed(args: argparse.Namespace, required: bool) -> Optional[int]:
 
 
 def _read_one_graph(path: str):
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read graph file {path!r}: {exc}") from exc
     graphs = graphs_from_text(text)
     if len(graphs) != 1:
         raise InputError(f"expected exactly one graph, found {len(graphs)}")
@@ -105,7 +114,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     payload = _config_header(args)
 
     if args.samples is None:
-        dist = mech.exact(graph, cap=args.cap)
+        dist = mech.exact(graph)
         payload["mode"] = "exact"
         payload["distribution"] = [
             {"vertex": v, "prob": _frac(dist.prob_of(v)), "decimal": analysis.frac_decimal(dist.prob_of(v))}
@@ -113,7 +122,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         ]
         payload["total"] = _frac(dist.total)
         if isinstance(graph, NominationGraph):
-            rep = analysis.ratio(mech, graph, cap=args.cap)
+            rep = analysis.ratio(mech, graph)
             payload["ratio"] = {
                 "expected_indegree": _frac(rep.expected_indegree),
                 "max_indegree": rep.delta,
@@ -383,6 +392,19 @@ def _cmd_worst_case(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _int_at_least(lo: int):
+    """argparse type: an int no smaller than lo, rejected at parse time."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="impartial",
@@ -400,23 +422,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mech", required=True, choices=sorted(MECHANISMS))
     p.add_argument("--graph", default="-", help="graph file, or - for stdin")
     p.add_argument("--exact", action="store_true", help="exact mode (the default)")
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("verify", help="run one verification check; exit 0 iff it passes")
     p.add_argument("check", choices=sorted(_VERIFY_CHECKS))
     p.add_argument("--mech", default="perm", choices=sorted(MECHANISMS))
-    p.add_argument("--n", type=int, default=5)
+    p.add_argument("--n", type=_int_at_least(2), default=5)
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=_int_at_least(1), default=None)
     p.add_argument("--graphs", type=int, default=200, help="random graphs for correlation")
     p.add_argument("--delta", type=int, default=2)
     p.add_argument("--nprimes", default="1,2,3", help="comma list for tightness")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("figure3", help="per-delta guarantee table")
@@ -426,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("worst-case", help="exhaustive minimum ratio with witness")
     p.add_argument("--mech", required=True, choices=sorted(MECHANISMS))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--n", type=_int_at_least(2), required=True)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=_cmd_worst_case)
 
     return parser

@@ -1,11 +1,13 @@
-"""Vectorized permutation-space evaluation.
+"""Vectorized permutation-space evaluation and the two-slot closed form.
 
-The exact evaluators and the exhaustive sweeps all reduce to running a
-selection rule over every permutation of the vertices (or a sampled
-batch of permutations) and tallying integer counts.  This module does
-that with numpy over whole batches of permutations at once; the counts
-are exact integers, so dividing by the batch size at the end loses
-nothing.
+The exact perm evaluator, its exhaustive sweeps and the ordering-level
+checks run the candidate scan over every permutation of the vertices
+(or a sampled batch of permutations) and tally integer counts.  This
+module does that with numpy over whole batches of permutations at once;
+the counts are exact integers, so dividing by the batch size at the end
+loses nothing.  The two-slot rule's counts over all n! orderings depend
+only on the indegree classes, so runner_up_gap_quarter_counts computes
+them in closed form without enumerating anything.
 
 The key shortcut: when the left-to-right scan considers vertex v, the
 prefix is exactly the set of vertices placed before v.  So the indegree
@@ -64,12 +66,6 @@ def permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 def out_array(g: AnyGraph) -> np.ndarray:
     """0-based target array; -1 marks an absent edge."""
     return np.array([-1 if t is None else t - 1 for t in g.out], dtype=np.int16)
-
-
-def indegrees(out0: np.ndarray) -> np.ndarray:
-    n = out0.shape[0]
-    present = out0[out0 >= 0]
-    return np.bincount(present, minlength=n).astype(np.int64)
 
 
 def adjacency(out0: np.ndarray) -> np.ndarray:
@@ -169,51 +165,54 @@ def sampled_selection_counts(
     return counts, violations
 
 
-def runner_up_gap_quarter_counts(out0: np.ndarray) -> tuple[np.ndarray, int]:
+def runner_up_gap_quarter_counts(out0: np.ndarray) -> tuple[list[int], int]:
     """Exact per-vertex counts, in quarter units, of the two-slot rule
-    over all n! orderings.
+    summed over all n! orderings, in closed form.
 
     Per ordering the rule gives the lexicographic (indegree, position)
     maximum 3/4 (if removing its own edge leaves it ahead of everyone
     else by at least 2) or 1/2, and gives the runner-up 1/2 when the
     runner-up nominates the front vertex and either ties the maximum
     indegree or sits one below it while placed to the right of the front
-    vertex.  Returns (quarter_counts, runs).
+    vertex.  Only the relative order of the top set T (indegree dmax)
+    and of T2 (indegree dmax-1) matters, so with k = |T|:
+
+    - k >= 2: the front vertex is uniform over T and a tied rival always
+      blocks the gap, so each member of T gets 2 n!/k; the runner-up is
+      uniform over the ordered pairs of T, so a member nominating another
+      member gets 2 n!/(k(k-1)) more.
+    - k = 1, T = {t}: t gets 3 n! or 2 n! by its gap test; a member of
+      T2 nominating t is the runner-up to the right of t exactly when it
+      comes last among T2 and t, so it gets 2 n!/(|T2|+1).
+
+    Counts are Python ints (n! overflows int64 from n = 21).  Returns
+    (quarter_counts, n!).
     """
     n = out0.shape[0]
-    perms, pos = permutation_table(n)
-    rows = perms.shape[0]
-    deg = indegrees(out0)
-    dmax = int(deg.max())
-
-    gap_ok = np.zeros(n, dtype=bool)
-    for v in range(n):
-        others = deg.copy()
-        t = int(out0[v])
+    nfact = factorial(n)
+    out = out0.tolist()
+    deg = [0] * n
+    for t in out:
         if t >= 0:
-            others[t] -= 1
-        others[v] = -1
-        gap_ok[v] = deg[v] >= others.max() + 2
-
-    keys = (deg.astype(np.int16) * (n + 1))[None, :] + pos
-    idx = np.arange(rows)
-    v_first = np.argmax(keys, axis=1)
-    keys2 = keys.copy()
-    keys2[idx, v_first] = -1
-    v_second = np.argmax(keys2, axis=1)
-
-    first_weights = np.where(gap_ok[v_first], 3, 2)
-    deg_second = deg[v_second]
-    nominates_first = out0[v_second] == v_first
-    second_hit = nominates_first & (
-        (deg_second == dmax)
-        | ((deg_second == dmax - 1) & (pos[idx, v_second] > pos[idx, v_first]))
-    )
-
-    counts = 3 * np.bincount(v_first[first_weights == 3], minlength=n)
-    counts = counts + 2 * np.bincount(v_first[first_weights == 2], minlength=n)
-    counts = counts + 2 * np.bincount(v_second[second_hit], minlength=n)
-    return counts.astype(np.int64), rows
+            deg[t] += 1
+    dmax = max(deg)
+    top = [v for v in range(n) if deg[v] == dmax]
+    k = len(top)
+    counts = [0] * n
+    if k >= 2:
+        for v in top:
+            counts[v] = 2 * nfact // k
+            if out[v] >= 0 and deg[out[v]] == dmax:
+                counts[v] += 2 * nfact // (k * (k - 1))
+        return counts, nfact
+    t = top[0]
+    rival = max(deg[u] - (u == out[t]) for u in range(n) if u != t)
+    counts[t] = (3 if dmax >= rival + 2 else 2) * nfact
+    second = [r for r in range(n) if deg[r] == dmax - 1]
+    for r in second:
+        if out[r] == t:
+            counts[r] = 2 * nfact // (len(second) + 1)
+    return counts, nfact
 
 
 def left_indegree_profile(out0: np.ndarray, vstar0: int) -> tuple[np.ndarray, np.ndarray]:

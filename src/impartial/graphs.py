@@ -208,10 +208,6 @@ class NominationGraph:
 AnyGraph = NominationGraph | PartialNominationGraph
 
 
-def as_partial(g: AnyGraph) -> PartialNominationGraph:
-    return g.to_partial() if isinstance(g, NominationGraph) else g
-
-
 @dataclass(frozen=True)
 class Permutation:
     """An ordering of the vertices 1..n.

@@ -1,9 +1,11 @@
 """The five selection mechanisms.
 
-Each mechanism comes in two forms: an exact evaluator returning the full
-selection distribution as rationals (enumerating all n! vertex
-orderings, so guarded by an enumeration cap), and a seeded sampler
-returning a single outcome.
+Each mechanism comes in two forms: one exact path returning integer
+selection counts over a common denominator (the ``*_counts`` functions,
+with ``*_exact`` wrapping them as rationals), and a seeded sampler
+returning a single outcome.  Only the perm scan enumerates all n!
+vertex orderings, so only perm, and mix through it, has an enumeration
+cap; rd, prug and prugd are closed forms.
 
 perm  - left-to-right candidate scan along a uniform random ordering.
 rd    - random dictatorship: a uniform vertex's nominee.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import engine
 from .graphs import (
@@ -31,8 +33,9 @@ from .graphs import (
 )
 from .rng import SeedStream, as_stream
 
-ENUM_CAP = 10       # exact perm / prug
-DEFAULT_WRAP_CAP = 8  # exact prugd / mix (extra factor n over the above)
+Counts = tuple[Sequence[int], int]  # per-vertex numerators, common denominator
+
+ENUM_CAP = 10  # exact perm scan, and mix above MIX_SMALL_N through it
 
 MIX_PERM_WEIGHT = Fraction(825, 1049)
 MIX_PRUGD_WEIGHT = Fraction(224, 1049)
@@ -43,14 +46,6 @@ def _require_total(g: AnyGraph, name: str) -> NominationGraph:
     if not isinstance(g, NominationGraph):
         raise InputError(f"{name} is only defined on total nomination graphs")
     return g
-
-
-def _check_cap(n: int, cap: int, name: str, sampler: str) -> None:
-    if n > cap:
-        raise CapacityError(
-            f"exact {name} enumerates {n}! orderings and is capped at "
-            f"n <= {cap}; use {sampler} instead"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +102,22 @@ def perm_run(g: AnyGraph, pi: Permutation, exclude_candidate: bool = True) -> Pe
     return PermRunTrace(pi, tuple(steps), cand, g.indegree(cand), max_left)
 
 
-def perm_exact(g: AnyGraph, cap: int = ENUM_CAP) -> SelectionDistribution:
-    """Selection probabilities under a uniform random ordering: the
-    fraction of the n! orderings whose scan selects each vertex."""
-    _check_cap(g.n, cap, "perm", "perm_sample")
+def perm_counts(g: AnyGraph, cap: int = ENUM_CAP) -> Counts:
+    """How many of the n! orderings make the scan select each vertex."""
+    if g.n > cap:
+        raise CapacityError(
+            f"exact perm enumerates {g.n}! orderings and is capped at "
+            f"n <= {cap}; use perm_sample instead"
+        )
     counts, runs, violations = engine.selection_counts(engine.out_array(g))
     if violations:
         raise RuntimeError(f"{violations} runs missed the maximum left indegree")
-    return SelectionDistribution.from_counts(counts.tolist(), runs)
+    return counts.tolist(), runs
+
+
+def perm_exact(g: AnyGraph, cap: int = ENUM_CAP) -> SelectionDistribution:
+    """Selection probabilities under a uniform random ordering."""
+    return SelectionDistribution.from_counts(*perm_counts(g, cap))
 
 
 def perm_sample(g: AnyGraph, seed: int | SeedStream) -> int:
@@ -125,10 +128,14 @@ def perm_sample(g: AnyGraph, seed: int | SeedStream) -> int:
 # ---------------------------------------------------------------------------
 # Random dictatorship
 
-def rd_exact(g: NominationGraph) -> SelectionDistribution:
+def rd_counts(g: NominationGraph) -> Counts:
     """Each vertex is selected with probability indegree/n."""
     g = _require_total(g, "rd")
-    return SelectionDistribution(tuple(Fraction(d, g.n) for d in g.indegrees()))
+    return g.indegrees(), g.n
+
+
+def rd_exact(g: NominationGraph) -> SelectionDistribution:
+    return SelectionDistribution.from_counts(*rd_counts(g))
 
 
 def rd_sample(g: NominationGraph, seed: int | SeedStream) -> int:
@@ -193,16 +200,21 @@ def prug_q_vector(g: AnyGraph, pi: Permutation) -> SelectionDistribution:
     return SelectionDistribution(tuple((a + b) / 2 for a, b in zip(p1, p2)))
 
 
-def prug_exact(g: AnyGraph, cap: int = ENUM_CAP) -> SelectionDistribution:
-    """Average of the single-ordering weight vectors over all orderings.
+def prug_counts(g: AnyGraph) -> Counts:
+    """Sum of the single-ordering weight vectors over all orderings, in
+    quarters, over 4 n!.
 
     Averaging p directly equals averaging the reverse-paired q vectors,
     since reversal is a bijection on orderings.  The total may fall
-    short of 1: the rule is allowed to select no one.
+    short of 1: the rule is allowed to select no one.  The engine sums
+    in closed form, so no ordering is enumerated.
     """
-    _check_cap(g.n, cap, "prug", "prug_sample")
     counts, runs = engine.runner_up_gap_quarter_counts(engine.out_array(g))
-    return SelectionDistribution.from_counts(counts.tolist(), 4 * runs)
+    return counts, 4 * runs
+
+
+def prug_exact(g: AnyGraph) -> SelectionDistribution:
+    return SelectionDistribution.from_counts(*prug_counts(g))
 
 
 def prug_sample(g: AnyGraph, seed: int | SeedStream) -> Optional[int]:
@@ -216,36 +228,37 @@ def prug_sample(g: AnyGraph, seed: int | SeedStream) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # Default-vertex wrapper
 
-def dv_wrap_exact(
-    inner_exact: Callable[[PartialNominationGraph], SelectionDistribution],
-    g: NominationGraph,
-) -> SelectionDistribution:
+def dv_wrap_counts(
+    inner_counts: Callable[[PartialNominationGraph], Counts], g: NominationGraph
+) -> Counts:
     """Run an inexact rule with a uniformly chosen default vertex.
 
     The default vertex's outgoing edge is removed before the inner rule
     runs, and the default vertex picks up the inner rule's unassigned
     mass on top of its own share, so the wrapped rule always selects.
+    The inner rule's denominator must depend on n only; the wrapped
+    counts are over n times it.
     """
     g = _require_total(g, "dv_wrap")
     n = g.n
-    acc = [Fraction(0)] * n
+    acc = [0] * n
     for vbar in g.vertices:
-        inner = inner_exact(g.remove_out_edge(vbar))
-        if inner.n != n:
+        counts, den = inner_counts(g.remove_out_edge(vbar))
+        if len(counts) != n:
             raise InputError("inner mechanism changed the vertex count")
-        for v in g.vertices:
-            acc[v - 1] += inner.prob_of(v)
-        acc[vbar - 1] += inner.deficit()
-    dist = SelectionDistribution(tuple(a / n for a in acc))
-    if not dist.is_exact:
-        raise RuntimeError(f"default-vertex wrap lost mass: total {dist.total}")
-    return dist
+        for v, c in enumerate(counts):
+            acc[v] += c
+        acc[vbar - 1] += den - sum(counts)
+    return acc, n * den
 
 
-def prugd_exact(g: NominationGraph, cap: int = DEFAULT_WRAP_CAP) -> SelectionDistribution:
-    g = _require_total(g, "prugd")
-    _check_cap(g.n, cap, "prugd", "prugd_sample")
-    return dv_wrap_exact(lambda h: prug_exact(h, cap=max(cap, ENUM_CAP)), g)
+def prugd_counts(g: NominationGraph) -> Counts:
+    """prug with a uniform default vertex, over 4 n n!."""
+    return dv_wrap_counts(prug_counts, _require_total(g, "prugd"))
+
+
+def prugd_exact(g: NominationGraph) -> SelectionDistribution:
+    return SelectionDistribution.from_counts(*prugd_counts(g))
 
 
 def prugd_sample(g: NominationGraph, seed: int | SeedStream) -> int:
@@ -259,20 +272,25 @@ def prugd_sample(g: NominationGraph, seed: int | SeedStream) -> int:
 # ---------------------------------------------------------------------------
 # Mixture mechanism
 
-def mix_exact(g: NominationGraph, cap: int = DEFAULT_WRAP_CAP) -> SelectionDistribution:
+def mix_counts(g: NominationGraph) -> Counts:
     """rd for n <= 5; otherwise the fixed 825/1049 : 224/1049 blend of
-    perm and prugd."""
+    perm (over n!) and prugd (over 4 n n!), over 1049 * 4 n n!."""
     g = _require_total(g, "mix")
     if g.n <= MIX_SMALL_N:
-        return rd_exact(g)
-    pe = perm_exact(g, cap=max(cap, ENUM_CAP))
-    pd = prugd_exact(g, cap=cap)
-    return SelectionDistribution(
-        tuple(
-            MIX_PERM_WEIGHT * a + MIX_PRUGD_WEIGHT * b
-            for a, b in zip(pe.probs, pd.probs)
-        )
-    )
+        return rd_counts(g)
+    pe, nfact = perm_counts(g)
+    pd, den = prugd_counts(g)
+    scale = den // nfact
+    # both weights are over 1049
+    blend = [
+        MIX_PERM_WEIGHT.numerator * scale * a + MIX_PRUGD_WEIGHT.numerator * b
+        for a, b in zip(pe, pd)
+    ]
+    return blend, MIX_PERM_WEIGHT.denominator * den
+
+
+def mix_exact(g: NominationGraph) -> SelectionDistribution:
+    return SelectionDistribution.from_counts(*mix_counts(g))
 
 
 def mix_sample(g: NominationGraph, seed: int | SeedStream) -> int:
@@ -290,26 +308,25 @@ def mix_sample(g: NominationGraph, seed: int | SeedStream) -> int:
 
 @dataclass(frozen=True)
 class Mechanism:
-    """A named evaluator pair plus its metadata.
+    """A named exact path and sampler plus their metadata.
 
     always_selects: the exact distribution sums to 1 (versus an inexact
     rule that may select no one).  accepts_partial: defined on graphs
-    with missing out-edges.  asserted_symmetric: relabelling invariance
-    is part of the contract (position-based tie-breaking rules make no
-    such promise, whatever their averages do).
+    with missing out-edges.  The exact path returns integer counts over
+    one denominator; exact() turns them into rationals.
     """
 
     name: str
     always_selects: bool
     accepts_partial: bool
-    asserted_symmetric: bool
-    default_cap: int
-    _exact: Callable[..., SelectionDistribution]
+    _counts: Callable[[AnyGraph], Counts]
     _sample: Callable[..., Optional[int]]
 
-    def exact(self, g: AnyGraph, cap: Optional[int] = None) -> SelectionDistribution:
-        g = self._coerce(g)
-        return self._exact(g, cap=self.default_cap if cap is None else cap)
+    def counts(self, g: AnyGraph) -> Counts:
+        return self._counts(self._coerce(g))
+
+    def exact(self, g: AnyGraph) -> SelectionDistribution:
+        return SelectionDistribution.from_counts(*self.counts(g))
 
     def sample(self, g: AnyGraph, seed: int | SeedStream) -> Optional[int]:
         return self._sample(self._coerce(g), seed)
@@ -320,18 +337,12 @@ class Mechanism:
         return g
 
 
-def _rd_exact_capless(g: NominationGraph, cap: int = 0) -> SelectionDistribution:
-    return rd_exact(g)
-
-
 MECHANISMS: dict[str, Mechanism] = {
-    "perm": Mechanism("perm", True, True, True, ENUM_CAP, perm_exact, perm_sample),
-    "rd": Mechanism("rd", True, False, True, ENUM_CAP, _rd_exact_capless, rd_sample),
-    "prug": Mechanism("prug", False, True, False, ENUM_CAP, prug_exact, prug_sample),
-    "prugd": Mechanism(
-        "prugd", True, False, False, DEFAULT_WRAP_CAP, prugd_exact, prugd_sample
-    ),
-    "mix": Mechanism("mix", True, False, False, DEFAULT_WRAP_CAP, mix_exact, mix_sample),
+    "perm": Mechanism("perm", True, True, perm_counts, perm_sample),
+    "rd": Mechanism("rd", True, False, rd_counts, rd_sample),
+    "prug": Mechanism("prug", False, True, prug_counts, prug_sample),
+    "prugd": Mechanism("prugd", True, False, prugd_counts, prugd_sample),
+    "mix": Mechanism("mix", True, False, mix_counts, mix_sample),
 }
 
 

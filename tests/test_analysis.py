@@ -34,7 +34,7 @@ from impartial.generators import (
     ub_family,
     ub_family_prime,
 )
-from impartial.graphs import CapacityError, InputError, NominationGraph, SelectionDistribution
+from impartial.graphs import CapacityError, InputError, NominationGraph
 from impartial.mechanisms import Mechanism, perm_exact, prug_exact
 from impartial.rng import SeedStream
 
@@ -183,6 +183,33 @@ def test_sweep_budget_guard():
         worst_case("perm", 7)
     with pytest.raises(CapacityError):
         sweep_graphs(6, ("perm",), budget_rows=1000)
+    with pytest.raises(CapacityError):
+        sweep_graphs(8, ("prugd",))
+
+
+def test_sweep_sums_pinned_to_enumerator():
+    # sums of every graph's ratio, as computed by the n! enumerator
+    expected = {
+        5: {"prug": Fraction(2955, 4), "prugd": Fraction(3145, 4), "mix": Fraction(809)},
+        6: {
+            "prug": Fraction(22449, 2),
+            "prugd": Fraction(24583, 2),
+            "mix": Fraction(25822217, 2098),
+        },
+    }
+    for n, sums in expected.items():
+        sweep = sweep_graphs(n, ("prug", "prugd", "mix"))
+        assert {m: sum(sweep.ratios[m]) for m in sums} == sums
+        assert sweep.runs == 0
+
+
+def test_sweep_ratios_equal_mechanism_ratios():
+    mechs = ("perm", "rd", "prug", "prugd", "mix")
+    sweep = sweep_graphs(4, mechs)
+    for idx in range(0, graph_count(4), 7):
+        g = graph_at(4, idx)
+        for m in mechs:
+            assert sweep.ratios[m][idx] == ratio(m, g).ratio, (m, g.out)
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +361,10 @@ def test_chain_rd_n6():
 
 
 def test_chain_rejects_relabelling_sensitive_mechanism():
-    def const_first(g, cap=None):
-        probs = [Fraction(0)] * g.n
-        probs[0] = Fraction(1)
-        return SelectionDistribution(tuple(probs))
+    def const_first(g):
+        return [1] + [0] * (g.n - 1), 1
 
-    fixed = Mechanism("const1", True, False, False, 10, const_first, lambda g, s: 1)
+    fixed = Mechanism("const1", True, False, const_first, lambda g, s: 1)
     with pytest.raises(SymmetryError) as err:
         verify_upper_bound_chain(fixed, 6)
     assert err.value.mechanism == "const1"

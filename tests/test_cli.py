@@ -102,6 +102,61 @@ def test_eval_capacity_exit_code(capsys, tmp_path):
     assert code == 3 and "capacity" in err
 
 
+def test_eval_prugd_has_no_cap_but_mix_keeps_the_scan_cap(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text(graph_to_text(ub_family(12, 1)) + "\n")
+    code, out, _ = run_cli(capsys, "eval", "--mech", "prugd", "--graph", str(path))
+    assert code == 0 and json.loads(out)["total"] == "1/1"
+    path.write_text(graph_to_text(lower_bound_family(2, 5)) + "\n")  # n = 13
+    code, _, err = run_cli(capsys, "eval", "--mech", "mix", "--graph", str(path))
+    assert code == 3 and "capacity" in err
+
+
+def test_eval_missing_graph_file_usage(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "eval", "--mech", "rd", "--graph", str(tmp_path / "absent.txt")
+    )
+    assert code == 2 and err.startswith("error:") and out == ""
+
+
+def usage_exit(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_eval_zero_samples_usage(capsys):
+    code, err = usage_exit(capsys, "eval", "--mech", "rd", "--samples", "0", "--seed", "1")
+    assert code == 2 and "--samples" in err
+
+
+def test_eval_negative_samples_usage(capsys):
+    code, err = usage_exit(capsys, "eval", "--mech", "rd", "--samples", "-5", "--seed", "1")
+    assert code == 2 and "at least 1" in err
+
+
+def test_verify_bounds_n1_usage(capsys):
+    code, err = usage_exit(capsys, "verify", "bounds", "--mech", "perm", "--n", "1")
+    assert code == 2 and "--n" in err
+
+
+def test_worst_case_n1_usage(capsys):
+    code, err = usage_exit(capsys, "worst-case", "--mech", "rd", "--n", "1")
+    assert code == 2 and "at least 2" in err
+
+
+def test_jobs_zero_usage(capsys):
+    code, err = usage_exit(capsys, "verify", "lemma3", "--n", "3", "--jobs", "0")
+    assert code == 2 and "--jobs" in err
+    code, _ = usage_exit(capsys, "worst-case", "--mech", "rd", "--n", "3", "--jobs", "0")
+    assert code == 2
+
+
+def test_non_integer_number_usage(capsys):
+    code, err = usage_exit(capsys, "verify", "bounds", "--n", "five")
+    assert code == 2 and "invalid int value" in err
+
+
 def test_eval_csv_format(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("2; 2,1\n"))
     code, out, _ = run_cli(capsys, "eval", "--mech", "rd", "--format", "csv")

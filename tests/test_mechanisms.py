@@ -17,7 +17,7 @@ from impartial.graphs import (
 )
 from impartial.mechanisms import (
     MECHANISMS,
-    dv_wrap_exact,
+    dv_wrap_counts,
     get_mechanism,
     mix_exact,
     mix_sample,
@@ -178,6 +178,44 @@ def test_prug_exact_values_and_oracle():
         assert list(prug_exact(g).probs) == oracle.prug_dist(g)
 
 
+def one_edge_removed(graphs):
+    for g in graphs:
+        for v in g.vertices:
+            yield g.remove_out_edge(v)
+
+
+def test_prug_closed_form_matches_oracle_exhaustive():
+    for n in (2, 3, 4):
+        totals = list(oracle.all_graphs(n))
+        for g in totals + list(one_edge_removed(totals)):
+            assert list(prug_exact(g).probs) == oracle.prug_dist(g), g.out
+
+
+def test_prug_closed_form_matches_oracle_seeded():
+    rng = SeedStream(43)
+    for n, count in ((5, 6), (6, 4), (7, 2), (8, 1)):
+        totals = [random_graph(n, rng) for _ in range(count)]
+        partials = [g.remove_out_edge(rng.vertex(n)) for g in totals]
+        for g in totals + partials:
+            assert list(prug_exact(g).probs) == oracle.prug_dist(g), g.out
+
+
+@st.composite
+def partial_graphs(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    out = [
+        draw(st.one_of(st.none(), st.sampled_from([t for t in range(1, n + 1) if t != v])))
+        for v in range(1, n + 1)
+    ]
+    return PartialNominationGraph(tuple(out))
+
+
+@settings(max_examples=40, deadline=None)
+@given(partial_graphs())
+def test_prug_closed_form_matches_oracle_property(g):
+    assert list(prug_exact(g).probs) == oracle.prug_dist(g)
+
+
 def test_prug_exact_sum_at_most_one_exhaustive():
     for n in (2, 3, 4):
         for g in oracle.all_graphs(n):
@@ -201,24 +239,24 @@ def test_prug_sample_deterministic():
 
 def test_dv_wrap_never_selecting_inner_gives_uniform():
     def nothing(h):
-        return SelectionDistribution((Fraction(0),) * h.n)
+        return [0] * h.n, 1
 
-    dist = dv_wrap_exact(nothing, STAR4)
-    assert dist.probs == (Fraction(1, 4),) * 4
+    counts, den = dv_wrap_counts(nothing, STAR4)
+    assert SelectionDistribution.from_counts(counts, den).probs == (Fraction(1, 4),) * 4
 
 
 def test_dv_wrap_exact_inner_is_plain_average():
     def first_on_board(h):
         # always selects the lowest-index vertex that still has an edge
         v = next(u for u in h.vertices if h.out[u - 1] is not None)
-        probs = [Fraction(0)] * h.n
-        probs[v - 1] = Fraction(1)
-        return SelectionDistribution(tuple(probs))
+        counts = [0] * h.n
+        counts[v - 1] = 1
+        return counts, 1
 
     g = NominationGraph((2, 3, 1))
-    dist = dv_wrap_exact(first_on_board, g)
+    counts, den = dv_wrap_counts(first_on_board, g)
     # defaults 1,2,3 leave lowest-edged vertices 2,1,1
-    assert dist.probs == (Fraction(2, 3), Fraction(1, 3), Fraction(0))
+    assert (counts, den) == ([2, 1, 0], 3)
 
 
 def test_prugd_star_against_pair_oracle():
@@ -237,9 +275,11 @@ def test_prugd_exact_oracle_and_total():
 
 
 def test_prugd_capacity():
-    with pytest.raises(CapacityError, match="prugd_sample"):
-        prugd_exact(cycle(9))
-    assert prugd_exact(cycle(9), cap=9).is_exact
+    # prugd is a closed form with no cap; mix keeps perm's scan cap
+    assert prugd_exact(cycle(9)).probs == (Fraction(1, 9),) * 9
+    assert prugd_exact(random_graph(30, 41)).is_exact
+    with pytest.raises(CapacityError, match="perm_sample"):
+        mix_exact(cycle(11))
 
 
 def test_prugd_sample_deterministic():
