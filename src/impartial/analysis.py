@@ -35,7 +35,6 @@ from .graphs import (
     SelectionDistribution,
 )
 from .mechanisms import (
-    ENUM_CAP,
     MIX_PERM_WEIGHT,
     MIX_PRUGD_WEIGHT,
     MIX_SMALL_N,
@@ -70,21 +69,6 @@ def prugd_alpha(delta: int) -> Fraction:
     if delta < 2:
         raise InputError(f"prugd_alpha needs delta >= 2, got {delta}")
     return Fraction(1, 2) + Fraction(7 * delta - 9, 6 * delta * (3 * delta - 2))
-
-
-class PrugdSpecials(tuple):
-    """The two sharpened guarantees: all graphs with maximum indegree 2,
-    and graphs with maximum indegree 3 and a single vertex of indegree
-    at least 2."""
-
-    delta2 = property(lambda self: self[0])
-    delta3_single_high = property(lambda self: self[1])
-
-
-def prugd_alpha_special() -> PrugdSpecials:
-    return PrugdSpecials(
-        (PRUGD_DELTA2_GUARANTEE, PRUGD_DELTA3_SINGLE_HIGH_GUARANTEE)
-    )
 
 
 def mix_high_delta_branch(delta: int) -> Fraction:
@@ -192,9 +176,6 @@ def graph_at(n: int, index: int) -> NominationGraph:
     return NominationGraph(tuple(out))
 
 
-_SWEEP_MECHS = ("perm", "rd", "prug", "prugd", "mix")
-
-
 @dataclass
 class GraphSweep:
     """Exact ratios of selected mechanisms over every graph of size n.
@@ -269,11 +250,10 @@ def sweep_graphs(
     """
     mechanisms = tuple(mechanisms)
     for m in mechanisms:
-        if m not in _SWEEP_MECHS:
-            raise InputError(f"unknown mechanism {m!r}; expected one of {_SWEEP_MECHS}")
+        get_mechanism(m)  # raises InputError on an unknown name
     count = graph_count(n)
     scans = sum(m == "perm" or (m == "mix" and n > MIX_SMALL_N) for m in mechanisms)
-    per_graph = scans * engine.factorial(n) + (len(mechanisms) - scans) * n * n
+    per_graph = scans * math.factorial(n) + (len(mechanisms) - scans) * n * n
     if count * per_graph > budget_rows:
         raise CapacityError(
             f"sweep at n={n} needs {count * per_graph} units of work, over the "
@@ -447,7 +427,7 @@ def symmetrize(
         dist = cache[relabelled.out]
         for v in range(1, n + 1):
             acc[v - 1] += dist[pi.image_of(v) - 1]
-    nfact = engine.factorial(n)
+    nfact = math.factorial(n)
     return SelectionDistribution(tuple(a / nfact for a in acc))
 
 
@@ -621,7 +601,7 @@ def verify_upper_bound_chain(
         relabellings: Iterable[Permutation] = (
             Permutation(seq) for seq in itertools.permutations(range(1, n + 1))
         )
-        sym_checks = engine.factorial(n) * len(family)
+        sym_checks = math.factorial(n) * len(family)
     else:
         rng = SeedStream(seed).split("chain-relabellings")
         relabellings = [rng.permutation(n) for _ in range(relabel_samples)]
@@ -706,7 +686,6 @@ def tightness_scan(
     nprimes: Sequence[int],
     samples: int = 1_000_000,
     seed: int = 0,
-    exact_cap: int = ENUM_CAP,
 ) -> TightnessReport:
     """Ratios of the permutation mechanism on the adversarial block
     family, exact where the size permits and Monte Carlo beyond.
@@ -722,7 +701,7 @@ def tightness_scan(
         out0 = engine.out_array(g)
         deg = np.array(g.indegrees(), dtype=np.int64)
         dmax = int(deg.max())
-        if g.n <= exact_cap:
+        if g.n <= engine.ENUM_CAP:
             counts, runs, violations = engine.selection_counts(out0)
             if violations:
                 raise RuntimeError(f"{violations} runs missed the maximum left indegree")

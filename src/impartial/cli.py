@@ -222,16 +222,15 @@ def _verify_bounds(args: argparse.Namespace, payload: dict) -> bool:
         if n < 6:
             raise InputError("the prugd floors hold for n >= 6")
         sweep = analysis.sweep_graphs(n, ("prugd",), jobs=args.jobs)
-        specials = analysis.prugd_alpha_special()
         bad = []
         for i, (r, d, h) in enumerate(
             zip(sweep.ratios["prugd"], sweep.deltas, sweep.high2_counts)
         ):
             floor = analysis.prugd_alpha(d)
             if d == 2:
-                floor = max(floor, specials.delta2)
+                floor = max(floor, analysis.PRUGD_DELTA2_GUARANTEE)
             if d == 3 and h == 1:
-                floor = max(floor, specials.delta3_single_high)
+                floor = max(floor, analysis.PRUGD_DELTA3_SINGLE_HIGH_GUARANTEE)
             if r < floor:
                 bad.append(i)
         payload["graphs_checked"] = len(sweep.deltas)

@@ -20,19 +20,17 @@ at the boundary.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .graphs import AnyGraph, CapacityError
 
-_TABLE_MAX_N = 10
+# Largest n whose n! orderings are ever enumerated: the ordering table,
+# and through it exact perm, exact mix above MIX_SMALL_N and the exact
+# tightness rows.
+ENUM_CAP = 10
 _table_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def _build_perms(n: int) -> np.ndarray:
@@ -50,9 +48,9 @@ def _build_perms(n: int) -> np.ndarray:
 def permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(perms, pos): all n! orderings, perms[r, j] = vertex at position j,
     pos[r, v] = position of vertex v.  Cached per n."""
-    if n > _TABLE_MAX_N:
+    if n > ENUM_CAP:
         raise CapacityError(
-            f"full permutation table for n={n} exceeds the n<={_TABLE_MAX_N} cap"
+            f"full permutation table for n={n} exceeds the n<={ENUM_CAP} cap"
         )
     if n not in _table_cache:
         perms = _build_perms(n)
@@ -189,7 +187,7 @@ def runner_up_gap_quarter_counts(out0: np.ndarray) -> tuple[list[int], int]:
     (quarter_counts, n!).
     """
     n = out0.shape[0]
-    nfact = factorial(n)
+    nfact = math.factorial(n)
     out = out0.tolist()
     deg = [0] * n
     for t in out:

@@ -1,9 +1,10 @@
 """Core value types: nomination graphs, permutations, selection distributions.
 
-A nomination graph has n vertices (labelled 1..n), exactly one outgoing
-edge per vertex and no self-loops.  A partial nomination graph relaxes
-this to *at most* one outgoing edge per vertex; it is what remains after
-a vertex's outgoing edge is removed.
+A partial nomination graph has n vertices (labelled 1..n), at most one
+outgoing edge per vertex and no self-loops; it is what remains after a
+vertex's outgoing edge is removed.  A (total) nomination graph is a
+partial graph with every edge present, so NominationGraph subclasses
+PartialNominationGraph and only tightens its validation.
 
 All types are immutable values and all operations are pure, so instances
 can be shared freely across parallel workers.  Vertices are 1-based
@@ -109,21 +110,22 @@ class PartialNominationGraph:
         return PartialNominationGraph(tuple(out))
 
     def relabel(self, pi: "Permutation") -> "PartialNominationGraph":
-        """Rename vertices by pi, mapping each edge (u, w) to (pi(u), pi(w))."""
+        """Rename vertices by pi, mapping each edge (u, w) to (pi(u), pi(w));
+        the result has the same graph type as self."""
         if pi.n != self.n:
             raise InputError(f"permutation size {pi.n} != graph size {self.n}")
         out: list[Optional[int]] = [None] * self.n
         for v, t in enumerate(self.out, start=1):
             if t is not None:
                 out[pi.image_of(v) - 1] = pi.image_of(t)
-        return PartialNominationGraph(tuple(out))
+        return type(self)(tuple(out))
 
     def is_total(self) -> bool:
         return all(t is not None for t in self.out)
 
 
 @dataclass(frozen=True)
-class NominationGraph:
+class NominationGraph(PartialNominationGraph):
     """Directed graph with exactly one outgoing edge per vertex, no loops.
 
     ``out[v-1]`` is the 1-based target of vertex v's nomination.  Since
@@ -133,61 +135,10 @@ class NominationGraph:
     out: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        out = tuple(self.out)
-        object.__setattr__(self, "out", out)
-        n = len(out)
-        if n < 2:
-            raise InputError(f"need at least 2 vertices, got {n}")
-        for v, t in enumerate(out, start=1):
-            if not isinstance(t, int) or not 1 <= t <= n:
-                raise InputError(f"target {t!r} of vertex {v} out of range 1..{n}")
-            if t == v:
-                raise InputError(f"vertex {v} nominates itself")
-
-    @property
-    def n(self) -> int:
-        return len(self.out)
-
-    @property
-    def vertices(self) -> range:
-        return range(1, self.n + 1)
-
-    def target_of(self, v: int) -> int:
-        _check_vertex(v, self.n)
-        return self.out[v - 1]
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(v, t) for v, t in enumerate(self.out, start=1)]
-
-    def indegree(self, v: int) -> int:
-        _check_vertex(v, self.n)
-        return sum(1 for t in self.out if t == v)
-
-    def indegree_from(self, v: int, sources: Iterable[int]) -> int:
-        _check_vertex(v, self.n)
-        seen = set()
-        for u in sources:
-            _check_vertex(u, self.n)
-            seen.add(u)
-        return sum(1 for u in seen if self.out[u - 1] == v)
-
-    def indegrees(self) -> tuple[int, ...]:
-        degs = [0] * self.n
-        for t in self.out:
-            degs[t - 1] += 1
-        return tuple(degs)
-
-    def max_indegree_and_top(self) -> tuple[int, frozenset[int], int]:
-        degs = self.indegrees()
-        dmax = max(degs)
-        top = frozenset(v for v in self.vertices if degs[v - 1] == dmax)
-        return dmax, top, min(top)
-
-    def to_partial(self) -> PartialNominationGraph:
-        return PartialNominationGraph(self.out)
-
-    def remove_out_edge(self, v: int) -> PartialNominationGraph:
-        return self.to_partial().remove_out_edge(v)
+        super().__post_init__()
+        if None in self.out:
+            v = self.out.index(None) + 1
+            raise InputError(f"target None of vertex {v} out of range 1..{self.n}")
 
     def retarget(self, v: int, new_target: int) -> "NominationGraph":
         """The graph with v's nomination redirected to new_target."""
@@ -196,16 +147,8 @@ class NominationGraph:
         out[v - 1] = new_target
         return NominationGraph(tuple(out))
 
-    def relabel(self, pi: "Permutation") -> "NominationGraph":
-        if pi.n != self.n:
-            raise InputError(f"permutation size {pi.n} != graph size {self.n}")
-        out = [0] * self.n
-        for v, t in enumerate(self.out, start=1):
-            out[pi.image_of(v) - 1] = pi.image_of(t)
-        return NominationGraph(tuple(out))
 
-
-AnyGraph = NominationGraph | PartialNominationGraph
+AnyGraph = PartialNominationGraph  # total graphs included, as a subclass
 
 
 @dataclass(frozen=True)
@@ -257,25 +200,10 @@ class Permutation:
     def reverse(self) -> "Permutation":
         return Permutation(self.seq[::-1])
 
-    def swap(self, i: int, j: int) -> "Permutation":
-        """Exchange the vertices at positions i and j (i == j allowed)."""
-        _check_vertex(i, self.n)
-        _check_vertex(j, self.n)
-        seq = list(self.seq)
-        seq[i - 1], seq[j - 1] = seq[j - 1], seq[i - 1]
-        return Permutation(tuple(seq))
-
     def prefix_set(self, v: int) -> frozenset[int]:
         """Vertices strictly to the left of v in this ordering."""
         p = self.position_of(v)
         return frozenset(self.seq[: p - 1])
-
-    def restrict(self, subset: Iterable[int]) -> tuple[int, ...]:
-        """The members of subset in the order they appear here."""
-        keep = set(subset)
-        for u in keep:
-            _check_vertex(u, self.n)
-        return tuple(v for v in self.seq if v in keep)
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,6 @@ from .rng import SeedStream, as_stream
 
 Counts = tuple[Sequence[int], int]  # per-vertex numerators, common denominator
 
-ENUM_CAP = 10  # exact perm scan, and mix above MIX_SMALL_N through it
-
 MIX_PERM_WEIGHT = Fraction(825, 1049)
 MIX_PRUGD_WEIGHT = Fraction(224, 1049)
 MIX_SMALL_N = 5
@@ -78,24 +76,29 @@ def perm_run(g: AnyGraph, pi: Permutation, exclude_candidate: bool = True) -> Pe
     indegree counts the full prefix.  That asymmetry is what keeps the
     rule impartial; exclude_candidate=False switches to the naive
     comparison and is kept only as a negative control.
+
+    The scan keeps one running count per vertex, left[t] = the number of
+    already placed vertices that nominate t, so a vertex's indegree from
+    the left is read off as it is reached and a run costs O(n).
     """
     n = g.n
     if pi.n != n:
         raise InputError(f"permutation size {pi.n} != graph size {n}")
-    cand = pi.vertex_at(1)
-    d = 0
+    out = g.out
+    left = [0] * (n + 1)  # slot 0 absorbs absent edges and is never read
+    cand = pi.seq[0]
+    d = max_left = 0
     steps = [(cand, d)]
-    prefix: set[int] = {cand}
-    for j in range(2, n + 1):
-        v = pi.vertex_at(j)
-        full = g.indegree_from(v, prefix)
-        comparand = full - (1 if g.out[cand - 1] == v else 0) if exclude_candidate else full
+    left[out[cand - 1] or 0] += 1
+    for v in pi.seq[1:]:
+        full = left[v]
+        comparand = full - (out[cand - 1] == v) if exclude_candidate else full
         if comparand >= d:
             cand = v
             d = full
         steps.append((cand, d))
-        prefix.add(v)
-    max_left = max(g.indegree_from(v, pi.prefix_set(v)) for v in g.vertices)
+        max_left = max(max_left, full)
+        left[out[v - 1] or 0] += 1
     if d != max_left:
         raise RuntimeError(
             f"selected vertex {cand} has left indegree {d}, not the maximum {max_left}"
@@ -103,12 +106,12 @@ def perm_run(g: AnyGraph, pi: Permutation, exclude_candidate: bool = True) -> Pe
     return PermRunTrace(pi, tuple(steps), cand, g.indegree(cand), max_left)
 
 
-def perm_counts(g: AnyGraph, cap: int = ENUM_CAP) -> Counts:
+def perm_counts(g: AnyGraph) -> Counts:
     """How many of the n! orderings make the scan select each vertex."""
-    if g.n > cap:
+    if g.n > engine.ENUM_CAP:
         raise CapacityError(
             f"exact perm enumerates {g.n}! orderings and is capped at "
-            f"n <= {cap}; use perm_sample instead"
+            f"n <= {engine.ENUM_CAP}; use perm_sample instead"
         )
     counts, runs, violations = engine.selection_counts(engine.out_array(g))
     if violations:
@@ -116,9 +119,9 @@ def perm_counts(g: AnyGraph, cap: int = ENUM_CAP) -> Counts:
     return counts.tolist(), runs
 
 
-def perm_exact(g: AnyGraph, cap: int = ENUM_CAP) -> SelectionDistribution:
+def perm_exact(g: AnyGraph) -> SelectionDistribution:
     """Selection probabilities under a uniform random ordering."""
-    return SelectionDistribution.from_counts(*perm_counts(g, cap))
+    return SelectionDistribution.from_counts(*perm_counts(g))
 
 
 def perm_sample(g: AnyGraph, seed: int | SeedStream) -> int:

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from impartial import analysis
 from impartial.analysis import (
     MIX_GUARANTEE,
+    PRUGD_DELTA2_GUARANTEE,
+    PRUGD_DELTA3_SINGLE_HIGH_GUARANTEE,
     SymmetryError,
     check_impartial,
     correlation_example_graph,
@@ -17,7 +19,6 @@ from impartial.analysis import (
     mix_high_delta_branch,
     perm_alpha,
     prugd_alpha,
-    prugd_alpha_special,
     ratio,
     sweep_graphs,
     symmetrize,
@@ -62,9 +63,8 @@ def test_prugd_alpha_values():
     assert prugd_alpha(2) == Fraction(1, 2) + Fraction(5, 48)
     assert prugd_alpha(3) == Fraction(25, 42)
     assert prugd_alpha(5) == Fraction(1, 2) + Fraction(13, 195)
-    specials = prugd_alpha_special()
-    assert specials.delta2 == Fraction(65, 96)
-    assert specials.delta3_single_high == Fraction(13, 18)
+    assert PRUGD_DELTA2_GUARANTEE == Fraction(65, 96)
+    assert PRUGD_DELTA3_SINGLE_HIGH_GUARANTEE == Fraction(13, 18)
     with pytest.raises(InputError):
         prugd_alpha(1)
 
