@@ -181,10 +181,10 @@ class GraphSweep:
     """Exact ratios of selected mechanisms over every graph of size n.
 
     Lists are parallel, indexed by the iter_out_tuples enumeration
-    order.  runs/left_max_violations count the orderings executed by the
-    perm scan (only when "perm" is swept; mix's own scan is not counted)
-    and how many of them missed the maximum indegree from the left
-    (always expected to be zero).
+    order.  runs counts the orderings the perm DP covers, n! per graph
+    (only when "perm" is swept; mix's own perm counts are not counted),
+    and left_max_violations how many of them missed the maximum indegree
+    from the left (always expected to be zero).
     """
 
     n: int

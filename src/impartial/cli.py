@@ -7,8 +7,10 @@ minimum-ratio search).
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error
 (including numbers rejected at parse time and unreadable graph files),
-3 an exact computation exceeded its cap: the ordering scan behind perm
-and mix, or the work budget of an exhaustive sweep or check.  Outputs
+3 an exact computation exceeded its cap: the n <= 16 prefix-set DP
+behind perm and mix, or the work budget of an exhaustive sweep or check,
+4 an internal error: an unexpected exception, reported on stderr as
+"internal error: ..." with its traceback.  Outputs
 embed the full run configuration and carry no timestamps, so identical
 invocations produce identical bytes.
 """
@@ -20,6 +22,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from fractions import Fraction
 from typing import Optional
 
@@ -35,7 +38,7 @@ from .graphs import (
 from .mechanisms import MECHANISMS, get_mechanism
 from .rng import SeedStream
 
-PASS, FAIL, USAGE, CAPACITY = 0, 1, 2, 3
+PASS, FAIL, USAGE, CAPACITY, INTERNAL = 0, 1, 2, 3, 4
 
 _ENV_SEED = "IMPARTIAL_SEED"
 
@@ -464,6 +467,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return CAPACITY
+    except Exception as exc:  # a bug, not a failed check: keep it off exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return INTERNAL
 
 
 if __name__ == "__main__":

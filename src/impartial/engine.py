@@ -1,35 +1,45 @@
-"""Vectorized permutation-space evaluation and the two-slot closed form.
+"""Exact and sampled evaluation of the candidate scan, and the two-slot
+closed form.
 
-The exact perm evaluator, its exhaustive sweeps and the ordering-level
-checks run the candidate scan over every permutation of the vertices
-(or a sampled batch of permutations) and tally integer counts.  This
-module does that with numpy over whole batches of permutations at once;
-the counts are exact integers, so dividing by the batch size at the end
-loses nothing.  The two-slot rule's counts over all n! orderings depend
-only on the indegree classes, so runner_up_gap_quarter_counts computes
-them in closed form without enumerating anything.
+Exact perm counts come from a dynamic program over prefix sets: the
+scan's future after a prefix depends only on which vertices were placed,
+not on their order, so selection_counts carries integer ordering counts
+per (prefix set, candidate, candidate's left indegree) and covers all n!
+orderings in one pass over the 2^n prefix sets, up to DP_CAP.  The counts
+are exact integers, so dividing by n! at the end loses nothing.  The two-slot
+rule's counts over all n! orderings depend only on the indegree classes,
+so runner_up_gap_quarter_counts computes them in closed form without
+enumerating anything.
 
-The key shortcut: when the left-to-right scan considers vertex v, the
-prefix is exactly the set of vertices placed before v.  So the indegree
-from the left that the scan sees for v equals the number of in-neighbors
-of v placed before v, which can be computed for all permutations and all
-vertices in O(n) vector operations, without materializing prefixes.
+Checks about individual orderings (the left-indegree profile) and the
+sampled scan still run on explicit orderings with numpy, many at once.
+The key shortcut there: when the left-to-right scan considers vertex v,
+the prefix is exactly the set of vertices placed before v.  So the
+indegree from the left that the scan sees for v equals the number of
+in-neighbors of v placed before v, which can be computed for all
+permutations and all vertices in O(n) vector operations, without
+materializing prefixes.
 
 Everything here is 0-based and array-typed; the public modules convert
 at the boundary.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .graphs import AnyGraph, CapacityError
 
-# Largest n whose n! orderings are ever enumerated: the ordering table,
-# and through it exact perm, exact mix above MIX_SMALL_N and the exact
-# tightness rows.
+# Largest n whose n! orderings are ever enumerated one by one: the
+# ordering table, and the n at which tightness rows switch from exact to
+# sampled.
 ENUM_CAP = 10
+# Largest n at which exact perm, and exact mix above MIX_SMALL_N, run the
+# prefix-set DP: about 1 s and 100 MB at n = 16, and each further vertex
+# roughly doubles both.
+DP_CAP = 16
 _table_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -121,19 +131,94 @@ def run_selection(
     return cand, d, c.max(axis=1)
 
 
+@functools.lru_cache(maxsize=2)
+def _prefix_layers(n: int) -> tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...], ...]:
+    """The vertex sets of each size 2..n as bitmasks, each with its splits
+    (v, set without v), grouped by size."""
+    layers: list[list] = [[] for _ in range(n + 1)]
+    for mask in range(1, 1 << n):
+        splits = tuple((v, mask ^ 1 << v) for v in range(n) if mask >> v & 1)
+        layers[len(splits)].append((mask, splits))
+    return tuple(tuple(layer) for layer in layers[2:])
+
+
+def _advance(key: int, full: int, v: int, nominated: bool) -> int:
+    """One scan step on any DP key: append v, whose left indegree is full
+    and whom the candidate nominates or not."""
+    c, d = key & 31, key >> 5 & 31
+    m = d + (key >> 10)
+    if full - nominated >= d:
+        c, d = v, full
+    m = max(m, full)
+    return (m - d) << 10 | d << 5 | c
+
+
 def selection_counts(
     out0: np.ndarray, exclude_candidate: bool = True
 ) -> tuple[np.ndarray, int, int]:
-    """Exact per-vertex selection counts over all n! orderings.
+    """Exact per-vertex selection counts of the candidate scan over all n!
+    orderings, by dynamic programming over prefix sets.
 
-    Returns (counts, runs, violations) where violations counts orderings
-    whose selected vertex misses the maximum indegree from the left.
+    Returns (counts, runs, violations): runs is the number of orderings
+    covered (n!), and violations counts those whose selected vertex
+    misses the maximum indegree from the left.  Raises CapacityError
+    above DP_CAP.
+
+    After a prefix the scan's future depends only on the set S of placed
+    vertices, the candidate c, c's indegree from the left d and the
+    running maximum m of the left indegrees seen.  Per S the DP counts
+    the orderings of S reaching each state, keyed (m - d) << 10 | d << 5
+    | c.  Appending v, whose left indegree is full = |in(v) & S|, v takes
+    over when full - [c nominates v] >= d (naive control: full >= d) and
+    then d = full.  Since v always takes over when full > d, m == d on
+    every reachable state, so m adds no states and every takeover into
+    S + v lands on one key.  States with m > d, which only a missed
+    maximum creates, go through the general step _advance.
     """
     n = out0.shape[0]
-    perms, pos = permutation_table(n)
-    sel, d, m = run_selection(out0, perms, pos, exclude_candidate)
-    counts = np.bincount(sel, minlength=n)
-    return counts, perms.shape[0], int((d != m).sum())
+    if n > DP_CAP:
+        raise CapacityError(
+            f"exact perm runs a DP over all 2^{n} prefix sets and is capped "
+            f"at n <= {DP_CAP}; use perm_sample instead"
+        )
+    targets = out0.tolist()
+    inmask = [0] * n  # bitmask of each vertex's in-neighbors
+    for u, t in enumerate(targets):
+        if t >= 0:
+            inmask[t] |= 1 << u
+    if not exclude_candidate:
+        targets = [-1] * n  # the candidate's edge then counts like any other
+    prev = {1 << v: {v: 1} for v in range(n)}
+    for layer in _prefix_layers(n):
+        cur = {}
+        for mask, splits in layer:
+            states: dict[int, int] = {}
+            for v, s in splits:
+                full = (inmask[v] & s).bit_count()
+                # Keys below lo have m == d < full, so v takes over; keys in
+                # [lo, hi) have m == d == full, and v takes over unless c
+                # nominates it; the key of a state that keeps c stands.
+                lo = full << 5
+                hi = lo + 32
+                taken = 0
+                for key, w in prev[s].items():
+                    if key < lo or key < hi and targets[key & 31] != v:
+                        taken += w
+                        continue
+                    if key >= 1024:
+                        key = _advance(key, full, v, targets[key & 31] == v)
+                    states[key] = states.get(key, 0) + w
+                if taken:
+                    states[lo | v] = states.get(lo | v, 0) + taken
+            cur[mask] = states
+        prev = cur
+    counts = [0] * n
+    violations = 0
+    for key, w in prev[(1 << n) - 1].items():
+        counts[key & 31] += w
+        if key >= 1024:
+            violations += w
+    return np.array(counts, dtype=np.int64), sum(counts), violations
 
 
 def sampled_selection_counts(

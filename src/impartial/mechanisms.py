@@ -3,9 +3,10 @@
 Each mechanism comes in two forms: one exact path returning integer
 selection counts over a common denominator (the ``*_counts`` functions,
 with ``*_exact`` wrapping them as rationals), and a seeded sampler
-returning a single outcome.  Only the perm scan enumerates all n!
-vertex orderings, so only perm, and mix through it, has an enumeration
-cap; rd, prug and prugd are closed forms.
+returning a single outcome.  Exact perm counts the scan's outcomes over
+all n! vertex orderings by a DP over prefix sets, whose 2^n states cap
+perm, and mix through it, at engine.DP_CAP vertices; rd, prug and prugd
+are closed forms with no cap.
 
 perm  - left-to-right candidate scan along a uniform random ordering.
 rd    - random dictatorship: a uniform vertex's nominee.
@@ -25,7 +26,6 @@ from typing import Callable, Optional, Sequence
 from . import engine
 from .graphs import (
     AnyGraph,
-    CapacityError,
     InputError,
     NominationGraph,
     PartialNominationGraph,
@@ -107,12 +107,8 @@ def perm_run(g: AnyGraph, pi: Permutation, exclude_candidate: bool = True) -> Pe
 
 
 def perm_counts(g: AnyGraph) -> Counts:
-    """How many of the n! orderings make the scan select each vertex."""
-    if g.n > engine.ENUM_CAP:
-        raise CapacityError(
-            f"exact perm enumerates {g.n}! orderings and is capped at "
-            f"n <= {engine.ENUM_CAP}; use perm_sample instead"
-        )
+    """How many of the n! orderings make the scan select each vertex,
+    counted by the engine's DP over prefix sets, over n!."""
     counts, runs, violations = engine.selection_counts(engine.out_array(g))
     if violations:
         raise RuntimeError(f"{violations} runs missed the maximum left indegree")

@@ -2,8 +2,10 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
+from impartial import engine
 from impartial.cli import main
 from impartial.generators import lower_bound_family, ub_family
 from impartial.graphs import graph_to_text
@@ -97,7 +99,7 @@ def test_eval_seed_env_fallback(capsys, tmp_path, monkeypatch):
 
 def test_eval_capacity_exit_code(capsys, tmp_path):
     path = tmp_path / "g.txt"
-    path.write_text(graph_to_text(lower_bound_family(2, 5)) + "\n")  # n = 13
+    path.write_text(graph_to_text(lower_bound_family(2, 7)) + "\n")  # n = 17
     code, _, err = run_cli(capsys, "eval", "--mech", "perm", "--graph", str(path))
     assert code == 3 and "capacity" in err
 
@@ -107,9 +109,30 @@ def test_eval_prugd_has_no_cap_but_mix_keeps_the_scan_cap(capsys, tmp_path):
     path.write_text(graph_to_text(ub_family(12, 1)) + "\n")
     code, out, _ = run_cli(capsys, "eval", "--mech", "prugd", "--graph", str(path))
     assert code == 0 and json.loads(out)["total"] == "1/1"
-    path.write_text(graph_to_text(lower_bound_family(2, 5)) + "\n")  # n = 13
+    path.write_text(graph_to_text(lower_bound_family(2, 7)) + "\n")  # n = 17
     code, _, err = run_cli(capsys, "eval", "--mech", "mix", "--graph", str(path))
     assert code == 3 and "capacity" in err
+
+
+def test_eval_perm_and_mix_exact_past_the_ordering_table(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text(graph_to_text(lower_bound_family(2, 5)) + "\n")  # n = 13
+    for mech in ("perm", "mix"):
+        code, out, _ = run_cli(capsys, "eval", "--mech", mech, "--graph", str(path))
+        assert code == 0 and json.loads(out)["total"] == "1/1", mech
+
+
+def test_unexpected_exception_exits_internal(capsys, monkeypatch, tmp_path):
+    def missed_maximum(out0, exclude_candidate=True):
+        n = out0.shape[0]
+        return np.ones(n, dtype=np.int64), n, 1
+
+    monkeypatch.setattr(engine, "selection_counts", missed_maximum)
+    path = tmp_path / "g.txt"
+    path.write_text("3; 2,3,1\n")
+    code, out, err = run_cli(capsys, "eval", "--mech", "perm", "--graph", str(path))
+    assert code == 4 and out == ""
+    assert "internal error: RuntimeError" in err and "missed the maximum" in err
 
 
 def test_eval_missing_graph_file_usage(capsys, tmp_path):

@@ -2,10 +2,12 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
+from impartial import engine
 from impartial.generators import cycle, lower_bound_family, random_graph, ub_family
 from impartial.graphs import (
     CapacityError,
@@ -128,7 +130,65 @@ def test_perm_exact_on_partial_graphs():
 
 def test_perm_exact_capacity():
     with pytest.raises(CapacityError, match="perm_sample"):
-        perm_exact(cycle(11))
+        perm_exact(cycle(17))
+
+
+# ---------------------------------------------------------------------------
+# the prefix-set DP behind exact perm
+
+def dp_probs(g, exclude_candidate=True):
+    counts, runs, violations = engine.selection_counts(engine.out_array(g), exclude_candidate)
+    assert runs == math.factorial(g.n) and violations == 0
+    return [Fraction(int(c), runs) for c in counts]
+
+
+def test_selection_dp_matches_oracle_exhaustive():
+    for n in (2, 3, 4, 5):
+        totals = list(oracle.all_graphs(n))
+        # the n - 1 totals that differ only in v's target share one partial
+        for g in dict.fromkeys(totals + list(one_edge_removed(totals))):
+            for ex in (True, False):
+                assert dp_probs(g, ex) == oracle.perm_dist(g, ex), (g.out, ex)
+
+
+def test_selection_dp_matches_ordering_table():
+    for n in (6, 7, 8, 9):
+        perms, pos = engine.permutation_table(n)
+        for g in seeded_graphs(n, 4, 60 + n):
+            for h in (g, g.remove_out_edge(1)):
+                out0 = engine.out_array(h)
+                for ex in (True, False):
+                    sel, d, m = engine.run_selection(out0, perms, pos, ex)
+                    counts, runs, violations = engine.selection_counts(out0, ex)
+                    assert counts.tolist() == np.bincount(sel, minlength=n).tolist()
+                    assert runs == perms.shape[0] == math.factorial(n)
+                    assert violations == int((d != m).sum()) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=7).flatmap(
+        lambda n: st.lists(
+            st.integers(min_value=0, max_value=n), min_size=n, max_size=n
+        ).map(lambda out: tuple(None if t == 0 or t == v else t for v, t in enumerate(out, 1)))
+    ),
+    st.booleans(),
+)
+def test_selection_dp_property(out, exclude_candidate):
+    out0 = engine.out_array(PartialNominationGraph(out))
+    perms, pos = engine.permutation_table(len(out))
+    sel, _, _ = engine.run_selection(out0, perms, pos, exclude_candidate)
+    counts, _, _ = engine.selection_counts(out0, exclude_candidate)
+    assert counts.tolist() == np.bincount(sel, minlength=len(out)).tolist()
+
+
+def test_selection_dp_step_keeps_a_missed_maximum():
+    # key (m - d) << 10 | d << 5 | c: candidate 0 with d = 1 after a
+    # running maximum of 3, which only a missed maximum leaves behind
+    key = 2 << 10 | 1 << 5 | 0
+    assert engine._advance(key, 2, 4, False) == 1 << 10 | 2 << 5 | 4  # v takes over, m stays 3
+    assert engine._advance(key, 1, 4, True) == key  # c nominates v: no takeover
+    assert engine._advance(key, 5, 4, True) == 5 << 5 | 4  # v reaches the maximum
 
 
 def test_perm_sample_deterministic_and_consistent():
@@ -310,7 +370,7 @@ def test_prugd_capacity():
     assert prugd_exact(cycle(9)).probs == (Fraction(1, 9),) * 9
     assert prugd_exact(random_graph(30, 41)).is_exact
     with pytest.raises(CapacityError, match="perm_sample"):
-        mix_exact(cycle(11))
+        mix_exact(cycle(17))
 
 
 def test_prugd_sample_deterministic():
