@@ -181,10 +181,10 @@ class GraphSweep:
     """Exact ratios of selected mechanisms over every graph of size n.
 
     Lists are parallel, indexed by the iter_out_tuples enumeration
-    order.  runs counts the orderings the perm DP covers, n! per graph
-    (only when "perm" is swept; mix's own perm counts are not counted),
-    and left_max_violations how many of them missed the maximum indegree
-    from the left (always expected to be zero).
+    order.  runs and left_max_violations are filled only by a sweep with
+    scan_orderings: the orderings scanned one by one, n! per graph, and
+    how many of them missed the maximum indegree from the left (Lemma 3
+    says none).
     """
 
     n: int
@@ -211,9 +211,13 @@ def _counts_ratio(deg: Sequence[int], nums: Sequence[int], den: int, delta: int)
     return Fraction(sum(d * c for d, c in zip(deg, nums)), den * delta)
 
 
-def _sweep_range(n: int, mechanisms: tuple[str, ...], start: int, stop: int) -> GraphSweep:
+def _sweep_range(
+    n: int, mechanisms: tuple[str, ...], scan_orderings: bool, start: int, stop: int
+) -> GraphSweep:
     result = GraphSweep(n, mechanisms, ratios={m: [] for m in mechanisms})
-    paths = {m: get_mechanism(m).counts for m in mechanisms if m != "perm"}
+    paths = {m: get_mechanism(m).counts for m in mechanisms}
+    if scan_orderings:
+        perms, pos = engine.permutation_table(n)
     for out in itertools.islice(iter_out_tuples(n), start, stop):
         g = NominationGraph(out)
         deg = g.indegrees()
@@ -221,11 +225,10 @@ def _sweep_range(n: int, mechanisms: tuple[str, ...], start: int, stop: int) -> 
         result.deltas.append(delta)
         result.high2_counts.append(sum(d >= 2 for d in deg))
         result.top_counts.append(deg.count(delta))
-        if "perm" in mechanisms:
-            counts, runs, violations = engine.selection_counts(engine.out_array(g))
-            result.runs += runs
-            result.left_max_violations += violations
-            result.ratios["perm"].append(_counts_ratio(deg, counts.tolist(), runs, delta))
+        if scan_orderings:
+            _, final_d, max_left = engine.run_selection(engine.out_array(g), perms, pos)
+            result.runs += perms.shape[0]
+            result.left_max_violations += int((final_d != max_left).sum())
         for m, path in paths.items():
             result.ratios[m].append(_counts_ratio(deg, *path(g), delta))
     return result
@@ -240,31 +243,41 @@ def sweep_graphs(
     mechanisms: Sequence[str] = ("perm",),
     jobs: int = 1,
     budget_rows: int = 300_000_000,
+    scan_orderings: bool = False,
 ) -> GraphSweep:
     """Exact ratios of the given mechanisms over all of the size-n class.
 
-    budget_rows caps the sweep's work, counted as n! per graph for each
-    ordering scan (perm, and mix above MIX_SMALL_N) and n^2 per graph
-    for each closed form; beyond it the sweep refuses rather than run
-    for hours.
+    With scan_orderings the sweep also runs the candidate scan on each
+    of the n! orderings of every graph, one by one over the ordering
+    table (so n <= engine.ENUM_CAP), and counts the runs that miss the
+    maximum indegree from the left: the Lemma 3 check.
+
+    budget_rows caps the sweep's work, counted as n! per graph for the
+    orderings of perm, whether scanned or counted by the DP, and of mix
+    above MIX_SMALL_N, and n^2 per graph for each closed form; beyond it
+    the sweep refuses rather than run for hours.  The charge for the DP
+    is the size of the ordering table it replaced, so it over-charges
+    perm and mix from n = 7 on (see ROADMAP item 3).
     """
     mechanisms = tuple(mechanisms)
     for m in mechanisms:
         get_mechanism(m)  # raises InputError on an unknown name
     count = graph_count(n)
-    scans = sum(m == "perm" or (m == "mix" and n > MIX_SMALL_N) for m in mechanisms)
-    per_graph = scans * math.factorial(n) + (len(mechanisms) - scans) * n * n
+    perm = "perm" in mechanisms or scan_orderings  # one charge for perm's orderings
+    mix = "mix" in mechanisms and n > MIX_SMALL_N
+    closed = len(mechanisms) - ("perm" in mechanisms) - mix
+    per_graph = (perm + mix) * math.factorial(n) + closed * n * n
     if count * per_graph > budget_rows:
         raise CapacityError(
             f"sweep at n={n} needs {count * per_graph} units of work, over the "
             f"budget of {budget_rows}; raise budget_rows or reduce n"
         )
     if jobs <= 1:
-        return _sweep_range(n, mechanisms, 0, count)
+        return _sweep_range(n, mechanisms, scan_orderings, 0, count)
 
     chunk = max(1, math.ceil(count / (jobs * 4)))
     tasks = [
-        (n, mechanisms, start, min(start + chunk, count))
+        (n, mechanisms, scan_orderings, start, min(start + chunk, count))
         for start in range(0, count, chunk)
     ]
     merged = GraphSweep(n, mechanisms, ratios={m: [] for m in mechanisms})

@@ -208,7 +208,7 @@ def _verify_bounds(args: argparse.Namespace, payload: dict) -> bool:
         payload["witness"] = graph_to_text(sweep.witness(idx))
         return best == target
     if mech == "perm":
-        sweep = analysis.sweep_graphs(n, ("perm",), jobs=args.jobs)
+        sweep = analysis.sweep_graphs(n, ("perm",), jobs=args.jobs, scan_orderings=True)
         bad = [
             i
             for i, (r, d) in enumerate(zip(sweep.ratios["perm"], sweep.deltas))
@@ -325,7 +325,7 @@ def _verify_tightness(args: argparse.Namespace, payload: dict) -> bool:
 
 
 def _verify_lemma3(args: argparse.Namespace, payload: dict) -> bool:
-    sweep = analysis.sweep_graphs(args.n, ("perm",), jobs=args.jobs)
+    sweep = analysis.sweep_graphs(args.n, (), jobs=args.jobs, scan_orderings=True)
     payload["graphs_checked"] = len(sweep.deltas)
     payload["orderings_run"] = sweep.runs
     payload["left_max_violations"] = sweep.left_max_violations

@@ -11,8 +11,9 @@ rule's counts over all n! orderings depend only on the indegree classes,
 so runner_up_gap_quarter_counts computes them in closed form without
 enumerating anything.
 
-Checks about individual orderings (the left-indegree profile) and the
-sampled scan still run on explicit orderings with numpy, many at once.
+Checks about individual orderings (the left-indegree profile, and the
+Lemma 3 check that every scan ends on the maximum left indegree) and
+the sampled scan still run on explicit orderings with numpy, many at once.
 The key shortcut there: when the left-to-right scan considers vertex v,
 the prefix is exactly the set of vertices placed before v.  So the
 indegree from the left that the scan sees for v equals the number of
@@ -142,17 +143,6 @@ def _prefix_layers(n: int) -> tuple[tuple[tuple[int, tuple[tuple[int, int], ...]
     return tuple(tuple(layer) for layer in layers[2:])
 
 
-def _advance(key: int, full: int, v: int, nominated: bool) -> int:
-    """One scan step on any DP key: append v, whose left indegree is full
-    and whom the candidate nominates or not."""
-    c, d = key & 31, key >> 5 & 31
-    m = d + (key >> 10)
-    if full - nominated >= d:
-        c, d = v, full
-    m = max(m, full)
-    return (m - d) << 10 | d << 5 | c
-
-
 def selection_counts(
     out0: np.ndarray, exclude_candidate: bool = True
 ) -> tuple[np.ndarray, int, int]:
@@ -160,20 +150,19 @@ def selection_counts(
     orderings, by dynamic programming over prefix sets.
 
     Returns (counts, runs, violations): runs is the number of orderings
-    covered (n!), and violations counts those whose selected vertex
-    misses the maximum indegree from the left.  Raises CapacityError
-    above DP_CAP.
+    covered (n!), and violations is 0, since the DP only reaches states
+    whose candidate holds the maximum indegree from the left (see
+    below); the ordering-by-ordering check of that is run_selection.
+    Raises CapacityError above DP_CAP.
 
     After a prefix the scan's future depends only on the set S of placed
-    vertices, the candidate c, c's indegree from the left d and the
-    running maximum m of the left indegrees seen.  Per S the DP counts
-    the orderings of S reaching each state, keyed (m - d) << 10 | d << 5
-    | c.  Appending v, whose left indegree is full = |in(v) & S|, v takes
-    over when full - [c nominates v] >= d (naive control: full >= d) and
-    then d = full.  Since v always takes over when full > d, m == d on
-    every reachable state, so m adds no states and every takeover into
-    S + v lands on one key.  States with m > d, which only a missed
-    maximum creates, go through the general step _advance.
+    vertices, the candidate c and c's indegree from the left d.  Per S
+    the DP counts the orderings of S reaching each state, keyed
+    d << 5 | c.  Appending v, whose left indegree is full = |in(v) & S|,
+    v takes over when full - [c nominates v] >= d (naive control:
+    full >= d) and then d = full.  So v always takes over when
+    full > d, d stays the running maximum of the left indegrees, and
+    every takeover into S + v lands on one key.
     """
     n = out0.shape[0]
     if n > DP_CAP:
@@ -195,8 +184,8 @@ def selection_counts(
             states: dict[int, int] = {}
             for v, s in splits:
                 full = (inmask[v] & s).bit_count()
-                # Keys below lo have m == d < full, so v takes over; keys in
-                # [lo, hi) have m == d == full, and v takes over unless c
+                # Keys below lo have d < full, so v takes over; keys in
+                # [lo, hi) have d == full, and v takes over unless c
                 # nominates it; the key of a state that keeps c stands.
                 lo = full << 5
                 hi = lo + 32
@@ -204,21 +193,16 @@ def selection_counts(
                 for key, w in prev[s].items():
                     if key < lo or key < hi and targets[key & 31] != v:
                         taken += w
-                        continue
-                    if key >= 1024:
-                        key = _advance(key, full, v, targets[key & 31] == v)
-                    states[key] = states.get(key, 0) + w
+                    else:
+                        states[key] = states.get(key, 0) + w
                 if taken:
                     states[lo | v] = states.get(lo | v, 0) + taken
             cur[mask] = states
         prev = cur
     counts = [0] * n
-    violations = 0
     for key, w in prev[(1 << n) - 1].items():
         counts[key & 31] += w
-        if key >= 1024:
-            violations += w
-    return np.array(counts, dtype=np.int64), sum(counts), violations
+    return np.array(counts, dtype=np.int64), sum(counts), 0
 
 
 def sampled_selection_counts(

@@ -39,12 +39,12 @@ def note(num, msg):
 
 @pytest.fixture(scope="session")
 def small_sweeps():
-    return {n: sweep_graphs(n, ("perm", "rd", "mix")) for n in (2, 3, 4, 5)}
+    return {n: sweep_graphs(n, ("perm", "rd", "mix"), scan_orderings=True) for n in (2, 3, 4, 5)}
 
 
 @pytest.fixture(scope="session")
 def sweep6():
-    return sweep_graphs(6, ("perm", "prugd", "mix"))
+    return sweep_graphs(6, ("perm", "prugd", "mix"), scan_orderings=True)
 
 
 def test_criterion_01_impartiality_exhaustive():

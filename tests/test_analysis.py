@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -144,7 +145,8 @@ def test_worst_case_rd_small_n():
 
 def test_worst_case_perm_small_n():
     for n in (4, 5):
-        sweep = sweep_graphs(n, ("perm",))
+        sweep = sweep_graphs(n, ("perm",), scan_orderings=True)
+        assert sweep.runs == graph_count(n) * math.factorial(n)
         assert sweep.left_max_violations == 0
         for r, d in zip(sweep.ratios["perm"], sweep.deltas):
             assert r >= perm_alpha(d)
@@ -171,8 +173,8 @@ def test_sweep_perm_floor_with_many_top_vertices():
 
 
 def test_sweep_parallel_matches_serial():
-    serial = sweep_graphs(4, ("perm", "rd"), jobs=1)
-    parallel = sweep_graphs(4, ("perm", "rd"), jobs=2)
+    serial = sweep_graphs(4, ("perm", "rd"), jobs=1, scan_orderings=True)
+    parallel = sweep_graphs(4, ("perm", "rd"), jobs=2, scan_orderings=True)
     assert serial.ratios == parallel.ratios
     assert serial.deltas == parallel.deltas
     assert serial.runs == parallel.runs

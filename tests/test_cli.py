@@ -239,6 +239,30 @@ def test_verify_lemma3(capsys):
     assert payload["left_max_violations"] == 0
 
 
+def test_verify_lemma3_fails_on_a_late_takeover(capsys, monkeypatch):
+    # the scan with its takeover threshold one too high: v must beat the
+    # candidate's left indegree instead of tying it
+    def late_takeover(out0, perms, pos, exclude_candidate=True):
+        c = engine.left_indegree_matrix(out0, pos)
+        a = engine.adjacency(out0)
+        rows = np.arange(perms.shape[0])
+        cand = perms[:, 0].copy()
+        d = np.zeros(perms.shape[0], dtype=np.int16)
+        for j in range(1, perms.shape[1]):
+            v = perms[:, j]
+            upd = c[rows, v] - a[cand, v] > d
+            cand = np.where(upd, v, cand)
+            d = np.where(upd, c[rows, v], d)
+        return cand, d, c.max(axis=1)
+
+    monkeypatch.setattr(engine, "run_selection", late_takeover)
+    code, out, _ = run_cli(capsys, "verify", "lemma3", "--n", "4")
+    payload = json.loads(out)
+    assert code == 1 and not payload["passed"]
+    assert payload["orderings_run"] == 81 * 24
+    assert payload["left_max_violations"] > 0
+
+
 def test_figure3_csv(capsys):
     code, out, _ = run_cli(capsys, "figure3")
     assert code == 0

@@ -182,15 +182,6 @@ def test_selection_dp_property(out, exclude_candidate):
     assert counts.tolist() == np.bincount(sel, minlength=len(out)).tolist()
 
 
-def test_selection_dp_step_keeps_a_missed_maximum():
-    # key (m - d) << 10 | d << 5 | c: candidate 0 with d = 1 after a
-    # running maximum of 3, which only a missed maximum leaves behind
-    key = 2 << 10 | 1 << 5 | 0
-    assert engine._advance(key, 2, 4, False) == 1 << 10 | 2 << 5 | 4  # v takes over, m stays 3
-    assert engine._advance(key, 1, 4, True) == key  # c nominates v: no takeover
-    assert engine._advance(key, 5, 4, True) == 5 << 5 | 4  # v reaches the maximum
-
-
 def test_perm_sample_deterministic_and_consistent():
     assert perm_sample(TRIANGLE_IN, 42) == perm_sample(TRIANGLE_IN, 42)
     rng = SeedStream(7)
