@@ -252,21 +252,20 @@ def sweep_graphs(
     table (so n <= engine.ENUM_CAP), and counts the runs that miss the
     maximum indegree from the left: the Lemma 3 check.
 
-    budget_rows caps the sweep's work, counted as n! per graph for the
-    orderings of perm, whether scanned or counted by the DP, and of mix
-    above MIX_SMALL_N, and n^2 per graph for each closed form; beyond it
-    the sweep refuses rather than run for hours.  The charge for the DP
-    is the size of the ordering table it replaced, so it over-charges
-    perm and mix from n = 7 on (see ROADMAP item 3).
+    budget_rows caps the sweep's work, counted per graph as n * 2^n for
+    each run of the prefix-set DP (perm, and mix above MIX_SMALL_N), n!
+    for the orderings scanned one by one, and n^2 for each closed form;
+    beyond it the sweep refuses rather than run for hours.
     """
     mechanisms = tuple(mechanisms)
     for m in mechanisms:
         get_mechanism(m)  # raises InputError on an unknown name
     count = graph_count(n)
-    perm = "perm" in mechanisms or scan_orderings  # one charge for perm's orderings
-    mix = "mix" in mechanisms and n > MIX_SMALL_N
-    closed = len(mechanisms) - ("perm" in mechanisms) - mix
-    per_graph = (perm + mix) * math.factorial(n) + closed * n * n
+    dp = ("perm" in mechanisms) + ("mix" in mechanisms and n > MIX_SMALL_N)
+    closed = len(mechanisms) - dp
+    per_graph = (
+        dp * n * 2**n + scan_orderings * math.factorial(n) + closed * n * n
+    )
     if count * per_graph > budget_rows:
         raise CapacityError(
             f"sweep at n={n} needs {count * per_graph} units of work, over the "
@@ -374,7 +373,7 @@ def check_impartial(
         if out not in cache:
             g = NominationGraph(out)
             if mech.name == "perm" and not exclude_candidate:
-                counts, runs, _ = engine.selection_counts(
+                counts, runs = engine.selection_counts(
                     engine.out_array(g), exclude_candidate=False
                 )
                 cache[out] = tuple(Fraction(int(c), runs) for c in counts)
@@ -715,9 +714,7 @@ def tightness_scan(
         deg = np.array(g.indegrees(), dtype=np.int64)
         dmax = int(deg.max())
         if g.n <= engine.ENUM_CAP:
-            counts, runs, violations = engine.selection_counts(out0)
-            if violations:
-                raise RuntimeError(f"{violations} runs missed the maximum left indegree")
+            counts, runs = engine.selection_counts(out0)
             value = Fraction(int(np.dot(deg, counts)), runs * dmax)
             rows.append(TightnessRow(nprime, g.n, "exact", value, 0.0, runs))
         else:

@@ -145,15 +145,14 @@ def _prefix_layers(n: int) -> tuple[tuple[tuple[int, tuple[tuple[int, int], ...]
 
 def selection_counts(
     out0: np.ndarray, exclude_candidate: bool = True
-) -> tuple[np.ndarray, int, int]:
+) -> tuple[np.ndarray, int]:
     """Exact per-vertex selection counts of the candidate scan over all n!
     orderings, by dynamic programming over prefix sets.
 
-    Returns (counts, runs, violations): runs is the number of orderings
-    covered (n!), and violations is 0, since the DP only reaches states
-    whose candidate holds the maximum indegree from the left (see
-    below); the ordering-by-ordering check of that is run_selection.
-    Raises CapacityError above DP_CAP.
+    Returns (counts, n!).  The DP only reaches states whose candidate
+    holds the maximum indegree from the left (see below), so it cannot
+    miss that maximum; the ordering-by-ordering check of Lemma 3 is
+    run_selection.  Raises CapacityError above DP_CAP.
 
     After a prefix the scan's future depends only on the set S of placed
     vertices, the candidate c and c's indegree from the left d.  Per S
@@ -202,7 +201,7 @@ def selection_counts(
     counts = [0] * n
     for key, w in prev[(1 << n) - 1].items():
         counts[key & 31] += w
-    return np.array(counts, dtype=np.int64), sum(counts), 0
+    return np.array(counts, dtype=np.int64), sum(counts)
 
 
 def sampled_selection_counts(

@@ -184,10 +184,6 @@ class Permutation:
             pos[v - 1] = i
         return tuple(pos)
 
-    def vertex_at(self, i: int) -> int:
-        _check_vertex(i, self.n)
-        return self.seq[i - 1]
-
     def position_of(self, v: int) -> int:
         _check_vertex(v, self.n)
         return self._pos[v - 1]
@@ -199,11 +195,6 @@ class Permutation:
 
     def reverse(self) -> "Permutation":
         return Permutation(self.seq[::-1])
-
-    def prefix_set(self, v: int) -> frozenset[int]:
-        """Vertices strictly to the left of v in this ordering."""
-        p = self.position_of(v)
-        return frozenset(self.seq[: p - 1])
 
 
 @dataclass(frozen=True)

