@@ -8,12 +8,13 @@ meaningful.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .graphs import (
     SelectionDistribution,
 )
 from .mechanisms import (
+    MECHANISMS,
     MIX_PERM_WEIGHT,
     MIX_PRUGD_WEIGHT,
     MIX_SMALL_N,
@@ -147,6 +149,13 @@ def ratio(mechanism: str | Mechanism, g: NominationGraph) -> RatioReport:
     return RatioReport(g, mech.name, expected, delta, expected / delta)
 
 
+def _exact_lookup(mech: Mechanism) -> Callable[[tuple[int, ...]], tuple[Fraction, ...]]:
+    """Exact selection probabilities of mech on the total graph with the
+    given out tuple, memoised for the life of the returned function: the
+    one way the verifiers evaluate a mechanism."""
+    return functools.cache(lambda out: mech.exact(NominationGraph(out)).probs)
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive graph-space sweeps
 
@@ -248,8 +257,8 @@ def sweep_graphs(
     """Exact ratios of the given mechanisms over all of the size-n class.
 
     With scan_orderings the sweep also runs the candidate scan on each
-    of the n! orderings of every graph, one by one over the ordering
-    table (so n <= engine.ENUM_CAP), and counts the runs that miss the
+    of the n! orderings of every graph, one by one over the engine's
+    ordering table (which caps n), and counts the runs that miss the
     maximum indegree from the left: the Lemma 3 check.
 
     budget_rows caps the sweep's work, counted per graph as n * 2^n for
@@ -344,43 +353,26 @@ def check_impartial(
     seed: int = 0,
     samples: int = 200,
     budget_graphs: int = 20_000,
-    exclude_candidate: bool = True,
 ) -> ImpartialityReport:
     """Check that redirecting one vertex's nomination never changes that
     vertex's own exact selection probability.
 
     Exhaustive mode covers every graph of size n and every single-vertex
     deviation; sampled mode draws seeded random graphs and checks every
-    deviation of each.  Stops at the first counterexample.
-
-    exclude_candidate=False swaps in the naive scan variant (a negative
-    control expected to fail).
+    deviation of each.  Stops at the first counterexample.  Any Mechanism
+    can be checked, including one built outside the registry as a
+    negative control.
     """
     mech = get_mechanism(mechanism) if isinstance(mechanism, str) else mechanism
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"mode must be exhaustive or sampled, got {mode!r}")
-    if not exclude_candidate and mech.name != "perm":
-        raise InputError("the negative-control scan variant only applies to perm")
     if mode == "exhaustive" and graph_count(n) > budget_graphs:
         raise CapacityError(
             f"exhaustive impartiality at n={n} means {graph_count(n)} graphs, "
             f"over the budget of {budget_graphs}; use mode='sampled'"
         )
 
-    cache: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
-
-    def dist(out: tuple[int, ...]) -> tuple[Fraction, ...]:
-        if out not in cache:
-            g = NominationGraph(out)
-            if mech.name == "perm" and not exclude_candidate:
-                counts, runs = engine.selection_counts(
-                    engine.out_array(g), exclude_candidate=False
-                )
-                cache[out] = tuple(Fraction(int(c), runs) for c in counts)
-            else:
-                cache[out] = mech.exact(g).probs
-        return cache[out]
-
+    dist = _exact_lookup(mech)
     if mode == "exhaustive":
         graphs: Iterable[tuple[int, ...]] = iter_out_tuples(n)
     else:
@@ -429,16 +421,13 @@ def symmetrize(
             f"symmetrize runs {n}! relabelled evaluations and is capped at "
             f"n <= {cap}"
         )
-    cache: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
+    dist = _exact_lookup(mech)
     acc = [Fraction(0)] * n
     for seq in itertools.permutations(range(1, n + 1)):
         pi = Permutation(seq)
-        relabelled = g.relabel(pi)
-        if relabelled.out not in cache:
-            cache[relabelled.out] = mech.exact(relabelled).probs
-        dist = cache[relabelled.out]
+        probs = dist(g.relabel(pi).out)
         for v in range(1, n + 1):
-            acc[v - 1] += dist[pi.image_of(v) - 1]
+            acc[v - 1] += probs[pi.image_of(v) - 1]
     nfact = math.factorial(n)
     return SelectionDistribution(tuple(a / nfact for a in acc))
 
@@ -601,12 +590,7 @@ def verify_upper_bound_chain(
     primes = [ub_family_prime(n, i) for i in range(1, nprime + 1)]
     family = members + [cyc, c2] + primes
 
-    cache: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
-
-    def dist(graph: NominationGraph) -> tuple[Fraction, ...]:
-        if graph.out not in cache:
-            cache[graph.out] = mech.exact(graph).probs
-        return cache[graph.out]
+    dist = _exact_lookup(mech)
 
     # empirical symmetry precheck
     if n <= 6:
@@ -620,34 +604,34 @@ def verify_upper_bound_chain(
         sym_checks = relabel_samples * len(family)
     relabellings = list(relabellings)
     for graph in family:
-        base = dist(graph)
+        base = dist(graph.out)
         for pi in relabellings:
-            image = dist(graph.relabel(pi))
+            image = dist(graph.relabel(pi).out)
             for v in range(1, n + 1):
                 if image[pi.image_of(v) - 1] != base[v - 1]:
                     raise SymmetryError(mech.name, graph, pi, v)
 
-    p = dist(members[0])
-    x = tuple(dist(members[i])[2 - 1] for i in range(1, nprime + 1))
+    p = dist(members[0].out)
+    x = tuple(dist(members[i].out)[2 - 1] for i in range(1, nprime + 1))
 
     p1_ok = p[0] == Fraction(1, n)
     p3_ok = p[2] <= Fraction(1, n - 2)
     pair_ok = all(
-        dist(members[i])[2 - 1] == dist(members[i + 1])[1 - 1]
+        dist(members[i].out)[2 - 1] == dist(members[i + 1].out)[1 - 1]
         for i in range(nprime)
     )
     path_ok = all(
-        dist(members[i])[3 - 1] == p[n - i + 1 - 1]
-        and dist(members[i])[i + 3 - 1] == p[i + 3 - 1]
+        dist(members[i].out)[3 - 1] == p[n - i + 1 - 1]
+        and dist(members[i].out)[i + 3 - 1] == p[i + 3 - 1]
         for i in range(1, nprime + 1)
     )
 
-    prime_ratios = []
-    prime_ok = True
-    for i in range(1, nprime + 1):
-        r = ratio(mech, primes[i - 1]).ratio
-        prime_ratios.append(r)
-        prime_ok &= r <= (x[i - 1] + 1) / 2
+    # the primes were evaluated by the symmetry precheck
+    prime_ratios = [
+        SelectionDistribution(dist(g.out)).expected_indegree(g) / max(g.indegrees())
+        for g in primes
+    ]
+    prime_ok = all(r <= (xi + 1) / 2 for r, xi in zip(prime_ratios, x))
     bound = upper_bound(n)
     min_family = min(prime_ratios)
     min_vs_bound_ok = min((xi + 1) / 2 for xi in x) <= bound and min_family <= bound
@@ -700,42 +684,53 @@ def tightness_scan(
     seed: int = 0,
 ) -> TightnessReport:
     """Ratios of the permutation mechanism on the adversarial block
-    family, exact where the size permits and Monte Carlo beyond.
+    family, exact where the exact perm path runs and Monte Carlo where it
+    raises CapacityError (above its DP cap, n <= 16).
 
     Exact rows must decrease strictly in the block count while staying
     above the closed-form guarantee, showing the approach from above.
-    Sampled rows carry a 3-sigma normal-approximation half-width.
+    Sampled rows take samples draws each, at least 2, and carry a
+    3-sigma normal-approximation half-width.
     """
     alpha = perm_alpha(delta)
+    perm = MECHANISMS["perm"]
     rows = []
     for nprime in nprimes:
         g = lower_bound_family(delta, nprime)
-        out0 = engine.out_array(g)
-        deg = np.array(g.indegrees(), dtype=np.int64)
-        dmax = int(deg.max())
-        if g.n <= engine.ENUM_CAP:
-            counts, runs = engine.selection_counts(out0)
-            value = Fraction(int(np.dot(deg, counts)), runs * dmax)
-            rows.append(TightnessRow(nprime, g.n, "exact", value, 0.0, runs))
-        else:
-            row_seed = SeedStream(seed).split(f"tightness-{delta}-{nprime}").bits64()
-            counts, violations = engine.sampled_selection_counts(out0, samples, row_seed)
-            if violations:
-                raise RuntimeError(f"{violations} runs missed the maximum left indegree")
-            value = Fraction(int(np.dot(deg, counts)), samples * dmax)
-            mean = float(value)
-            var = float(
-                np.dot(counts, ((deg / dmax) - mean) ** 2) / (samples - 1)
-            )
-            rows.append(
-                TightnessRow(
-                    nprime, g.n, "sampled", value, 3.0 * math.sqrt(var / samples), samples
-                )
-            )
+        try:
+            counts, runs = perm.counts(g)
+        except CapacityError:
+            rows.append(_sampled_tightness_row(g, nprime, samples, seed, delta))
+            continue
+        deg = g.indegrees()
+        value = _counts_ratio(deg, counts, runs, max(deg))
+        rows.append(TightnessRow(nprime, g.n, "exact", value, 0.0, runs))
     exact_vals = [r.ratio for r in rows if r.kind == "exact"]
     monotone = all(a > b for a, b in zip(exact_vals, exact_vals[1:]))
     above = all(v > alpha for v in exact_vals)
     return TightnessReport(delta, alpha, tuple(rows), monotone, above)
+
+
+def _sampled_tightness_row(
+    g: NominationGraph, nprime: int, samples: int, seed: int, delta: int
+) -> TightnessRow:
+    """The scan's mean ratio over seeded uniform orderings of g."""
+    if samples < 2:
+        raise InputError(
+            f"a sampled tightness row needs at least 2 draws for its spread, got {samples}"
+        )
+    deg = np.array(g.indegrees(), dtype=np.int64)
+    dmax = int(deg.max())
+    row_seed = SeedStream(seed).split(f"tightness-{delta}-{nprime}").bits64()
+    counts, violations = engine.sampled_selection_counts(engine.out_array(g), samples, row_seed)
+    if violations:
+        raise RuntimeError(f"{violations} runs missed the maximum left indegree")
+    value = Fraction(int(np.dot(deg, counts)), samples * dmax)
+    mean = float(value)
+    var = float(np.dot(counts, ((deg / dmax) - mean) ** 2) / (samples - 1))
+    return TightnessRow(
+        nprime, g.n, "sampled", value, 3.0 * math.sqrt(var / samples), samples
+    )
 
 
 # ---------------------------------------------------------------------------

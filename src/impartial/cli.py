@@ -302,7 +302,7 @@ def _verify_ub_chain(args: argparse.Namespace, payload: dict) -> bool:
 
 def _verify_tightness(args: argparse.Namespace, payload: dict) -> bool:
     seed = _resolve_seed(args, required=False) or 0
-    nprimes = [int(tok) for tok in args.nprimes.split(",") if tok]
+    nprimes = [int(tok) for tok in args.nprimes.split(",")]
     rep = analysis.tightness_scan(
         args.delta, nprimes, samples=args.samples or 1_000_000, seed=seed
     )
@@ -407,6 +407,18 @@ def _int_at_least(lo: int):
     return parse
 
 
+def _positive_int_list(text: str) -> str:
+    """argparse type: a non-empty comma list of ints >= 1, rejected at
+    parse time.  The text is kept as given, so the run configuration
+    echoes it unchanged."""
+    for tok in text.split(","):
+        _int_at_least(1)(tok)
+    return text
+
+
+_positive_int_list.__name__ = "int list"  # as in "invalid int list value"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="impartial",
@@ -436,9 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--samples", type=_int_at_least(1), default=None)
-    p.add_argument("--graphs", type=int, default=200, help="random graphs for correlation")
+    p.add_argument("--graphs", type=_int_at_least(0), default=200, help="random graphs for correlation")
     p.add_argument("--delta", type=int, default=2)
-    p.add_argument("--nprimes", default="1,2,3", help="comma list for tightness")
+    p.add_argument("--nprimes", type=_positive_int_list, default="1,2,3", help="comma list for tightness")
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=_cmd_verify)
 

@@ -1,12 +1,14 @@
 """The five selection mechanisms.
 
-Each mechanism comes in two forms: one exact path returning integer
-selection counts over a common denominator (the ``*_counts`` functions,
-with ``*_exact`` wrapping them as rationals), and a seeded sampler
-returning a single outcome.  Exact perm counts the scan's outcomes over
-all n! vertex orderings by a DP over prefix sets, whose 2^n states cap
-perm, and mix through it, at engine.DP_CAP vertices; rd, prug and prugd
-are closed forms with no cap.
+A mechanism is reached through its Mechanism entry in MECHANISMS,
+which checks the graph once and then runs one of two paths: the exact
+path returns integer selection counts over a common denominator (the
+``*_counts`` functions; Mechanism.exact turns them into rationals), and
+the sampler draws a single outcome from a SeedStream (the ``*_sample``
+functions).  Exact perm counts the scan's outcomes over all n! vertex
+orderings by a DP over prefix sets, whose 2^n states cap perm, and mix
+through it, at engine.DP_CAP vertices; rd, prug and prugd are closed
+forms with no cap.
 
 perm  - left-to-right candidate scan along a uniform random ordering.
 rd    - random dictatorship: a uniform vertex's nominee.
@@ -39,12 +41,6 @@ Counts = tuple[Sequence[int], int]  # per-vertex numerators, common denominator
 MIX_PERM_WEIGHT = Fraction(825, 1049)
 MIX_PRUGD_WEIGHT = Fraction(224, 1049)
 MIX_SMALL_N = 5
-
-
-def _require_total(g: AnyGraph, name: str) -> NominationGraph:
-    if not isinstance(g, NominationGraph):
-        raise InputError(f"{name} is only defined on total nomination graphs")
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +109,7 @@ def perm_counts(g: AnyGraph) -> Counts:
     return counts.tolist(), runs
 
 
-def perm_exact(g: AnyGraph) -> SelectionDistribution:
-    """Selection probabilities under a uniform random ordering."""
-    return SelectionDistribution.from_counts(*perm_counts(g))
-
-
-def perm_sample(g: AnyGraph, seed: int | SeedStream) -> int:
-    rng = as_stream(seed)
+def perm_sample(g: AnyGraph, rng: SeedStream) -> int:
     return perm_run(g, rng.permutation(g.n)).selected
 
 
@@ -128,17 +118,10 @@ def perm_sample(g: AnyGraph, seed: int | SeedStream) -> int:
 
 def rd_counts(g: NominationGraph) -> Counts:
     """Each vertex is selected with probability indegree/n."""
-    g = _require_total(g, "rd")
     return g.indegrees(), g.n
 
 
-def rd_exact(g: NominationGraph) -> SelectionDistribution:
-    return SelectionDistribution.from_counts(*rd_counts(g))
-
-
-def rd_sample(g: NominationGraph, seed: int | SeedStream) -> int:
-    g = _require_total(g, "rd")
-    rng = as_stream(seed)
+def rd_sample(g: NominationGraph, rng: SeedStream) -> int:
     return g.target_of(rng.vertex(g.n))
 
 
@@ -163,9 +146,12 @@ def prug_p_vector(g: AnyGraph, pi: Permutation) -> tuple[int, ...]:
         raise InputError(f"permutation size {pi.n} != graph size {n}")
     degs = g.indegrees()
     dmax = max(degs)
+    pos = [0] * (n + 1)
+    for i, v in enumerate(pi.seq):
+        pos[v] = i
 
     def key(v: int) -> tuple[int, int]:
-        return degs[v - 1], pi.position_of(v)
+        return degs[v - 1], pos[v]
 
     front = max(g.vertices, key=key)
     reduced = list(degs)
@@ -182,7 +168,7 @@ def prug_p_vector(g: AnyGraph, pi: Permutation) -> tuple[int, ...]:
         degs[runner - 1] == dmax
         or (
             degs[runner - 1] == dmax - 1
-            and pi.position_of(runner) > pi.position_of(front)
+            and pos[runner] > pos[front]
         )
     ):
         p[runner - 1] = 2
@@ -211,14 +197,9 @@ def prug_counts(g: AnyGraph) -> Counts:
     return counts, 4 * runs
 
 
-def prug_exact(g: AnyGraph) -> SelectionDistribution:
-    return SelectionDistribution.from_counts(*prug_counts(g))
-
-
-def prug_sample(g: AnyGraph, seed: int | SeedStream) -> Optional[int]:
+def prug_sample(g: AnyGraph, rng: SeedStream) -> Optional[int]:
     """Draw an ordering, form the reverse-averaged vector in eighths,
     then draw a vertex from it; None when no vertex is selected."""
-    rng = as_stream(seed)
     i = rng.categorical(prug_q_vector(g, rng.permutation(g.n)), 8)
     return None if i is None else i + 1
 
@@ -237,7 +218,6 @@ def dv_wrap_counts(
     The inner rule's denominator must depend on n only; the wrapped
     counts are over n times it.
     """
-    g = _require_total(g, "dv_wrap")
     n = g.n
     acc = [0] * n
     for vbar in g.vertices:
@@ -252,16 +232,10 @@ def dv_wrap_counts(
 
 def prugd_counts(g: NominationGraph) -> Counts:
     """prug with a uniform default vertex, over 4 n n!."""
-    return dv_wrap_counts(prug_counts, _require_total(g, "prugd"))
+    return dv_wrap_counts(prug_counts, g)
 
 
-def prugd_exact(g: NominationGraph) -> SelectionDistribution:
-    return SelectionDistribution.from_counts(*prugd_counts(g))
-
-
-def prugd_sample(g: NominationGraph, seed: int | SeedStream) -> int:
-    g = _require_total(g, "prugd")
-    rng = as_stream(seed)
+def prugd_sample(g: NominationGraph, rng: SeedStream) -> int:
     vbar = rng.vertex(g.n)
     picked = prug_sample(g.remove_out_edge(vbar), rng)
     return vbar if picked is None else picked
@@ -273,7 +247,6 @@ def prugd_sample(g: NominationGraph, seed: int | SeedStream) -> int:
 def mix_counts(g: NominationGraph) -> Counts:
     """rd for n <= 5; otherwise the fixed 825/1049 : 224/1049 blend of
     perm (over n!) and prugd (over 4 n n!), over 1049 * 4 n n!."""
-    g = _require_total(g, "mix")
     if g.n <= MIX_SMALL_N:
         return rd_counts(g)
     pe, nfact = perm_counts(g)
@@ -287,13 +260,7 @@ def mix_counts(g: NominationGraph) -> Counts:
     return blend, MIX_PERM_WEIGHT.denominator * den
 
 
-def mix_exact(g: NominationGraph) -> SelectionDistribution:
-    return SelectionDistribution.from_counts(*mix_counts(g))
-
-
-def mix_sample(g: NominationGraph, seed: int | SeedStream) -> int:
-    g = _require_total(g, "mix")
-    rng = as_stream(seed)
+def mix_sample(g: NominationGraph, rng: SeedStream) -> int:
     if g.n <= MIX_SMALL_N:
         return rd_sample(g, rng)
     if rng.unit_fraction() < MIX_PERM_WEIGHT:
@@ -306,19 +273,23 @@ def mix_sample(g: NominationGraph, seed: int | SeedStream) -> int:
 
 @dataclass(frozen=True)
 class Mechanism:
-    """A named exact path and sampler plus their metadata.
+    """A named exact path and sampler plus their metadata: the one way
+    into a mechanism.
 
     always_selects: the exact distribution sums to 1 (versus an inexact
     rule that may select no one).  accepts_partial: defined on graphs
-    with missing out-edges.  The exact path returns integer counts over
-    one denominator; exact() turns them into rationals.
+    with missing out-edges; counts() and sample() reject any other graph
+    for a mechanism without it, so the paths behind them never check.
+    The exact path returns integer counts over one denominator; exact()
+    turns them into rationals.  sample() takes a seed or a SeedStream and
+    hands the paths a SeedStream.
     """
 
     name: str
     always_selects: bool
     accepts_partial: bool
     _counts: Callable[[AnyGraph], Counts]
-    _sample: Callable[..., Optional[int]]
+    _sample: Callable[[AnyGraph, SeedStream], Optional[int]]
 
     def counts(self, g: AnyGraph) -> Counts:
         return self._counts(self._coerce(g))
@@ -327,11 +298,11 @@ class Mechanism:
         return SelectionDistribution.from_counts(*self.counts(g))
 
     def sample(self, g: AnyGraph, seed: int | SeedStream) -> Optional[int]:
-        return self._sample(self._coerce(g), seed)
+        return self._sample(self._coerce(g), as_stream(seed))
 
     def _coerce(self, g: AnyGraph) -> AnyGraph:
-        if not self.accepts_partial:
-            return _require_total(g, self.name)
+        if not (self.accepts_partial or isinstance(g, NominationGraph)):
+            raise InputError(f"{self.name} is only defined on total nomination graphs")
         return g
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from impartial import analysis
+from impartial import analysis, engine
 from impartial.analysis import (
     MIX_GUARANTEE,
     PRUGD_DELTA2_GUARANTEE,
@@ -37,7 +37,7 @@ from impartial.generators import (
     ub_family_prime,
 )
 from impartial.graphs import CapacityError, InputError, NominationGraph
-from impartial.mechanisms import Mechanism, perm_exact, prug_exact
+from impartial.mechanisms import MECHANISMS, Mechanism
 from impartial.rng import SeedStream
 
 
@@ -119,7 +119,7 @@ def test_ratio_uniform_indegree_graph():
 def test_ratio_prime_member_equals_half_x_plus_one():
     # the scan never selects a zero-indegree vertex, so its ratio on the
     # redirected member is exactly (x1 + 1)/2
-    x1 = perm_exact(ub_family(7, 1)).prob_of(2)
+    x1 = MECHANISMS["perm"].exact(ub_family(7, 1)).prob_of(2)
     rep = ratio("perm", ub_family_prime(7, 1))
     assert rep.delta == 2
     assert rep.ratio == (x1 + 1) / 2
@@ -234,7 +234,13 @@ def test_all_mechanisms_impartial_exhaustive_n3():
 
 
 def test_naive_scan_variant_fails_impartiality():
-    rep = check_impartial("perm", 4, exclude_candidate=False)
+    # the scan comparing against the full prefix indegree, without
+    # ignoring the current candidate's edge: a negative control
+    def naive_counts(g):
+        return engine.selection_counts(engine.out_array(g), exclude_candidate=False)
+
+    naive = Mechanism("perm-naive", True, True, naive_counts, lambda g, s: 1)
+    rep = check_impartial(naive, 4)
     assert not rep.passed
     w = rep.counterexample
     assert w.prob_before != w.prob_after
@@ -265,16 +271,15 @@ def test_perm_and_rd_relabel_invariance_exhaustive():
     # exact_dist(relabel(G, pi))[pi(v)] == exact_dist(G)[v] on the whole
     # class for n <= 5
     from impartial.graphs import Permutation
-    from impartial.mechanisms import rd_exact
 
     for n in (3, 4, 5):
         relabellings = [
             Permutation(seq) for seq in itertools.permutations(range(1, n + 1))
         ]
-        for name, fn in (("perm", perm_exact), ("rd", rd_exact)):
+        for name in ("perm", "rd"):
             dists = {}
             for out in analysis.iter_out_tuples(n):
-                dists[out] = fn(NominationGraph(out)).probs
+                dists[out] = MECHANISMS[name].exact(NominationGraph(out)).probs
             for out, base in dists.items():
                 g = NominationGraph(out)
                 for pi in relabellings:
@@ -289,7 +294,7 @@ def test_symmetrize_perm_is_already_symmetric():
     for g in itertools.islice(
         (random_graph(4, s) for s in range(40)), 0, None
     ):
-        assert symmetrize("perm", g).probs == perm_exact(g).probs
+        assert symmetrize("perm", g).probs == MECHANISMS["perm"].exact(g).probs
 
 
 def test_symmetrize_cycle_uniform():
@@ -299,7 +304,7 @@ def test_symmetrize_cycle_uniform():
 
 def test_symmetrize_preserves_total():
     g = NominationGraph((2, 1, 1, 1, 1))
-    assert symmetrize("prug", g).total == prug_exact(g).total
+    assert symmetrize("prug", g).total == MECHANISMS["prug"].exact(g).total
 
 
 def test_symmetrize_capacity():
@@ -400,12 +405,15 @@ def test_chain_prugd_reverse_averaging_is_relabel_invariant():
 # tightness scan
 
 def test_tightness_exact_rows():
-    rep = tightness_scan(2, (1, 2, 3))
+    # n' = 4 is n = 11, past the ordering table but within the DP cap
+    rep = tightness_scan(2, (1, 2, 3, 4))
     assert [r.ratio for r in rep.rows] == [
         Fraction(43, 60),
         Fraction(29, 42),
         Fraction(49, 72),
+        Fraction(223, 330),
     ]
+    assert [(r.n, r.kind) for r in rep.rows][3] == (11, "exact")
     assert rep.exact_monotone_ok and rep.exact_above_alpha_ok
     assert rep.alpha == Fraction(2, 3)
 

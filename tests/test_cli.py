@@ -179,6 +179,28 @@ def test_non_integer_number_usage(capsys):
     assert code == 2 and "invalid int value" in err
 
 
+def test_verify_tightness_non_integer_nprimes_usage(capsys):
+    code, err = usage_exit(capsys, "verify", "tightness", "--nprimes", "1,x")
+    assert code == 2 and "--nprimes" in err
+
+
+def test_verify_tightness_empty_nprimes_usage(capsys):
+    code, err = usage_exit(capsys, "verify", "tightness", "--nprimes", ",,")
+    assert code == 2 and "--nprimes" in err
+
+
+def test_verify_tightness_one_sampled_draw_usage(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "tightness", "--delta", "2", "--nprimes", "10", "--samples", "1"
+    )
+    assert code == 2 and out == "" and "at least 2 draws" in err
+
+
+def test_verify_correlation_negative_graphs_usage(capsys):
+    code, err = usage_exit(capsys, "verify", "correlation", "--graphs", "-3")
+    assert code == 2 and "--graphs" in err
+
+
 def test_eval_csv_format(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("2; 2,1\n"))
     code, out, _ = run_cli(capsys, "eval", "--mech", "rd", "--format", "csv")

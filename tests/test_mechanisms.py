@@ -22,21 +22,17 @@ from impartial.mechanisms import (
     MECHANISMS,
     dv_wrap_counts,
     get_mechanism,
-    mix_exact,
-    mix_sample,
-    perm_exact,
     perm_run,
     perm_sample,
-    prug_exact,
     prug_p_vector,
     prug_q_vector,
     prug_sample,
-    prugd_exact,
     prugd_sample,
-    rd_exact,
     rd_sample,
 )
 from impartial.rng import SeedStream
+
+PERM, RD, PRUG, PRUGD, MIX = (MECHANISMS[m] for m in ("perm", "rd", "prug", "prugd", "mix"))
 
 TWO_CYCLE = NominationGraph((2, 1))
 TRIANGLE_IN = NominationGraph((2, 1, 1))        # edges (1,2),(2,1),(3,1)
@@ -107,31 +103,31 @@ def test_perm_sample_seeded_stream_pinned():
 
 
 def test_perm_exact_two_cycle():
-    assert perm_exact(TWO_CYCLE).probs == (Fraction(1, 2), Fraction(1, 2))
+    assert PERM.exact(TWO_CYCLE).probs == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_perm_exact_cycles_uniform():
     for n in (3, 4, 5):
-        assert perm_exact(cycle(n)).probs == (Fraction(1, n),) * n
+        assert PERM.exact(cycle(n)).probs == (Fraction(1, n),) * n
 
 
 def test_perm_exact_against_enumeration_oracle():
     # frozen from the 3! enumeration oracle
-    assert perm_exact(TRIANGLE_IN).probs == (Fraction(2, 3), Fraction(1, 3), Fraction(0))
+    assert PERM.exact(TRIANGLE_IN).probs == (Fraction(2, 3), Fraction(1, 3), Fraction(0))
     for g in oracle.all_graphs(4):
-        assert list(perm_exact(g).probs) == oracle.perm_dist(g)
+        assert list(PERM.exact(g).probs) == oracle.perm_dist(g)
     for g in seeded_graphs(6, 10, 5):
-        assert list(perm_exact(g).probs) == oracle.perm_dist(g)
+        assert list(PERM.exact(g).probs) == oracle.perm_dist(g)
 
 
 def test_perm_exact_on_partial_graphs():
     p = PartialNominationGraph((2, None, 1))
-    assert list(perm_exact(p).probs) == oracle.perm_dist(p)
+    assert list(PERM.exact(p).probs) == oracle.perm_dist(p)
 
 
 def test_perm_exact_capacity():
     with pytest.raises(CapacityError, match="perm_sample"):
-        perm_exact(cycle(17))
+        PERM.exact(cycle(17))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +180,7 @@ def test_selection_dp_property(out, exclude_candidate):
 
 
 def test_perm_sample_deterministic_and_consistent():
-    assert perm_sample(TRIANGLE_IN, 42) == perm_sample(TRIANGLE_IN, 42)
+    assert PERM.sample(TRIANGLE_IN, 42) == PERM.sample(TRIANGLE_IN, 42)
     rng = SeedStream(7)
     counts = [0, 0]
     draws = 20_000
@@ -198,19 +194,19 @@ def test_perm_sample_deterministic_and_consistent():
 # random dictatorship
 
 def test_rd_exact_values():
-    assert rd_exact(TWO_CYCLE).probs == (Fraction(1, 2), Fraction(1, 2))
-    assert rd_exact(ub_family(7, 0)).prob_of(2) == Fraction(2, 7)
+    assert RD.exact(TWO_CYCLE).probs == (Fraction(1, 2), Fraction(1, 2))
+    assert RD.exact(ub_family(7, 0)).prob_of(2) == Fraction(2, 7)
 
 
 def test_rd_rejects_partial():
     with pytest.raises(InputError):
-        rd_exact(PartialNominationGraph((2, None, 1)))
+        RD.exact(PartialNominationGraph((2, None, 1)))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10**6))
 def test_rd_total_is_one(n, seed):
-    assert rd_exact(random_graph(n, seed)).is_exact
+    assert RD.exact(random_graph(n, seed)).is_exact
 
 
 def test_rd_sample_matches_support():
@@ -255,12 +251,12 @@ def test_prug_q_vector_is_distribution():
 
 
 def test_prug_exact_values_and_oracle():
-    assert prug_exact(TWO_CYCLE).probs == (Fraction(1, 2), Fraction(1, 2))
-    assert prug_exact(STAR4).probs == (Fraction(3, 4), 0, 0, 0)
+    assert PRUG.exact(TWO_CYCLE).probs == (Fraction(1, 2), Fraction(1, 2))
+    assert PRUG.exact(STAR4).probs == (Fraction(3, 4), 0, 0, 0)
     for g in oracle.all_graphs(4):
-        assert list(prug_exact(g).probs) == oracle.prug_dist(g)
+        assert list(PRUG.exact(g).probs) == oracle.prug_dist(g)
     for g in seeded_graphs(5, 15, 29):
-        assert list(prug_exact(g).probs) == oracle.prug_dist(g)
+        assert list(PRUG.exact(g).probs) == oracle.prug_dist(g)
 
 
 def one_edge_removed(graphs):
@@ -273,7 +269,7 @@ def test_prug_closed_form_matches_oracle_exhaustive():
     for n in (2, 3, 4):
         totals = list(oracle.all_graphs(n))
         for g in totals + list(one_edge_removed(totals)):
-            assert list(prug_exact(g).probs) == oracle.prug_dist(g), g.out
+            assert list(PRUG.exact(g).probs) == oracle.prug_dist(g), g.out
 
 
 def test_prug_closed_form_matches_oracle_seeded():
@@ -282,7 +278,7 @@ def test_prug_closed_form_matches_oracle_seeded():
         totals = [random_graph(n, rng) for _ in range(count)]
         partials = [g.remove_out_edge(rng.vertex(n)) for g in totals]
         for g in totals + partials:
-            assert list(prug_exact(g).probs) == oracle.prug_dist(g), g.out
+            assert list(PRUG.exact(g).probs) == oracle.prug_dist(g), g.out
 
 
 @st.composite
@@ -298,13 +294,13 @@ def partial_graphs(draw):
 @settings(max_examples=40, deadline=None)
 @given(partial_graphs())
 def test_prug_closed_form_matches_oracle_property(g):
-    assert list(prug_exact(g).probs) == oracle.prug_dist(g)
+    assert list(PRUG.exact(g).probs) == oracle.prug_dist(g)
 
 
 def test_prug_exact_sum_at_most_one_exhaustive():
     for n in (2, 3, 4):
         for g in oracle.all_graphs(n):
-            assert prug_exact(g).total <= 1
+            assert PRUG.exact(g).total <= 1
 
 
 def test_prug_sample_star_none_rate():
@@ -316,7 +312,7 @@ def test_prug_sample_star_none_rate():
 
 
 def test_prug_sample_deterministic():
-    assert prug_sample(STAR4, 5) == prug_sample(STAR4, 5)
+    assert PRUG.sample(STAR4, 5) == PRUG.sample(STAR4, 5)
 
 
 class FixedDraw(SeedStream):
@@ -391,29 +387,29 @@ def test_dv_wrap_exact_inner_is_plain_average():
 
 def test_prugd_star_against_pair_oracle():
     # frozen from the 4 x 4! = 96-case (default, ordering) oracle
-    assert prugd_exact(STAR4).probs == (Fraction(13, 16), Fraction(3, 16), 0, 0)
+    assert PRUGD.exact(STAR4).probs == (Fraction(13, 16), Fraction(3, 16), 0, 0)
     assert oracle.prugd_dist(STAR4) == [Fraction(13, 16), Fraction(3, 16), 0, 0]
 
 
 def test_prugd_exact_oracle_and_total():
     for g in oracle.all_graphs(3):
-        assert list(prugd_exact(g).probs) == oracle.prugd_dist(g)
+        assert list(PRUGD.exact(g).probs) == oracle.prugd_dist(g)
     for g in seeded_graphs(5, 10, 31):
-        probs = prugd_exact(g)
+        probs = PRUGD.exact(g)
         assert list(probs.probs) == oracle.prugd_dist(g)
         assert probs.is_exact
 
 
 def test_prugd_capacity():
     # prugd is a closed form with no cap; mix keeps perm's scan cap
-    assert prugd_exact(cycle(9)).probs == (Fraction(1, 9),) * 9
-    assert prugd_exact(random_graph(30, 41)).is_exact
+    assert PRUGD.exact(cycle(9)).probs == (Fraction(1, 9),) * 9
+    assert PRUGD.exact(random_graph(30, 41)).is_exact
     with pytest.raises(CapacityError, match="perm_sample"):
-        mix_exact(cycle(17))
+        MIX.exact(cycle(17))
 
 
 def test_prugd_sample_deterministic():
-    assert prugd_sample(STAR4, 9) == prugd_sample(STAR4, 9)
+    assert PRUGD.sample(STAR4, 9) == PRUGD.sample(STAR4, 9)
 
 
 PRUGD_SAMPLE_PINNED = [
@@ -441,9 +437,9 @@ def test_prugd_sample_seeded_stream_pinned():
 
 def test_mix_small_n_equals_rd():
     for g in seeded_graphs(5, 10, 37):
-        assert mix_exact(g).probs == rd_exact(g).probs
+        assert MIX.exact(g).probs == RD.exact(g).probs
     for g in seeded_graphs(3, 5, 38):
-        assert mix_exact(g).probs == rd_exact(g).probs
+        assert MIX.exact(g).probs == RD.exact(g).probs
 
 
 def test_mix_weights_sum_to_one():
@@ -452,8 +448,8 @@ def test_mix_weights_sum_to_one():
 
 def test_mix_blend_at_six():
     g = ub_family(6, 1)
-    blended = mix_exact(g)
-    pe, pd = perm_exact(g), prugd_exact(g)
+    blended = MIX.exact(g)
+    pe, pd = PERM.exact(g), PRUGD.exact(g)
     for v in g.vertices:
         assert blended.prob_of(v) == Fraction(825, 1049) * pe.prob_of(v) + Fraction(
             224, 1049
@@ -463,12 +459,12 @@ def test_mix_blend_at_six():
 
 def test_mix_against_oracle_small():
     for g in oracle.all_graphs(3):
-        assert list(mix_exact(g).probs) == oracle.mix_dist(g)
+        assert list(MIX.exact(g).probs) == oracle.mix_dist(g)
 
 
 def test_mix_sample_deterministic():
     g = ub_family(6, 0)
-    assert mix_sample(g, 13) == mix_sample(g, 13)
+    assert MIX.sample(g, 13) == MIX.sample(g, 13)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +486,15 @@ def test_registry_rejects_partial_for_total_only():
     for name in ("rd", "prugd", "mix"):
         with pytest.raises(InputError):
             MECHANISMS[name].exact(p)
+        with pytest.raises(InputError):
+            MECHANISMS[name].sample(p, 7)
     assert MECHANISMS["perm"].exact(p).is_exact
+
+
+def test_registry_sample_takes_a_seed_or_a_stream():
+    g = ub_family(7, 1)
+    for name, mech in MECHANISMS.items():
+        assert mech.sample(g, 7) == mech.sample(g, SeedStream(7)), name
 
 
 def test_get_mechanism_unknown():
