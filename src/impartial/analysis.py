@@ -49,6 +49,14 @@ MIX_GUARANTEE = Fraction(2105, 3147)
 PRUGD_DELTA2_GUARANTEE = Fraction(65, 96)
 PRUGD_DELTA3_SINGLE_HIGH_GUARANTEE = Fraction(13, 18)
 
+# Work budget of an exhaustive sweep, in the units sweep_graphs counts.
+SWEEP_BUDGET = 300_000_000
+# Most graphs an exhaustive impartiality check visits: n <= 6.
+IMPARTIAL_BUDGET = 20_000
+# Seeded relabellings per family graph in the ceiling chain's symmetry
+# precheck above n = 6.
+CHAIN_RELABELLINGS = 200
+
 
 # ---------------------------------------------------------------------------
 # Closed-form guarantee values
@@ -143,10 +151,17 @@ class RatioReport:
 def ratio(mechanism: str | Mechanism, g: NominationGraph) -> RatioReport:
     """Expected indegree of the selection divided by the maximum indegree."""
     mech = get_mechanism(mechanism) if isinstance(mechanism, str) else mechanism
-    dist = mech.exact(g)
-    delta, _, _ = g.max_indegree_and_top()
-    expected = dist.expected_indegree(g)
-    return RatioReport(g, mech.name, expected, delta, expected / delta)
+    return ratio_from_probs(mech.name, g, mech.exact(g).probs)
+
+
+def ratio_from_probs(
+    mechanism: str, g: NominationGraph, probs: Sequence[Fraction]
+) -> RatioReport:
+    """The ratio of selection probabilities already computed on g."""
+    deg = g.indegrees()
+    delta = max(deg)
+    expected = sum((d * p for d, p in zip(deg, probs)), Fraction(0))
+    return RatioReport(g, mechanism, expected, delta, expected / delta)
 
 
 def _exact_lookup(mech: Mechanism) -> Callable[[tuple[int, ...]], tuple[Fraction, ...]]:
@@ -200,7 +215,6 @@ class GraphSweep:
     mechanisms: tuple[str, ...]
     deltas: list[int] = field(default_factory=list)
     high2_counts: list[int] = field(default_factory=list)
-    top_counts: list[int] = field(default_factory=list)
     ratios: dict[str, list[Fraction]] = field(default_factory=dict)
     runs: int = 0
     left_max_violations: int = 0
@@ -233,7 +247,6 @@ def _sweep_range(
         delta = max(deg)
         result.deltas.append(delta)
         result.high2_counts.append(sum(d >= 2 for d in deg))
-        result.top_counts.append(deg.count(delta))
         if scan_orderings:
             _, final_d, max_left = engine.run_selection(engine.out_array(g), perms, pos)
             result.runs += perms.shape[0]
@@ -251,7 +264,7 @@ def sweep_graphs(
     n: int,
     mechanisms: Sequence[str] = ("perm",),
     jobs: int = 1,
-    budget_rows: int = 300_000_000,
+    budget_rows: int = SWEEP_BUDGET,
     scan_orderings: bool = False,
 ) -> GraphSweep:
     """Exact ratios of the given mechanisms over all of the size-n class.
@@ -293,7 +306,6 @@ def sweep_graphs(
         for part in pool.map(_sweep_worker, tasks):
             merged.deltas.extend(part.deltas)
             merged.high2_counts.extend(part.high2_counts)
-            merged.top_counts.extend(part.top_counts)
             for m in mechanisms:
                 merged.ratios[m].extend(part.ratios[m])
             merged.runs += part.runs
@@ -310,12 +322,10 @@ class WorstCaseReport:
     graphs_checked: int
 
 
-def worst_case(
-    mechanism: str, n: int, jobs: int = 1, budget_rows: int = 300_000_000
-) -> WorstCaseReport:
+def worst_case(mechanism: str, n: int, jobs: int = 1) -> WorstCaseReport:
     """Exact minimum ratio over every graph of size n, with a witness
     (the first attaining graph in enumeration order)."""
-    sweep = sweep_graphs(n, (mechanism,), jobs=jobs, budget_rows=budget_rows)
+    sweep = sweep_graphs(n, (mechanism,), jobs=jobs)
     best, idx = sweep.min_ratio(mechanism)
     return WorstCaseReport(mechanism, n, best, sweep.witness(idx), graph_count(n))
 
@@ -352,7 +362,6 @@ def check_impartial(
     mode: str = "exhaustive",
     seed: int = 0,
     samples: int = 200,
-    budget_graphs: int = 20_000,
 ) -> ImpartialityReport:
     """Check that redirecting one vertex's nomination never changes that
     vertex's own exact selection probability.
@@ -366,10 +375,10 @@ def check_impartial(
     mech = get_mechanism(mechanism) if isinstance(mechanism, str) else mechanism
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"mode must be exhaustive or sampled, got {mode!r}")
-    if mode == "exhaustive" and graph_count(n) > budget_graphs:
+    if mode == "exhaustive" and graph_count(n) > IMPARTIAL_BUDGET:
         raise CapacityError(
             f"exhaustive impartiality at n={n} means {graph_count(n)} graphs, "
-            f"over the budget of {budget_graphs}; use mode='sampled'"
+            f"over the budget of {IMPARTIAL_BUDGET}; use mode='sampled'"
         )
 
     dist = _exact_lookup(mech)
@@ -565,18 +574,15 @@ class UbChainReport:
 
 
 def verify_upper_bound_chain(
-    mechanism: str | Mechanism,
-    n: int,
-    seed: int = 0,
-    relabel_samples: int = 200,
+    mechanism: str | Mechanism, n: int, seed: int = 0
 ) -> UbChainReport:
     """Verify the constraint chain that caps any impartial symmetric
     mechanism's guarantee at size n.
 
     First empirically checks relabelling invariance of the mechanism on
-    the family graphs (all n! relabellings for n <= 6, a seeded sample
-    above), raising SymmetryError with a witness if it fails.  Then
-    checks the forced probability identities across the family, derives
+    the family graphs (all n! relabellings for n <= 6, CHAIN_RELABELLINGS
+    seeded ones above), raising SymmetryError with a witness if it
+    fails.  Then checks the forced probability identities across the family, derives
     the x values, and confirms that the worst family member pins the
     mechanism's ratio under the closed-form ceiling.
     """
@@ -594,15 +600,10 @@ def verify_upper_bound_chain(
 
     # empirical symmetry precheck
     if n <= 6:
-        relabellings: Iterable[Permutation] = (
-            Permutation(seq) for seq in itertools.permutations(range(1, n + 1))
-        )
-        sym_checks = math.factorial(n) * len(family)
+        relabellings = [Permutation(seq) for seq in itertools.permutations(range(1, n + 1))]
     else:
         rng = SeedStream(seed).split("chain-relabellings")
-        relabellings = [rng.permutation(n) for _ in range(relabel_samples)]
-        sym_checks = relabel_samples * len(family)
-    relabellings = list(relabellings)
+        relabellings = [rng.permutation(n) for _ in range(CHAIN_RELABELLINGS)]
     for graph in family:
         base = dist(graph.out)
         for pi in relabellings:
@@ -627,10 +628,7 @@ def verify_upper_bound_chain(
     )
 
     # the primes were evaluated by the symmetry precheck
-    prime_ratios = [
-        SelectionDistribution(dist(g.out)).expected_indegree(g) / max(g.indegrees())
-        for g in primes
-    ]
+    prime_ratios = [ratio_from_probs(mech.name, g, dist(g.out)).ratio for g in primes]
     prime_ok = all(r <= (xi + 1) / 2 for r, xi in zip(prime_ratios, x))
     bound = upper_bound(n)
     min_family = min(prime_ratios)
@@ -651,7 +649,7 @@ def verify_upper_bound_chain(
         min_family,
         bound,
         min_vs_bound_ok,
-        sym_checks,
+        len(relabellings) * len(family),
     )
 
 
@@ -687,11 +685,14 @@ def tightness_scan(
     family, exact where the exact perm path runs and Monte Carlo where it
     raises CapacityError (above its DP cap, n <= 16).
 
-    Exact rows must decrease strictly in the block count while staying
-    above the closed-form guarantee, showing the approach from above.
+    nprimes must increase strictly.  Exact rows must then decrease
+    strictly in the block count while staying above the closed-form
+    guarantee, showing the approach from above.
     Sampled rows take samples draws each, at least 2, and carry a
     3-sigma normal-approximation half-width.
     """
+    if any(a >= b for a, b in zip(nprimes, nprimes[1:])):
+        raise InputError(f"tightness needs increasing block counts, got {list(nprimes)}")
     alpha = perm_alpha(delta)
     perm = MECHANISMS["perm"]
     rows = []

@@ -125,7 +125,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         ]
         payload["total"] = _frac(dist.total)
         if isinstance(graph, NominationGraph):
-            rep = analysis.ratio(mech, graph)
+            rep = analysis.ratio_from_probs(mech.name, graph, dist.probs)
             payload["ratio"] = {
                 "expected_indegree": _frac(rep.expected_indegree),
                 "max_indegree": rep.delta,
@@ -274,8 +274,9 @@ def _verify_correlation(args: argparse.Namespace, payload: dict) -> bool:
 
 
 def _verify_ub_chain(args: argparse.Namespace, payload: dict) -> bool:
+    seed = _resolve_seed(args, required=False) or 0
     try:
-        rep = analysis.verify_upper_bound_chain(args.mech, args.n)
+        rep = analysis.verify_upper_bound_chain(args.mech, args.n, seed=seed)
     except analysis.SymmetryError as exc:
         payload["symmetry_counterexample"] = {
             "graph": graph_to_text(exc.graph),
@@ -435,8 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="exact distribution or seeded sampling on a graph")
     p.add_argument("--mech", required=True, choices=sorted(MECHANISMS))
     p.add_argument("--graph", default="-", help="graph file, or - for stdin")
-    p.add_argument("--exact", action="store_true", help="exact mode (the default)")
-    p.add_argument("--samples", type=_int_at_least(1), default=None)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--exact", action="store_true", help="exact mode (the default)")
+    mode.add_argument("--samples", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_eval)

@@ -34,13 +34,16 @@ import numpy as np
 from .graphs import AnyGraph, CapacityError
 
 # Largest n whose n! orderings are ever enumerated one by one: the
-# ordering table, and the n at which tightness rows switch from exact to
-# sampled.
+# ordering table behind the Lemma 3 scan and the correlation check.
+# (Tightness rows switch from exact to sampled at DP_CAP, not here.)
 ENUM_CAP = 10
 # Largest n at which exact perm, and exact mix above MIX_SMALL_N, run the
 # prefix-set DP: about 1 s and 100 MB at n = 16, and each further vertex
 # roughly doubles both.
 DP_CAP = 16
+# Orderings drawn per batch by sampled_selection_counts, which bounds
+# its memory.
+SAMPLE_CHUNK = 20000
 _table_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -77,14 +80,6 @@ def out_array(g: AnyGraph) -> np.ndarray:
     return np.array([-1 if t is None else t - 1 for t in g.out], dtype=np.int16)
 
 
-def adjacency(out0: np.ndarray) -> np.ndarray:
-    n = out0.shape[0]
-    a = np.zeros((n, n), dtype=bool)
-    src = np.nonzero(out0 >= 0)[0]
-    a[src, out0[src]] = True
-    return a
-
-
 def left_indegree_matrix(out0: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """C[r, v] = number of in-neighbors of v placed before v in ordering r."""
     rows, n = pos.shape
@@ -97,36 +92,26 @@ def left_indegree_matrix(out0: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
 
 def run_selection(
-    out0: np.ndarray,
-    perms: np.ndarray,
-    pos: np.ndarray,
-    exclude_candidate: bool = True,
+    out0: np.ndarray, perms: np.ndarray, pos: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Left-to-right candidate scan over a batch of orderings.
 
-    Returns (selected, final_d, max_left) per ordering, where final_d is
-    the selected vertex's indegree from the left and max_left the maximum
-    indegree from the left over all vertices.  The two must agree; the
-    caller is expected to assert that.
-
-    With exclude_candidate=False the scan compares against the full
-    prefix indegree instead of ignoring the current candidate's edge.
-    This deliberately wrong variant exists as a negative control.
+    v takes over when its indegree from the left, less the current
+    candidate's edge if the candidate nominates v, ties or beats the
+    candidate's.  Returns (selected, final_d, max_left) per ordering,
+    where final_d is the selected vertex's indegree from the left and
+    max_left the maximum indegree from the left over all vertices.  The
+    two must agree; the caller is expected to assert that.
     """
     rows, n = perms.shape
     c = left_indegree_matrix(out0, pos)
-    a = adjacency(out0)
     idx = np.arange(rows)
     cand = perms[:, 0].copy()
     d = np.zeros(rows, dtype=np.int16)
     for j in range(1, n):
         v = perms[:, j]
         contrib = c[idx, v]
-        if exclude_candidate:
-            comparand = contrib - a[cand, v]
-        else:
-            comparand = contrib
-        upd = comparand >= d
+        upd = contrib - (out0[cand] == v) >= d
         cand = np.where(upd, v, cand)
         d = np.where(upd, contrib, d)
     return cand, d, c.max(axis=1)
@@ -143,39 +128,37 @@ def _prefix_layers(n: int) -> tuple[tuple[tuple[int, tuple[tuple[int, int], ...]
     return tuple(tuple(layer) for layer in layers[2:])
 
 
-def selection_counts(
-    out0: np.ndarray, exclude_candidate: bool = True
-) -> tuple[np.ndarray, int]:
+def selection_counts(out0: np.ndarray) -> tuple[list[int], int]:
     """Exact per-vertex selection counts of the candidate scan over all n!
     orderings, by dynamic programming over prefix sets.
 
-    Returns (counts, n!).  The DP only reaches states whose candidate
-    holds the maximum indegree from the left (see below), so it cannot
-    miss that maximum; the ordering-by-ordering check of Lemma 3 is
-    run_selection.  Raises CapacityError above DP_CAP.
+    Returns (counts, n!), the counts a list of Python ints.  The DP only
+    reaches states whose candidate holds the maximum indegree from the
+    left (see below), so it cannot miss that maximum; the
+    ordering-by-ordering check of Lemma 3 is run_selection.  Raises
+    CapacityError above DP_CAP.
 
     After a prefix the scan's future depends only on the set S of placed
     vertices, the candidate c and c's indegree from the left d.  Per S
     the DP counts the orderings of S reaching each state, keyed
     d << 5 | c.  Appending v, whose left indegree is full = |in(v) & S|,
-    v takes over when full - [c nominates v] >= d (naive control:
-    full >= d) and then d = full.  So v always takes over when
-    full > d, d stays the running maximum of the left indegrees, and
-    every takeover into S + v lands on one key.
+    v takes over when full - [c nominates v] >= d and then d = full.
+    So v always takes over when full > d, d stays the running maximum
+    of the left indegrees, and every takeover into S + v lands on one
+    key.
     """
     n = out0.shape[0]
     if n > DP_CAP:
         raise CapacityError(
             f"exact perm runs a DP over all 2^{n} prefix sets and is capped "
-            f"at n <= {DP_CAP}; use perm_sample instead"
+            f"at n <= {DP_CAP}; sample it instead with eval --samples or "
+            f"MECHANISMS['perm'].sample"
         )
     targets = out0.tolist()
     inmask = [0] * n  # bitmask of each vertex's in-neighbors
     for u, t in enumerate(targets):
         if t >= 0:
             inmask[t] |= 1 << u
-    if not exclude_candidate:
-        targets = [-1] * n  # the candidate's edge then counts like any other
     prev = {1 << v: {v: 1} for v in range(n)}
     for layer in _prefix_layers(n):
         cur = {}
@@ -201,16 +184,14 @@ def selection_counts(
     counts = [0] * n
     for key, w in prev[(1 << n) - 1].items():
         counts[key & 31] += w
-    return np.array(counts, dtype=np.int64), sum(counts)
+    return counts, sum(counts)
 
 
 def sampled_selection_counts(
-    out0: np.ndarray,
-    samples: int,
-    seed: int,
-    chunk: int = 20000,
+    out0: np.ndarray, samples: int, seed: int
 ) -> tuple[np.ndarray, int]:
-    """Per-vertex selection counts over uniformly sampled orderings.
+    """Per-vertex selection counts over uniformly sampled orderings, drawn
+    in chunks of SAMPLE_CHUNK.
 
     Deterministic per seed.  Returns (counts, violations).
     """
@@ -220,7 +201,7 @@ def sampled_selection_counts(
     violations = 0
     remaining = samples
     while remaining > 0:
-        b = min(chunk, remaining)
+        b = min(SAMPLE_CHUNK, remaining)
         u = rng.random((b, n))
         perms = np.argsort(u, axis=1).astype(np.int16)
         pos = np.argsort(perms, axis=1).astype(np.int16)

@@ -243,12 +243,6 @@ class SelectionDistribution:
         """Probability mass not assigned to any vertex."""
         return 1 - self.total
 
-    def expected_indegree(self, g: AnyGraph) -> Fraction:
-        if g.n != self.n:
-            raise InputError(f"graph size {g.n} != distribution size {self.n}")
-        degs = g.indegrees()
-        return sum((Fraction(degs[v]) * p for v, p in enumerate(self.probs)), Fraction(0))
-
 
 # ---------------------------------------------------------------------------
 # Text interchange format: one graph per line, "n; t1,t2,...,tn".

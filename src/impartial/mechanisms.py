@@ -46,32 +46,15 @@ MIX_SMALL_N = 5
 # ---------------------------------------------------------------------------
 # Permutation mechanism
 
-@dataclass(frozen=True)
-class PermRunTrace:
-    """One deterministic run of the candidate scan.
-
-    steps[k] is the (candidate, candidate_left_indegree) pair after the
-    scan has considered k+1 vertices; steps[0] is the initial state.
-    The candidate's left indegree never decreases, and the selected
-    vertex always attains the maximum indegree from the left.
-    """
-
-    permutation: Permutation
-    steps: tuple[tuple[int, int], ...]
-    selected: int
-    selected_indegree: int
-    max_left_indegree: int
-
-
-def perm_run(g: AnyGraph, pi: Permutation, exclude_candidate: bool = True) -> PermRunTrace:
+def perm_run(g: AnyGraph, pi: Permutation) -> int:
     """Scan the vertices in pi's order, keeping the candidate with the
-    highest indegree from the left.
+    highest indegree from the left, and return the selected vertex.
 
     A newly considered vertex takes over on ties (>=), and the edge from
     the current candidate is ignored in the comparison, while the stored
     indegree counts the full prefix.  That asymmetry is what keeps the
-    rule impartial; exclude_candidate=False switches to the naive
-    comparison and is kept only as a negative control.
+    rule impartial.  Raises RuntimeError if the selected vertex misses
+    the maximum indegree from the left, which Lemma 3 rules out.
 
     The scan keeps one running count per vertex, left[t] = the number of
     already placed vertices that nominate t, so a vertex's indegree from
@@ -84,33 +67,29 @@ def perm_run(g: AnyGraph, pi: Permutation, exclude_candidate: bool = True) -> Pe
     left = [0] * (n + 1)  # slot 0 absorbs absent edges and is never read
     cand = pi.seq[0]
     d = max_left = 0
-    steps = [(cand, d)]
     left[out[cand - 1] or 0] += 1
     for v in pi.seq[1:]:
         full = left[v]
-        comparand = full - (out[cand - 1] == v) if exclude_candidate else full
-        if comparand >= d:
+        if full - (out[cand - 1] == v) >= d:
             cand = v
             d = full
-        steps.append((cand, d))
         max_left = max(max_left, full)
         left[out[v - 1] or 0] += 1
     if d != max_left:
         raise RuntimeError(
             f"selected vertex {cand} has left indegree {d}, not the maximum {max_left}"
         )
-    return PermRunTrace(pi, tuple(steps), cand, g.indegree(cand), max_left)
+    return cand
 
 
 def perm_counts(g: AnyGraph) -> Counts:
     """How many of the n! orderings make the scan select each vertex,
     counted by the engine's DP over prefix sets, over n!."""
-    counts, runs = engine.selection_counts(engine.out_array(g))
-    return counts.tolist(), runs
+    return engine.selection_counts(engine.out_array(g))
 
 
 def perm_sample(g: AnyGraph, rng: SeedStream) -> int:
-    return perm_run(g, rng.permutation(g.n)).selected
+    return perm_run(g, rng.permutation(g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +240,11 @@ def mix_counts(g: NominationGraph) -> Counts:
 
 
 def mix_sample(g: NominationGraph, rng: SeedStream) -> int:
+    """rd for n <= 5; otherwise one uniform integer below 1049 picks perm
+    when it falls below 825, prugd otherwise."""
     if g.n <= MIX_SMALL_N:
         return rd_sample(g, rng)
-    if rng.unit_fraction() < MIX_PERM_WEIGHT:
+    if rng.randrange(MIX_PERM_WEIGHT.denominator) < MIX_PERM_WEIGHT.numerator:
         return perm_sample(g, rng)
     return prugd_sample(g, rng)
 
@@ -273,20 +254,17 @@ def mix_sample(g: NominationGraph, rng: SeedStream) -> int:
 
 @dataclass(frozen=True)
 class Mechanism:
-    """A named exact path and sampler plus their metadata: the one way
-    into a mechanism.
+    """A named exact path and sampler: the one way into a mechanism.
 
-    always_selects: the exact distribution sums to 1 (versus an inexact
-    rule that may select no one).  accepts_partial: defined on graphs
-    with missing out-edges; counts() and sample() reject any other graph
-    for a mechanism without it, so the paths behind them never check.
+    accepts_partial: defined on graphs with missing out-edges; counts()
+    and sample() reject any other graph for a mechanism without it, so
+    the paths behind them never check.
     The exact path returns integer counts over one denominator; exact()
     turns them into rationals.  sample() takes a seed or a SeedStream and
     hands the paths a SeedStream.
     """
 
     name: str
-    always_selects: bool
     accepts_partial: bool
     _counts: Callable[[AnyGraph], Counts]
     _sample: Callable[[AnyGraph, SeedStream], Optional[int]]
@@ -307,11 +285,11 @@ class Mechanism:
 
 
 MECHANISMS: dict[str, Mechanism] = {
-    "perm": Mechanism("perm", True, True, perm_counts, perm_sample),
-    "rd": Mechanism("rd", True, False, rd_counts, rd_sample),
-    "prug": Mechanism("prug", False, True, prug_counts, prug_sample),
-    "prugd": Mechanism("prugd", True, False, prugd_counts, prugd_sample),
-    "mix": Mechanism("mix", True, False, mix_counts, mix_sample),
+    "perm": Mechanism("perm", True, perm_counts, perm_sample),
+    "rd": Mechanism("rd", False, rd_counts, rd_sample),
+    "prug": Mechanism("prug", True, prug_counts, prug_sample),
+    "prugd": Mechanism("prugd", False, prugd_counts, prugd_sample),
+    "mix": Mechanism("mix", False, mix_counts, mix_sample),
 }
 
 

@@ -2,10 +2,11 @@
 
 A SeedStream wraps a Mersenne-Twister state behind the draw kinds the
 samplers need: uniform permutations (Fisher-Yates over positions),
-uniform vertices, categorical draws over integer weights, and uniform
-rationals with resolution 2**-64 (the mix coin).  A categorical draw
-takes one uniform integer below the weights' common denominator, so
-every outcome has exactly its weight's probability.
+uniform vertices, uniform integers below a bound (the mix coin),
+categorical draws over integer weights, and uniform rationals with
+resolution 2**-64.  A categorical draw takes one uniform integer below
+the weights' common denominator, so every outcome has exactly its
+weight's probability.
 
 Streams are deterministic per seed and can be split into independent
 child streams by label, which keeps parallel work reproducible.

@@ -165,7 +165,7 @@ def test_criterion_09b_chain_rejects_prugd():
         return list(prug_q_vector(g, Permutation.identity(g.n))), 8  # in eighths
 
     label_order = Mechanism(  # the chain never samples
-        "prugd", True, False, lambda g: dv_wrap_counts(label_order_prug_counts, g), lambda g, s: 1
+        "prugd", False, lambda g: dv_wrap_counts(label_order_prug_counts, g), lambda g, s: 1
     )
     with pytest.raises(SymmetryError) as err:
         verify_upper_bound_chain(label_order, 6)

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from impartial import analysis, engine
+import _oracles as oracle
+from impartial import analysis
 from impartial.analysis import (
     MIX_GUARANTEE,
     PRUGD_DELTA2_GUARANTEE,
@@ -111,6 +112,13 @@ def test_guarantee_table_floor_location():
 # ---------------------------------------------------------------------------
 # ratio
 
+def test_ratio_from_probs():
+    g = NominationGraph((2, 1, 1))
+    rep = analysis.ratio_from_probs("any", g, (Fraction(1, 2), Fraction(1, 2), Fraction(0)))
+    assert rep.expected_indegree == Fraction(3, 2)
+    assert rep.delta == 2 and rep.ratio == Fraction(3, 4)
+
+
 def test_ratio_uniform_indegree_graph():
     rep = ratio("rd", cycle(6))
     assert rep.ratio == 1 and rep.delta == 1
@@ -168,7 +176,8 @@ def test_sweep_perm_floor_with_many_top_vertices():
     # scan's ratio stays at or above k/(k+1)
     for n in (4, 5):
         sweep = sweep_graphs(n, ("perm",))
-        for r, k in zip(sweep.ratios["perm"], sweep.top_counts):
+        for i, (r, d) in enumerate(zip(sweep.ratios["perm"], sweep.deltas)):
+            k = graph_at(n, i).indegrees().count(d)
             assert r >= Fraction(k, k + 1)
 
 
@@ -237,9 +246,10 @@ def test_naive_scan_variant_fails_impartiality():
     # the scan comparing against the full prefix indegree, without
     # ignoring the current candidate's edge: a negative control
     def naive_counts(g):
-        return engine.selection_counts(engine.out_array(g), exclude_candidate=False)
+        nfact = math.factorial(g.n)
+        return [int(p * nfact) for p in oracle.perm_dist(g, exclude_candidate=False)], nfact
 
-    naive = Mechanism("perm-naive", True, True, naive_counts, lambda g, s: 1)
+    naive = Mechanism("perm-naive", True, naive_counts, lambda g, s: 1)
     rep = check_impartial(naive, 4)
     assert not rep.passed
     w = rep.counterexample
@@ -380,7 +390,7 @@ def test_chain_rejects_relabelling_sensitive_mechanism():
     def const_first(g):
         return [1] + [0] * (g.n - 1), 1
 
-    fixed = Mechanism("const1", True, False, const_first, lambda g, s: 1)
+    fixed = Mechanism("const1", False, const_first, lambda g, s: 1)
     with pytest.raises(SymmetryError) as err:
         verify_upper_bound_chain(fixed, 6)
     assert err.value.mechanism == "const1"

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from impartial import engine
+from impartial import analysis, engine
 from impartial.cli import main
 from impartial.generators import lower_bound_family, ub_family
 from impartial.graphs import graph_to_text
@@ -123,7 +123,7 @@ def test_eval_perm_and_mix_exact_past_the_ordering_table(capsys, tmp_path):
 
 
 def test_unexpected_exception_exits_internal(capsys, monkeypatch, tmp_path):
-    def broken_kernel(out0, exclude_candidate=True):
+    def broken_kernel(out0):
         raise RuntimeError("kernel fault")
 
     monkeypatch.setattr(engine, "selection_counts", broken_kernel)
@@ -196,6 +196,39 @@ def test_verify_tightness_one_sampled_draw_usage(capsys):
     assert code == 2 and out == "" and "at least 2 draws" in err
 
 
+@pytest.mark.parametrize("nprimes", ["3,1", "2,2"])
+def test_verify_tightness_unordered_nprimes_usage(capsys, nprimes):
+    # rows are compared in the order given, so n' must increase
+    code, out, err = run_cli(capsys, "verify", "tightness", "--nprimes", nprimes)
+    assert code == 2 and out == "" and "increasing" in err
+
+
+def test_eval_exact_and_samples_usage(capsys):
+    code, err = usage_exit(
+        capsys, "eval", "--mech", "rd", "--exact", "--samples", "10", "--seed", "1"
+    )
+    assert code == 2 and "not allowed with" in err
+
+
+def test_verify_ub_chain_passes_the_seed(capsys, monkeypatch):
+    seen = []
+    real = analysis.verify_upper_bound_chain
+
+    def spy(mechanism, n, seed=0):
+        seen.append(seed)
+        return real(mechanism, n, seed=seed)
+
+    monkeypatch.setattr(analysis, "verify_upper_bound_chain", spy)
+    for argv, env in (((), None), (("--seed", "5"), None), ((), "9")):
+        if env is None:
+            monkeypatch.delenv("IMPARTIAL_SEED", raising=False)
+        else:
+            monkeypatch.setenv("IMPARTIAL_SEED", env)
+        code, _, _ = run_cli(capsys, "verify", "ub-chain", "--mech", "rd", "--n", "6", *argv)
+        assert code == 0
+    assert seen == [0, 5, 9]
+
+
 def test_verify_correlation_negative_graphs_usage(capsys):
     code, err = usage_exit(capsys, "verify", "correlation", "--graphs", "-3")
     assert code == 2 and "--graphs" in err
@@ -263,15 +296,14 @@ def test_verify_lemma3(capsys):
 def test_verify_lemma3_fails_on_a_late_takeover(capsys, monkeypatch):
     # the scan with its takeover threshold one too high: v must beat the
     # candidate's left indegree instead of tying it
-    def late_takeover(out0, perms, pos, exclude_candidate=True):
+    def late_takeover(out0, perms, pos):
         c = engine.left_indegree_matrix(out0, pos)
-        a = engine.adjacency(out0)
         rows = np.arange(perms.shape[0])
         cand = perms[:, 0].copy()
         d = np.zeros(perms.shape[0], dtype=np.int16)
         for j in range(1, perms.shape[1]):
             v = perms[:, j]
-            upd = c[rows, v] - a[cand, v] > d
+            upd = c[rows, v] - (out0[cand] == v) > d
             cand = np.where(upd, v, cand)
             d = np.where(upd, c[rows, v], d)
         return cand, d, c.max(axis=1)

@@ -210,12 +210,6 @@ def test_distribution_accessors():
     assert d.deficit() == Fraction(1, 4)
 
 
-def test_expected_indegree():
-    g = NominationGraph((2, 1, 1))
-    d = SelectionDistribution((Fraction(1, 2), Fraction(1, 2), Fraction(0)))
-    assert d.expected_indegree(g) == Fraction(3, 2)
-
-
 # ---------------------------------------------------------------------------
 # text format
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
-from impartial import engine
+from impartial import engine, mechanisms
 from impartial.generators import cycle, lower_bound_family, random_graph, ub_family
 from impartial.graphs import (
     CapacityError,
@@ -22,6 +22,7 @@ from impartial.mechanisms import (
     MECHANISMS,
     dv_wrap_counts,
     get_mechanism,
+    mix_sample,
     perm_run,
     perm_sample,
     prug_p_vector,
@@ -48,25 +49,23 @@ def seeded_graphs(n, count, seed):
 # permutation mechanism
 
 def test_perm_run_two_cycle_traces():
-    tr = perm_run(TWO_CYCLE, Permutation((1, 2)))
-    assert tr.selected == 2
-    assert tr.steps == ((1, 0), (2, 1))  # tie 0 >= 0 fires, then d = 1
-    tr = perm_run(TWO_CYCLE, Permutation((2, 1)))
-    assert tr.selected == 1
+    # vertex 2 ties at 0 (its edge from the candidate 1 is ignored) and
+    # takes over
+    assert perm_run(TWO_CYCLE, Permutation((1, 2))) == 2
+    assert perm_run(TWO_CYCLE, Permutation((2, 1))) == 1
 
 
 def test_perm_run_three_vertices():
-    tr = perm_run(TRIANGLE_IN, Permutation((3, 2, 1)))
-    assert tr.selected == 1
-    assert tr.steps[-1] == (1, 2)
-    assert tr.selected_indegree == 2
+    assert perm_run(TRIANGLE_IN, Permutation((3, 2, 1))) == 1
+    assert TRIANGLE_IN.indegree(1) == 2
 
 
-def test_perm_run_candidate_indegree_nondecreasing():
+def test_perm_run_selects_a_maximum_left_indegree():
     for g in seeded_graphs(6, 20, 11):
         for order in itertools.islice(itertools.permutations(g.vertices), 40):
-            steps = perm_run(g, Permutation(order)).steps
-            assert all(a[1] <= b[1] for a, b in zip(steps, steps[1:]))
+            left = [g.indegree_from(v, order[:i]) for i, v in enumerate(order)]
+            selected = perm_run(g, Permutation(order))
+            assert left[order.index(selected)] == max(left)
 
 
 def test_perm_run_matches_scan_oracle_exhaustive():
@@ -74,10 +73,7 @@ def test_perm_run_matches_scan_oracle_exhaustive():
         totals = list(oracle.all_graphs(n))
         for g in totals + list(one_edge_removed(totals)):
             for order in itertools.permutations(g.vertices):
-                for ex in (True, False):
-                    tr = perm_run(g, Permutation(order), ex)
-                    assert tr.selected == oracle.scan_select(g, order, ex), (g.out, order, ex)
-                    assert tr.steps[-1][1] == tr.max_left_indegree
+                assert perm_run(g, Permutation(order)) == oracle.scan_select(g, order), (g.out, order)
 
 
 # 200 draws from one SeedStream(7) on random_graph(50, 3), pinned so that
@@ -126,17 +122,17 @@ def test_perm_exact_on_partial_graphs():
 
 
 def test_perm_exact_capacity():
-    with pytest.raises(CapacityError, match="perm_sample"):
+    with pytest.raises(CapacityError, match="eval --samples"):
         PERM.exact(cycle(17))
 
 
 # ---------------------------------------------------------------------------
 # the prefix-set DP behind exact perm
 
-def dp_probs(g, exclude_candidate=True):
-    counts, runs = engine.selection_counts(engine.out_array(g), exclude_candidate)
+def dp_probs(g):
+    counts, runs = engine.selection_counts(engine.out_array(g))
     assert runs == math.factorial(g.n)
-    return [Fraction(int(c), runs) for c in counts]
+    return [Fraction(c, runs) for c in counts]
 
 
 def test_selection_dp_matches_oracle_exhaustive():
@@ -144,8 +140,7 @@ def test_selection_dp_matches_oracle_exhaustive():
         totals = list(oracle.all_graphs(n))
         # the n - 1 totals that differ only in v's target share one partial
         for g in dict.fromkeys(totals + list(one_edge_removed(totals))):
-            for ex in (True, False):
-                assert dp_probs(g, ex) == oracle.perm_dist(g, ex), (g.out, ex)
+            assert dp_probs(g) == oracle.perm_dist(g), g.out
 
 
 def test_selection_dp_matches_ordering_table():
@@ -154,12 +149,11 @@ def test_selection_dp_matches_ordering_table():
         for g in seeded_graphs(n, 4, 60 + n):
             for h in (g, g.remove_out_edge(1)):
                 out0 = engine.out_array(h)
-                for ex in (True, False):
-                    sel, d, m = engine.run_selection(out0, perms, pos, ex)
-                    counts, runs = engine.selection_counts(out0, ex)
-                    assert counts.tolist() == np.bincount(sel, minlength=n).tolist()
-                    assert runs == perms.shape[0] == math.factorial(n)
-                    assert int((d != m).sum()) == 0
+                sel, d, m = engine.run_selection(out0, perms, pos)
+                counts, runs = engine.selection_counts(out0)
+                assert counts == np.bincount(sel, minlength=n).tolist()
+                assert runs == perms.shape[0] == math.factorial(n)
+                assert int((d != m).sum()) == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -169,14 +163,13 @@ def test_selection_dp_matches_ordering_table():
             st.integers(min_value=0, max_value=n), min_size=n, max_size=n
         ).map(lambda out: tuple(None if t == 0 or t == v else t for v, t in enumerate(out, 1)))
     ),
-    st.booleans(),
 )
-def test_selection_dp_property(out, exclude_candidate):
+def test_selection_dp_property(out):
     out0 = engine.out_array(PartialNominationGraph(out))
     perms, pos = engine.permutation_table(len(out))
-    sel, _, _ = engine.run_selection(out0, perms, pos, exclude_candidate)
-    counts, _ = engine.selection_counts(out0, exclude_candidate)
-    assert counts.tolist() == np.bincount(sel, minlength=len(out)).tolist()
+    sel, _, _ = engine.run_selection(out0, perms, pos)
+    counts, _ = engine.selection_counts(out0)
+    assert counts == np.bincount(sel, minlength=len(out)).tolist()
 
 
 def test_perm_sample_deterministic_and_consistent():
@@ -404,7 +397,7 @@ def test_prugd_capacity():
     # prugd is a closed form with no cap; mix keeps perm's scan cap
     assert PRUGD.exact(cycle(9)).probs == (Fraction(1, 9),) * 9
     assert PRUGD.exact(random_graph(30, 41)).is_exact
-    with pytest.raises(CapacityError, match="perm_sample"):
+    with pytest.raises(CapacityError, match="eval --samples"):
         MIX.exact(cycle(17))
 
 
@@ -467,14 +460,60 @@ def test_mix_sample_deterministic():
     assert MIX.sample(g, 13) == MIX.sample(g, 13)
 
 
+class CoinStub:
+    """A stream whose every randrange call returns one fixed value."""
+
+    def __init__(self, value):
+        self.value = value
+        self.bounds = []
+
+    def randrange(self, n):
+        self.bounds.append(n)
+        return self.value
+
+
+def test_mix_coin_sends_825_of_1049_values_to_perm(monkeypatch):
+    monkeypatch.setattr(mechanisms, "perm_sample", lambda g, rng: "perm")
+    monkeypatch.setattr(mechanisms, "prugd_sample", lambda g, rng: "prugd")
+    g = ub_family(6, 0)
+    picks = Counter()
+    for value in range(1049):
+        stub = CoinStub(value)
+        picks[mechanisms.mix_sample(g, stub)] += 1
+        assert stub.bounds == [1049]
+    assert picks == {"perm": 825, "prugd": 224}
+
+
+# 200 draws from one SeedStream(7) on random_graph(50, 3), pinned so that
+# the coin's stream and the perm and prugd draws behind it stay fixed
+MIX_SAMPLE_PINNED = [
+    10, 37, 42, 32, 39, 47, 39, 50, 32, 32, 39, 11, 39, 5, 37, 1, 32, 25, 42, 32,
+    39, 5, 32, 32, 32, 37, 39, 25, 37, 37, 12, 47, 37, 37, 42, 39, 42, 25, 32, 39,
+    10, 37, 32, 47, 39, 39, 37, 47, 39, 25, 47, 39, 25, 40, 36, 25, 10, 39, 37, 32,
+    25, 32, 42, 37, 49, 32, 25, 47, 37, 39, 32, 39, 37, 32, 39, 10, 39, 32, 42, 18,
+    37, 42, 32, 25, 39, 36, 39, 39, 47, 39, 39, 32, 42, 32, 32, 42, 37, 39, 39, 39,
+    10, 37, 37, 1, 42, 32, 32, 42, 32, 39, 32, 36, 32, 32, 39, 32, 42, 39, 10, 10,
+    32, 21, 39, 39, 6, 42, 32, 39, 32, 37, 39, 14, 37, 39, 37, 39, 18, 39, 47, 39,
+    42, 37, 39, 15, 21, 39, 32, 10, 10, 32, 39, 25, 39, 32, 47, 10, 36, 47, 25, 37,
+    32, 37, 5, 25, 25, 32, 39, 37, 32, 34, 25, 32, 15, 37, 10, 39, 39, 39, 42, 10,
+    37, 37, 43, 10, 39, 25, 36, 1, 37, 32, 42, 43, 39, 32, 10, 32, 39, 32, 37, 32,
+]
+
+
+def test_mix_sample_seeded_stream_pinned():
+    g = random_graph(50, 3)
+    rng = SeedStream(7)
+    assert [mix_sample(g, rng) for _ in range(200)] == MIX_SAMPLE_PINNED
+
+
 # ---------------------------------------------------------------------------
 # registry
 
 def test_registry_flags():
-    assert MECHANISMS["prug"].always_selects is False
-    assert all(
-        MECHANISMS[m].always_selects for m in ("perm", "rd", "prugd", "mix")
-    )
+    # only prug may select no one
+    g = lower_bound_family(2, 1)
+    assert PRUG.exact(g).total < 1
+    assert all(MECHANISMS[m].exact(g).is_exact for m in ("perm", "rd", "prugd", "mix"))
     assert MECHANISMS["perm"].accepts_partial and MECHANISMS["prug"].accepts_partial
     assert not MECHANISMS["rd"].accepts_partial
     assert not MECHANISMS["mix"].accepts_partial
