@@ -2,9 +2,12 @@
 
 Everything numeric here is an exact rational unless explicitly labelled
 as a Monte Carlo estimate.  The sweeps enumerate the full graph class
-for a given n (all (n-1)^n target assignments) and keep integer tallies,
-so zero-tolerance comparisons against the closed-form guarantees are
-meaningful.
+for a given n (all (n-1)^n target assignments) and keep per-graph
+tallies, so zero-tolerance comparisons against the closed-form
+guarantees are meaningful.  Every mechanism is relabelling-invariant,
+so a sweep evaluates each mechanism once per isomorphism class and
+hands that ratio to every labelled graph of the class; its work budget
+still charges every labelled graph.
 """
 from __future__ import annotations
 
@@ -34,6 +37,7 @@ from .graphs import (
     NominationGraph,
     Permutation,
     SelectionDistribution,
+    iso_code,
 )
 from .mechanisms import (
     MECHANISMS,
@@ -238,7 +242,11 @@ def _sweep_range(
     n: int, mechanisms: tuple[str, ...], scan_orderings: bool, start: int, stop: int
 ) -> GraphSweep:
     result = GraphSweep(n, mechanisms, ratios={m: [] for m in mechanisms})
-    paths = {m: get_mechanism(m).counts for m in mechanisms}
+    paths = [get_mechanism(m).counts for m in mechanisms]
+    columns = [result.ratios[m] for m in mechanisms]
+    # every mechanism is relabelling-invariant, so a ratio is a property
+    # of the isomorphism class: evaluate each class once
+    memo: dict[tuple[str, ...], tuple[Fraction, ...]] = {}
     if scan_orderings:
         perms, pos = engine.permutation_table(n)
     for out in itertools.islice(iter_out_tuples(n), start, stop):
@@ -251,8 +259,14 @@ def _sweep_range(
             _, final_d, max_left = engine.run_selection(engine.out_array(g), perms, pos)
             result.runs += perms.shape[0]
             result.left_max_violations += int((final_d != max_left).sum())
-        for m, path in paths.items():
-            result.ratios[m].append(_counts_ratio(deg, *path(g), delta))
+        if not paths:
+            continue
+        code = iso_code(out)
+        ratios = memo.get(code)
+        if ratios is None:
+            ratios = memo[code] = tuple(_counts_ratio(deg, *path(g), delta) for path in paths)
+        for column, r in zip(columns, ratios):
+            column.append(r)
     return result
 
 
@@ -269,15 +283,21 @@ def sweep_graphs(
 ) -> GraphSweep:
     """Exact ratios of the given mechanisms over all of the size-n class.
 
+    The ratios, like the deltas and high2_counts, are listed per labelled
+    graph in iter_out_tuples order, but each mechanism runs once per
+    isomorphism class (graphs.iso_code) within one call, or one chunk
+    when jobs > 1; the other graphs of a class reuse its ratio.
+
     With scan_orderings the sweep also runs the candidate scan on each
     of the n! orderings of every graph, one by one over the engine's
     ordering table (which caps n), and counts the runs that miss the
     maximum indegree from the left: the Lemma 3 check.
 
-    budget_rows caps the sweep's work, counted per graph as n * 2^n for
-    each run of the prefix-set DP (perm, and mix above MIX_SMALL_N), n!
-    for the orderings scanned one by one, and n^2 for each closed form;
-    beyond it the sweep refuses rather than run for hours.
+    budget_rows caps the sweep's work, counted per labelled graph (not
+    per class) as n * 2^n for each run of the prefix-set DP (perm, and
+    mix above MIX_SMALL_N), n! for the orderings scanned one by one, and
+    n^2 for each closed form; beyond it the sweep refuses rather than
+    run for hours.
     """
     mechanisms = tuple(mechanisms)
     for m in mechanisms:

@@ -229,7 +229,8 @@ def _verify_bounds(args: argparse.Namespace, payload: dict) -> bool:
         for i, (r, d, h) in enumerate(
             zip(sweep.ratios["prugd"], sweep.deltas, sweep.high2_counts)
         ):
-            floor = analysis.prugd_alpha(d)
+            # at d = 1 every vertex has indegree 1 and prugd always selects
+            floor = Fraction(1) if d == 1 else analysis.prugd_alpha(d)
             if d == 2:
                 floor = max(floor, analysis.PRUGD_DELTA2_GUARANTEE)
             if d == 3 and h == 1:

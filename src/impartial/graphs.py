@@ -4,7 +4,8 @@ A partial nomination graph has n vertices (labelled 1..n), at most one
 outgoing edge per vertex and no self-loops; it is what remains after a
 vertex's outgoing edge is removed.  A (total) nomination graph is a
 partial graph with every edge present, so NominationGraph subclasses
-PartialNominationGraph and only tightens its validation.
+PartialNominationGraph and only tightens its validation.  iso_code
+names a total graph's isomorphism class.
 
 All types are immutable values and all operations are pure, so instances
 can be shared freely across parallel workers.  Vertices are 1-based
@@ -149,6 +150,45 @@ class NominationGraph(PartialNominationGraph):
 
 
 AnyGraph = PartialNominationGraph  # total graphs included, as a subclass
+
+
+def iso_code(out: Sequence[int]) -> tuple[str, ...]:
+    """Canonical code of the total graph with out tuple out: two graphs
+    get the same code exactly when one is a relabelling of the other.
+
+    Each component of a total graph is one directed cycle with in-trees
+    hanging off it.  A vertex's tree code is the AHU string of the
+    in-tree below it: its off-cycle nominators' codes, sorted, in
+    brackets.  A cycle's code is the least rotation of its vertices'
+    tree codes read in edge direction (no reflections), joined; brackets
+    keep the joined string decodable.  The graph's code is the sorted
+    tuple of its cycles' codes.
+    """
+    n = len(out)
+    pending = [0] * n  # nominators of each vertex not yet coded
+    for t in out:
+        pending[t - 1] += 1
+    below: list[list[str]] = [[] for _ in range(n)]
+    peeled = [v for v in range(n) if not pending[v]]
+    # peel the trees leaves first (the loop visits what it appends); a
+    # vertex never peeled lies on a cycle and still waits for its
+    # predecessor there
+    for v in peeled:
+        t = out[v] - 1
+        below[t].append("(" + "".join(sorted(below[v])) + ")")
+        pending[t] -= 1
+        if not pending[t]:
+            peeled.append(t)
+    cycles = []
+    for start in range(n):
+        ring, v = [], start
+        while pending[v]:
+            pending[v] = 0
+            ring.append("(" + "".join(sorted(below[v])) + ")")
+            v = out[v] - 1
+        if ring:
+            cycles.append("".join(min(ring[i:] + ring[:i] for i in range(len(ring)))))
+    return tuple(sorted(cycles))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
-from impartial import analysis
+from impartial import analysis, engine
 from impartial.analysis import (
     MIX_GUARANTEE,
     PRUGD_DELTA2_GUARANTEE,
@@ -161,6 +161,29 @@ def test_worst_case_perm_small_n():
         assert min(sweep.ratios["perm"]) >= Fraction(2, 3)
 
 
+def test_worst_case_perm_n7_pinned():
+    rep = worst_case("perm", 7)
+    assert rep.min_ratio == Fraction(563, 840)
+    assert rep.witness.out == (2, 3, 4, 1, 1, 5, 6)
+    assert rep.graphs_checked == 6**7
+
+
+def test_sweep_runs_the_dp_once_per_class(monkeypatch):
+    calls = []
+    kernel = engine.selection_counts
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "selection_counts", counted)
+    sweep_graphs(6, ("perm",))
+    assert len(calls) == 40  # the isomorphism classes at n = 6
+    calls.clear()
+    sweep_graphs(6, ("perm", "mix"))
+    assert len(calls) == 80  # mix runs the DP again inside its blend
+
+
 def test_sweep_low_perm_ratio_structure():
     # graphs where the scan dips under 31/45 have max indegree 2 or 3
     # and a single vertex of indegree >= 2
@@ -224,12 +247,15 @@ def test_sweep_sums_pinned_to_enumerator():
 
 
 def test_sweep_ratios_equal_mechanism_ratios():
+    # the sweep evaluates one graph per isomorphism class; every labelled
+    # graph's ratio must still equal its own uncached evaluation
     mechs = ("perm", "rd", "prug", "prugd", "mix")
-    sweep = sweep_graphs(4, mechs)
-    for idx in range(0, graph_count(4), 7):
-        g = graph_at(4, idx)
-        for m in mechs:
-            assert sweep.ratios[m][idx] == ratio(m, g).ratio, (m, g.out)
+    for n in range(2, 6):
+        sweep = sweep_graphs(n, mechs)
+        for idx in range(graph_count(n)):
+            g = graph_at(n, idx)
+            for m in mechs:
+                assert sweep.ratios[m][idx] == ratio(m, g).ratio, (m, g.out)
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,14 @@ def test_verify_bounds_rd(capsys):
     assert code == 0 and payload["min_ratio"] == "3/4"
 
 
+def test_verify_bounds_prugd_n6(capsys):
+    # the sweep holds cycles (max indegree 1), where the floor is 1
+    code, out, _ = run_cli(capsys, "verify", "bounds", "--mech", "prugd", "--n", "6")
+    payload = json.loads(out)
+    assert code == 0 and payload["passed"] is True
+    assert payload["graphs_checked"] == 15625
+
+
 def test_verify_bounds_rd_large_n_usage(capsys):
     code, _, err = run_cli(capsys, "verify", "bounds", "--mech", "rd", "--n", "6")
     assert code == 2 and "n <= 5" in err

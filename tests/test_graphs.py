@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from impartial.analysis import iter_out_tuples
 from impartial.generators import cycle, lower_bound_family, two_cycle_path, ub_family
 from impartial.graphs import (
     InputError,
@@ -13,6 +16,7 @@ from impartial.graphs import (
     graph_from_text,
     graph_to_text,
     graphs_from_text,
+    iso_code,
 )
 
 
@@ -23,6 +27,17 @@ def random_graphs(n):
             tuple(k if k < v else k + 1 for v, k in enumerate(ks, start=1))
         )
     )
+
+
+def random_partial_graphs(n):
+    """Graphs with any edges missing; a draw with none missing is total."""
+    choices = st.one_of(st.none(), st.integers(min_value=1, max_value=n - 1))
+
+    def build(ks):
+        out = tuple(k if k is None or k < v else k + 1 for v, k in enumerate(ks, start=1))
+        return (PartialNominationGraph if None in out else NominationGraph)(out)
+
+    return st.lists(choices, min_size=n, max_size=n).map(build)
 
 
 def permutations_of(n):
@@ -227,6 +242,12 @@ def test_text_roundtrip_partial():
     assert graph_from_text(line) == p
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=9).flatmap(random_partial_graphs))
+def test_text_roundtrip_property(g):
+    assert graph_from_text(graph_to_text(g)) == g
+
+
 def test_text_errors():
     with pytest.raises(InputError):
         graph_from_text("3; 1,2")
@@ -239,3 +260,46 @@ def test_text_errors():
 def test_multi_line_parse():
     text = graph_to_text(cycle(3)) + "\n\n" + graph_to_text(cycle(4)) + "\n"
     assert [g.n for g in graphs_from_text(text)] == [3, 4]
+
+
+# ---------------------------------------------------------------------------
+# isomorphism codes
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=9).flatmap(
+        lambda n: st.tuples(random_graphs(n), permutations_of(n))
+    )
+)
+def test_iso_code_is_relabelling_invariant(case):
+    g, pi = case
+    assert iso_code(g.relabel(pi).out) == iso_code(g.out)
+
+
+def test_iso_code_class_counts():
+    # unlabelled functional digraphs without fixed points, OEIS A001373;
+    # at n = 6 the count keeps mirror-image cycles apart
+    counts = {n: len({iso_code(out) for out in iter_out_tuples(n)}) for n in range(2, 7)}
+    assert counts == {2: 1, 3: 2, 4: 6, 5: 13, 6: 40}
+
+
+def _orbit_min(out):
+    """Least out tuple over all n! relabellings of out."""
+    n = len(out)
+    best = None
+    for seq in itertools.permutations(range(1, n + 1)):
+        image = [0] * n
+        for v, t in enumerate(out):
+            image[seq[v] - 1] = seq[t - 1]
+        image = tuple(image)
+        if best is None or image < best:
+            best = image
+    return best
+
+
+def test_iso_code_matches_brute_force_orbits():
+    for n in range(2, 6):
+        pairs = {(iso_code(out), _orbit_min(out)) for out in iter_out_tuples(n)}
+        # one code per orbit and one orbit per code
+        assert len({c for c, _ in pairs}) == len({m for _, m in pairs}) == len(pairs)
+
