@@ -5,9 +5,10 @@ as a Monte Carlo estimate.  The sweeps enumerate the full graph class
 for a given n (all (n-1)^n target assignments) and keep per-graph
 tallies, so zero-tolerance comparisons against the closed-form
 guarantees are meaningful.  Every mechanism is relabelling-invariant,
-so a sweep evaluates each mechanism once per isomorphism class and
-hands that ratio to every labelled graph of the class; its work budget
-still charges every labelled graph.
+so a sweep builds the graph, its indegree tallies and each mechanism's
+ratio once per isomorphism class and hands them to every labelled graph
+of the class; what it pays per labelled graph is canonicalising it, and
+that is what its work budget charges.
 """
 from __future__ import annotations
 
@@ -43,7 +44,6 @@ from .mechanisms import (
     MECHANISMS,
     MIX_PERM_WEIGHT,
     MIX_PRUGD_WEIGHT,
-    MIX_SMALL_N,
     Mechanism,
     get_mechanism,
 )
@@ -57,6 +57,8 @@ PRUGD_DELTA3_SINGLE_HIGH_GUARANTEE = Fraction(13, 18)
 SWEEP_BUDGET = 300_000_000
 # Most graphs an exhaustive impartiality check visits: n <= 6.
 IMPARTIAL_BUDGET = 20_000
+# Largest n that symmetrize averages over all n! relabellings.
+SYMMETRIZE_CAP = 6
 # Seeded relabellings per family graph in the ceiling chain's symmetry
 # precheck above n = 6.
 CHAIN_RELABELLINGS = 200
@@ -83,6 +85,29 @@ def prugd_alpha(delta: int) -> Fraction:
     if delta < 2:
         raise InputError(f"prugd_alpha needs delta >= 2, got {delta}")
     return Fraction(1, 2) + Fraction(7 * delta - 9, 6 * delta * (3 * delta - 2))
+
+
+def perm_floor(delta: int, high2: int) -> Fraction:
+    """perm's floor on a graph of maximum indegree delta with high2
+    vertices of indegree >= 2: perm_alpha, raised to 31/45 at delta = 3
+    with two or more such vertices."""
+    if delta == 3 and high2 >= 2:
+        return Fraction(31, 45)
+    return perm_alpha(delta)
+
+
+def prugd_floor(delta: int, high2: int) -> Fraction:
+    """prugd's floor on a graph of maximum indegree delta with high2
+    vertices of indegree >= 2: prugd_alpha, raised to 65/96 at delta = 2
+    and to 13/18 at delta = 3 with a single such vertex.  At delta = 1
+    every vertex has indegree 1 and prugd always selects, so it is 1."""
+    if delta == 1:
+        return Fraction(1)
+    if delta == 2:
+        return PRUGD_DELTA2_GUARANTEE
+    if delta == 3 and high2 == 1:
+        return PRUGD_DELTA3_SINGLE_HIGH_GUARANTEE
+    return prugd_alpha(delta)
 
 
 def mix_high_delta_branch(delta: int) -> Fraction:
@@ -126,17 +151,11 @@ def guarantee_rows(delta_max: int = 15) -> list[GuaranteeRow]:
 
     rows = []
     for delta in range(2, delta_max + 1):
-        if delta == 2:
-            p, d = perm_alpha(2), PRUGD_DELTA2_GUARANTEE
-            rows.append(GuaranteeRow(2, "all", p, d, blend(p, d)))
-        elif delta == 3:
-            p, d = Fraction(31, 45), prugd_alpha(3)
-            rows.append(GuaranteeRow(3, "multi_high", p, d, blend(p, d)))
-            p, d = perm_alpha(3), PRUGD_DELTA3_SINGLE_HIGH_GUARANTEE
-            rows.append(GuaranteeRow(3, "single_high", p, d, blend(p, d)))
-        else:
-            p, d = perm_alpha(delta), prugd_alpha(delta)
-            rows.append(GuaranteeRow(delta, "all", p, d, blend(p, d)))
+        # delta = 3 splits on the vertices of indegree >= 2: several or one
+        cases = (("multi_high", 2), ("single_high", 1)) if delta == 3 else (("all", 1),)
+        for case, high2 in cases:
+            p, d = perm_floor(delta, high2), prugd_floor(delta, high2)
+            rows.append(GuaranteeRow(delta, case, p, d, blend(p, d)))
     return rows
 
 
@@ -244,29 +263,31 @@ def _sweep_range(
     result = GraphSweep(n, mechanisms, ratios={m: [] for m in mechanisms})
     paths = [get_mechanism(m).counts for m in mechanisms]
     columns = [result.ratios[m] for m in mechanisms]
-    # every mechanism is relabelling-invariant, so a ratio is a property
-    # of the isomorphism class: evaluate each class once
-    memo: dict[tuple[str, ...], tuple[Fraction, ...]] = {}
+    # every mechanism is relabelling-invariant, so delta, the number of
+    # vertices of indegree >= 2 and every ratio are properties of the
+    # isomorphism class: build the graph and evaluate it once per class
+    memo: dict[tuple[str, ...], tuple[int, int, tuple[Fraction, ...]]] = {}
     if scan_orderings:
         perms, pos = engine.permutation_table(n)
     for out in itertools.islice(iter_out_tuples(n), start, stop):
-        g = NominationGraph(out)
-        deg = g.indegrees()
-        delta = max(deg)
-        result.deltas.append(delta)
-        result.high2_counts.append(sum(d >= 2 for d in deg))
-        if scan_orderings:
-            _, final_d, max_left = engine.run_selection(engine.out_array(g), perms, pos)
-            result.runs += perms.shape[0]
-            result.left_max_violations += int((final_d != max_left).sum())
-        if not paths:
-            continue
         code = iso_code(out)
-        ratios = memo.get(code)
-        if ratios is None:
-            ratios = memo[code] = tuple(_counts_ratio(deg, *path(g), delta) for path in paths)
+        entry = memo.get(code)
+        if entry is None:
+            g = NominationGraph(out)
+            deg = g.indegrees()
+            delta = max(deg)
+            ratios = tuple(_counts_ratio(deg, *path(g), delta) for path in paths)
+            entry = memo[code] = (delta, sum(d >= 2 for d in deg), ratios)
+        delta, high2, ratios = entry
+        result.deltas.append(delta)
+        result.high2_counts.append(high2)
         for column, r in zip(columns, ratios):
             column.append(r)
+        if scan_orderings:
+            out0 = np.array(out, dtype=np.int16) - 1
+            _, final_d, max_left = engine.run_selection(out0, perms, pos)
+            result.runs += perms.shape[0]
+            result.left_max_violations += int((final_d != max_left).sum())
     return result
 
 
@@ -278,40 +299,35 @@ def sweep_graphs(
     n: int,
     mechanisms: Sequence[str] = ("perm",),
     jobs: int = 1,
-    budget_rows: int = SWEEP_BUDGET,
     scan_orderings: bool = False,
 ) -> GraphSweep:
     """Exact ratios of the given mechanisms over all of the size-n class.
 
     The ratios, like the deltas and high2_counts, are listed per labelled
-    graph in iter_out_tuples order, but each mechanism runs once per
-    isomorphism class (graphs.iso_code) within one call, or one chunk
-    when jobs > 1; the other graphs of a class reuse its ratio.
+    graph in iter_out_tuples order, but the graph is built and each
+    mechanism runs once per isomorphism class (graphs.iso_code) within
+    one call, or one chunk when jobs > 1; the other graphs of a class
+    only canonicalise their out tuple and reuse the class's entry.
 
     With scan_orderings the sweep also runs the candidate scan on each
-    of the n! orderings of every graph, one by one over the engine's
-    ordering table (which caps n), and counts the runs that miss the
-    maximum indegree from the left: the Lemma 3 check.
+    of the n! orderings of every labelled graph, one by one over the
+    engine's ordering table (which caps n), and counts the runs that
+    miss the maximum indegree from the left: the Lemma 3 check.
 
-    budget_rows caps the sweep's work, counted per labelled graph (not
-    per class) as n * 2^n for each run of the prefix-set DP (perm, and
-    mix above MIX_SMALL_N), n! for the orderings scanned one by one, and
-    n^2 for each closed form; beyond it the sweep refuses rather than
-    run for hours.
+    The work is charged per labelled graph, n units for canonicalising
+    it plus n! with scan_orderings; a sweep charged more than
+    SWEEP_BUDGET refuses rather than run for hours.  So every mechanism
+    sweeps up to n = 8, and the ordering scan up to n = 6.
     """
     mechanisms = tuple(mechanisms)
     for m in mechanisms:
         get_mechanism(m)  # raises InputError on an unknown name
     count = graph_count(n)
-    dp = ("perm" in mechanisms) + ("mix" in mechanisms and n > MIX_SMALL_N)
-    closed = len(mechanisms) - dp
-    per_graph = (
-        dp * n * 2**n + scan_orderings * math.factorial(n) + closed * n * n
-    )
-    if count * per_graph > budget_rows:
+    work = count * (n + scan_orderings * math.factorial(n))
+    if work > SWEEP_BUDGET:
         raise CapacityError(
-            f"sweep at n={n} needs {count * per_graph} units of work, over the "
-            f"budget of {budget_rows}; raise budget_rows or reduce n"
+            f"sweep at n={n} needs {work} units of work, over the "
+            f"budget of {SWEEP_BUDGET}; reduce n"
         )
     if jobs <= 1:
         return _sweep_range(n, mechanisms, scan_orderings, 0, count)
@@ -437,18 +453,16 @@ def check_impartial(
 # ---------------------------------------------------------------------------
 # Symmetrization
 
-def symmetrize(
-    mechanism: str | Mechanism, g: NominationGraph, cap: int = 6
-) -> SelectionDistribution:
+def symmetrize(mechanism: str | Mechanism, g: NominationGraph) -> SelectionDistribution:
     """Relabel-average of a mechanism: rename vertices by every
     permutation, evaluate, and map each result back.  The output is
     invariant under relabelling whatever the input mechanism does."""
     mech = get_mechanism(mechanism) if isinstance(mechanism, str) else mechanism
     n = g.n
-    if n > cap:
+    if n > SYMMETRIZE_CAP:
         raise CapacityError(
             f"symmetrize runs {n}! relabelled evaluations and is capped at "
-            f"n <= {cap}"
+            f"n <= {SYMMETRIZE_CAP}"
         )
     dist = _exact_lookup(mech)
     acc = [Fraction(0)] * n
@@ -511,9 +525,7 @@ class CorrelationReport:
         return self.level_probs_ok and all(c.ok for c in self.comparisons)
 
 
-def verify_negative_correlation(
-    g: AnyGraph, i_values: Optional[Sequence[int]] = None
-) -> CorrelationReport:
+def verify_negative_correlation(g: AnyGraph) -> CorrelationReport:
     """Exhaustively check that lowering the fixed top vertex's indegree
     from the left can only raise the chance that some other vertex has
     indegree at least i from the left.
@@ -529,13 +541,9 @@ def verify_negative_correlation(
     level_probs = tuple(Fraction(int(c), nfact) for c in level_counts[: delta + 1])
     level_ok = all(p == Fraction(1, delta + 1) for p in level_probs)
 
-    if i_values is None:
-        i_values = range(1, delta + 1)
     comparisons = []
     vacuous = []
-    for i in i_values:
-        if not 1 <= i <= delta:
-            raise InputError(f"i={i} outside 1..{delta}")
+    for i in range(1, delta + 1):
         for j in range(0, i):
             num_j = int(((a == j) & (m >= i)).sum())
             num_i = int(((a == i) & (m >= i)).sum())

@@ -194,6 +194,13 @@ def _verify_impartial(args: argparse.Namespace, payload: dict) -> bool:
     return rep.passed
 
 
+def _below_floor(sweep: analysis.GraphSweep, mech: str, floor) -> list[int]:
+    """Indices of the sweep's graphs whose mech ratio falls below
+    floor(delta, high2)."""
+    rows = zip(sweep.ratios[mech], sweep.deltas, sweep.high2_counts)
+    return [i for i, (r, d, h) in enumerate(rows) if r < floor(d, h)]
+
+
 def _verify_bounds(args: argparse.Namespace, payload: dict) -> bool:
     n = args.n
     mech = args.mech
@@ -209,11 +216,7 @@ def _verify_bounds(args: argparse.Namespace, payload: dict) -> bool:
         return best == target
     if mech == "perm":
         sweep = analysis.sweep_graphs(n, ("perm",), jobs=args.jobs, scan_orderings=True)
-        bad = [
-            i
-            for i, (r, d) in enumerate(zip(sweep.ratios["perm"], sweep.deltas))
-            if r < analysis.perm_alpha(d)
-        ]
+        bad = _below_floor(sweep, "perm", analysis.perm_floor)
         best, _ = sweep.min_ratio("perm")
         payload["min_ratio"] = _frac(best)
         payload["orderings_run"] = sweep.runs
@@ -225,18 +228,7 @@ def _verify_bounds(args: argparse.Namespace, payload: dict) -> bool:
         if n < 6:
             raise InputError("the prugd floors hold for n >= 6")
         sweep = analysis.sweep_graphs(n, ("prugd",), jobs=args.jobs)
-        bad = []
-        for i, (r, d, h) in enumerate(
-            zip(sweep.ratios["prugd"], sweep.deltas, sweep.high2_counts)
-        ):
-            # at d = 1 every vertex has indegree 1 and prugd always selects
-            floor = Fraction(1) if d == 1 else analysis.prugd_alpha(d)
-            if d == 2:
-                floor = max(floor, analysis.PRUGD_DELTA2_GUARANTEE)
-            if d == 3 and h == 1:
-                floor = max(floor, analysis.PRUGD_DELTA3_SINGLE_HIGH_GUARANTEE)
-            if r < floor:
-                bad.append(i)
+        bad = _below_floor(sweep, "prugd", analysis.prugd_floor)
         payload["graphs_checked"] = len(sweep.deltas)
         if bad:
             payload["counterexample"] = graph_to_text(sweep.witness(bad[0]))

@@ -20,7 +20,9 @@ from impartial.analysis import (
     guarantee_rows,
     mix_high_delta_branch,
     perm_alpha,
+    perm_floor,
     prugd_alpha,
+    prugd_floor,
     ratio,
     sweep_graphs,
     symmetrize,
@@ -69,6 +71,18 @@ def test_prugd_alpha_values():
     assert PRUGD_DELTA3_SINGLE_HIGH_GUARANTEE == Fraction(13, 18)
     with pytest.raises(InputError):
         prugd_alpha(1)
+
+
+def test_floors_by_delta_and_high_vertices():
+    assert perm_floor(1, 0) == 1
+    assert perm_floor(3, 1) == perm_alpha(3) == Fraction(2, 3)
+    assert perm_floor(3, 2) == perm_floor(3, 3) == Fraction(31, 45)
+    assert perm_floor(4, 2) == perm_alpha(4)
+    assert prugd_floor(1, 0) == 1
+    assert prugd_floor(2, 1) == prugd_floor(2, 3) == PRUGD_DELTA2_GUARANTEE
+    assert prugd_floor(3, 1) == PRUGD_DELTA3_SINGLE_HIGH_GUARANTEE
+    assert prugd_floor(3, 2) == prugd_alpha(3)
+    assert prugd_floor(5, 1) == prugd_alpha(5)
 
 
 def test_mix_high_delta_branch():
@@ -162,10 +176,19 @@ def test_worst_case_perm_small_n():
 
 
 def test_worst_case_perm_n7_pinned():
-    rep = worst_case("perm", 7)
-    assert rep.min_ratio == Fraction(563, 840)
-    assert rep.witness.out == (2, 3, 4, 1, 1, 5, 6)
-    assert rep.graphs_checked == 6**7
+    # one sweep pins every mechanism's n = 7 worst case and first witness
+    sweep = sweep_graphs(7, tuple(MECHANISMS))
+    assert len(sweep.deltas) == 6**7
+    pinned = {
+        "perm": (Fraction(563, 840), (2, 3, 4, 1, 1, 5, 6)),
+        "mix": (Fraction(594599, 881160), (2, 3, 4, 5, 1, 1, 6)),
+        "prugd": (Fraction(19, 28), (2, 1, 1, 3, 4, 4, 4)),
+        "rd": (Fraction(13, 21), (2, 1, 1, 1, 3, 4, 5)),
+        "prug": (Fraction(1, 2), (2, 1, 1, 1, 3, 5, 5)),
+    }
+    for m, (value, witness) in pinned.items():
+        best, idx = sweep.min_ratio(m)
+        assert (best, sweep.witness(idx).out) == (value, witness), m
 
 
 def test_sweep_runs_the_dp_once_per_class(monkeypatch):
@@ -177,8 +200,16 @@ def test_sweep_runs_the_dp_once_per_class(monkeypatch):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(engine, "selection_counts", counted)
+    built = []
+
+    def build(out):
+        built.append(out)
+        return NominationGraph(out)
+
+    monkeypatch.setattr(analysis, "NominationGraph", build)
     sweep_graphs(6, ("perm",))
     assert len(calls) == 40  # the isomorphism classes at n = 6
+    assert len(built) == 40  # one graph built per class, none per labelled graph
     calls.clear()
     sweep_graphs(6, ("perm", "mix"))
     assert len(calls) == 80  # mix runs the DP again inside its blend
@@ -212,22 +243,28 @@ def test_sweep_parallel_matches_serial():
     assert serial.runs == parallel.runs
 
 
-def test_sweep_budget_guard():
-    with pytest.raises(CapacityError):
-        worst_case("perm", 8)
-    with pytest.raises(CapacityError):
-        sweep_graphs(6, ("perm",), budget_rows=1000)
-    with pytest.raises(CapacityError):
-        sweep_graphs(8, ("prugd",))
-    # the prefix-set DP is charged n * 2^n per graph, so perm and mix fit
-    # the default budget at n = 7; scanning every ordering (n!) does not
-    dp_charge = graph_count(7) * 7 * 2**7
-    assert dp_charge <= 300_000_000
-    for mech in ("perm", "mix"):
-        with pytest.raises(CapacityError, match=f"needs {dp_charge} units"):
-            sweep_graphs(7, (mech,), budget_rows=dp_charge - 1)
-    with pytest.raises(CapacityError):
+def test_sweep_budget_guard(monkeypatch):
+    # a sweep is charged n units per labelled graph, whatever the
+    # mechanisms, plus n! per graph when it scans every ordering
+    assert analysis.SWEEP_BUDGET == 300_000_000
+    with pytest.raises(CapacityError, match="needs 1207959552 units") as refusal:
+        sweep_graphs(9, ("prugd",))
+    assert "budget_rows" not in str(refusal.value)
+    with pytest.raises(CapacityError, match="needs 1412836992 units"):
         sweep_graphs(7, ("perm",), scan_orderings=True)
+    # the n = 8 charge, read from a refusal one unit short of it, fits
+    # the default budget for every mechanism
+    charge8 = 7**8 * 8
+    assert charge8 <= analysis.SWEEP_BUDGET
+    monkeypatch.setattr(analysis, "SWEEP_BUDGET", charge8 - 1)
+    for mechs in ((), ("prug",), tuple(MECHANISMS)):
+        with pytest.raises(CapacityError, match=f"needs {charge8} units"):
+            sweep_graphs(8, mechs)
+    # the budget is inclusive: a sweep charged exactly the budget runs
+    monkeypatch.setattr(analysis, "SWEEP_BUDGET", graph_count(4) * (4 + 24))
+    assert sweep_graphs(4, ("perm",), scan_orderings=True).runs == graph_count(4) * 24
+    with pytest.raises(CapacityError):
+        sweep_graphs(5, ("perm",))
 
 
 def test_sweep_sums_pinned_to_enumerator():
@@ -247,13 +284,18 @@ def test_sweep_sums_pinned_to_enumerator():
 
 
 def test_sweep_ratios_equal_mechanism_ratios():
-    # the sweep evaluates one graph per isomorphism class; every labelled
-    # graph's ratio must still equal its own uncached evaluation
+    # the sweep builds and evaluates one graph per isomorphism class;
+    # every labelled graph's delta, count of vertices of indegree >= 2
+    # and ratios must still equal those of its own indegrees and its own
+    # uncached evaluation
     mechs = ("perm", "rd", "prug", "prugd", "mix")
     for n in range(2, 6):
         sweep = sweep_graphs(n, mechs)
         for idx in range(graph_count(n)):
             g = graph_at(n, idx)
+            deg = g.indegrees()
+            assert sweep.deltas[idx] == max(deg), g.out
+            assert sweep.high2_counts[idx] == sum(d >= 2 for d in deg), g.out
             for m in mechs:
                 assert sweep.ratios[m][idx] == ratio(m, g).ratio, (m, g.out)
 
@@ -343,10 +385,11 @@ def test_symmetrize_preserves_total():
     assert symmetrize("prug", g).total == MECHANISMS["prug"].exact(g).total
 
 
-def test_symmetrize_capacity():
+def test_symmetrize_capacity(monkeypatch):
     with pytest.raises(CapacityError):
         symmetrize("perm", cycle(7))
-    assert symmetrize("perm", cycle(7), cap=7).probs == (Fraction(1, 7),) * 7
+    monkeypatch.setattr(analysis, "SYMMETRIZE_CAP", 7)
+    assert symmetrize("perm", cycle(7)).probs == (Fraction(1, 7),) * 7
 
 
 def test_symmetrize_output_is_relabel_invariant():
@@ -385,11 +428,6 @@ def test_correlation_on_seeded_graphs():
     for _ in range(20):
         rep = verify_negative_correlation(random_graph(6, rng))
         assert rep.passed
-
-
-def test_correlation_i_range_validation():
-    with pytest.raises(InputError):
-        verify_negative_correlation(lower_bound_family(2, 1), i_values=[5])
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,15 @@ def test_eval_capacity_exit_code(capsys, tmp_path):
     assert code == 3 and "capacity" in err
 
 
+def test_sweep_capacity_exit_code(capsys):
+    # n = 9 is charged 8^9 * 9 units, and the n = 7 ordering scan 6^7 * (7 + 7!)
+    for argv in (("worst-case", "--mech", "perm", "--n", "9"),
+                 ("verify", "bounds", "--mech", "perm", "--n", "7")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "" and "capacity" in err, argv
+        assert "budget_rows" not in err
+
+
 def test_eval_prugd_has_no_cap_but_mix_keeps_the_scan_cap(capsys, tmp_path):
     path = tmp_path / "g.txt"
     path.write_text(graph_to_text(ub_family(12, 1)) + "\n")
