@@ -1,22 +1,22 @@
 """Guarantee formulas, performance ratios, and verification sweeps.
 
 Everything numeric here is an exact rational unless explicitly labelled
-as a Monte Carlo estimate.  The sweeps enumerate the full graph class
-for a given n (all (n-1)^n target assignments) and keep per-graph
-tallies, so zero-tolerance comparisons against the closed-form
-guarantees are meaningful.  Every mechanism is relabelling-invariant,
-so a sweep builds the graph, its indegree tallies and each mechanism's
-ratio once per isomorphism class and hands them to every labelled graph
-of the class; what it pays per labelled graph is canonicalising it, and
-that is what its work budget charges.
+as a Monte Carlo estimate.  The sweeps cover the full graph class for
+a given n (all (n-1)^n target assignments), so zero-tolerance
+comparisons against the closed-form guarantees are meaningful.  Every
+mechanism is relabelling-invariant, so a sweep evaluates one generated
+representative per isomorphism class and weights it by the number of
+labelled graphs in the class.  The Lemma 3 check, which is about single
+orderings, still scans every ordering of every labelled graph.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -37,13 +37,13 @@ from .graphs import (
     InputError,
     NominationGraph,
     Permutation,
-    SelectionDistribution,
-    iso_code,
+    iso_classes,
 )
 from .mechanisms import (
     MECHANISMS,
     MIX_PERM_WEIGHT,
     MIX_PRUGD_WEIGHT,
+    MIX_SMALL_N,
     Mechanism,
     get_mechanism,
 )
@@ -53,12 +53,10 @@ MIX_GUARANTEE = Fraction(2105, 3147)
 PRUGD_DELTA2_GUARANTEE = Fraction(65, 96)
 PRUGD_DELTA3_SINGLE_HIGH_GUARANTEE = Fraction(13, 18)
 
-# Work budget of an exhaustive sweep, in the units sweep_graphs counts.
+# Work budget of sweep_graphs and scan_orderings, in the units they charge.
 SWEEP_BUDGET = 300_000_000
 # Most graphs an exhaustive impartiality check visits: n <= 6.
 IMPARTIAL_BUDGET = 20_000
-# Largest n that symmetrize averages over all n! relabellings.
-SYMMETRIZE_CAP = 6
 # Seeded relabellings per family graph in the ceiling chain's symmetry
 # precheck above n = 6.
 CHAIN_RELABELLINGS = 200
@@ -207,49 +205,35 @@ def graph_count(n: int) -> int:
     return (n - 1) ** n
 
 
-def graph_at(n: int, index: int) -> NominationGraph:
-    """The index-th graph in iter_out_tuples order."""
-    if not 0 <= index < graph_count(n):
-        raise InputError(f"graph index {index} out of range for n={n}")
-    digits = []
-    for _ in range(n):
-        digits.append(index % (n - 1))
-        index //= n - 1
-    digits.reverse()
-    out = []
-    for v, d in enumerate(digits, start=1):
-        t = d + 1
-        out.append(t if t < v else t + 1)
-    return NominationGraph(tuple(out))
-
-
-@dataclass
+@dataclass(frozen=True)
 class GraphSweep:
-    """Exact ratios of selected mechanisms over every graph of size n.
+    """Exact ratios of selected mechanisms over every graph of size n,
+    one row per isomorphism class.
 
-    Lists are parallel, indexed by the iter_out_tuples enumeration
-    order.  runs and left_max_violations are filled only by a sweep with
-    scan_orderings: the orderings scanned one by one, n! per graph, and
-    how many of them missed the maximum indegree from the left (Lemma 3
-    says none).
+    Rows are parallel, in iso_classes order: the class representative's
+    out tuple, its weight (the labelled graphs in the class), and the
+    class's maximum indegree, number of vertices of indegree >= 2 and
+    per-mechanism ratios.
     """
 
-    n: int
-    mechanisms: tuple[str, ...]
-    deltas: list[int] = field(default_factory=list)
-    high2_counts: list[int] = field(default_factory=list)
-    ratios: dict[str, list[Fraction]] = field(default_factory=dict)
-    runs: int = 0
-    left_max_violations: int = 0
+    reps: tuple[tuple[int, ...], ...]
+    weights: tuple[int, ...]
+    deltas: tuple[int, ...]
+    high2_counts: tuple[int, ...]
+    ratios: dict[str, tuple[Fraction, ...]]
+
+    @property
+    def graphs_checked(self) -> int:
+        return sum(self.weights)
 
     def min_ratio(self, mechanism: str) -> tuple[Fraction, int]:
-        """(minimum ratio, index of its first witness)."""
+        """(minimum ratio, index of its first witness class)."""
         values = self.ratios[mechanism]
         best = min(values)
         return best, values.index(best)
 
     def witness(self, index: int) -> NominationGraph:
-        return graph_at(self.n, index)
+        return NominationGraph(self.reps[index])
 
 
 def _counts_ratio(deg: Sequence[int], nums: Sequence[int], den: int, delta: int) -> Fraction:
@@ -257,96 +241,79 @@ def _counts_ratio(deg: Sequence[int], nums: Sequence[int], den: int, delta: int)
     return Fraction(sum(d * c for d, c in zip(deg, nums)), den * delta)
 
 
-def _sweep_range(
-    n: int, mechanisms: tuple[str, ...], scan_orderings: bool, start: int, stop: int
-) -> GraphSweep:
-    result = GraphSweep(n, mechanisms, ratios={m: [] for m in mechanisms})
+def _check_budget(what: str, n: int, work: int) -> None:
+    if work > SWEEP_BUDGET:
+        raise CapacityError(
+            f"{what} at n={n} needs {work} units of work, over the "
+            f"budget of {SWEEP_BUDGET}; reduce n"
+        )
+
+
+def _in_chunks(worker: Callable, items: Sequence, jobs: int, *args) -> list:
+    """worker(*args, chunk) over consecutive chunks of items, in order."""
+    step = max(1, math.ceil(len(items) / (jobs * 4)))
+    chunks = [items[i : i + step] for i in range(0, len(items), step)]
+    if jobs <= 1:
+        return [worker(*args, chunk) for chunk in chunks]
+    with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(worker, *([a] * len(chunks) for a in args), chunks))
+
+
+def _class_rows(mechanisms: tuple[str, ...], reps: Sequence[tuple[int, ...]]) -> list[tuple]:
+    """(delta, vertices of indegree >= 2, *per-mechanism ratios) per graph."""
     paths = [get_mechanism(m).counts for m in mechanisms]
-    columns = [result.ratios[m] for m in mechanisms]
-    # every mechanism is relabelling-invariant, so delta, the number of
-    # vertices of indegree >= 2 and every ratio are properties of the
-    # isomorphism class: build the graph and evaluate it once per class
-    memo: dict[tuple[str, ...], tuple[int, int, tuple[Fraction, ...]]] = {}
-    if scan_orderings:
-        perms, pos = engine.permutation_table(n)
-    for out in itertools.islice(iter_out_tuples(n), start, stop):
-        code = iso_code(out)
-        entry = memo.get(code)
-        if entry is None:
-            g = NominationGraph(out)
-            deg = g.indegrees()
-            delta = max(deg)
-            ratios = tuple(_counts_ratio(deg, *path(g), delta) for path in paths)
-            entry = memo[code] = (delta, sum(d >= 2 for d in deg), ratios)
-        delta, high2, ratios = entry
-        result.deltas.append(delta)
-        result.high2_counts.append(high2)
-        for column, r in zip(columns, ratios):
-            column.append(r)
-        if scan_orderings:
-            out0 = np.array(out, dtype=np.int16) - 1
-            _, final_d, max_left = engine.run_selection(out0, perms, pos)
-            result.runs += perms.shape[0]
-            result.left_max_violations += int((final_d != max_left).sum())
-    return result
+    rows = []
+    for out in reps:
+        g = NominationGraph(out)
+        deg = g.indegrees()
+        delta = max(deg)
+        ratios = [_counts_ratio(deg, *path(g), delta) for path in paths]
+        rows.append((delta, sum(d >= 2 for d in deg), *ratios))
+    return rows
 
 
-def _sweep_worker(args: tuple) -> GraphSweep:
-    return _sweep_range(*args)
-
-
-def sweep_graphs(
-    n: int,
-    mechanisms: Sequence[str] = ("perm",),
-    jobs: int = 1,
-    scan_orderings: bool = False,
-) -> GraphSweep:
+def sweep_graphs(n: int, mechanisms: Sequence[str] = ("perm",), jobs: int = 1) -> GraphSweep:
     """Exact ratios of the given mechanisms over all of the size-n class.
 
-    The ratios, like the deltas and high2_counts, are listed per labelled
-    graph in iter_out_tuples order, but the graph is built and each
-    mechanism runs once per isomorphism class (graphs.iso_code) within
-    one call, or one chunk when jobs > 1; the other graphs of a class
-    only canonicalise their out tuple and reuse the class's entry.
+    Every mechanism is relabelling-invariant, so the sweep evaluates one
+    representative per isomorphism class (graphs.iso_classes, which caps
+    n at CLASS_CAP) and weights it by the labelled graphs in its class;
+    jobs > 1 splits the classes over a process pool.
 
-    With scan_orderings the sweep also runs the candidate scan on each
-    of the n! orderings of every labelled graph, one by one over the
-    engine's ordering table (which caps n), and counts the runs that
-    miss the maximum indegree from the left: the Lemma 3 check.
-
-    The work is charged per labelled graph, n units for canonicalising
-    it plus n! with scan_orderings; a sweep charged more than
-    SWEEP_BUDGET refuses rather than run for hours.  So every mechanism
-    sweeps up to n = 8, and the ordering scan up to n = 6.
+    The work is charged per class: n units, plus n*2^n for each run of
+    the prefix-set DP (perm, and mix above MIX_SMALL_N).  A sweep
+    charged more than SWEEP_BUDGET refuses rather than run for hours,
+    so perm and mix sweep up to n = 11 and the closed forms up to CLASS_CAP.
     """
     mechanisms = tuple(mechanisms)
     for m in mechanisms:
         get_mechanism(m)  # raises InputError on an unknown name
-    count = graph_count(n)
-    work = count * (n + scan_orderings * math.factorial(n))
-    if work > SWEEP_BUDGET:
-        raise CapacityError(
-            f"sweep at n={n} needs {work} units of work, over the "
-            f"budget of {SWEEP_BUDGET}; reduce n"
-        )
-    if jobs <= 1:
-        return _sweep_range(n, mechanisms, scan_orderings, 0, count)
+    reps, weights = zip(*iso_classes(n))
+    dp_runs = mechanisms.count("perm") + (n > MIX_SMALL_N) * mechanisms.count("mix")
+    _check_budget("sweep", n, len(reps) * (n + dp_runs * n * 2**n))
+    parts = _in_chunks(_class_rows, reps, jobs, mechanisms)
+    deltas, high2s, *columns = zip(*(row for part in parts for row in part))
+    return GraphSweep(reps, weights, deltas, high2s, dict(zip(mechanisms, columns)))
 
-    chunk = max(1, math.ceil(count / (jobs * 4)))
-    tasks = [
-        (n, mechanisms, scan_orderings, start, min(start + chunk, count))
-        for start in range(0, count, chunk)
-    ]
-    merged = GraphSweep(n, mechanisms, ratios={m: [] for m in mechanisms})
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_sweep_worker, tasks):
-            merged.deltas.extend(part.deltas)
-            merged.high2_counts.extend(part.high2_counts)
-            for m in mechanisms:
-                merged.ratios[m].extend(part.ratios[m])
-            merged.runs += part.runs
-            merged.left_max_violations += part.left_max_violations
-    return merged
+
+def _scan_range(n: int, outs: Sequence[tuple[int, ...]]) -> tuple[int, int]:
+    perms, pos = engine.permutation_table(n)
+    runs = (engine.run_selection(np.array(out, dtype=np.int16) - 1, perms, pos) for out in outs)
+    violations = sum(int((final_d != max_left).sum()) for _, final_d, max_left in runs)
+    return len(outs) * perms.shape[0], violations
+
+
+def scan_orderings(n: int, jobs: int = 1) -> tuple[int, int, int]:
+    """The Lemma 3 check: (graphs, runs, violations) of the candidate
+    scan run on each of the n! orderings of every labelled graph of size
+    n, one by one, counting the runs that miss the maximum indegree from
+    the left (Lemma 3 says none).  Charged n! units per graph, so it
+    runs up to n = 6; jobs > 1 splits the graphs over a process pool.
+    """
+    count = graph_count(n)
+    _check_budget("ordering scan", n, count * math.factorial(n))
+    parts = _in_chunks(_scan_range, list(iter_out_tuples(n)), jobs, n)
+    return count, sum(r for r, _ in parts), sum(v for _, v in parts)
 
 
 @dataclass(frozen=True)
@@ -360,10 +327,11 @@ class WorstCaseReport:
 
 def worst_case(mechanism: str, n: int, jobs: int = 1) -> WorstCaseReport:
     """Exact minimum ratio over every graph of size n, with a witness
-    (the first attaining graph in enumeration order)."""
+    (the representative of the first attaining class in iso_classes
+    order)."""
     sweep = sweep_graphs(n, (mechanism,), jobs=jobs)
     best, idx = sweep.min_ratio(mechanism)
-    return WorstCaseReport(mechanism, n, best, sweep.witness(idx), graph_count(n))
+    return WorstCaseReport(mechanism, n, best, sweep.witness(idx), sweep.graphs_checked)
 
 
 # ---------------------------------------------------------------------------
@@ -451,45 +419,6 @@ def check_impartial(
 
 
 # ---------------------------------------------------------------------------
-# Symmetrization
-
-def symmetrize(mechanism: str | Mechanism, g: NominationGraph) -> SelectionDistribution:
-    """Relabel-average of a mechanism: rename vertices by every
-    permutation, evaluate, and map each result back.  The output is
-    invariant under relabelling whatever the input mechanism does."""
-    mech = get_mechanism(mechanism) if isinstance(mechanism, str) else mechanism
-    n = g.n
-    if n > SYMMETRIZE_CAP:
-        raise CapacityError(
-            f"symmetrize runs {n}! relabelled evaluations and is capped at "
-            f"n <= {SYMMETRIZE_CAP}"
-        )
-    dist = _exact_lookup(mech)
-    acc = [Fraction(0)] * n
-    for seq in itertools.permutations(range(1, n + 1)):
-        pi = Permutation(seq)
-        probs = dist(g.relabel(pi).out)
-        for v in range(1, n + 1):
-            acc[v - 1] += probs[pi.image_of(v) - 1]
-    nfact = math.factorial(n)
-    return SelectionDistribution(tuple(a / nfact for a in acc))
-
-
-class SymmetryError(Exception):
-    """A mechanism failed the relabelling-invariance precondition."""
-
-    def __init__(self, mechanism: str, graph: NominationGraph, relabelling: Permutation, vertex: int):
-        self.mechanism = mechanism
-        self.graph = graph
-        self.relabelling = relabelling
-        self.vertex = vertex
-        super().__init__(
-            f"{mechanism} is not symmetric: on graph {graph.out} relabelled by "
-            f"{relabelling.seq}, vertex {vertex} changes probability"
-        )
-
-
-# ---------------------------------------------------------------------------
 # Left-indegree correlation check
 
 def correlation_example_graph() -> NominationGraph:
@@ -570,6 +499,20 @@ def verify_negative_correlation(g: AnyGraph) -> CorrelationReport:
 
 # ---------------------------------------------------------------------------
 # Upper-bound constraint chain
+
+class SymmetryError(Exception):
+    """A mechanism failed the relabelling-invariance precondition."""
+
+    def __init__(self, mechanism: str, graph: NominationGraph, relabelling: Permutation, vertex: int):
+        self.mechanism = mechanism
+        self.graph = graph
+        self.relabelling = relabelling
+        self.vertex = vertex
+        super().__init__(
+            f"{mechanism} is not symmetric: on graph {graph.out} relabelled by "
+            f"{relabelling.seq}, vertex {vertex} changes probability"
+        )
+
 
 @dataclass(frozen=True)
 class UbChainReport:

@@ -8,7 +8,8 @@ minimum-ratio search).
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error
 (including numbers rejected at parse time and unreadable graph files),
 3 an exact computation exceeded its cap: the n <= 16 prefix-set DP
-behind perm and mix, or the work budget of an exhaustive sweep or check,
+behind perm and mix, the n <= 12 isomorphism-class generator, or the
+work budget of an exhaustive sweep or check,
 4 an internal error: an unexpected exception, reported on stderr as
 "internal error: ..." with its traceback.  Outputs
 embed the full run configuration and carry no timestamps, so identical
@@ -195,7 +196,7 @@ def _verify_impartial(args: argparse.Namespace, payload: dict) -> bool:
 
 
 def _below_floor(sweep: analysis.GraphSweep, mech: str, floor) -> list[int]:
-    """Indices of the sweep's graphs whose mech ratio falls below
+    """Indices of the sweep's classes whose mech ratio falls below
     floor(delta, high2)."""
     rows = zip(sweep.ratios[mech], sweep.deltas, sweep.high2_counts)
     return [i for i, (r, d, h) in enumerate(rows) if r < floor(d, h)]
@@ -215,21 +216,22 @@ def _verify_bounds(args: argparse.Namespace, payload: dict) -> bool:
         payload["witness"] = graph_to_text(sweep.witness(idx))
         return best == target
     if mech == "perm":
-        sweep = analysis.sweep_graphs(n, ("perm",), jobs=args.jobs, scan_orderings=True)
+        _, runs, violations = analysis.scan_orderings(n, jobs=args.jobs)
+        sweep = analysis.sweep_graphs(n, ("perm",), jobs=args.jobs)
         bad = _below_floor(sweep, "perm", analysis.perm_floor)
         best, _ = sweep.min_ratio("perm")
         payload["min_ratio"] = _frac(best)
-        payload["orderings_run"] = sweep.runs
-        payload["left_max_violations"] = sweep.left_max_violations
+        payload["orderings_run"] = runs
+        payload["left_max_violations"] = violations
         if bad:
             payload["counterexample"] = graph_to_text(sweep.witness(bad[0]))
-        return not bad and sweep.left_max_violations == 0
+        return not bad and violations == 0
     if mech == "prugd":
         if n < 6:
             raise InputError("the prugd floors hold for n >= 6")
         sweep = analysis.sweep_graphs(n, ("prugd",), jobs=args.jobs)
         bad = _below_floor(sweep, "prugd", analysis.prugd_floor)
-        payload["graphs_checked"] = len(sweep.deltas)
+        payload["graphs_checked"] = sweep.graphs_checked
         if bad:
             payload["counterexample"] = graph_to_text(sweep.witness(bad[0]))
         return not bad
@@ -319,11 +321,11 @@ def _verify_tightness(args: argparse.Namespace, payload: dict) -> bool:
 
 
 def _verify_lemma3(args: argparse.Namespace, payload: dict) -> bool:
-    sweep = analysis.sweep_graphs(args.n, (), jobs=args.jobs, scan_orderings=True)
-    payload["graphs_checked"] = len(sweep.deltas)
-    payload["orderings_run"] = sweep.runs
-    payload["left_max_violations"] = sweep.left_max_violations
-    return sweep.left_max_violations == 0
+    graphs, runs, violations = analysis.scan_orderings(args.n, jobs=args.jobs)
+    payload["graphs_checked"] = graphs
+    payload["orderings_run"] = runs
+    payload["left_max_violations"] = violations
+    return violations == 0
 
 
 _VERIFY_CHECKS = {
@@ -413,6 +415,9 @@ def _positive_int_list(text: str) -> str:
 _positive_int_list.__name__ = "int list"  # as in "invalid int list value"
 
 
+_JOBS_HELP = "worker processes: sweeps split their isomorphism classes, the Lemma 3 scan its graphs"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="impartial",
@@ -446,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", type=_int_at_least(0), default=200, help="random graphs for correlation")
     p.add_argument("--delta", type=int, default=2)
     p.add_argument("--nprimes", type=_positive_int_list, default="1,2,3", help="comma list for tightness")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help=_JOBS_HELP)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("figure3", help="per-delta guarantee table")
@@ -457,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("worst-case", help="exhaustive minimum ratio with witness")
     p.add_argument("--mech", required=True, choices=sorted(MECHANISMS))
     p.add_argument("--n", type=_int_at_least(2), required=True)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help=_JOBS_HELP)
     p.set_defaults(func=_cmd_worst_case)
 
     return parser

@@ -5,7 +5,8 @@ outgoing edge per vertex and no self-loops; it is what remains after a
 vertex's outgoing edge is removed.  A (total) nomination graph is a
 partial graph with every edge present, so NominationGraph subclasses
 PartialNominationGraph and only tightens its validation.  iso_code
-names a total graph's isomorphism class.
+names a total graph's isomorphism class, and iso_classes lists the
+classes of a size with a representative of each.
 
 All types are immutable values and all operations are pure, so instances
 can be shared freely across parallel workers.  Vertices are 1-based
@@ -13,10 +14,16 @@ everywhere, including the serialized text form.
 """
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from functools import cache, cached_property
+from typing import Iterable, Iterator, Optional, Sequence
+
+# Largest n that iso_classes generates: 18 264 classes in about 2 s
+# at n = 12, and each further vertex roughly triples both.
+CLASS_CAP = 12
 
 
 class InputError(ValueError):
@@ -189,6 +196,49 @@ def iso_code(out: Sequence[int]) -> tuple[str, ...]:
         if ring:
             cycles.append("".join(min(ring[i:] + ring[:i] for i in range(len(ring)))))
     return tuple(sorted(cycles))
+
+
+def _cycle_types(n: int, least: int = 2) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into nondecreasing parts of at least least."""
+    if n == 0:
+        yield ()
+    for k in range(least, n + 1):
+        for rest in _cycle_types(n - k, k):
+            yield (k,) + rest
+
+
+@cache
+def iso_classes(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(representative out tuple, orbit size) per isomorphism class of
+    total graphs on n <= CLASS_CAP vertices; the orbits sum to (n-1)^n.
+
+    A class with no leaf (a vertex nobody nominates) is one union of
+    cycles per partition of n into parts >= 2, of orbit n!/prod(k^m m!).
+    Every other class is a class at n-1 plus a leaf n, deduplicated by
+    iso_code; counting (graph, leaf) pairs both ways gives its orbit: n
+    times the orbits of the n-1 graphs leading into it, over its leaves.
+    """
+    if n < 2:
+        raise InputError(f"need at least 2 vertices, got {n}")
+    if n > CLASS_CAP:
+        raise CapacityError(
+            f"isomorphism classes are generated up to n <= {CLASS_CAP}, got n={n}"
+        )
+    classes = []
+    for parts in _cycle_types(n):
+        out: list[int] = []
+        for k in parts:
+            out += [len(out) + (i + 1) % k + 1 for i in range(k)]
+        symmetries = math.prod(k**m * math.factorial(m) for k, m in Counter(parts).items())
+        classes.append((tuple(out), math.factorial(n) // symmetries))
+    grown: dict[tuple[str, ...], list] = {}
+    for out, orbit in iso_classes(n - 1) if n > 2 else ():
+        for t in range(1, n):
+            entry = grown.setdefault(iso_code(out + (t,)), [out + (t,), 0])
+            entry[1] += orbit
+    for out, orbits in grown.values():
+        classes.append((out, n * orbits // (n - len(set(out)))))
+    return tuple(classes)
 
 
 @dataclass(frozen=True)

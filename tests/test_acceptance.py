@@ -18,6 +18,7 @@ from impartial.analysis import (
     check_impartial,
     correlation_example_graph,
     perm_alpha,
+    scan_orderings,
     sweep_graphs,
     tightness_scan,
     upper_bound,
@@ -39,12 +40,12 @@ def note(num, msg):
 
 @pytest.fixture(scope="session")
 def small_sweeps():
-    return {n: sweep_graphs(n, ("perm", "rd", "mix"), scan_orderings=True) for n in (2, 3, 4, 5)}
+    return {n: sweep_graphs(n, ("perm", "rd", "mix")) for n in (2, 3, 4, 5)}
 
 
 @pytest.fixture(scope="session")
 def sweep6():
-    return sweep_graphs(6, ("perm", "prugd", "mix"), scan_orderings=True)
+    return sweep_graphs(6, ("perm", "prugd", "mix"))
 
 
 def test_criterion_01_impartiality_exhaustive():
@@ -60,7 +61,7 @@ def test_criterion_02_perm_floor_on_g6(sweep6):
     floors = {d: perm_alpha(d) for d in range(1, 6)}
     for r, d in zip(sweep6.ratios["perm"], sweep6.deltas):
         assert r >= floors[d]
-    assert len(sweep6.deltas) == 5**6
+    assert sweep6.graphs_checked == 5**6
     note(2, "perm ratio >= alpha(max indegree) on all 15625 graphs at n=6, exact")
 
 
@@ -184,11 +185,10 @@ def test_criterion_09b_chain_rejects_prugd():
     )
 
 
-def test_criterion_10_left_max_invariant(small_sweeps, sweep6):
-    runs = sweep6.runs + sum(sw.runs for sw in small_sweeps.values())
-    violations = sweep6.left_max_violations + sum(
-        sw.left_max_violations for sw in small_sweeps.values()
-    )
+def test_criterion_10_left_max_invariant():
+    scans = [scan_orderings(n) for n in (2, 3, 4, 5, 6)]
+    runs = sum(r for _, r, _ in scans)
+    violations = sum(v for _, _, v in scans)
     assert runs >= 10_000_000
     assert violations == 0
     note(10, f"{runs} scan runs, zero missed the maximum left indegree")

@@ -15,7 +15,6 @@ from impartial.analysis import (
     check_impartial,
     correlation_example_graph,
     frac_decimal,
-    graph_at,
     graph_count,
     guarantee_rows,
     mix_high_delta_branch,
@@ -24,8 +23,8 @@ from impartial.analysis import (
     prugd_alpha,
     prugd_floor,
     ratio,
+    scan_orderings,
     sweep_graphs,
-    symmetrize,
     tightness_scan,
     upper_bound,
     verify_negative_correlation,
@@ -39,7 +38,7 @@ from impartial.generators import (
     ub_family,
     ub_family_prime,
 )
-from impartial.graphs import CapacityError, InputError, NominationGraph
+from impartial.graphs import CapacityError, InputError, NominationGraph, iso_code
 from impartial.mechanisms import MECHANISMS, Mechanism
 from impartial.rng import SeedStream
 
@@ -150,10 +149,9 @@ def test_ratio_prime_member_equals_half_x_plus_one():
 # ---------------------------------------------------------------------------
 # sweeps and worst case
 
-def test_graph_at_matches_enumeration():
-    n = 4
-    for idx, out in enumerate(analysis.iter_out_tuples(n)):
-        assert graph_at(n, idx).out == out
+def test_graph_count_matches_enumeration():
+    for n in range(2, 6):
+        assert sum(1 for _ in analysis.iter_out_tuples(n)) == graph_count(n)
     assert graph_count(4) == 81
 
 
@@ -167,28 +165,43 @@ def test_worst_case_rd_small_n():
 
 def test_worst_case_perm_small_n():
     for n in (4, 5):
-        sweep = sweep_graphs(n, ("perm",), scan_orderings=True)
-        assert sweep.runs == graph_count(n) * math.factorial(n)
-        assert sweep.left_max_violations == 0
+        assert scan_orderings(n) == (graph_count(n), graph_count(n) * math.factorial(n), 0)
+        sweep = sweep_graphs(n, ("perm",))
         for r, d in zip(sweep.ratios["perm"], sweep.deltas):
             assert r >= perm_alpha(d)
         assert min(sweep.ratios["perm"]) >= Fraction(2, 3)
 
 
+def _assert_pinned_worst_cases(n, pinned):
+    sweep = sweep_graphs(n, tuple(pinned))
+    assert sweep.graphs_checked == graph_count(n)
+    for m, (value, witness) in pinned.items():
+        best, idx = sweep.min_ratio(m)
+        assert (best, sweep.reps[idx]) == (value, witness), m
+        # the witness is a class representative that attains the minimum
+        assert ratio(m, sweep.witness(idx)).ratio == value, m
+
+
 def test_worst_case_perm_n7_pinned():
-    # one sweep pins every mechanism's n = 7 worst case and first witness
-    sweep = sweep_graphs(7, tuple(MECHANISMS))
-    assert len(sweep.deltas) == 6**7
-    pinned = {
+    # one sweep pins every mechanism's n = 7 worst case and witness
+    _assert_pinned_worst_cases(7, {
         "perm": (Fraction(563, 840), (2, 3, 4, 1, 1, 5, 6)),
         "mix": (Fraction(594599, 881160), (2, 3, 4, 5, 1, 1, 6)),
         "prugd": (Fraction(19, 28), (2, 1, 1, 3, 4, 4, 4)),
-        "rd": (Fraction(13, 21), (2, 1, 1, 1, 3, 4, 5)),
-        "prug": (Fraction(1, 2), (2, 1, 1, 1, 3, 5, 5)),
-    }
-    for m, (value, witness) in pinned.items():
-        best, idx = sweep.min_ratio(m)
-        assert (best, sweep.witness(idx).out) == (value, witness), m
+        "rd": (Fraction(13, 21), (2, 1, 4, 5, 3, 1, 1)),
+        "prug": (Fraction(1, 2), (2, 1, 4, 5, 3, 1, 3)),
+    })
+
+
+def test_worst_cases_n8_and_perm_n9_pinned():
+    _assert_pinned_worst_cases(8, {
+        "perm": (Fraction(6731, 10080), (2, 3, 4, 5, 1, 1, 6, 7)),
+        "mix": (Fraction(475261, 704928), (2, 3, 4, 5, 1, 1, 6, 7)),
+        "prugd": (Fraction(95, 144), (2, 1, 4, 3, 1, 1, 3, 4)),
+        "rd": (Fraction(7, 12), (2, 1, 4, 3, 6, 5, 1, 1)),
+        "prug": (Fraction(1, 2), (2, 1, 4, 3, 6, 5, 1, 3)),
+    })
+    _assert_pinned_worst_cases(9, {"perm": (Fraction(30251, 45360), (2, 3, 4, 5, 1, 1, 6, 7, 8))})
 
 
 def test_sweep_runs_the_dp_once_per_class(monkeypatch):
@@ -231,44 +244,48 @@ def test_sweep_perm_floor_with_many_top_vertices():
     for n in (4, 5):
         sweep = sweep_graphs(n, ("perm",))
         for i, (r, d) in enumerate(zip(sweep.ratios["perm"], sweep.deltas)):
-            k = graph_at(n, i).indegrees().count(d)
+            k = sweep.witness(i).indegrees().count(d)
             assert r >= Fraction(k, k + 1)
 
 
 def test_sweep_parallel_matches_serial():
-    serial = sweep_graphs(4, ("perm", "rd"), jobs=1, scan_orderings=True)
-    parallel = sweep_graphs(4, ("perm", "rd"), jobs=2, scan_orderings=True)
-    assert serial.ratios == parallel.ratios
-    assert serial.deltas == parallel.deltas
-    assert serial.runs == parallel.runs
+    serial = sweep_graphs(6, ("perm", "rd"), jobs=1)
+    parallel = sweep_graphs(6, ("perm", "rd"), jobs=2)
+    assert serial == parallel
+    assert scan_orderings(4, jobs=1) == scan_orderings(4, jobs=2)
 
 
 def test_sweep_budget_guard(monkeypatch):
-    # a sweep is charged n units per labelled graph, whatever the
-    # mechanisms, plus n! per graph when it scans every ordering
+    # a sweep is charged per class: n units, plus n * 2^n for each run
+    # of the prefix-set DP (perm, and mix above n = 5); the ordering
+    # scan is charged n! per labelled graph
     assert analysis.SWEEP_BUDGET == 300_000_000
-    with pytest.raises(CapacityError, match="needs 1207959552 units") as refusal:
-        sweep_graphs(9, ("prugd",))
-    assert "budget_rows" not in str(refusal.value)
-    with pytest.raises(CapacityError, match="needs 1412836992 units"):
-        sweep_graphs(7, ("perm",), scan_orderings=True)
-    # the n = 8 charge, read from a refusal one unit short of it, fits
-    # the default budget for every mechanism
-    charge8 = 7**8 * 8
-    assert charge8 <= analysis.SWEEP_BUDGET
-    monkeypatch.setattr(analysis, "SWEEP_BUDGET", charge8 - 1)
-    for mechs in ((), ("prug",), tuple(MECHANISMS)):
-        with pytest.raises(CapacityError, match=f"needs {charge8} units"):
-            sweep_graphs(8, mechs)
+    charge11 = 6389 * (11 + 11 * 2**11)
+    assert charge11 <= analysis.SWEEP_BUDGET
+    with pytest.raises(CapacityError, match=f"needs {18264 * (12 + 12 * 2**12)} units"):
+        sweep_graphs(12, ("perm",))
+    with pytest.raises(CapacityError, match=f"needs {6**7 * math.factorial(7)} units"):
+        scan_orderings(7)
+    with pytest.raises(CapacityError, match="n <= 12"):
+        sweep_graphs(30, ("rd",))
+    # mix runs the DP only above n = 5, the closed forms never
+    monkeypatch.setattr(analysis, "SWEEP_BUDGET", 0)
+    for n, mechs, charge in ((5, ("mix", "rd", "prug", "prugd"), 13 * 5),
+                             (6, ("mix",), 40 * (6 + 6 * 64)),
+                             (6, ("perm", "mix"), 40 * (6 + 2 * 6 * 64))):
+        with pytest.raises(CapacityError, match=f"needs {charge} units"):
+            sweep_graphs(n, mechs)
     # the budget is inclusive: a sweep charged exactly the budget runs
-    monkeypatch.setattr(analysis, "SWEEP_BUDGET", graph_count(4) * (4 + 24))
-    assert sweep_graphs(4, ("perm",), scan_orderings=True).runs == graph_count(4) * 24
+    monkeypatch.setattr(analysis, "SWEEP_BUDGET", 40 * (6 + 6 * 64))
+    assert sweep_graphs(6, ("perm",)).graphs_checked == 5**6
+    monkeypatch.setattr(analysis, "SWEEP_BUDGET", graph_count(4) * 24)
+    assert scan_orderings(4)[1] == graph_count(4) * 24
     with pytest.raises(CapacityError):
-        sweep_graphs(5, ("perm",))
+        sweep_graphs(7, ("perm",))
 
 
 def test_sweep_sums_pinned_to_enumerator():
-    # sums of every graph's ratio, as computed by the n! enumerator
+    # sums of every labelled graph's ratio, as computed by the n! enumerator
     expected = {
         5: {"prug": Fraction(2955, 4), "prugd": Fraction(3145, 4), "mix": Fraction(809)},
         6: {
@@ -279,25 +296,26 @@ def test_sweep_sums_pinned_to_enumerator():
     }
     for n, sums in expected.items():
         sweep = sweep_graphs(n, ("prug", "prugd", "mix"))
-        assert {m: sum(sweep.ratios[m]) for m in sums} == sums
-        assert sweep.runs == 0
+        weighted = {m: sum(w * r for w, r in zip(sweep.weights, sweep.ratios[m])) for m in sums}
+        assert weighted == sums
 
 
 def test_sweep_ratios_equal_mechanism_ratios():
-    # the sweep builds and evaluates one graph per isomorphism class;
-    # every labelled graph's delta, count of vertices of indegree >= 2
-    # and ratios must still equal those of its own indegrees and its own
-    # uncached evaluation
+    # the sweep evaluates one representative per isomorphism class; every
+    # labelled graph's delta, count of vertices of indegree >= 2 and
+    # ratios must equal its class row, from its own indegrees and its
+    # own uncached evaluation
     mechs = ("perm", "rd", "prug", "prugd", "mix")
     for n in range(2, 6):
         sweep = sweep_graphs(n, mechs)
-        for idx in range(graph_count(n)):
-            g = graph_at(n, idx)
+        row = {iso_code(out): i for i, out in enumerate(sweep.reps)}
+        for out in analysis.iter_out_tuples(n):
+            g, i = NominationGraph(out), row[iso_code(out)]
             deg = g.indegrees()
-            assert sweep.deltas[idx] == max(deg), g.out
-            assert sweep.high2_counts[idx] == sum(d >= 2 for d in deg), g.out
+            assert sweep.deltas[i] == max(deg), out
+            assert sweep.high2_counts[i] == sum(d >= 2 for d in deg), out
             for m in mechs:
-                assert sweep.ratios[m][idx] == ratio(m, g).ratio, (m, g.out)
+                assert sweep.ratios[m][i] == ratio(m, g).ratio, (m, out)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +361,7 @@ def test_check_impartial_rejects_bad_mode():
 
 
 # ---------------------------------------------------------------------------
-# symmetrization
+# relabelling invariance
 
 def test_perm_and_rd_relabel_invariance_exhaustive():
     # exact_dist(relabel(G, pi))[pi(v)] == exact_dist(G)[v] on the whole
@@ -366,42 +384,6 @@ def test_perm_and_rd_relabel_invariance_exhaustive():
                         image[pi.image_of(v) - 1] == base[v - 1]
                         for v in range(1, n + 1)
                     ), (name, out, pi.seq)
-
-
-def test_symmetrize_perm_is_already_symmetric():
-    for g in itertools.islice(
-        (random_graph(4, s) for s in range(40)), 0, None
-    ):
-        assert symmetrize("perm", g).probs == MECHANISMS["perm"].exact(g).probs
-
-
-def test_symmetrize_cycle_uniform():
-    d = symmetrize("prugd", cycle(5))
-    assert d.probs == (Fraction(1, 5),) * 5
-
-
-def test_symmetrize_preserves_total():
-    g = NominationGraph((2, 1, 1, 1, 1))
-    assert symmetrize("prug", g).total == MECHANISMS["prug"].exact(g).total
-
-
-def test_symmetrize_capacity(monkeypatch):
-    with pytest.raises(CapacityError):
-        symmetrize("perm", cycle(7))
-    monkeypatch.setattr(analysis, "SYMMETRIZE_CAP", 7)
-    assert symmetrize("perm", cycle(7)).probs == (Fraction(1, 7),) * 7
-
-
-def test_symmetrize_output_is_relabel_invariant():
-    g = NominationGraph((3, 1, 2, 1))
-    base = symmetrize("prugd", g)
-    from impartial.graphs import Permutation
-
-    for seq in itertools.permutations(range(1, 5)):
-        pi = Permutation(seq)
-        image = symmetrize("prugd", g.relabel(pi))
-        for v in g.vertices:
-            assert image.prob_of(pi.image_of(v)) == base.prob_of(v)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
+import contextlib
 import csv
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from impartial import analysis, engine
 from impartial.cli import main
 from impartial.generators import lower_bound_family, ub_family
 from impartial.graphs import graph_to_text
+from impartial.mechanisms import MECHANISMS
 
 
 def run_cli(capsys, *argv):
@@ -105,9 +110,13 @@ def test_eval_capacity_exit_code(capsys, tmp_path):
 
 
 def test_sweep_capacity_exit_code(capsys):
-    # n = 9 is charged 8^9 * 9 units, and the n = 7 ordering scan 6^7 * (7 + 7!)
-    for argv in (("worst-case", "--mech", "perm", "--n", "9"),
-                 ("verify", "bounds", "--mech", "perm", "--n", "7")):
+    # perm at n = 12 is charged 18264 classes * (12 + 12 * 2^12) units,
+    # the n = 7 ordering scan 6^7 * 7!, and no class is generated past
+    # n = 12
+    for argv in (("worst-case", "--mech", "perm", "--n", "12"),
+                 ("verify", "bounds", "--mech", "perm", "--n", "7"),
+                 ("verify", "lemma3", "--n", "7"),
+                 ("worst-case", "--mech", "rd", "--n", "30")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == "" and "capacity" in err, argv
         assert "budget_rows" not in err
@@ -362,3 +371,84 @@ def test_unknown_mechanism_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--mech", "nope"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: bounded argv, n <= 5, at most 50 draws, block counts <= 3
+
+def _mostly(valid, invalid):
+    """Strings drawn from valid three times as often as from invalid."""
+    return st.sampled_from([str(v) for v in valid] * 3 + [str(v) for v in invalid])
+
+
+_N = _mostly(range(2, 6), (1, -1, "x"))
+_MECH = _mostly(sorted(MECHANISMS), ("nope",))
+_JOBS = _mostly((1,), (0,))
+_SAMPLES = _mostly(range(1, 51, 7), (0, -3))
+_SEED = _mostly(range(3), ("x",))
+_GRAPH_TEXTS = ("3; 2,3,1", "4; 2,1,1,3", "5; 3,5,1,1,2", "5; 2,3,4,5,1", "3; 2,0,1",
+                "2; 2,1", "3; 1,2,3", "3; 2,1", "x", "", "2; 2,1\n2; 2,1")
+_FAMILIES = ("family=cycle n=5", "family=c2n n=4", "family=lb delta=2 nprime=1",
+             "family=lb delta=3 nprime=1", "family=ub n=5 i=1", "family=ub_prime n=5 i=0",
+             "family=random n=5 seed=7", "family=cycle n=1", "family=lb delta=1 nprime=1",
+             "family=nope n=3", "family=cycle", "family=cycle n=x", "n=3", "junk")
+# (flag, values, required); values None marks a switch
+_OPTIONS = {
+    "gen": [("--format", st.sampled_from(["text", "json", "csv"]), False)],
+    "eval": [
+        ("--mech", _MECH, True),
+        ("--samples", _SAMPLES, False),
+        ("--seed", _SEED, False),
+        ("--format", st.sampled_from(["json", "csv"]), False),
+        ("--exact", None, False),
+    ],
+    "verify": [
+        ("--mech", _MECH, False),
+        ("--n", _N, False),
+        ("--mode", st.sampled_from(["exhaustive", "sampled"]), False),
+        ("--seed", _SEED, False),
+        ("--samples", _SAMPLES, False),
+        ("--graphs", _mostly(range(6), (-1,)), False),
+        ("--delta", _mostly(range(2, 5), (-1, 0, 1)), False),
+        ("--nprimes", _mostly(("1", "1,2", "1,2,3", "3"), ("2,1", "0", "1,x", "")), False),
+        ("--jobs", _JOBS, False),
+    ],
+    "figure3": [
+        ("--delta-max", _mostly(range(2, 21, 3), (-1, 1)), False),
+        ("--format", st.sampled_from(["csv", "json"]), False),
+    ],
+    "worst-case": [("--mech", _MECH, True), ("--n", _N, True), ("--jobs", _JOBS, False)],
+}
+_CHECKS = ("impartial", "bounds", "correlation", "ub-chain", "tightness", "lemma3")
+
+
+@st.composite
+def bounded_argv(draw):
+    cmd = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [cmd]
+    if cmd == "gen":
+        argv += draw(st.sampled_from(_FAMILIES)).split()
+    if cmd == "verify":
+        argv.append(draw(_mostly(_CHECKS, ("nope",))))
+    if cmd == "eval":
+        argv += ["--graph", draw(_mostly(["graph.txt"], ["missing.txt"]))]
+    for flag, values, required in _OPTIONS[cmd]:
+        if required or draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(values)]
+    return argv, draw(st.sampled_from(_GRAPH_TEXTS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_argv())
+def test_cli_fuzz_never_exits_internal(case):
+    argv, graph_text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "graph.txt").write_text(graph_text + "\n")
+        argv = [str(Path(tmp) / a) if a.endswith(".txt") else a for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+    assert code in (0, 1, 2, 3), (argv, graph_text, err.getvalue())

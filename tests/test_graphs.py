@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from fractions import Fraction
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from impartial.analysis import iter_out_tuples
 from impartial.generators import cycle, lower_bound_family, two_cycle_path, ub_family
 from impartial.graphs import (
+    CLASS_CAP,
+    CapacityError,
     InputError,
     NominationGraph,
     PartialNominationGraph,
@@ -16,6 +19,7 @@ from impartial.graphs import (
     graph_from_text,
     graph_to_text,
     graphs_from_text,
+    iso_classes,
     iso_code,
 )
 
@@ -303,3 +307,25 @@ def test_iso_code_matches_brute_force_orbits():
         # one code per orbit and one orbit per code
         assert len({c for c, _ in pairs}) == len({m for _, m in pairs}) == len(pairs)
 
+
+
+def test_iso_classes_counts_and_weights():
+    # OEIS A001373 for n = 2..12; the orbits partition all (n-1)^n graphs
+    counts = [1, 2, 6, 13, 40, 100, 291, 797, 2273, 6389, 18264]
+    for n, count in zip(range(2, CLASS_CAP + 1), counts):
+        classes = iso_classes(n)
+        assert len(classes) == count, n
+        assert sum(w for _, w in classes) == (n - 1) ** n, n
+    with pytest.raises(CapacityError):
+        iso_classes(CLASS_CAP + 1)
+    with pytest.raises(InputError):
+        iso_classes(1)
+
+
+def test_iso_classes_match_labelled_enumeration():
+    for n in range(2, 7):
+        labelled = Counter(iso_code(out) for out in iter_out_tuples(n))
+        classes = iso_classes(n)
+        generated = {iso_code(NominationGraph(out).out): w for out, w in classes}
+        assert len(generated) == len(classes), n  # one representative per class
+        assert generated == dict(labelled), n  # and its orbit size
