@@ -1,13 +1,12 @@
 """Guarantee formulas, performance ratios, and verification sweeps.
 
 Everything numeric here is an exact rational unless explicitly labelled
-as a Monte Carlo estimate.  The sweeps cover the full graph class for
-a given n (all (n-1)^n target assignments), so zero-tolerance
+as a Monte Carlo estimate.  The exhaustive checks cover the full graph
+class for a given n (all (n-1)^n target assignments), so zero-tolerance
 comparisons against the closed-form guarantees are meaningful.  Every
-mechanism is relabelling-invariant, so a sweep evaluates one generated
-representative per isomorphism class and weights it by the number of
-labelled graphs in the class.  The Lemma 3 check, which is about single
-orderings, still scans every ordering of every labelled graph.
+mechanism and the Lemma 3 scan commute with relabelling, so the sweeps,
+exhaustive impartiality and the scan walk one representative per
+isomorphism class, weighted by the labelled graphs in its class.
 """
 from __future__ import annotations
 
@@ -15,10 +14,11 @@ import functools
 import itertools
 import math
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -53,10 +53,9 @@ MIX_GUARANTEE = Fraction(2105, 3147)
 PRUGD_DELTA2_GUARANTEE = Fraction(65, 96)
 PRUGD_DELTA3_SINGLE_HIGH_GUARANTEE = Fraction(13, 18)
 
-# Work budget of sweep_graphs and scan_orderings, in the units they charge.
+# Work budget of every walk of the isomorphism classes (sweep_graphs,
+# scan_orderings and exhaustive check_impartial), in the units they charge.
 SWEEP_BUDGET = 300_000_000
-# Most graphs an exhaustive impartiality check visits: n <= 6.
-IMPARTIAL_BUDGET = 20_000
 # Seeded relabellings per family graph in the ceiling chain's symmetry
 # precheck above n = 6.
 CHAIN_RELABELLINGS = 200
@@ -195,16 +194,6 @@ def _exact_lookup(mech: Mechanism) -> Callable[[tuple[int, ...]], tuple[Fraction
 # ---------------------------------------------------------------------------
 # Exhaustive graph-space sweeps
 
-def iter_out_tuples(n: int) -> Iterator[tuple[int, ...]]:
-    """All (n-1)^n target assignments, lexicographically."""
-    choices = [[t for t in range(1, n + 1) if t != v] for v in range(1, n + 1)]
-    return itertools.product(*choices)
-
-
-def graph_count(n: int) -> int:
-    return (n - 1) ** n
-
-
 @dataclass(frozen=True)
 class GraphSweep:
     """Exact ratios of selected mechanisms over every graph of size n,
@@ -241,21 +230,37 @@ def _counts_ratio(deg: Sequence[int], nums: Sequence[int], den: int, delta: int)
     return Fraction(sum(d * c for d, c in zip(deg, nums)), den * delta)
 
 
-def _check_budget(what: str, n: int, work: int) -> None:
+def _graph_units(n: int, mechanisms: tuple[str, ...]) -> int:
+    """Work units charged for evaluating the named mechanisms on one
+    graph: n, plus n*2^n for each run of the prefix-set DP (perm, and
+    mix above MIX_SMALL_N)."""
+    dp_runs = mechanisms.count("perm") + (n > MIX_SMALL_N) * mechanisms.count("mix")
+    return n + dp_runs * n * 2**n
+
+
+def _class_walk(what: str, n: int, per_class: int) -> tuple[tuple, tuple[int, ...]]:
+    """(representatives, weights) of the isomorphism classes of size n,
+    for a walk charged per_class units per class; a walk charged more
+    than SWEEP_BUDGET raises CapacityError rather than run for hours."""
+    reps, weights = zip(*iso_classes(n))
+    work = len(reps) * per_class
     if work > SWEEP_BUDGET:
         raise CapacityError(
             f"{what} at n={n} needs {work} units of work, over the "
             f"budget of {SWEEP_BUDGET}; reduce n"
         )
+    return reps, weights
 
 
 def _in_chunks(worker: Callable, items: Sequence, jobs: int, *args) -> list:
-    """worker(*args, chunk) over consecutive chunks of items, in order."""
+    """worker(*args, chunk) over consecutive chunks of items, in order,
+    on a pool of at most jobs, chunk-count and CPU-count processes."""
     step = max(1, math.ceil(len(items) / (jobs * 4)))
     chunks = [items[i : i + step] for i in range(0, len(items), step)]
-    if jobs <= 1:
+    workers = min(jobs, len(chunks), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(*args, chunk) for chunk in chunks]
-    with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(worker, *([a] * len(chunks) for a in args), chunks))
 
 
@@ -280,40 +285,43 @@ def sweep_graphs(n: int, mechanisms: Sequence[str] = ("perm",), jobs: int = 1) -
     n at CLASS_CAP) and weights it by the labelled graphs in its class;
     jobs > 1 splits the classes over a process pool.
 
-    The work is charged per class: n units, plus n*2^n for each run of
-    the prefix-set DP (perm, and mix above MIX_SMALL_N).  A sweep
-    charged more than SWEEP_BUDGET refuses rather than run for hours,
-    so perm and mix sweep up to n = 11 and the closed forms up to CLASS_CAP.
+    Each class is charged _graph_units against SWEEP_BUDGET, so perm and
+    mix sweep up to n = 11 and the closed forms up to CLASS_CAP.
     """
     mechanisms = tuple(mechanisms)
     for m in mechanisms:
         get_mechanism(m)  # raises InputError on an unknown name
-    reps, weights = zip(*iso_classes(n))
-    dp_runs = mechanisms.count("perm") + (n > MIX_SMALL_N) * mechanisms.count("mix")
-    _check_budget("sweep", n, len(reps) * (n + dp_runs * n * 2**n))
+    reps, weights = _class_walk("sweep", n, _graph_units(n, mechanisms))
     parts = _in_chunks(_class_rows, reps, jobs, mechanisms)
     deltas, high2s, *columns = zip(*(row for part in parts for row in part))
     return GraphSweep(reps, weights, deltas, high2s, dict(zip(mechanisms, columns)))
 
 
-def _scan_range(n: int, outs: Sequence[tuple[int, ...]]) -> tuple[int, int]:
+def _scan_range(n: int, outs: Sequence[tuple[int, ...]]) -> list[int]:
+    """Per graph, the orderings on which the candidate scan misses the
+    maximum indegree from the left."""
     perms, pos = engine.permutation_table(n)
     runs = (engine.run_selection(np.array(out, dtype=np.int16) - 1, perms, pos) for out in outs)
-    violations = sum(int((final_d != max_left).sum()) for _, final_d, max_left in runs)
-    return len(outs) * perms.shape[0], violations
+    return [int((final_d != max_left).sum()) for _, final_d, max_left in runs]
 
 
 def scan_orderings(n: int, jobs: int = 1) -> tuple[int, int, int]:
     """The Lemma 3 check: (graphs, runs, violations) of the candidate
-    scan run on each of the n! orderings of every labelled graph of size
-    n, one by one, counting the runs that miss the maximum indegree from
-    the left (Lemma 3 says none).  Charged n! units per graph, so it
-    runs up to n = 6; jobs > 1 splits the graphs over a process pool.
+    scan run on each of the n! orderings of every graph of size n, one
+    by one, counting the runs that miss the maximum indegree from the
+    left (Lemma 3 says none).
+
+    A relabelling maps a graph's orderings one to one onto its image's
+    and commutes with the scan, so the scan runs on each class
+    representative and weights its counts by the class's labelled
+    graphs.  Charged n! units per class, so it runs up to n = 9; jobs > 1
+    splits the classes over a process pool.
     """
-    count = graph_count(n)
-    _check_budget("ordering scan", n, count * math.factorial(n))
-    parts = _in_chunks(_scan_range, list(iter_out_tuples(n)), jobs, n)
-    return count, sum(r for r, _ in parts), sum(v for _, v in parts)
+    nfact = math.factorial(n)
+    reps, weights = _class_walk("ordering scan", n, nfact)
+    violations = [v for part in _in_chunks(_scan_range, reps, jobs, n) for v in part]
+    graphs = sum(weights)
+    return graphs, graphs * nfact, sum(w * v for w, v in zip(weights, violations))
 
 
 @dataclass(frozen=True)
@@ -348,9 +356,6 @@ class DeviationWitness:
 
 @dataclass(frozen=True)
 class ImpartialityReport:
-    mechanism: str
-    n: int
-    mode: str
     graphs_checked: int
     deviations_checked: int
     counterexample: Optional[DeviationWitness]
@@ -368,54 +373,44 @@ def check_impartial(
     samples: int = 200,
 ) -> ImpartialityReport:
     """Check that redirecting one vertex's nomination never changes that
-    vertex's own exact selection probability.
+    vertex's own exact selection probability; stops at the first
+    counterexample.
 
-    Exhaustive mode covers every graph of size n and every single-vertex
-    deviation; sampled mode draws seeded random graphs and checks every
-    deviation of each.  Stops at the first counterexample.  Any Mechanism
-    can be checked, including one built outside the registry as a
-    negative control.
+    Exhaustive mode covers every graph of size n and every deviation.  It
+    assumes relabelling invariance, which every registry mechanism has:
+    then each labelled (graph, vertex, new target) is a relabelling of one
+    on a class representative, so it checks the representatives and
+    counts each class's weight per graph and per deviation.  A class is
+    charged its (n-1)^2 evaluations against SWEEP_BUDGET, so perm and mix
+    run up to n = 9.  For any other mechanism use mode="sampled", which
+    checks every deviation of seeded random graphs.
     """
     mech = get_mechanism(mechanism) if isinstance(mechanism, str) else mechanism
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"mode must be exhaustive or sampled, got {mode!r}")
-    if mode == "exhaustive" and graph_count(n) > IMPARTIAL_BUDGET:
-        raise CapacityError(
-            f"exhaustive impartiality at n={n} means {graph_count(n)} graphs, "
-            f"over the budget of {IMPARTIAL_BUDGET}; use mode='sampled'"
-        )
-
-    dist = _exact_lookup(mech)
     if mode == "exhaustive":
-        graphs: Iterable[tuple[int, ...]] = iter_out_tuples(n)
+        per_class = (n - 1) ** 2 * _graph_units(n, (mech.name,))
+        graphs = zip(*_class_walk("exhaustive impartiality", n, per_class))
     else:
         rng = SeedStream(seed).split("impartiality-graphs")
-        graphs = [random_graph(n, rng).out for _ in range(samples)]
+        graphs = [(random_graph(n, rng).out, 1) for _ in range(samples)]
 
+    dist = _exact_lookup(mech)
     graphs_checked = 0
     deviations = 0
-    for out in graphs:
-        graphs_checked += 1
+    for out, weight in graphs:
+        graphs_checked += weight
         base = dist(out)
         for v in range(1, n + 1):
             for u in range(1, n + 1):
                 if u == v or u == out[v - 1]:
                     continue
-                deviations += 1
-                devved = out[: v - 1] + (u,) + out[v:]
-                after = dist(devved)
+                deviations += weight
+                after = dist(out[: v - 1] + (u,) + out[v:])
                 if after[v - 1] != base[v - 1]:
-                    return ImpartialityReport(
-                        mech.name,
-                        n,
-                        mode,
-                        graphs_checked,
-                        deviations,
-                        DeviationWitness(
-                            NominationGraph(out), v, u, base[v - 1], after[v - 1]
-                        ),
-                    )
-    return ImpartialityReport(mech.name, n, mode, graphs_checked, deviations, None)
+                    witness = DeviationWitness(NominationGraph(out), v, u, base[v - 1], after[v - 1])
+                    return ImpartialityReport(graphs_checked, deviations, witness)
+    return ImpartialityReport(graphs_checked, deviations, None)
 
 
 # ---------------------------------------------------------------------------

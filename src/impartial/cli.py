@@ -8,8 +8,9 @@ minimum-ratio search).
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error
 (including numbers rejected at parse time and unreadable graph files),
 3 an exact computation exceeded its cap: the n <= 16 prefix-set DP
-behind perm and mix, the n <= 12 isomorphism-class generator, or the
-work budget of an exhaustive sweep or check,
+behind perm and mix, the n <= 10 table of all orderings behind the
+Lemma 3 scan and the correlation check, the n <= 12 isomorphism-class
+generator, or the work budget of an exhaustive sweep or check,
 4 an internal error: an unexpected exception, reported on stderr as
 "internal error: ..." with its traceback.  Outputs
 embed the full run configuration and carry no timestamps, so identical
@@ -415,7 +416,7 @@ def _positive_int_list(text: str) -> str:
 _positive_int_list.__name__ = "int list"  # as in "invalid int list value"
 
 
-_JOBS_HELP = "worker processes: sweeps split their isomorphism classes, the Lemma 3 scan its graphs"
+_JOBS_HELP = "worker processes: sweeps and the Lemma 3 scan split their isomorphism classes"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,14 +1,17 @@
 """Naive reference implementations used as independent oracles.
 
-Everything here enumerates permutations with itertools and plain set
-arithmetic, deliberately sharing no code with the package's evaluators.
-Slow, small-n only.
+Everything here enumerates graphs and permutations with itertools and
+plain set arithmetic, deliberately sharing no code with the package's
+evaluators.  Slow, small-n only.  late_takeover_run is the one
+deliberately wrong rule here, a negative control for the Lemma 3 scan.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from impartial.graphs import AnyGraph, NominationGraph
 
@@ -90,7 +93,32 @@ def mix_dist(g: NominationGraph) -> list[Fraction]:
     return [Fraction(825, 1049) * a + Fraction(224, 1049) * b for a, b in zip(pe, pd)]
 
 
-def all_graphs(n: int):
+def iter_out_tuples(n: int):
+    """The reference walk of the graph space: all (n-1)^n labelled out
+    tuples, lexicographically."""
     choices = [[t for t in range(1, n + 1) if t != v] for v in range(1, n + 1)]
-    for out in itertools.product(*choices):
+    return itertools.product(*choices)
+
+
+def all_graphs(n: int):
+    for out in iter_out_tuples(n):
         yield NominationGraph(out)
+
+
+def late_takeover_run(out0, perms, pos):
+    """engine.run_selection's contract with the takeover threshold one
+    too high: v must beat the candidate's left indegree instead of tying
+    it, so some runs end below the maximum left indegree."""
+    rows, n = perms.shape
+    c = np.zeros((rows, n), dtype=np.int16)  # left indegree per ordering and vertex
+    for u in range(n):
+        c[:, out0[u]] += pos[:, u] < pos[:, out0[u]]
+    idx = np.arange(rows)
+    cand = perms[:, 0].copy()
+    d = np.zeros(rows, dtype=np.int16)
+    for j in range(1, n):
+        v = perms[:, j]
+        upd = c[idx, v] - (out0[cand] == v) > d
+        cand = np.where(upd, v, cand)
+        d = np.where(upd, c[idx, v], d)
+    return cand, d, c.max(axis=1)

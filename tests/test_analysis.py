@@ -1,7 +1,9 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +17,6 @@ from impartial.analysis import (
     check_impartial,
     correlation_example_graph,
     frac_decimal,
-    graph_count,
     guarantee_rows,
     mix_high_delta_branch,
     perm_alpha,
@@ -150,9 +151,11 @@ def test_ratio_prime_member_equals_half_x_plus_one():
 # sweeps and worst case
 
 def test_graph_count_matches_enumeration():
+    # the reference walk yields each of the (n-1)^n labelled graphs once
     for n in range(2, 6):
-        assert sum(1 for _ in analysis.iter_out_tuples(n)) == graph_count(n)
-    assert graph_count(4) == 81
+        outs = list(oracle.iter_out_tuples(n))
+        assert len(outs) == len(set(outs)) == (n - 1) ** n
+    assert len(list(oracle.iter_out_tuples(4))) == 81
 
 
 def test_worst_case_rd_small_n():
@@ -165,7 +168,7 @@ def test_worst_case_rd_small_n():
 
 def test_worst_case_perm_small_n():
     for n in (4, 5):
-        assert scan_orderings(n) == (graph_count(n), graph_count(n) * math.factorial(n), 0)
+        assert scan_orderings(n) == ((n - 1) ** n, (n - 1) ** n * math.factorial(n), 0)
         sweep = sweep_graphs(n, ("perm",))
         for r, d in zip(sweep.ratios["perm"], sweep.deltas):
             assert r >= perm_alpha(d)
@@ -174,7 +177,7 @@ def test_worst_case_perm_small_n():
 
 def _assert_pinned_worst_cases(n, pinned):
     sweep = sweep_graphs(n, tuple(pinned))
-    assert sweep.graphs_checked == graph_count(n)
+    assert sweep.graphs_checked == (n - 1) ** n
     for m, (value, witness) in pinned.items():
         best, idx = sweep.min_ratio(m)
         assert (best, sweep.reps[idx]) == (value, witness), m
@@ -255,17 +258,49 @@ def test_sweep_parallel_matches_serial():
     assert scan_orderings(4, jobs=1) == scan_orderings(4, jobs=2)
 
 
+def test_in_chunks_pool_is_capped_by_chunks_and_cpus(monkeypatch):
+    # the pool starts no more workers than there are chunks or CPUs,
+    # whatever jobs asks for; the chunking, and so the result, is unchanged
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, mp_context=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 64)
+    serial = sweep_graphs(6, ("rd",))
+    assert sweep_graphs(6, ("rd",), jobs=500) == serial
+    assert sizes == [40]  # one chunk per class at n = 6
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+    assert scan_orderings(5, jobs=500) == scan_orderings(5)
+    assert sizes == [40, 2]
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: None)
+    assert sweep_graphs(6, ("rd",), jobs=500) == serial  # one CPU: no pool
+    assert sizes == [40, 2]
+
+
 def test_sweep_budget_guard(monkeypatch):
     # a sweep is charged per class: n units, plus n * 2^n for each run
     # of the prefix-set DP (perm, and mix above n = 5); the ordering
-    # scan is charged n! per labelled graph
+    # scan is charged n! per class
     assert analysis.SWEEP_BUDGET == 300_000_000
     charge11 = 6389 * (11 + 11 * 2**11)
     assert charge11 <= analysis.SWEEP_BUDGET
+    assert 797 * math.factorial(9) <= analysis.SWEEP_BUDGET
     with pytest.raises(CapacityError, match=f"needs {18264 * (12 + 12 * 2**12)} units"):
         sweep_graphs(12, ("perm",))
-    with pytest.raises(CapacityError, match=f"needs {6**7 * math.factorial(7)} units"):
-        scan_orderings(7)
+    with pytest.raises(CapacityError, match=f"needs {2273 * math.factorial(10)} units"):
+        scan_orderings(10)
     with pytest.raises(CapacityError, match="n <= 12"):
         sweep_graphs(30, ("rd",))
     # mix runs the DP only above n = 5, the closed forms never
@@ -278,8 +313,8 @@ def test_sweep_budget_guard(monkeypatch):
     # the budget is inclusive: a sweep charged exactly the budget runs
     monkeypatch.setattr(analysis, "SWEEP_BUDGET", 40 * (6 + 6 * 64))
     assert sweep_graphs(6, ("perm",)).graphs_checked == 5**6
-    monkeypatch.setattr(analysis, "SWEEP_BUDGET", graph_count(4) * 24)
-    assert scan_orderings(4)[1] == graph_count(4) * 24
+    monkeypatch.setattr(analysis, "SWEEP_BUDGET", 6 * 24)
+    assert scan_orderings(4)[1] == 81 * 24
     with pytest.raises(CapacityError):
         sweep_graphs(7, ("perm",))
 
@@ -309,7 +344,7 @@ def test_sweep_ratios_equal_mechanism_ratios():
     for n in range(2, 6):
         sweep = sweep_graphs(n, mechs)
         row = {iso_code(out): i for i, out in enumerate(sweep.reps)}
-        for out in analysis.iter_out_tuples(n):
+        for out in oracle.iter_out_tuples(n):
             g, i = NominationGraph(out), row[iso_code(out)]
             deg = g.indegrees()
             assert sweep.deltas[i] == max(deg), out
@@ -328,14 +363,60 @@ def test_all_mechanisms_impartial_exhaustive_n3():
         assert rep.graphs_checked == 8
 
 
-def test_naive_scan_variant_fails_impartiality():
-    # the scan comparing against the full prefix indegree, without
-    # ignoring the current candidate's edge: a negative control
+def _naive_perm():
+    """The scan comparing against the full prefix indegree, without
+    ignoring the current candidate's edge: a negative control."""
     def naive_counts(g):
         nfact = math.factorial(g.n)
         return [int(p * nfact) for p in oracle.perm_dist(g, exclude_candidate=False)], nfact
 
-    naive = Mechanism("perm-naive", True, naive_counts, lambda g, s: 1)
+    return Mechanism("perm-naive", True, naive_counts, lambda g, s: 1)
+
+
+def _labelled_impartial(mech, n):
+    """Whether no deviation on any labelled graph of size n changes the
+    deviator's own probability, by the reference walk."""
+    dist = functools.cache(lambda out: mech.exact(NominationGraph(out)).probs)
+    return all(
+        dist(out[: v - 1] + (u,) + out[v:])[v - 1] == dist(out)[v - 1]
+        for out in oracle.iter_out_tuples(n)
+        for v in range(1, n + 1)
+        for u in range(1, n + 1)
+        if u not in (v, out[v - 1])
+    )
+
+
+def _labelled_scan_violations(n, run):
+    """Runs of the scan kernel run, over every ordering of every labelled
+    graph of size n, that miss the maximum left indegree."""
+    perms, pos = engine.permutation_table(n)
+    runs = (run(np.array(out, dtype=np.int16) - 1, perms, pos) for out in oracle.iter_out_tuples(n))
+    return sum(int((d != m).sum()) for _, d, m in runs)
+
+
+def test_class_walk_matches_the_labelled_walk(monkeypatch):
+    # impartiality and the Lemma 3 scan visit one representative per
+    # class; they must agree with the labelled walk on pass or fail for
+    # every registry mechanism and the negative control, and their
+    # weighted counts must equal the labelled ones
+    mechs = [MECHANISMS[m] for m in ("perm", "rd", "prug", "prugd", "mix")]
+    for n in range(2, 6):
+        for mech in mechs + [_naive_perm()]:
+            rep = check_impartial(mech, n)
+            assert rep.passed == _labelled_impartial(mech, n), (mech.name, n)
+            assert rep.passed == (mech.name != "perm-naive" or n == 2), (mech.name, n)
+            if rep.passed:
+                assert rep.graphs_checked == (n - 1) ** n
+                assert rep.deviations_checked == (n - 1) ** n * n * (n - 2)
+        assert scan_orderings(n)[2] == _labelled_scan_violations(n, engine.run_selection) == 0
+    monkeypatch.setattr(engine, "run_selection", oracle.late_takeover_run)
+    for n, violations in ((3, 24), (4, 504)):
+        labelled = _labelled_scan_violations(n, oracle.late_takeover_run)
+        assert scan_orderings(n)[2] == labelled == violations
+
+
+def test_naive_scan_variant_fails_impartiality():
+    naive = _naive_perm()
     rep = check_impartial(naive, 4)
     assert not rep.passed
     w = rep.counterexample
@@ -344,8 +425,12 @@ def test_naive_scan_variant_fails_impartiality():
 
 
 def test_check_impartial_budget_and_sampled():
-    with pytest.raises(CapacityError, match="sampled"):
-        check_impartial("rd", 7)
+    # each class is charged its (n-1)^2 evaluations at the sweep's units
+    # per graph: perm runs up to n = 9
+    assert 797 * 64 * (9 + 9 * 2**9) <= analysis.SWEEP_BUDGET
+    with pytest.raises(CapacityError, match=f"needs {2273 * 81 * (10 + 10 * 2**10)} units"):
+        check_impartial("perm", 10)
+    assert check_impartial("rd", 7).graphs_checked == 6**7
     rep = check_impartial("rd", 7, mode="sampled", seed=5, samples=20)
     assert rep.passed and rep.graphs_checked == 20
 
@@ -374,7 +459,7 @@ def test_perm_and_rd_relabel_invariance_exhaustive():
         ]
         for name in ("perm", "rd"):
             dists = {}
-            for out in analysis.iter_out_tuples(n):
+            for out in oracle.iter_out_tuples(n):
                 dists[out] = MECHANISMS[name].exact(NominationGraph(out)).probs
             for out, base in dists.items():
                 g = NominationGraph(out)

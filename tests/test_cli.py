@@ -5,10 +5,10 @@ import json
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _oracles as oracle
 from impartial import analysis, engine
 from impartial.cli import main
 from impartial.generators import lower_bound_family, ub_family
@@ -111,11 +111,13 @@ def test_eval_capacity_exit_code(capsys, tmp_path):
 
 def test_sweep_capacity_exit_code(capsys):
     # perm at n = 12 is charged 18264 classes * (12 + 12 * 2^12) units,
-    # the n = 7 ordering scan 6^7 * 7!, and no class is generated past
-    # n = 12
+    # the n = 10 ordering scan 2273 classes * 10!, perm's n = 10
+    # impartiality 2273 * 81 * (10 + 10 * 2^10), and no class is
+    # generated past n = 12
     for argv in (("worst-case", "--mech", "perm", "--n", "12"),
-                 ("verify", "bounds", "--mech", "perm", "--n", "7"),
-                 ("verify", "lemma3", "--n", "7"),
+                 ("verify", "bounds", "--mech", "perm", "--n", "10"),
+                 ("verify", "lemma3", "--n", "10"),
+                 ("verify", "impartial", "--mech", "perm", "--n", "10"),
                  ("worst-case", "--mech", "rd", "--n", "30")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == "" and "capacity" in err, argv
@@ -320,26 +322,12 @@ def test_verify_lemma3(capsys):
 
 
 def test_verify_lemma3_fails_on_a_late_takeover(capsys, monkeypatch):
-    # the scan with its takeover threshold one too high: v must beat the
-    # candidate's left indegree instead of tying it
-    def late_takeover(out0, perms, pos):
-        c = engine.left_indegree_matrix(out0, pos)
-        rows = np.arange(perms.shape[0])
-        cand = perms[:, 0].copy()
-        d = np.zeros(perms.shape[0], dtype=np.int16)
-        for j in range(1, perms.shape[1]):
-            v = perms[:, j]
-            upd = c[rows, v] - (out0[cand] == v) > d
-            cand = np.where(upd, v, cand)
-            d = np.where(upd, c[rows, v], d)
-        return cand, d, c.max(axis=1)
-
-    monkeypatch.setattr(engine, "run_selection", late_takeover)
+    monkeypatch.setattr(engine, "run_selection", oracle.late_takeover_run)
     code, out, _ = run_cli(capsys, "verify", "lemma3", "--n", "4")
     payload = json.loads(out)
     assert code == 1 and not payload["passed"]
     assert payload["orderings_run"] == 81 * 24
-    assert payload["left_max_violations"] > 0
+    assert payload["left_max_violations"] == 504  # the labelled count
 
 
 def test_figure3_csv(capsys):

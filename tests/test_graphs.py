@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from impartial.analysis import iter_out_tuples
+from _oracles import iter_out_tuples
 from impartial.generators import cycle, lower_bound_family, two_cycle_path, ub_family
 from impartial.graphs import (
     CLASS_CAP,
