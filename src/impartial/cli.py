@@ -145,10 +145,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
     seed = _resolve_seed(args, required=True)
     rng = SeedStream(seed)
+    draw = mech.sampler(graph)
     counts = [0] * graph.n
     none_count = 0
     for _ in range(args.samples):
-        picked = mech.sample(graph, rng)
+        picked = draw(rng)
         if picked is None:
             none_count += 1
         else:

@@ -4,11 +4,13 @@ A mechanism is reached through its Mechanism entry in MECHANISMS,
 which checks the graph once and then runs one of two paths: the exact
 path returns integer selection counts over a common denominator (the
 ``*_counts`` functions; Mechanism.exact turns them into rationals), and
-the sampler draws a single outcome from a SeedStream (the ``*_sample``
-functions).  Exact perm counts the scan's outcomes over all n! vertex
-orderings by a DP over prefix sets, whose 2^n states cap perm, and mix
-through it, at engine.DP_CAP vertices; rd, prug and prugd are closed
-forms with no cap.
+the sampling path is a factory (the ``*_sampler`` functions) that reads
+the graph once and returns a draw; each call of the draw simulates the
+rule on one ordering or vertex drawn from a SeedStream.  Exact perm
+counts the scan's outcomes over all n! vertex orderings by a DP over
+prefix sets, whose 2^n states cap perm, and mix through it, at
+engine.DP_CAP vertices; rd, prug and prugd are closed forms with no
+cap.
 
 perm  - left-to-right candidate scan along a uniform random ordering.
 rd    - random dictatorship: a uniform vertex's nominee.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import engine
 from .graphs import (
@@ -37,6 +39,7 @@ from .graphs import (
 from .rng import SeedStream, as_stream
 
 Counts = tuple[Sequence[int], int]  # per-vertex numerators, common denominator
+Draw = Callable[[SeedStream], Optional[int]]  # one seeded draw on a fixed graph
 
 MIX_PERM_WEIGHT = Fraction(825, 1049)
 MIX_PRUGD_WEIGHT = Fraction(224, 1049)
@@ -73,7 +76,8 @@ def perm_run(g: AnyGraph, pi: Permutation) -> int:
         if full - (out[cand - 1] == v) >= d:
             cand = v
             d = full
-        max_left = max(max_left, full)
+        if full > max_left:  # not max(): a call per vertex doubles the scan's cost
+            max_left = full
         left[out[v - 1] or 0] += 1
     if d != max_left:
         raise RuntimeError(
@@ -88,8 +92,10 @@ def perm_counts(g: AnyGraph) -> Counts:
     return engine.selection_counts(engine.out_array(g))
 
 
-def perm_sample(g: AnyGraph, rng: SeedStream) -> int:
-    return perm_run(g, rng.permutation(g.n))
+def perm_sampler(g: AnyGraph) -> Draw:
+    """Run the scan on one uniform ordering per draw."""
+    n = g.n
+    return lambda rng: perm_run(g, rng.permutation(n))
 
 
 # ---------------------------------------------------------------------------
@@ -100,87 +106,94 @@ def rd_counts(g: NominationGraph) -> Counts:
     return g.indegrees(), g.n
 
 
-def rd_sample(g: NominationGraph, rng: SeedStream) -> int:
-    return g.target_of(rng.vertex(g.n))
+def rd_sampler(g: NominationGraph) -> Draw:
+    """One uniform vertex per draw; it selects its nominee."""
+    n, out = g.n, g.out
+    return lambda rng: out[rng.vertex(n) - 1]
 
 
 # ---------------------------------------------------------------------------
 # Plurality with runner-up and gap
 
-def prug_p_vector(g: AnyGraph, pi: Permutation) -> tuple[int, ...]:
-    """The single-ordering weight vector of the two-slot rule, in quarters.
-
-    The front vertex (lexicographic maximum of (indegree, position))
-    gets 3 if, once its own edge is removed, it still leads every other
-    vertex by at least 2; otherwise 2.  The runner-up gets 2 if it
-    nominates the front vertex and either ties the maximum indegree or
-    sits one below it while placed to the right of the front vertex.
-
-    The entries can sum to 5 quarters, so this is a raw weight vector,
-    not a distribution; averaging an ordering with its reverse brings
-    the total back to at most 1.
-    """
-    n = g.n
-    if pi.n != n:
-        raise InputError(f"permutation size {pi.n} != graph size {n}")
-    degs = g.indegrees()
-    dmax = max(degs)
-    pos = [0] * (n + 1)
-    for i, v in enumerate(pi.seq):
-        pos[v] = i
-
-    def key(v: int) -> tuple[int, int]:
-        return degs[v - 1], pos[v]
-
-    front = max(g.vertices, key=key)
-    reduced = list(degs)
-    front_target = g.out[front - 1]
-    if front_target is not None:
-        reduced[front_target - 1] -= 1
-    gap = all(
-        degs[front - 1] >= reduced[v - 1] + 2 for v in g.vertices if v != front
-    )
-    p = [0] * n
-    p[front - 1] = 3 if gap else 2
-    runner = max((v for v in g.vertices if v != front), key=key)
-    if g.out[runner - 1] == front and (
-        degs[runner - 1] == dmax
-        or (
-            degs[runner - 1] == dmax - 1
-            and pos[runner] > pos[front]
-        )
-    ):
-        p[runner - 1] = 2
-    return tuple(p)
-
-
-def prug_q_vector(g: AnyGraph, pi: Permutation) -> tuple[int, ...]:
-    """Average of the weight vectors of pi and its reverse, in eighths:
-    p(pi) + p(reverse pi) in quarters.  The entries sum to at most 8,
-    so this is a valid (possibly deficient) distribution over 8."""
-    p1 = prug_p_vector(g, pi)
-    p2 = prug_p_vector(g, pi.reverse())
-    return tuple(a + b for a, b in zip(p1, p2))
-
-
 def prug_counts(g: AnyGraph) -> Counts:
     """Sum of the single-ordering weight vectors over all orderings, in
     quarters, over 4 n!.
 
-    Averaging p directly equals averaging the reverse-paired q vectors,
-    since reversal is a bijection on orderings.  The total may fall
-    short of 1: the rule is allowed to select no one.  The engine sums
-    in closed form, so no ordering is enumerated.
+    Averaging them directly equals averaging the reverse-paired vectors
+    the sampler draws from, since reversal is a bijection on orderings.
+    The total may fall short of 1: the rule is allowed to select no one.
+    The engine sums in closed form, so no ordering is enumerated.
     """
     counts, runs = engine.runner_up_gap_quarter_counts(engine.out_array(g))
     return counts, 4 * runs
 
 
-def prug_sample(g: AnyGraph, rng: SeedStream) -> Optional[int]:
-    """Draw an ordering, form the reverse-averaged vector in eighths,
-    then draw a vertex from it; None when no vertex is selected."""
-    i = rng.categorical(prug_q_vector(g, rng.permutation(g.n)), 8)
-    return None if i is None else i + 1
+def prug_sampler(g: AnyGraph) -> Draw:
+    """Per draw: a uniform ordering, the weight vector of that ordering
+    plus that of its reverse in eighths (the reverse-paired average,
+    summing to at most 8), then a vertex drawn from it; None when no
+    vertex is selected.
+
+    In one ordering the front vertex, the (indegree, position)-maximum,
+    is the last member of the top indegree class T.  It gets 3 quarters
+    if, once its own edge is removed, it still leads every other vertex
+    by at least 2, otherwise 2; that test depends only on which member
+    of T is the front, so it is tabulated here, once per graph.  The
+    runner-up gets 2 quarters if it nominates the front and either ties
+    the maximum indegree or sits one below it while placed to the right
+    of the front.  With |T| >= 2 it is the next-to-last member of T.
+    With T = {t} it is the last vertex of indegree dmax - 1, which
+    scores only if it follows t.  So a draw reads its ordering only at
+    the first two and last two marked vertices (the members of T, plus
+    the indegree dmax - 1 class when |T| = 1), and the reverse ordering
+    swaps the two ends.
+    """
+    n, out = g.n, g.out
+    degs = g.indegrees()
+    dmax = max(degs)
+    top = [v for v in g.vertices if degs[v - 1] == dmax]
+    front_quarters = [0] * (n + 1)
+    for f in top:
+        reduced = list(degs)
+        if out[f - 1] is not None:
+            reduced[out[f - 1] - 1] -= 1
+        gap = all(dmax >= reduced[v - 1] + 2 for v in g.vertices if v != f)
+        front_quarters[f] = 3 if gap else 2
+    marked = [False] * (n + 1)
+    for v in g.vertices:
+        marked[v] = degs[v - 1] == dmax or (len(top) == 1 and degs[v - 1] == dmax - 1)
+
+    def first_two(vertices: Iterable[int]) -> list[int]:
+        found = []
+        for v in vertices:
+            if marked[v]:
+                found.append(v)
+                if len(found) == 2:
+                    break
+        return found
+
+    def draw(rng: SeedStream) -> Optional[int]:
+        seq = rng.permutation(n).seq
+        head, tail = first_two(seq), first_two(reversed(seq))
+        w = [0] * n
+        if len(top) > 1:
+            # the front and runner-up of seq, then of its reverse
+            for front, runner in (tail, head):
+                w[front - 1] += front_quarters[front]
+                if out[runner - 1] == front:
+                    w[runner - 1] += 2
+        else:
+            t = top[0]
+            w[t - 1] = 2 * front_quarters[t]
+            # the last marked vertex of seq, and of its reverse, scores
+            # if it nominates t (so it is not t, and follows t)
+            for runner in (tail[0], head[0]):
+                if out[runner - 1] == t:
+                    w[runner - 1] += 2
+        i = rng.categorical(w, 8)
+        return None if i is None else i + 1
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +227,20 @@ def prugd_counts(g: NominationGraph) -> Counts:
     return dv_wrap_counts(prug_counts, g)
 
 
-def prugd_sample(g: NominationGraph, rng: SeedStream) -> int:
-    vbar = rng.vertex(g.n)
-    picked = prug_sample(g.remove_out_edge(vbar), rng)
-    return vbar if picked is None else picked
+def prugd_sampler(g: NominationGraph) -> Draw:
+    """Per draw: a uniform default vertex, then a prug draw on the graph
+    without its edge.  Each default's prug sampler is built on first use."""
+    n = g.n
+    inner: list[Optional[Draw]] = [None] * (n + 1)
+
+    def draw(rng: SeedStream) -> int:
+        vbar = rng.vertex(n)
+        if inner[vbar] is None:
+            inner[vbar] = prug_sampler(g.remove_out_edge(vbar))
+        picked = inner[vbar](rng)
+        return vbar if picked is None else picked
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +262,14 @@ def mix_counts(g: NominationGraph) -> Counts:
     return blend, MIX_PERM_WEIGHT.denominator * den
 
 
-def mix_sample(g: NominationGraph, rng: SeedStream) -> int:
-    """rd for n <= 5; otherwise one uniform integer below 1049 picks perm
-    when it falls below 825, prugd otherwise."""
+def mix_sampler(g: NominationGraph) -> Draw:
+    """rd for n <= 5; otherwise one uniform integer below 1049 per draw
+    picks perm when it falls below 825, prugd otherwise."""
     if g.n <= MIX_SMALL_N:
-        return rd_sample(g, rng)
-    if rng.randrange(MIX_PERM_WEIGHT.denominator) < MIX_PERM_WEIGHT.numerator:
-        return perm_sample(g, rng)
-    return prugd_sample(g, rng)
+        return rd_sampler(g)
+    perm, prugd = perm_sampler(g), prugd_sampler(g)
+    den, cut = MIX_PERM_WEIGHT.denominator, MIX_PERM_WEIGHT.numerator
+    return lambda rng: perm(rng) if rng.randrange(den) < cut else prugd(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +280,18 @@ class Mechanism:
     """A named exact path and sampler: the one way into a mechanism.
 
     accepts_partial: defined on graphs with missing out-edges; counts()
-    and sample() reject any other graph for a mechanism without it, so
+    and sampler() reject any other graph for a mechanism without it, so
     the paths behind them never check.
     The exact path returns integer counts over one denominator; exact()
-    turns them into rationals.  sample() takes a seed or a SeedStream and
-    hands the paths a SeedStream.
+    turns them into rationals.  sampler(g) reads the graph once and
+    returns a draw that takes a SeedStream; sample() is one draw from a
+    seed or a SeedStream.
     """
 
     name: str
     accepts_partial: bool
     _counts: Callable[[AnyGraph], Counts]
-    _sample: Callable[[AnyGraph, SeedStream], Optional[int]]
+    _sampler: Callable[[AnyGraph], Draw]
 
     def counts(self, g: AnyGraph) -> Counts:
         return self._counts(self._coerce(g))
@@ -275,8 +299,11 @@ class Mechanism:
     def exact(self, g: AnyGraph) -> SelectionDistribution:
         return SelectionDistribution.from_counts(*self.counts(g))
 
+    def sampler(self, g: AnyGraph) -> Draw:
+        return self._sampler(self._coerce(g))
+
     def sample(self, g: AnyGraph, seed: int | SeedStream) -> Optional[int]:
-        return self._sample(self._coerce(g), as_stream(seed))
+        return self.sampler(g)(as_stream(seed))
 
     def _coerce(self, g: AnyGraph) -> AnyGraph:
         if not (self.accepts_partial or isinstance(g, NominationGraph)):
@@ -285,11 +312,11 @@ class Mechanism:
 
 
 MECHANISMS: dict[str, Mechanism] = {
-    "perm": Mechanism("perm", True, perm_counts, perm_sample),
-    "rd": Mechanism("rd", False, rd_counts, rd_sample),
-    "prug": Mechanism("prug", True, prug_counts, prug_sample),
-    "prugd": Mechanism("prugd", False, prugd_counts, prugd_sample),
-    "mix": Mechanism("mix", False, mix_counts, mix_sample),
+    "perm": Mechanism("perm", True, perm_counts, perm_sampler),
+    "rd": Mechanism("rd", False, rd_counts, rd_sampler),
+    "prug": Mechanism("prug", True, prug_counts, prug_sampler),
+    "prugd": Mechanism("prugd", False, prugd_counts, prugd_sampler),
+    "mix": Mechanism("mix", False, mix_counts, mix_sampler),
 }
 
 

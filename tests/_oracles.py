@@ -2,7 +2,9 @@
 
 Everything here enumerates graphs and permutations with itertools and
 plain set arithmetic, deliberately sharing no code with the package's
-evaluators.  Slow, small-n only.  late_takeover_run is the one
+evaluators.  Slow, small-n only.  prug_p_vector and prug_q_vector
+are the two-slot rule read directly off one ordering, the reference
+for the prug sampler's per-graph tables.  late_takeover_run is the one
 deliberately wrong rule here, a negative control for the Lemma 3 scan.
 """
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from impartial.graphs import AnyGraph, NominationGraph
+from impartial.graphs import AnyGraph, InputError, NominationGraph, Permutation
 
 
 def scan_select(g: AnyGraph, order: tuple[int, ...], exclude_candidate: bool = True) -> int:
@@ -53,6 +55,62 @@ def prug_p(g: AnyGraph, order: tuple[int, ...]) -> list[Fraction]:
     ):
         p[runner - 1] = Fraction(1, 2)
     return p
+
+
+def prug_p_vector(g: AnyGraph, pi: Permutation) -> tuple[int, ...]:
+    """The single-ordering weight vector of the two-slot rule, in quarters.
+
+    The front vertex (lexicographic maximum of (indegree, position))
+    gets 3 if, once its own edge is removed, it still leads every other
+    vertex by at least 2; otherwise 2.  The runner-up gets 2 if it
+    nominates the front vertex and either ties the maximum indegree or
+    sits one below it while placed to the right of the front vertex.
+
+    The entries can sum to 5 quarters, so this is a raw weight vector,
+    not a distribution; averaging an ordering with its reverse brings
+    the total back to at most 1.
+    """
+    n = g.n
+    if pi.n != n:
+        raise InputError(f"permutation size {pi.n} != graph size {n}")
+    degs = g.indegrees()
+    dmax = max(degs)
+    pos = [0] * (n + 1)
+    for i, v in enumerate(pi.seq):
+        pos[v] = i
+
+    def key(v: int) -> tuple[int, int]:
+        return degs[v - 1], pos[v]
+
+    front = max(g.vertices, key=key)
+    reduced = list(degs)
+    front_target = g.out[front - 1]
+    if front_target is not None:
+        reduced[front_target - 1] -= 1
+    gap = all(
+        degs[front - 1] >= reduced[v - 1] + 2 for v in g.vertices if v != front
+    )
+    p = [0] * n
+    p[front - 1] = 3 if gap else 2
+    runner = max((v for v in g.vertices if v != front), key=key)
+    if g.out[runner - 1] == front and (
+        degs[runner - 1] == dmax
+        or (
+            degs[runner - 1] == dmax - 1
+            and pos[runner] > pos[front]
+        )
+    ):
+        p[runner - 1] = 2
+    return tuple(p)
+
+
+def prug_q_vector(g: AnyGraph, pi: Permutation) -> tuple[int, ...]:
+    """Average of the weight vectors of pi and its reverse, in eighths:
+    p(pi) + p(reverse pi) in quarters.  The entries sum to at most 8,
+    so this is a valid (possibly deficient) distribution over 8."""
+    p1 = prug_p_vector(g, pi)
+    p2 = prug_p_vector(g, pi.reverse())
+    return tuple(a + b for a, b in zip(p1, p2))
 
 
 def prug_dist(g: AnyGraph) -> list[Fraction]:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import tempfile
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import _oracles as oracle
 from impartial import analysis, engine
 from impartial.cli import main
-from impartial.generators import lower_bound_family, ub_family
+from impartial.generators import lower_bound_family, random_graph, ub_family
 from impartial.graphs import graph_to_text
 from impartial.mechanisms import MECHANISMS
 
@@ -83,6 +84,45 @@ def test_eval_sampled_byte_identical(capsys, tmp_path):
     assert out1 == out2
     payload = json.loads(out1)
     assert sum(row["count"] for row in payload["frequencies"]) == 2000
+
+
+# sha256 of eval --samples stdout at seed 7, graph on stdin: 2000 draws on
+# "5; 3,5,1,1,2" and 300 on random_graph(50, 3), pinned so that every
+# sampler's stream and both output formats stay byte-identical
+EVAL_SAMPLES_SHA256 = {
+    ("n5", "perm", "json"): "b3ec856c6fbb8c310f5ffcf4cd26a4cf19aff8f81702726172f0b52569504fab",
+    ("n5", "perm", "csv"): "54134fedb802ffd6b4a26990b108968ee6a7f99b269aafc4b4b5d3d0c3a6673a",
+    ("n5", "rd", "json"): "aba60d70503e48397938ea79fb1691f62fee44ab9acde15d22722ddadb545b6f",
+    ("n5", "rd", "csv"): "5749dbb4312d149bb734b25bff91961d2f72bb2ef467b64c0b378649a089cb0c",
+    ("n5", "prug", "json"): "b24ed2540b52482ca45c5dbb5fc819d58a5d771a785ab78f58022847b98d9f2d",
+    ("n5", "prug", "csv"): "fbe6356109d1fc69e1615e4f94abb23877b03fe64da736e4938767422cc9ca2d",
+    ("n5", "prugd", "json"): "39d3455728d0a2076633d16bc26e646cec8cb46eb31c27b3b9d0998a3ea8f45d",
+    ("n5", "prugd", "csv"): "e9ff1f3e8ef95cca21dc29b19e51a438a5600606f99eec8d041d9fcdeb473f15",
+    ("n5", "mix", "json"): "98d07c83170e89ed92229d92c06c82d45cb7d04fd8c8a1f7750ad6a6aa494f38",
+    ("n5", "mix", "csv"): "5749dbb4312d149bb734b25bff91961d2f72bb2ef467b64c0b378649a089cb0c",
+    ("n50", "perm", "json"): "2b122bd8cf82adcf748ad92c99411c46561e3c22086d07e61c253a6f5ef52518",
+    ("n50", "perm", "csv"): "7fd7e0a5ae651593af439629feaa96f60532d0e08e0f11e5ae9d629a49176c64",
+    ("n50", "rd", "json"): "fa6c74f88861afe7d3747b285a96f5547d63bea02c00727a6b28a794f18d0a27",
+    ("n50", "rd", "csv"): "35fd1410529df11d04c54ddbf1dba5bbc7fbadb0a21ccb367fd57e9fe2485fa1",
+    ("n50", "prug", "json"): "a5bd870a1dd447388c3a3949a0aa25df9ec32678b2fd82ae06ff34666bb3913c",
+    ("n50", "prug", "csv"): "cc036600112c7a682d9b6e75167bcffc0ee04342061521870d5010d2d5102ead",
+    ("n50", "prugd", "json"): "35a06da07a738df392c79e73da6cece165294a626ada395f059c63643fda5b2b",
+    ("n50", "prugd", "csv"): "eb70cafd451cf47ac8a6b17a6922423c00018fe394a53e6097a93727537d48d6",
+    ("n50", "mix", "json"): "065888a74db3832c3804c32775ce3f1eab32a5996dbddbdb1e7ced03812d758c",
+    ("n50", "mix", "csv"): "b8b80741855daefb7621400460f8a3b7973f573d7b4459f180abd00f14de5884",
+}
+
+
+def test_eval_samples_stdout_pinned(capsys, monkeypatch):
+    texts = {"n5": ("5; 3,5,1,1,2", "2000"), "n50": (graph_to_text(random_graph(50, 3)), "300")}
+    for (graph, mech, fmt), digest in EVAL_SAMPLES_SHA256.items():
+        text, samples = texts[graph]
+        monkeypatch.setattr("sys.stdin", io.StringIO(text + "\n"))
+        code, out, _ = run_cli(
+            capsys, "eval", "--mech", mech, "--samples", samples, "--seed", "7", "--format", fmt
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (graph, mech, fmt)
 
 
 def test_eval_sampled_requires_seed(capsys, tmp_path, monkeypatch):

@@ -17,19 +17,18 @@ from impartial.graphs import (
     PartialNominationGraph,
     Permutation,
     SelectionDistribution,
+    iso_classes,
 )
 from impartial.mechanisms import (
     MECHANISMS,
     dv_wrap_counts,
     get_mechanism,
-    mix_sample,
+    mix_sampler,
     perm_run,
-    perm_sample,
-    prug_p_vector,
-    prug_q_vector,
-    prug_sample,
-    prugd_sample,
-    rd_sample,
+    perm_sampler,
+    prug_sampler,
+    prugd_sampler,
+    rd_sampler,
 )
 from impartial.rng import SeedStream
 
@@ -93,9 +92,9 @@ PERM_SAMPLE_PINNED = [
 
 
 def test_perm_sample_seeded_stream_pinned():
-    g = random_graph(50, 3)
+    draw = perm_sampler(random_graph(50, 3))
     rng = SeedStream(7)
-    assert [perm_sample(g, rng) for _ in range(200)] == PERM_SAMPLE_PINNED
+    assert [draw(rng) for _ in range(200)] == PERM_SAMPLE_PINNED
 
 
 def test_perm_exact_two_cycle():
@@ -175,10 +174,11 @@ def test_selection_dp_property(out):
 def test_perm_sample_deterministic_and_consistent():
     assert PERM.sample(TRIANGLE_IN, 42) == PERM.sample(TRIANGLE_IN, 42)
     rng = SeedStream(7)
+    draw = perm_sampler(TWO_CYCLE)
     counts = [0, 0]
     draws = 20_000
     for _ in range(draws):
-        counts[perm_sample(TWO_CYCLE, rng) - 1] += 1
+        counts[draw(rng) - 1] += 1
     f = counts[0] / draws
     assert abs(f - 0.5) < 3 * math.sqrt(0.25 / draws)
 
@@ -203,24 +203,25 @@ def test_rd_total_is_one(n, seed):
 
 
 def test_rd_sample_matches_support():
-    g = TRIANGLE_IN
+    draw = rd_sampler(TRIANGLE_IN)
     rng = SeedStream(3)
-    assert all(rd_sample(g, rng) in (1, 2) for _ in range(200))
+    assert all(draw(rng) in (1, 2) for _ in range(200))
 
 
 # ---------------------------------------------------------------------------
 # plurality with runner-up and gap
 
-# prug_p_vector is in quarters and prug_q_vector in eighths
+# the reference rule: oracle.prug_p_vector is in quarters and
+# oracle.prug_q_vector in eighths
 
 def test_prug_p_vector_two_cycle():
-    p = prug_p_vector(TWO_CYCLE, Permutation((1, 2)))
+    p = oracle.prug_p_vector(TWO_CYCLE, Permutation((1, 2)))
     assert p == (2, 2)  # 1/2 each
 
 
 def test_prug_p_vector_star_gap():
     for order in itertools.permutations(STAR4.vertices):
-        p = prug_p_vector(STAR4, Permutation(order))
+        p = oracle.prug_p_vector(STAR4, Permutation(order))
         assert p[0] == 3  # 3/4
         assert sum(p) == 3
 
@@ -230,7 +231,7 @@ def test_prug_p_vector_sum_support():
     seen = set()
     for g in seeded_graphs(5, 60, 17):
         for order in itertools.permutations(g.vertices):
-            seen.add(sum(prug_p_vector(g, Permutation(order))))
+            seen.add(sum(oracle.prug_p_vector(g, Permutation(order))))
     assert seen <= allowed
     assert 5 in seen  # the overshoot case does occur
 
@@ -238,7 +239,7 @@ def test_prug_p_vector_sum_support():
 def test_prug_q_vector_is_distribution():
     for g in seeded_graphs(5, 30, 23):
         for order in itertools.islice(itertools.permutations(g.vertices), 24):
-            q = prug_q_vector(g, Permutation(order))
+            q = oracle.prug_q_vector(g, Permutation(order))
             assert all(type(e) is int and 0 <= e <= 8 for e in q)
             assert sum(q) <= 8
 
@@ -298,8 +299,9 @@ def test_prug_exact_sum_at_most_one_exhaustive():
 
 def test_prug_sample_star_none_rate():
     rng = SeedStream(11)
+    draw = prug_sampler(STAR4)
     draws = 20_000
-    nones = sum(1 for _ in range(draws) if prug_sample(STAR4, rng) is None)
+    nones = sum(1 for _ in range(draws) if draw(rng) is None)
     f = nones / draws
     assert abs(f - 0.25) < 3 * math.sqrt(0.25 * 0.75 / draws)
 
@@ -348,9 +350,47 @@ PRUG_SAMPLE_PINNED = [
 
 
 def test_prug_sample_seeded_stream_pinned():
-    g = random_graph(50, 3)
+    draw = prug_sampler(random_graph(50, 3))
     rng = SeedStream(7)
-    assert [prug_sample(g, rng) or 0 for _ in range(200)] == PRUG_SAMPLE_PINNED
+    assert [draw(rng) or 0 for _ in range(200)] == PRUG_SAMPLE_PINNED
+
+
+class OrderingStub:
+    """A stream whose permutation is a fixed ordering and whose
+    categorical draw records its weights and selects no one."""
+
+    def __init__(self, order):
+        self.order = order
+        self.weights = []
+
+    def permutation(self, n):
+        assert n == len(self.order)
+        return Permutation(self.order)
+
+    def categorical(self, weights, total):
+        assert total == 8
+        self.weights.append(tuple(weights))
+        return None
+
+
+def test_prug_sampler_eighths_match_the_reference_rule_exhaustive():
+    # every ordering of every class representative for n <= 6, and of
+    # each representative with one edge removed and the edgeless graph
+    # for n <= 5: the vector the sampler draws from is prug_q_vector's
+    checked = 0
+    for n in range(2, 7):
+        graphs = [NominationGraph(out) for out, _ in iso_classes(n)]
+        if n <= 5:
+            graphs += list(dict.fromkeys(one_edge_removed(graphs)))
+            graphs.append(PartialNominationGraph((None,) * n))
+        for g in graphs:
+            draw = prug_sampler(g)
+            for order in itertools.permutations(g.vertices):
+                stub = OrderingStub(order)
+                assert draw(stub) is None
+                assert stub.weights == [oracle.prug_q_vector(g, Permutation(order))], (g.out, order)
+                checked += 1
+    assert checked == 30_518 + 7_122  # (graph, ordering) pairs: total, then partial
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +460,9 @@ PRUGD_SAMPLE_PINNED = [
 
 
 def test_prugd_sample_seeded_stream_pinned():
-    g = random_graph(50, 3)
+    draw = prugd_sampler(random_graph(50, 3))
     rng = SeedStream(7)
-    assert [prugd_sample(g, rng) for _ in range(200)] == PRUGD_SAMPLE_PINNED
+    assert [draw(rng) for _ in range(200)] == PRUGD_SAMPLE_PINNED
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +513,13 @@ class CoinStub:
 
 
 def test_mix_coin_sends_825_of_1049_values_to_perm(monkeypatch):
-    monkeypatch.setattr(mechanisms, "perm_sample", lambda g, rng: "perm")
-    monkeypatch.setattr(mechanisms, "prugd_sample", lambda g, rng: "prugd")
-    g = ub_family(6, 0)
+    monkeypatch.setattr(mechanisms, "perm_sampler", lambda g: lambda rng: "perm")
+    monkeypatch.setattr(mechanisms, "prugd_sampler", lambda g: lambda rng: "prugd")
+    draw = mechanisms.mix_sampler(ub_family(6, 0))
     picks = Counter()
     for value in range(1049):
         stub = CoinStub(value)
-        picks[mechanisms.mix_sample(g, stub)] += 1
+        picks[draw(stub)] += 1
         assert stub.bounds == [1049]
     assert picks == {"perm": 825, "prugd": 224}
 
@@ -501,9 +541,9 @@ MIX_SAMPLE_PINNED = [
 
 
 def test_mix_sample_seeded_stream_pinned():
-    g = random_graph(50, 3)
+    draw = mix_sampler(random_graph(50, 3))
     rng = SeedStream(7)
-    assert [mix_sample(g, rng) for _ in range(200)] == MIX_SAMPLE_PINNED
+    assert [draw(rng) for _ in range(200)] == MIX_SAMPLE_PINNED
 
 
 # ---------------------------------------------------------------------------
