@@ -184,11 +184,31 @@ def ratio_from_probs(
     return RatioReport(g, mechanism, expected, delta, expected / delta)
 
 
-def _exact_lookup(mech: Mechanism) -> Callable[[tuple[int, ...]], tuple[Fraction, ...]]:
-    """Exact selection probabilities of mech on the total graph with the
-    given out tuple, memoised for the life of the returned function: the
-    one way the verifiers evaluate a mechanism."""
-    return functools.cache(lambda out: mech.exact(NominationGraph(out)).probs)
+def _exact_lookup(mech: Mechanism) -> Callable[[tuple[int, ...]], tuple[tuple[int, ...], int]]:
+    """Selection counts of mech on the total graph with the given out
+    tuple, as (per-vertex numerators, denominator), memoised for the life
+    of the returned function: the one way the verifiers evaluate a
+    mechanism.  They compare probabilities by cross-multiplying, so no
+    rational is built per graph.  Raises InputError, as a
+    SelectionDistribution would, unless there is one numerator per vertex
+    in [0, den] and their sum is at most den."""
+
+    @functools.cache
+    def lookup(out: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        nums, den = mech.counts(NominationGraph(out))
+        nums, den = tuple(map(int, nums)), int(den)
+        if len(nums) != len(out):
+            raise InputError(f"{mech.name} gave {len(nums)} counts for {len(out)} vertices")
+        if den < 1:
+            raise InputError(f"{mech.name} gave the denominator {den}")
+        for v, c in enumerate(nums, start=1):
+            if not 0 <= c <= den:
+                raise InputError(f"probability of vertex {v} out of [0,1]: {Fraction(c, den)}")
+        if sum(nums) > den:
+            raise InputError(f"probabilities sum to {Fraction(sum(nums), den)} > 1")
+        return nums, den
+
+    return lookup
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +420,21 @@ def check_impartial(
     deviations = 0
     for out, weight in graphs:
         graphs_checked += weight
-        base = dist(out)
+        base, den = dist(out)
         for v in range(1, n + 1):
             for u in range(1, n + 1):
                 if u == v or u == out[v - 1]:
                     continue
                 deviations += weight
-                after = dist(out[: v - 1] + (u,) + out[v:])
-                if after[v - 1] != base[v - 1]:
-                    witness = DeviationWitness(NominationGraph(out), v, u, base[v - 1], after[v - 1])
+                after, after_den = dist(out[: v - 1] + (u,) + out[v:])
+                if after[v - 1] * den != base[v - 1] * after_den:
+                    witness = DeviationWitness(
+                        NominationGraph(out),
+                        v,
+                        u,
+                        Fraction(base[v - 1], den),
+                        Fraction(after[v - 1], after_den),
+                    )
                     return ImpartialityReport(graphs_checked, deviations, witness)
     return ImpartialityReport(graphs_checked, deviations, None)
 
@@ -571,30 +597,34 @@ def verify_upper_bound_chain(
         rng = SeedStream(seed).split("chain-relabellings")
         relabellings = [rng.permutation(n) for _ in range(CHAIN_RELABELLINGS)]
     for graph in family:
-        base = dist(graph.out)
+        base, den = dist(graph.out)
         for pi in relabellings:
-            image = dist(graph.relabel(pi).out)
-            for v in range(1, n + 1):
-                if image[pi.image_of(v) - 1] != base[v - 1]:
+            image, image_den = dist(graph.relabel(pi).out)
+            for v, w in enumerate(pi.seq, start=1):  # w = pi.image_of(v)
+                if image[w - 1] * den != base[v - 1] * image_den:
                     raise SymmetryError(mech.name, graph, pi, v)
 
-    p = dist(members[0].out)
-    x = tuple(dist(members[i].out)[2 - 1] for i in range(1, nprime + 1))
+    # the family graphs were evaluated by the symmetry precheck; only the
+    # values the chain reads become rationals
+    def prob(g: NominationGraph, v: int) -> Fraction:
+        nums, den = dist(g.out)
+        return Fraction(nums[v - 1], den)
+
+    p = tuple(prob(members[0], v) for v in range(1, n + 1))
+    x = tuple(prob(members[i], 2) for i in range(1, nprime + 1))
 
     p1_ok = p[0] == Fraction(1, n)
     p3_ok = p[2] <= Fraction(1, n - 2)
-    pair_ok = all(
-        dist(members[i].out)[2 - 1] == dist(members[i + 1].out)[1 - 1]
-        for i in range(nprime)
-    )
+    pair_ok = all(prob(members[i], 2) == prob(members[i + 1], 1) for i in range(nprime))
     path_ok = all(
-        dist(members[i].out)[3 - 1] == p[n - i + 1 - 1]
-        and dist(members[i].out)[i + 3 - 1] == p[i + 3 - 1]
+        prob(members[i], 3) == p[n - i + 1 - 1] and prob(members[i], i + 3) == p[i + 3 - 1]
         for i in range(1, nprime + 1)
     )
 
-    # the primes were evaluated by the symmetry precheck
-    prime_ratios = [ratio_from_probs(mech.name, g, dist(g.out)).ratio for g in primes]
+    prime_ratios = []
+    for g in primes:
+        deg = g.indegrees()
+        prime_ratios.append(_counts_ratio(deg, *dist(g.out), max(deg)))
     prime_ok = all(r <= (xi + 1) / 2 for r, xi in zip(prime_ratios, x))
     bound = upper_bound(n)
     min_family = min(prime_ratios)

@@ -12,7 +12,8 @@ behind perm and mix, the n <= 10 table of all orderings behind the
 Lemma 3 scan and the correlation check, the n <= 12 isomorphism-class
 generator, or the work budget of an exhaustive sweep or check,
 4 an internal error: an unexpected exception, reported on stderr as
-"internal error: ..." with its traceback.  Outputs
+"internal error: ..." with its traceback, 141 stdout was closed before
+all output was written (a reader such as `head` went away).  Outputs
 embed the full run configuration and carry no timestamps, so identical
 invocations produce identical bytes.
 """
@@ -41,6 +42,7 @@ from .mechanisms import MECHANISMS, get_mechanism
 from .rng import SeedStream
 
 PASS, FAIL, USAGE, CAPACITY, INTERNAL = 0, 1, 2, 3, 4
+CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader gone away
 
 _ENV_SEED = "IMPARTIAL_SEED"
 
@@ -474,7 +476,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, inside the handlers
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away (say `| head`): nothing failed.
+        # Point stdout at devnull so the flush at interpreter exit is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_PIPE
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -1,7 +1,8 @@
 """Seedable randomness for the samplers.
 
 A SeedStream wraps a Mersenne-Twister state behind the draw kinds the
-samplers need: uniform permutations (Fisher-Yates over positions),
+samplers need: uniform permutations (random.Random.shuffle, a
+Fisher-Yates pass over positions with one draw per swap),
 uniform vertices, uniform integers below a bound (the mix coin),
 categorical draws over integer weights, and uniform rationals with
 resolution 2**-64.  A categorical draw takes one uniform integer below
@@ -50,11 +51,10 @@ class SeedStream:
         return self._rng.randrange(n) + 1
 
     def permutation(self, n: int) -> Permutation:
-        """Uniform permutation of 1..n via Fisher-Yates over positions."""
+        """Uniform permutation of 1..n: random.Random.shuffle, which is
+        Fisher-Yates over positions."""
         seq = list(range(1, n + 1))
-        for i in range(n - 1, 0, -1):
-            j = self._rng.randrange(i + 1)
-            seq[i], seq[j] = seq[j], seq[i]
+        self._rng.shuffle(seq)
         return Permutation(tuple(seq))
 
     def categorical(self, weights: Sequence[int], total: int) -> Optional[int]:

@@ -39,7 +39,7 @@ from impartial.generators import (
     ub_family,
     ub_family_prime,
 )
-from impartial.graphs import CapacityError, InputError, NominationGraph, iso_code
+from impartial.graphs import CapacityError, InputError, NominationGraph, iso_classes, iso_code
 from impartial.mechanisms import MECHANISMS, Mechanism
 from impartial.rng import SeedStream
 
@@ -443,6 +443,69 @@ def test_rd_impartial_exhaustive_n6():
 def test_check_impartial_rejects_bad_mode():
     with pytest.raises(InputError):
         check_impartial("rd", 4, mode="partial")
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        lambda g: ([1] * g.n, 2),
+        lambda g: ([-1] + [1] * (g.n - 1), g.n),
+        lambda g: ([0] * (g.n - 1), 1),
+    ],
+    ids=["sum-past-denominator", "negative-count", "count-missing"],
+)
+def test_verifiers_reject_counts_that_are_no_distribution(counts):
+    bad = Mechanism("bad", False, counts, lambda g, s: 1)
+    with pytest.raises(InputError):
+        check_impartial(bad, 4)
+    with pytest.raises(InputError):
+        verify_upper_bound_chain(bad, 6)
+
+
+@pytest.mark.parametrize(
+    "scale",
+    [lambda g: 1 + max(g.indegrees()), lambda g: g.out[0]],
+    ids=["by-max-indegree", "by-label"],
+)
+def test_verifiers_compare_across_denominators(scale):
+    # rd with a denominator that varies by graph, and in the second case
+    # by labelling too: the probabilities are rd's, so both checks pass
+    # and the chain reads rd's values
+    def scaled_rd(g):
+        k = scale(g)
+        return [k * d for d in g.indegrees()], k * g.n
+
+    mech = Mechanism("rd-scaled", False, scaled_rd, lambda g, s: 1)
+    assert check_impartial(mech, 4).passed
+    rep, rd = verify_upper_bound_chain(mech, 6), verify_upper_bound_chain("rd", 6)
+    assert rep.passed
+    assert (rep.p, rep.x, rep.prime_ratios) == (rd.p, rd.x, rd.prime_ratios)
+
+
+def test_impartiality_witness_carries_the_oracle_fractions():
+    # rd everywhere but on the first deviation of the first class
+    # representative, where one count moves to the deviator over a
+    # doubled denominator: the witness holds the probabilities that the
+    # Fraction oracle compares
+    out = iso_classes(4)[0][0]
+    u = next(u for u in range(2, 5) if u != out[0])
+    shifted = (u,) + out[1:]
+
+    def counts(g):
+        deg = list(g.indegrees())
+        if g.out != shifted:
+            return deg, g.n
+        nums = [2 * d for d in deg]
+        nums[0] += 1
+        nums[u - 1] -= 1
+        return nums, 2 * g.n
+
+    mech = Mechanism("rd-shifted", False, counts, lambda g, s: 1)
+    assert not _labelled_impartial(mech, 4)
+    w = check_impartial(mech, 4).counterexample
+    assert (w.graph.out, w.vertex, w.new_target) == (out, 1, u)
+    assert w.prob_before == mech.exact(NominationGraph(out)).probs[0]
+    assert w.prob_after == mech.exact(NominationGraph(shifted)).probs[0] != w.prob_before
 
 
 # ---------------------------------------------------------------------------

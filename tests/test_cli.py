@@ -3,6 +3,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -192,6 +195,23 @@ def test_unexpected_exception_exits_internal(capsys, monkeypatch, tmp_path):
     code, out, err = run_cli(capsys, "eval", "--mech", "perm", "--graph", str(path))
     assert code == 4 and out == ""
     assert "internal error: RuntimeError" in err and "kernel fault" in err
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the reader closes its end before the command writes, as `| head`
+    # does once it has its lines: no bug, so no traceback
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "impartial.cli", "figure3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert "internal error" not in err and "BrokenPipeError" not in err, err
 
 
 def test_eval_missing_graph_file_usage(capsys, tmp_path):
