@@ -1,12 +1,16 @@
 """Guarantee formulas, performance ratios, and verification sweeps.
 
 Everything numeric here is an exact rational unless explicitly labelled
-as a Monte Carlo estimate.  The exhaustive checks cover the full graph
-class for a given n (all (n-1)^n target assignments), so zero-tolerance
-comparisons against the closed-form guarantees are meaningful.  Every
-mechanism and the Lemma 3 scan commute with relabelling, so the sweeps,
-exhaustive impartiality and the scan walk one representative per
-isomorphism class, weighted by the labelled graphs in its class.
+as a Monte Carlo estimate.  Every exact value comes from
+Mechanism.exact: ratio_of reads a performance ratio off a graph and its
+SelectionDistribution, and the verifiers compare the distributions'
+integer counts by cross-multiplying.  The exhaustive checks cover the
+full graph class for a given n (all (n-1)^n target assignments), so
+zero-tolerance comparisons against the closed-form guarantees are
+meaningful.  Every mechanism and the Lemma 3 scan commute with
+relabelling, so the sweeps, exhaustive impartiality and the scan walk
+one representative per isomorphism class, weighted by the labelled
+graphs in its class.
 """
 from __future__ import annotations
 
@@ -37,6 +41,7 @@ from .graphs import (
     InputError,
     NominationGraph,
     Permutation,
+    SelectionDistribution,
     iso_classes,
 )
 from .mechanisms import (
@@ -171,44 +176,25 @@ class RatioReport:
 def ratio(mechanism: str | Mechanism, g: NominationGraph) -> RatioReport:
     """Expected indegree of the selection divided by the maximum indegree."""
     mech = get_mechanism(mechanism) if isinstance(mechanism, str) else mechanism
-    return ratio_from_probs(mech.name, g, mech.exact(g).probs)
+    return ratio_of(mech.name, g, mech.exact(g))
 
 
-def ratio_from_probs(
-    mechanism: str, g: NominationGraph, probs: Sequence[Fraction]
-) -> RatioReport:
-    """The ratio of selection probabilities already computed on g."""
+def ratio_of(mechanism: str, g: NominationGraph, dist: SelectionDistribution) -> RatioReport:
+    """The ratio of the exact distribution dist, already computed on g."""
     deg = g.indegrees()
     delta = max(deg)
-    expected = sum((d * p for d, p in zip(deg, probs)), Fraction(0))
-    return RatioReport(g, mechanism, expected, delta, expected / delta)
+    weighted = sum(d * c for d, c in zip(deg, dist.numerators))
+    den = dist.denominator
+    expected = Fraction(weighted, den)
+    return RatioReport(g, mechanism, expected, delta, Fraction(weighted, den * delta))
 
 
-def _exact_lookup(mech: Mechanism) -> Callable[[tuple[int, ...]], tuple[tuple[int, ...], int]]:
-    """Selection counts of mech on the total graph with the given out
-    tuple, as (per-vertex numerators, denominator), memoised for the life
-    of the returned function: the one way the verifiers evaluate a
-    mechanism.  They compare probabilities by cross-multiplying, so no
-    rational is built per graph.  Raises InputError, as a
-    SelectionDistribution would, unless there is one numerator per vertex
-    in [0, den] and their sum is at most den."""
-
-    @functools.cache
-    def lookup(out: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-        nums, den = mech.counts(NominationGraph(out))
-        nums, den = tuple(map(int, nums)), int(den)
-        if len(nums) != len(out):
-            raise InputError(f"{mech.name} gave {len(nums)} counts for {len(out)} vertices")
-        if den < 1:
-            raise InputError(f"{mech.name} gave the denominator {den}")
-        for v, c in enumerate(nums, start=1):
-            if not 0 <= c <= den:
-                raise InputError(f"probability of vertex {v} out of [0,1]: {Fraction(c, den)}")
-        if sum(nums) > den:
-            raise InputError(f"probabilities sum to {Fraction(sum(nums), den)} > 1")
-        return nums, den
-
-    return lookup
+def _exact_lookup(mech: Mechanism) -> Callable[[tuple[int, ...]], SelectionDistribution]:
+    """mech.exact on the total graph with the given out tuple, memoised
+    for the life of the returned function: the one way the verifiers
+    evaluate a mechanism.  They compare probabilities by cross-multiplying
+    the integer counts, so no rational is built per graph."""
+    return functools.cache(lambda out: mech.exact(NominationGraph(out)))
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +229,6 @@ class GraphSweep:
 
     def witness(self, index: int) -> NominationGraph:
         return NominationGraph(self.reps[index])
-
-
-def _counts_ratio(deg: Sequence[int], nums: Sequence[int], den: int, delta: int) -> Fraction:
-    """Performance ratio of selection counts nums over den."""
-    return Fraction(sum(d * c for d, c in zip(deg, nums)), den * delta)
 
 
 def _graph_units(n: int, mechanisms: tuple[str, ...]) -> int:
@@ -286,14 +267,13 @@ def _in_chunks(worker: Callable, items: Sequence, jobs: int, *args) -> list:
 
 def _class_rows(mechanisms: tuple[str, ...], reps: Sequence[tuple[int, ...]]) -> list[tuple]:
     """(delta, vertices of indegree >= 2, *per-mechanism ratios) per graph."""
-    paths = [get_mechanism(m).counts for m in mechanisms]
+    mechs = [get_mechanism(m) for m in mechanisms]
     rows = []
     for out in reps:
         g = NominationGraph(out)
         deg = g.indegrees()
-        delta = max(deg)
-        ratios = [_counts_ratio(deg, *path(g), delta) for path in paths]
-        rows.append((delta, sum(d >= 2 for d in deg), *ratios))
+        ratios = [ratio_of(m.name, g, m.exact(g)).ratio for m in mechs]
+        rows.append((max(deg), sum(d >= 2 for d in deg), *ratios))
     return rows
 
 
@@ -420,20 +400,17 @@ def check_impartial(
     deviations = 0
     for out, weight in graphs:
         graphs_checked += weight
-        base, den = dist(out)
+        base = dist(out)
         for v in range(1, n + 1):
             for u in range(1, n + 1):
                 if u == v or u == out[v - 1]:
                     continue
                 deviations += weight
-                after, after_den = dist(out[: v - 1] + (u,) + out[v:])
-                if after[v - 1] * den != base[v - 1] * after_den:
+                after = dist(out[: v - 1] + (u,) + out[v:])
+                if (after.numerators[v - 1] * base.denominator
+                        != base.numerators[v - 1] * after.denominator):
                     witness = DeviationWitness(
-                        NominationGraph(out),
-                        v,
-                        u,
-                        Fraction(base[v - 1], den),
-                        Fraction(after[v - 1], after_den),
+                        NominationGraph(out), v, u, base.prob_of(v), after.prob_of(v)
                     )
                     return ImpartialityReport(graphs_checked, deviations, witness)
     return ImpartialityReport(graphs_checked, deviations, None)
@@ -597,18 +574,18 @@ def verify_upper_bound_chain(
         rng = SeedStream(seed).split("chain-relabellings")
         relabellings = [rng.permutation(n) for _ in range(CHAIN_RELABELLINGS)]
     for graph in family:
-        base, den = dist(graph.out)
+        base = dist(graph.out)
         for pi in relabellings:
-            image, image_den = dist(graph.relabel(pi).out)
+            image = dist(graph.relabel(pi).out)
             for v, w in enumerate(pi.seq, start=1):  # w = pi.image_of(v)
-                if image[w - 1] * den != base[v - 1] * image_den:
+                if (image.numerators[w - 1] * base.denominator
+                        != base.numerators[v - 1] * image.denominator):
                     raise SymmetryError(mech.name, graph, pi, v)
 
     # the family graphs were evaluated by the symmetry precheck; only the
     # values the chain reads become rationals
     def prob(g: NominationGraph, v: int) -> Fraction:
-        nums, den = dist(g.out)
-        return Fraction(nums[v - 1], den)
+        return dist(g.out).prob_of(v)
 
     p = tuple(prob(members[0], v) for v in range(1, n + 1))
     x = tuple(prob(members[i], 2) for i in range(1, nprime + 1))
@@ -621,10 +598,7 @@ def verify_upper_bound_chain(
         for i in range(1, nprime + 1)
     )
 
-    prime_ratios = []
-    for g in primes:
-        deg = g.indegrees()
-        prime_ratios.append(_counts_ratio(deg, *dist(g.out), max(deg)))
+    prime_ratios = [ratio_of(mech.name, g, dist(g.out)).ratio for g in primes]
     prime_ok = all(r <= (xi + 1) / 2 for r, xi in zip(prime_ratios, x))
     bound = upper_bound(n)
     min_family = min(prime_ratios)
@@ -695,13 +669,12 @@ def tightness_scan(
     for nprime in nprimes:
         g = lower_bound_family(delta, nprime)
         try:
-            counts, runs = perm.counts(g)
+            dist = perm.exact(g)
         except CapacityError:
             rows.append(_sampled_tightness_row(g, nprime, samples, seed, delta))
             continue
-        deg = g.indegrees()
-        value = _counts_ratio(deg, counts, runs, max(deg))
-        rows.append(TightnessRow(nprime, g.n, "exact", value, 0.0, runs))
+        value = ratio_of(perm.name, g, dist).ratio
+        rows.append(TightnessRow(nprime, g.n, "exact", value, 0.0, dist.denominator))
     exact_vals = [r.ratio for r in rows if r.kind == "exact"]
     monotone = all(a > b for a, b in zip(exact_vals, exact_vals[1:]))
     above = all(v > alpha for v in exact_vals)

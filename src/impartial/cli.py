@@ -129,7 +129,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         ]
         payload["total"] = _frac(dist.total)
         if isinstance(graph, NominationGraph):
-            rep = analysis.ratio_from_probs(mech.name, graph, dist.probs)
+            rep = analysis.ratio_of(mech.name, graph, dist)
             payload["ratio"] = {
                 "expected_indegree": _frac(rep.expected_indegree),
                 "max_indegree": rep.delta,

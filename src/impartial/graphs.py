@@ -6,7 +6,10 @@ vertex's outgoing edge is removed.  A (total) nomination graph is a
 partial graph with every edge present, so NominationGraph subclasses
 PartialNominationGraph and only tightens its validation.  iso_code
 names a total graph's isomorphism class, and iso_classes lists the
-classes of a size with a representative of each.
+classes of a size with a representative of each.  A
+SelectionDistribution is a mechanism's exact result: integer counts
+over one denominator, validated once when it is built, read as
+rationals.
 
 All types are immutable values and all operations are pure, so instances
 can be shared freely across parallel workers.  Vertices are 1-based
@@ -15,6 +18,7 @@ everywhere, including the serialized text form.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -287,47 +291,59 @@ class Permutation:
         return Permutation(self.seq[::-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectionDistribution:
-    """Exact per-vertex selection probabilities.
+    """Exact per-vertex selection probabilities: vertex v is selected with
+    probability numerators[v-1] / denominator.
 
-    Probabilities are arbitrary-precision rationals.  The total is at
-    most 1; mechanisms that always select sum to exactly 1, inexact ones
-    may leave a deficit (the probability of selecting no one).
+    The counts are validated once, in integers, when the value is built;
+    a Fraction or float count is rejected rather than truncated.  The
+    total is at most 1; mechanisms that always select sum to exactly 1,
+    inexact ones may leave a deficit (the probability of selecting no
+    one).  The rationals are computed when read, and the denominator is
+    kept as given, so equality compares the stored counts.
     """
 
-    probs: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
     def __post_init__(self) -> None:
-        probs = tuple(Fraction(p) for p in self.probs)
-        object.__setattr__(self, "probs", probs)
-        if len(probs) < 2:
+        try:
+            nums = tuple(map(operator.index, self.numerators))
+            den = operator.index(self.denominator)
+        except TypeError as exc:
+            raise InputError(f"selection counts must be integers: {exc}") from None
+        object.__setattr__(self, "numerators", nums)
+        object.__setattr__(self, "denominator", den)
+        if len(nums) < 2:
             raise InputError("distribution needs at least 2 vertices")
-        for v, p in enumerate(probs, start=1):
-            if not 0 <= p <= 1:
-                raise InputError(f"probability of vertex {v} out of [0,1]: {p}")
-        if sum(probs) > 1:
-            raise InputError(f"probabilities sum to {sum(probs)} > 1")
-
-    @classmethod
-    def from_counts(cls, counts: Sequence[int], denominator: int) -> "SelectionDistribution":
-        return cls(tuple(Fraction(int(c), denominator) for c in counts))
+        if den < 1:
+            raise InputError(f"denominator {den} is not positive")
+        for v, c in enumerate(nums, start=1):
+            if not 0 <= c <= den:
+                raise InputError(f"probability of vertex {v} out of [0,1]: {Fraction(c, den)}")
+        if sum(nums) > den:
+            raise InputError(f"probabilities sum to {Fraction(sum(nums), den)} > 1")
 
     @property
     def n(self) -> int:
-        return len(self.probs)
+        return len(self.numerators)
+
+    @property
+    def probs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.denominator) for c in self.numerators)
 
     def prob_of(self, v: int) -> Fraction:
         _check_vertex(v, self.n)
-        return self.probs[v - 1]
+        return Fraction(self.numerators[v - 1], self.denominator)
 
     @property
     def total(self) -> Fraction:
-        return sum(self.probs, Fraction(0))
+        return Fraction(sum(self.numerators), self.denominator)
 
     @property
     def is_exact(self) -> bool:
-        return self.total == 1
+        return sum(self.numerators) == self.denominator
 
     def deficit(self) -> Fraction:
         """Probability mass not assigned to any vertex."""

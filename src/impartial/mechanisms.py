@@ -1,16 +1,16 @@
 """The five selection mechanisms.
 
 A mechanism is reached through its Mechanism entry in MECHANISMS,
-which checks the graph once and then runs one of two paths: the exact
+which checks the graph once and then runs one of two paths.  The exact
 path returns integer selection counts over a common denominator (the
-``*_counts`` functions; Mechanism.exact turns them into rationals), and
-the sampling path is a factory (the ``*_sampler`` functions) that reads
-the graph once and returns a draw; each call of the draw simulates the
-rule on one ordering or vertex drawn from a SeedStream.  Exact perm
-counts the scan's outcomes over all n! vertex orderings by a DP over
-prefix sets, whose 2^n states cap perm, and mix through it, at
-engine.DP_CAP vertices; rd, prug and prugd are closed forms with no
-cap.
+``*_counts`` functions); Mechanism.exact returns them as a
+SelectionDistribution, which validates them.  The sampling path is a
+factory (the ``*_sampler`` functions) that reads the graph once and
+returns a draw; each call of the draw simulates the rule on one
+ordering or vertex drawn from a SeedStream.  Exact perm counts the
+scan's outcomes over all n! vertex orderings by a DP over prefix sets,
+whose 2^n states cap perm, and mix through it, at engine.DP_CAP
+vertices; rd, prug and prugd are closed forms with no cap.
 
 perm  - left-to-right candidate scan along a uniform random ordering.
 rd    - random dictatorship: a uniform vertex's nominee.
@@ -279,13 +279,14 @@ def mix_sampler(g: NominationGraph) -> Draw:
 class Mechanism:
     """A named exact path and sampler: the one way into a mechanism.
 
-    accepts_partial: defined on graphs with missing out-edges; counts()
+    accepts_partial: defined on graphs with missing out-edges; exact()
     and sampler() reject any other graph for a mechanism without it, so
     the paths behind them never check.
-    The exact path returns integer counts over one denominator; exact()
-    turns them into rationals.  sampler(g) reads the graph once and
-    returns a draw that takes a SeedStream; sample() is one draw from a
-    seed or a SeedStream.
+    exact(g) is the one exact entry: it wraps the exact path's integer
+    counts over one denominator in a SelectionDistribution, which
+    validates them, and rejects a count vector that is not one per vertex.
+    sampler(g) reads the graph once and returns a draw that takes a
+    SeedStream; sample() is one draw from a seed or a SeedStream.
     """
 
     name: str
@@ -293,11 +294,11 @@ class Mechanism:
     _counts: Callable[[AnyGraph], Counts]
     _sampler: Callable[[AnyGraph], Draw]
 
-    def counts(self, g: AnyGraph) -> Counts:
-        return self._counts(self._coerce(g))
-
     def exact(self, g: AnyGraph) -> SelectionDistribution:
-        return SelectionDistribution.from_counts(*self.counts(g))
+        dist = SelectionDistribution(*self._counts(self._coerce(g)))
+        if dist.n != g.n:
+            raise InputError(f"{self.name} gave {dist.n} counts for {g.n} vertices")
+        return dist
 
     def sampler(self, g: AnyGraph) -> Draw:
         return self._sampler(self._coerce(g))

@@ -39,7 +39,14 @@ from impartial.generators import (
     ub_family,
     ub_family_prime,
 )
-from impartial.graphs import CapacityError, InputError, NominationGraph, iso_classes, iso_code
+from impartial.graphs import (
+    CapacityError,
+    InputError,
+    NominationGraph,
+    SelectionDistribution,
+    iso_classes,
+    iso_code,
+)
 from impartial.mechanisms import MECHANISMS, Mechanism
 from impartial.rng import SeedStream
 
@@ -126,9 +133,9 @@ def test_guarantee_table_floor_location():
 # ---------------------------------------------------------------------------
 # ratio
 
-def test_ratio_from_probs():
+def test_ratio_of_distribution():
     g = NominationGraph((2, 1, 1))
-    rep = analysis.ratio_from_probs("any", g, (Fraction(1, 2), Fraction(1, 2), Fraction(0)))
+    rep = analysis.ratio_of("any", g, SelectionDistribution((1, 1, 0), 2))
     assert rep.expected_indegree == Fraction(3, 2)
     assert rep.delta == 2 and rep.ratio == Fraction(3, 4)
 
@@ -445,14 +452,28 @@ def test_check_impartial_rejects_bad_mode():
         check_impartial("rd", 4, mode="partial")
 
 
+def _half_on_top(half):
+    """Counts of half on the top vertex and 0 elsewhere, over 1: a rule
+    that is not impartial, unless half is truncated to 0."""
+
+    def counts(g):
+        top = g.max_indegree_and_top()[2]
+        return [half if v == top else 0 for v in g.vertices], 1
+
+    return counts
+
+
 @pytest.mark.parametrize(
     "counts",
     [
         lambda g: ([1] * g.n, 2),
         lambda g: ([-1] + [1] * (g.n - 1), g.n),
         lambda g: ([0] * (g.n - 1), 1),
+        _half_on_top(Fraction(1, 2)),
+        _half_on_top(0.5),
     ],
-    ids=["sum-past-denominator", "negative-count", "count-missing"],
+    ids=["sum-past-denominator", "negative-count", "count-missing", "fraction-count",
+         "float-count"],
 )
 def test_verifiers_reject_counts_that_are_no_distribution(counts):
     bad = Mechanism("bad", False, counts, lambda g, s: 1)
@@ -460,6 +481,8 @@ def test_verifiers_reject_counts_that_are_no_distribution(counts):
         check_impartial(bad, 4)
     with pytest.raises(InputError):
         verify_upper_bound_chain(bad, 6)
+    with pytest.raises(InputError):
+        bad.exact(NominationGraph((2, 1, 1, 1)))
 
 
 @pytest.mark.parametrize(

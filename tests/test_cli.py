@@ -128,6 +128,62 @@ def test_eval_samples_stdout_pinned(capsys, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (graph, mech, fmt)
 
 
+# sha256 of exact eval stdout, graph on stdin, for every mechanism on
+# "5; 3,5,1,1,2" and a fixed total graph at n = 10 and n = 8, and for
+# perm and prug on a partial graph, whose output has no ratio: pinned so
+# that the exact path and both output formats stay byte-identical
+EVAL_EXACT_GRAPHS = {
+    "n5": "5; 3,5,1,1,2",
+    "n10": "10; 4,3,6,2,9,9,9,7,4,2",
+    "n8": "8; 3,6,8,8,8,1,3,1",
+    "partial": "5; 3,0,1,1,2",
+}
+EVAL_EXACT_SHA256 = {
+    ("n5", "perm", "json"): "04540e2ef0c5ca304368505caf6795c0ef40d3ab8aab5abc253fd44196cb1dcf",
+    ("n5", "perm", "csv"): "2a84ca36d2d1fa1dad06aa5c71d41c76d866105443c6c25b96f7bc62ac79733b",
+    ("n5", "rd", "json"): "40e8f1398474d2cf238c941804ab76dc572ba4d1e053fe4c26fdce8ee37e0acc",
+    ("n5", "rd", "csv"): "af83ac0cced7e1c93976bd201e909641f96d064973c4d6fdbc909cfbd939f5ce",
+    ("n5", "prug", "json"): "9d377b7fc1c46a402bf8d6d9d893cdc0f18195f5e46f6b684aab7db03fbf1f45",
+    ("n5", "prug", "csv"): "c3e17221db4fae3ad108185b2d900588906d2273da0cd2ec9a0173ce4b1b6596",
+    ("n5", "prugd", "json"): "6e84d64c1df89e288c1caba6ecd6c7e2e49d74ccb2bdb3920c871cb37dd0b8cd",
+    ("n5", "prugd", "csv"): "50243d494be2cb809bc753151c834eae293b8b21e2676c09a0cde5bd20ad5370",
+    ("n5", "mix", "json"): "fdebf2a1d2628a909cb9d667deb0bcfc30e0bfb5c2121ee16884f3659a46fd9a",
+    ("n5", "mix", "csv"): "af83ac0cced7e1c93976bd201e909641f96d064973c4d6fdbc909cfbd939f5ce",
+    ("n10", "perm", "json"): "18d39931d6d9c61712bc49b20e4a086b29231af28777ed019d7c92e3de3f1a63",
+    ("n10", "perm", "csv"): "61b3fdab4266d5208e5b246ddc9eb6295e94b0a323f97fb0cbdca248c9155a51",
+    ("n10", "rd", "json"): "c57523ea743c71bdb2e3194dfc8d26d68fd1e4900f7bfa614d1eebf6509761b8",
+    ("n10", "rd", "csv"): "46bb41a6e8d288dc5dfc4f766803d25afa6bd25116f2f4bafc0f1f20f072d2be",
+    ("n10", "prug", "json"): "bc0de740fa13ac3162ac0d015129b0e4b17e04ca210c340ba7651cb116aac88e",
+    ("n10", "prug", "csv"): "28d19f745c6511697bfbe9f76d3032d7d17b6d5affed60a418f6e736d6b0e737",
+    ("n10", "prugd", "json"): "cb73f881f06bdfa1e8542b8303679ea4776fa21c96eb4938dd5a497d9b086439",
+    ("n10", "prugd", "csv"): "1e64fedbf60748608696822bfdf452c99b6ee8de839c1fa86e536062493acb08",
+    ("n10", "mix", "json"): "51f91db2dcf6aec5f4a88d0d9f69587b832922f014a84a97b11938d4f83df54d",
+    ("n10", "mix", "csv"): "50263d37494d56ef0cd142bdb10dd51fb72d63437c6f90b333a043d4cac88160",
+    ("n8", "perm", "json"): "80b1de2f4763ec13c7121c3b9b9f954d28836d0c51d106fb349298777dfb146a",
+    ("n8", "perm", "csv"): "763f69b7764bf13ae9c60772f84829c9997efaae3a60397f7ebdc81e51814be2",
+    ("n8", "rd", "json"): "06102865a544d909ae5c744892981d1deef322264995c811b15be77f2d34670b",
+    ("n8", "rd", "csv"): "d4c47df7619453fd207c4c090943eb2a0c87c9422b6a6b98888d2adf968a900a",
+    ("n8", "prug", "json"): "fb5beb335bbb5a4dc97547cae242f491871f0d6f3990b46c11bdf5f3d9eb25e8",
+    ("n8", "prug", "csv"): "eee9bbb949ba82b794076f1a73b1ffb9eaa36484b5f9c96c2a4576b8ace10f33",
+    ("n8", "prugd", "json"): "a3f3112c90b33e9f7bc1cc8df4345f41be34296d639f1a7fc682205ef65eb7ca",
+    ("n8", "prugd", "csv"): "85f5f1b5589b9a76c5a8420fc359a43698d886068203c862dfb488f7de96edd9",
+    ("n8", "mix", "json"): "599b1292d2e6177f5facba40a7c8ebc645dda60d4dee0839ba212b7a08484df8",
+    ("n8", "mix", "csv"): "1666a745e736b0ea1107bbe502a35b68de1edfd8ae240be3d2d0773ffcabc236",
+    ("partial", "perm", "json"): "1aa9a09cd6b728623d014c51dca22497b317b5a1bb5aee6dc443263ae6db4abe",
+    ("partial", "perm", "csv"): "9e007e4fd1a89a2125771d15fb954ac947cdb7e81e6edef34acf38120fb95b42",
+    ("partial", "prug", "json"): "9cc82d0771133754f46ae66c0a444bfb5be9e66b7ee537b702d7d56346937aa4",
+    ("partial", "prug", "csv"): "9facf47dd53a497e9275ef2c4b98c81db8906081d3738b05146942339e5c2627",
+}
+
+
+def test_eval_exact_stdout_pinned(capsys, monkeypatch):
+    for (graph, mech, fmt), digest in EVAL_EXACT_SHA256.items():
+        monkeypatch.setattr("sys.stdin", io.StringIO(EVAL_EXACT_GRAPHS[graph] + "\n"))
+        code, out, _ = run_cli(capsys, "eval", "--mech", mech, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (graph, mech, fmt)
+
+
 def test_eval_sampled_requires_seed(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("IMPARTIAL_SEED", raising=False)
     path = tmp_path / "g.txt"

@@ -214,19 +214,30 @@ def test_prefix_indegree_sum_attains_n_on_partial_path():
 # selection distributions
 
 def test_distribution_validation():
-    SelectionDistribution((Fraction(1, 2), Fraction(1, 2)))
+    SelectionDistribution((1, 1), 2)
     with pytest.raises(InputError):
-        SelectionDistribution((Fraction(3, 4), Fraction(1, 2)))
+        SelectionDistribution((3, 2), 4)  # sums past 1
     with pytest.raises(InputError):
-        SelectionDistribution((Fraction(-1, 4), Fraction(1, 2)))
+        SelectionDistribution((-1, 2), 4)
+    with pytest.raises(InputError):
+        SelectionDistribution((0, 0), 0)  # no positive denominator
+    for bad in (Fraction(1, 2), 0.5, Fraction(1)):
+        with pytest.raises(InputError):  # rejected, not truncated to an integer
+            SelectionDistribution((bad, 0), 1)
+    with pytest.raises(InputError):
+        SelectionDistribution((1,), 1)
 
 
 def test_distribution_accessors():
-    d = SelectionDistribution((Fraction(1, 4), Fraction(1, 2)))
+    d = SelectionDistribution((1, 2), 4)
+    assert d.probs == (Fraction(1, 4), Fraction(1, 2))
     assert d.prob_of(2) == Fraction(1, 2)
     assert d.total == Fraction(3, 4)
     assert not d.is_exact
     assert d.deficit() == Fraction(1, 4)
+    # the counts are kept as given: equal probabilities over another
+    # denominator make another value
+    assert d != SelectionDistribution((2, 4), 8)
 
 
 # ---------------------------------------------------------------------------

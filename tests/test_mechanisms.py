@@ -401,7 +401,7 @@ def test_dv_wrap_never_selecting_inner_gives_uniform():
         return [0] * h.n, 1
 
     counts, den = dv_wrap_counts(nothing, STAR4)
-    assert SelectionDistribution.from_counts(counts, den).probs == (Fraction(1, 4),) * 4
+    assert SelectionDistribution(counts, den).probs == (Fraction(1, 4),) * 4
 
 
 def test_dv_wrap_exact_inner_is_plain_average():
