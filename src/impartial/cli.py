@@ -9,8 +9,9 @@ Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error
 (including numbers rejected at parse time and unreadable graph files),
 3 an exact computation exceeded its cap: the n <= 16 prefix-set DP
 behind perm and mix, the n <= 10 table of all orderings behind the
-Lemma 3 scan and the correlation check, the n <= 12 isomorphism-class
-generator, or the work budget of an exhaustive sweep or check,
+correlation check, the n <= 12 isomorphism-class generator, or the work
+budget of an exhaustive sweep or check (which stops the Lemma 3 scan
+at n = 10, before that table does),
 4 an internal error: an unexpected exception, reported on stderr as
 "internal error: ..." with its traceback, 141 stdout was closed before
 all output was written (a reader such as `head` went away).  Outputs
@@ -61,7 +62,7 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _emit_csv(header: list[str], rows: list[list[str]]) -> None:
+def _emit_csv(header: list[str], rows: list[list]) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -122,11 +123,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
     if args.samples is None:
         dist = mech.exact(graph)
+        header = ["vertex", "prob", "decimal"]
+        table = [[v, _frac(p), analysis.frac_decimal(p)] for v, p in zip(graph.vertices, dist.probs)]
         payload["mode"] = "exact"
-        payload["distribution"] = [
-            {"vertex": v, "prob": _frac(dist.prob_of(v)), "decimal": analysis.frac_decimal(dist.prob_of(v))}
-            for v in graph.vertices
-        ]
+        payload["distribution"] = [dict(zip(header, row)) for row in table]
         payload["total"] = _frac(dist.total)
         if isinstance(graph, NominationGraph):
             rep = analysis.ratio_of(mech.name, graph, dist)
@@ -136,42 +136,25 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 "ratio": _frac(rep.ratio),
                 "decimal": analysis.frac_decimal(rep.ratio),
             }
-        if args.format == "csv":
-            _emit_csv(
-                ["vertex", "prob", "decimal"],
-                [[str(v), _frac(dist.prob_of(v)), analysis.frac_decimal(dist.prob_of(v))] for v in graph.vertices],
-            )
-        else:
-            _emit_json(payload)
-        return PASS
-
-    seed = _resolve_seed(args, required=True)
-    rng = SeedStream(seed)
-    draw = mech.sampler(graph)
-    counts = [0] * graph.n
-    none_count = 0
-    for _ in range(args.samples):
-        picked = draw(rng)
-        if picked is None:
-            none_count += 1
-        else:
-            counts[picked - 1] += 1
-    k = args.samples
-    rows = []
-    payload["mode"] = "sampled"
-    payload["samples"] = k
-    freqs = []
-    for v in graph.vertices:
-        f = counts[v - 1] / k
-        ci = 3.0 * math.sqrt(max(f * (1 - f), 0.0) / k)
-        freqs.append(
-            {"vertex": v, "count": counts[v - 1], "freq": f"{f:.12f}", "ci3": f"{ci:.12f}"}
-        )
-        rows.append([str(v), str(counts[v - 1]), f"{f:.12f}", f"{ci:.12f}"])
-    payload["frequencies"] = freqs
-    payload["none_count"] = none_count
+    else:
+        rng = SeedStream(_resolve_seed(args, required=True))
+        draw = mech.sampler(graph)
+        counts = [0] * (graph.n + 1)  # counts[v] for vertex v, counts[0] for no one
+        for _ in range(args.samples):
+            counts[draw(rng) or 0] += 1
+        k = args.samples
+        header = ["vertex", "count", "freq", "ci3"]
+        table = []
+        for v in graph.vertices:
+            f = counts[v] / k
+            ci = 3.0 * math.sqrt(max(f * (1 - f), 0.0) / k)
+            table.append([v, counts[v], f"{f:.12f}", f"{ci:.12f}"])
+        payload["mode"] = "sampled"
+        payload["samples"] = k
+        payload["frequencies"] = [dict(zip(header, row)) for row in table]
+        payload["none_count"] = counts[0]
     if args.format == "csv":
-        _emit_csv(["vertex", "count", "freq", "ci3"], rows)
+        _emit_csv(header, table)
     else:
         _emit_json(payload)
     return PASS

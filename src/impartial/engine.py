@@ -34,8 +34,9 @@ import numpy as np
 from .graphs import AnyGraph, CapacityError
 
 # Largest n whose n! orderings are ever enumerated one by one: the
-# ordering table behind the Lemma 3 scan and the correlation check.
-# (Tightness rows switch from exact to sampled at DP_CAP, not here.)
+# ordering table behind the correlation check and the Lemma 3 scan.  Only
+# the correlation check reaches it; the sweep budget stops the scan at
+# n = 10.  (Tightness rows switch from exact to sampled at DP_CAP, not here.)
 ENUM_CAP = 10
 # Largest n at which exact perm, and exact mix above MIX_SMALL_N, run the
 # prefix-set DP: about 1 s and 100 MB at n = 16, and each further vertex

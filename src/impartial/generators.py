@@ -7,7 +7,7 @@ turns one family member into a relabelling of another.
 """
 from __future__ import annotations
 
-import math
+import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -98,11 +98,12 @@ def lower_bound_family(delta: int, nprime: int) -> NominationGraph:
 
 def required_nprime(delta: int, eps: Fraction | float) -> int:
     """Smallest block count making the top vertex's escape probability
-    drop below eps: the least integer m with
+    drop below eps: the least integer m >= 1 with
     A * B1**m < eps * (delta+1) * B2**m, where A, B1, B2 depend on delta.
+    It is at least 1, since lower_bound_family needs one block.
 
-    Evaluated with exact rational arithmetic, so boundary cases where the
-    underlying threshold is an integer resolve strictly.
+    Evaluated in exact integers, so boundary cases where the underlying
+    threshold is an integer resolve strictly.
     """
     if delta < 2:
         raise InputError(f"required_nprime needs delta >= 2, got {delta}")
@@ -110,16 +111,14 @@ def required_nprime(delta: int, eps: Fraction | float) -> int:
     if not 0 < eps < 1:
         raise InputError(f"required_nprime needs 0 < eps < 1, got {eps}")
     half = delta // 2
-    a = Fraction((delta - half) * (half + 1))
-    rhs_unit = eps * (delta + 1)
-    b1 = Fraction(2 * half + 1)
-    b2 = Fraction(2 * half + 2)
-    # float guess, then exact scan around it
-    t = (math.log(float(a)) - math.log(float(rhs_unit))) / (
-        math.log(float(b2)) - math.log(float(b1))
-    )
-    m = math.floor(t) - 2
-    while not a * b1 ** m < rhs_unit * b2 ** m:
+    b1, b2 = 2 * half + 1, 2 * half + 2
+    # both sides at m = 1, multiplied through by eps's denominator
+    lhs = (delta - half) * (half + 1) * eps.denominator * b1
+    rhs = eps.numerator * (delta + 1) * b2
+    m = 1
+    while lhs >= rhs:
+        lhs *= b1
+        rhs *= b2
         m += 1
     return m
 
@@ -150,13 +149,14 @@ _FAMILY_ALIASES = {
     "random": "random",
 }
 
-_FAMILY_PARAMS = {
-    "cycle": ("n",),
-    "two_cycle_path": ("n",),
-    "ub_family": ("n", "i"),
-    "ub_family_prime": ("n", "i"),
-    "lower_bound": ("delta", "nprime"),
-    "random": ("n", "seed"),
+# each builder's parameter names are the ones the spec takes
+_FAMILIES = {
+    "cycle": cycle,
+    "two_cycle_path": two_cycle_path,
+    "ub_family": ub_family,
+    "ub_family_prime": ub_family_prime,
+    "lower_bound": lower_bound_family,
+    "random": random_graph,
 }
 
 
@@ -176,7 +176,7 @@ class FamilySpec:
                 f"{sorted(set(_FAMILY_ALIASES))}"
             )
         object.__setattr__(self, "kind", kind)
-        expected = _FAMILY_PARAMS[kind]
+        expected = tuple(inspect.signature(_FAMILIES[kind]).parameters)
         missing = [k for k in expected if k not in self.params]
         extra = [k for k in self.params if k not in expected]
         if missing or extra:
@@ -209,15 +209,4 @@ class FamilySpec:
         return cls(kind, params)
 
     def build(self) -> NominationGraph:
-        p = self.params
-        if self.kind == "cycle":
-            return cycle(p["n"])
-        if self.kind == "two_cycle_path":
-            return two_cycle_path(p["n"])
-        if self.kind == "ub_family":
-            return ub_family(p["n"], p["i"])
-        if self.kind == "ub_family_prime":
-            return ub_family_prime(p["n"], p["i"])
-        if self.kind == "lower_bound":
-            return lower_bound_family(p["delta"], p["nprime"])
-        return random_graph(p["n"], p["seed"])
+        return _FAMILIES[self.kind](**self.params)

@@ -22,7 +22,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 # Largest n that iso_classes generates: 18 264 classes in about 2 s
@@ -75,17 +75,6 @@ class PartialNominationGraph:
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    def target_of(self, v: int) -> Optional[int]:
-        _check_vertex(v, self.n)
-        return self.out[v - 1]
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(v, t) for v, t in enumerate(self.out, start=1) if t is not None]
-
-    def indegree(self, v: int) -> int:
-        _check_vertex(v, self.n)
-        return sum(1 for t in self.out if t == v)
-
     def indegree_from(self, v: int, sources: Iterable[int]) -> int:
         _check_vertex(v, self.n)
         seen = set()
@@ -131,9 +120,6 @@ class PartialNominationGraph:
             if t is not None:
                 out[pi.image_of(v) - 1] = pi.image_of(t)
         return type(self)(tuple(out))
-
-    def is_total(self) -> bool:
-        return all(t is not None for t in self.out)
 
 
 @dataclass(frozen=True)
@@ -263,32 +249,14 @@ class Permutation:
         if n < 1 or sorted(seq) != list(range(1, n + 1)):
             raise InputError(f"not a permutation of 1..{n}: {seq!r}")
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
     @property
     def n(self) -> int:
         return len(self.seq)
-
-    @cached_property
-    def _pos(self) -> tuple[int, ...]:
-        pos = [0] * self.n
-        for i, v in enumerate(self.seq, start=1):
-            pos[v - 1] = i
-        return tuple(pos)
-
-    def position_of(self, v: int) -> int:
-        _check_vertex(v, self.n)
-        return self._pos[v - 1]
 
     def image_of(self, v: int) -> int:
         """The relabelling view: v is renamed to the v-th entry of seq."""
         _check_vertex(v, self.n)
         return self.seq[v - 1]
-
-    def reverse(self) -> "Permutation":
-        return Permutation(self.seq[::-1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -340,14 +308,6 @@ class SelectionDistribution:
     @property
     def total(self) -> Fraction:
         return Fraction(sum(self.numerators), self.denominator)
-
-    @property
-    def is_exact(self) -> bool:
-        return sum(self.numerators) == self.denominator
-
-    def deficit(self) -> Fraction:
-        """Probability mass not assigned to any vertex."""
-        return 1 - self.total
 
 
 # ---------------------------------------------------------------------------

@@ -42,15 +42,15 @@ def perm_dist(g: AnyGraph, exclude_candidate: bool = True) -> list[Fraction]:
 def prug_p(g: AnyGraph, order: tuple[int, ...]) -> list[Fraction]:
     n = g.n
     pos = {v: i for i, v in enumerate(order, start=1)}
-    degs = {v: g.indegree(v) for v in g.vertices}
+    degs = dict(zip(g.vertices, g.indegrees()))
     dmax = max(degs.values())
     front = max(g.vertices, key=lambda v: (degs[v], pos[v]))
-    reduced = g.remove_out_edge(front)
-    gap = all(degs[front] >= reduced.indegree(v) + 2 for v in g.vertices if v != front)
+    reduced = g.remove_out_edge(front).indegrees()
+    gap = all(degs[front] >= reduced[v - 1] + 2 for v in g.vertices if v != front)
     p = [Fraction(0)] * n
     p[front - 1] = Fraction(3, 4) if gap else Fraction(1, 2)
     runner = max((v for v in g.vertices if v != front), key=lambda v: (degs[v], pos[v]))
-    if g.target_of(runner) == front and (
+    if g.out[runner - 1] == front and (
         degs[runner] == dmax or (degs[runner] == dmax - 1 and pos[runner] > pos[front])
     ):
         p[runner - 1] = Fraction(1, 2)
@@ -109,7 +109,7 @@ def prug_q_vector(g: AnyGraph, pi: Permutation) -> tuple[int, ...]:
     p(pi) + p(reverse pi) in quarters.  The entries sum to at most 8,
     so this is a valid (possibly deficient) distribution over 8."""
     p1 = prug_p_vector(g, pi)
-    p2 = prug_p_vector(g, pi.reverse())
+    p2 = prug_p_vector(g, Permutation(pi.seq[::-1]))
     return tuple(a + b for a, b in zip(p1, p2))
 
 
@@ -140,7 +140,7 @@ def prugd_dist(g: NominationGraph) -> list[Fraction]:
 
 
 def rd_dist(g: NominationGraph) -> list[Fraction]:
-    return [Fraction(g.indegree(v), g.n) for v in g.vertices]
+    return [Fraction(d, g.n) for d in g.indegrees()]
 
 
 def mix_dist(g: NominationGraph) -> list[Fraction]:

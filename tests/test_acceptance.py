@@ -165,7 +165,7 @@ def test_criterion_09b_chain_rejects_prugd():
     # Pinning the ordering to the vertex labels is the position-based
     # tie-break the scan exists to catch.
     def label_order_prug_counts(g):
-        return list(oracle.prug_q_vector(g, Permutation.identity(g.n))), 8  # in eighths
+        return list(oracle.prug_q_vector(g, Permutation(tuple(g.vertices)))), 8  # in eighths
 
     label_order = Mechanism(  # the chain never samples
         "prugd", False, lambda g: dv_wrap_counts(label_order_prug_counts, g), lambda g: lambda rng: 1
@@ -235,7 +235,7 @@ def test_criterion_12_sampler_exact_agreement():
         dist = mech.exact(g)
         counts = run(name, seed=424242)
         assert counts == run(name, seed=424242)  # bit-identical rerun
-        targets = [dist.prob_of(v) for v in g.vertices] + [dist.deficit()]
+        targets = [*dist.probs, 1 - dist.total]
         for slot, p in enumerate(targets):
             f = counts[slot] / draws
             if p == 0:

@@ -424,11 +424,16 @@ def test_class_walk_matches_the_labelled_walk(monkeypatch):
 
 def test_naive_scan_variant_fails_impartiality():
     naive = _naive_perm()
-    rep = check_impartial(naive, 4)
-    assert not rep.passed
-    w = rep.counterexample
-    assert w.prob_before != w.prob_after
-    assert w.vertex >= 1 and w.new_target != w.vertex
+    sampled = {"mode": "sampled", "seed": 0, "samples": 20}
+    for n, kwargs in ((4, {}), (4, sampled), (5, sampled)):
+        rep = check_impartial(naive, n, **kwargs)
+        assert not rep.passed, (n, kwargs)
+        w = rep.counterexample
+        assert w.vertex >= 1 and w.new_target not in (w.vertex, w.graph.out[w.vertex - 1])
+        deviated = w.graph.retarget(w.vertex, w.new_target)
+        assert w.prob_before == naive.exact(w.graph).prob_of(w.vertex)
+        assert w.prob_after == naive.exact(deviated).prob_of(w.vertex)
+        assert w.prob_before != w.prob_after
 
 
 def test_check_impartial_budget_and_sampled():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from impartial.generators import (
+    _FAMILY_ALIASES,
     FamilySpec,
     cycle,
     lower_bound_family,
@@ -26,20 +27,19 @@ def test_cycle_small():
 
 
 def test_cycle_seven_edges():
-    assert set(cycle(7).edges()) == {
+    assert set(enumerate(cycle(7).out, start=1)) == {
         (1, 7), (2, 1), (3, 2), (4, 3), (5, 4), (6, 5), (7, 6)
     }
 
 
 def test_two_cycle_path():
     g = two_cycle_path(7)
-    assert g.indegree(1) == 1 and g.indegree(2) == 1
-    assert all(g.indegree(v) == 1 for v in range(3, 8))
-    assert set(g.edges()) == {
+    assert g.indegrees() == (1,) * 7
+    assert set(enumerate(g.out, start=1)) == {
         (1, 2), (2, 1), (3, 7), (4, 3), (5, 4), (6, 5), (7, 6)
     }
     g4 = two_cycle_path(4)
-    assert set(g4.edges()) == {(1, 2), (2, 1), (3, 4), (4, 3)}
+    assert set(enumerate(g4.out, start=1)) == {(1, 2), (2, 1), (3, 4), (4, 3)}
     with pytest.raises(InputError):
         two_cycle_path(3)
 
@@ -47,14 +47,14 @@ def test_two_cycle_path():
 def test_ub_family_member_zero():
     g0 = ub_family(7, 0)
     # 2-cycle on {1,2} plus the path 7 -> 6 -> 5 -> 4 -> 3 -> 2
-    assert set(g0.edges()) == {
+    assert set(enumerate(g0.out, start=1)) == {
         (1, 2), (2, 1), (3, 2), (4, 3), (5, 4), (6, 5), (7, 6)
     }
 
 
 def test_ub_family_member_one():
     g1 = ub_family(7, 1)
-    assert set(g1.edges()) == {
+    assert set(enumerate(g1.out, start=1)) == {
         (1, 2), (2, 1), (3, 1), (4, 2), (5, 4), (6, 5), (7, 6)
     }
 
@@ -62,14 +62,14 @@ def test_ub_family_member_one():
 def test_ub_family_two_cycle_edge_always_present():
     for n in (6, 7, 8):
         for i in range(1, n // 2):
-            assert ub_family(n, i).target_of(2) == 1
+            assert ub_family(n, i).out[2 - 1] == 1
 
 
 def test_ub_family_degree_of_two():
     for n in (6, 7, 8):
         for i in range(1, n // 2):
             g = ub_family(n, i)
-            assert g.indegree(2) == 2
+            assert g.indegrees()[2 - 1] == 2
             assert g.indegree_from(2, {1, i + 3}) == 2
 
 
@@ -119,7 +119,7 @@ def test_lower_bound_family_figure_wiring():
 def test_lower_bound_family_small():
     g = lower_bound_family(2, 1)
     assert g.n == 5
-    assert g.indegree(1) == 2 and g.indegree(2) == 1
+    assert g.indegrees()[:2] == (2, 1)
     assert sorted(g.indegrees()) == [0, 1, 1, 1, 2]
 
 
@@ -142,6 +142,7 @@ def test_lower_bound_family_profile():
 def test_required_nprime_values():
     assert required_nprime(4, 0.1) == 14
     assert required_nprime(2, Fraction(1, 10)) == 7
+    assert required_nprime(2, 0.9) == 1  # one block already beats eps
 
 
 def test_required_nprime_monotone_in_eps():
@@ -184,7 +185,7 @@ def test_random_graph_indegree_mean():
     # indegree of a fixed vertex is Binomial(n-1, 1/(n-1)): mean 1
     n, draws = 8, 10_000
     rng = SeedStream(2024)
-    total = sum(random_graph(n, rng).indegree(1) for _ in range(draws))
+    total = sum(random_graph(n, rng).indegrees()[0] for _ in range(draws))
     var = (n - 1) * (1 / (n - 1)) * (1 - 1 / (n - 1))
     assert abs(total / draws - 1.0) < 3 * math.sqrt(var / draws)
 
@@ -197,14 +198,21 @@ def test_random_graph_always_valid(n, seed):
 
 
 def test_family_spec_parse_and_build():
-    spec = FamilySpec.parse("family=cycle,n=7")
-    assert spec.build() == cycle(7)
-    spec = FamilySpec.parse("family=ub n=7 i=0")
-    assert spec.build() == ub_family(7, 0)
-    spec = FamilySpec.parse("family=lb,delta=4,nprime=2")
-    assert spec.build() == lower_bound_family(4, 2)
-    spec = FamilySpec.parse("family=random,n=6,seed=5")
-    assert spec.build() == random_graph(6, 5)
+    cases = {  # alias: (parameters, the graph they build)
+        "cycle": ("n=7", cycle(7)),
+        "two_cycle_path": ("n=6", two_cycle_path(6)),
+        "c2n": ("n=5", two_cycle_path(5)),
+        "ub": ("n=7 i=0", ub_family(7, 0)),
+        "ub_family": ("n=8,i=2", ub_family(8, 2)),
+        "ub_prime": ("n=7,i=1", ub_family_prime(7, 1)),
+        "ub_family_prime": ("n=8,i=3", ub_family_prime(8, 3)),
+        "lb": ("delta=4,nprime=2", lower_bound_family(4, 2)),
+        "lower_bound": ("delta=3,nprime=1", lower_bound_family(3, 1)),
+        "random": ("n=6,seed=5", random_graph(6, 5)),
+    }
+    assert set(cases) == set(_FAMILY_ALIASES)
+    for alias, (params, graph) in cases.items():
+        assert FamilySpec.parse(f"family={alias} {params}").build() == graph, alias
 
 
 def test_family_spec_errors():
@@ -214,7 +222,7 @@ def test_family_spec_errors():
         FamilySpec.parse("n=3")
     with pytest.raises(InputError):
         FamilySpec.parse("family=cycle")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"family 'cycle' takes parameters \('n',\); missing \[\], unexpected \['i'\]"):
         FamilySpec.parse("family=cycle,n=7,i=1")
     with pytest.raises(InputError):
         FamilySpec.parse("family=cycle,n=x")

@@ -50,7 +50,7 @@ def permutations_of(n):
 
 def prefix_set(pi, v):
     """Vertices strictly to the left of v in the ordering pi."""
-    return frozenset(pi.seq[: pi.position_of(v) - 1])
+    return frozenset(pi.seq[: pi.seq.index(v)])
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,7 @@ def test_total_graph_embeds_as_partial():
     # a total graph is a partial graph with every edge present
     g = NominationGraph((2, 1, 1))
     p = PartialNominationGraph(g.out)
-    assert isinstance(g, PartialNominationGraph) and g.is_total()
+    assert isinstance(g, PartialNominationGraph) and None not in g.out
     assert g != p and p != g  # the dataclass equality compares classes
     pi = Permutation((2, 3, 1))
     assert type(g.relabel(pi)) is NominationGraph
@@ -91,26 +91,25 @@ def test_total_graph_embeds_as_partial():
 # indegree queries
 
 def test_indegree_two_cycle():
-    g = NominationGraph((2, 1))
-    assert g.indegree(1) == 1 and g.indegree(2) == 1
+    assert NominationGraph((2, 1)).indegrees() == (1, 1)
 
 
 def test_indegree_family_member():
     g0 = ub_family(7, 0)
-    assert g0.indegree(2) == 2
+    assert g0.indegrees()[2 - 1] == 2
 
 
 def test_indegree_block_family_top():
     g = lower_bound_family(4, 2)
-    assert g.indegree(1) == 4
+    assert g.indegrees()[1 - 1] == 4
 
 
 def test_indegree_range_check():
     g = NominationGraph((2, 1))
     with pytest.raises(InputError):
-        g.indegree(3)
+        g.indegree_from(3, ())
     with pytest.raises(InputError):
-        g.indegree(0)
+        g.indegree_from(2, (0,))
 
 
 def test_indegree_from():
@@ -130,7 +129,7 @@ def test_max_indegree_and_top():
 def test_remove_out_edge():
     g = NominationGraph((2, 1))
     h = g.remove_out_edge(1)
-    assert h.edges() == [(2, 1)]
+    assert h.out == (None, 1)
     assert h.remove_out_edge(1) is h  # idempotent
 
 
@@ -144,11 +143,6 @@ def test_remove_out_edge_family_identity():
 
 # ---------------------------------------------------------------------------
 # permutations
-
-def test_reverse_and_swap_examples():
-    pi = Permutation((1, 2, 3))
-    assert pi.reverse().seq == (3, 2, 1)
-
 
 def test_prefix_set_and_restrict():
     pi = Permutation((3, 1, 2))
@@ -168,8 +162,10 @@ def test_relabel_cycle_rotation_preserves_structure():
 @given(st.integers(min_value=2, max_value=7).flatmap(permutations_of))
 def test_permutation_roundtrips(pi):
     n = pi.n
-    assert all(pi.position_of(pi.seq[i - 1]) == i for i in range(1, n + 1))
-    assert pi.reverse().reverse() == pi
+    inverse = Permutation(tuple(pi.seq.index(v) + 1 for v in range(1, n + 1)))
+    assert all(inverse.image_of(pi.image_of(v)) == v for v in range(1, n + 1))
+    g = cycle(n)
+    assert g.relabel(pi).relabel(inverse) == g
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,10 +192,10 @@ def test_prefix_indegree_sum(case):
     total = sum(g.indegree_from(v, prefix_set(pi, v)) for v in g.vertices)
     assert total <= g.n
     all_forward = all(
-        pi.position_of(v) < pi.position_of(g.target_of(v)) for v in g.vertices
+        pi.seq.index(v) < pi.seq.index(g.out[v - 1]) for v in g.vertices
     )
     assert (total == g.n) == all_forward
-    assert all(g.indegree_from(v, g.vertices) == g.indegree(v) for v in g.vertices)
+    assert tuple(g.indegree_from(v, g.vertices) for v in g.vertices) == g.indegrees()
 
 
 def test_prefix_indegree_sum_attains_n_on_partial_path():
@@ -207,7 +203,7 @@ def test_prefix_indegree_sum_attains_n_on_partial_path():
     g = PartialNominationGraph((2, 3, None))
     pi = Permutation((1, 2, 3))
     assert sum(g.indegree_from(v, prefix_set(pi, v)) for v in g.vertices) == 2
-    assert len(g.edges()) == 2
+    assert g.out.count(None) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +229,6 @@ def test_distribution_accessors():
     assert d.probs == (Fraction(1, 4), Fraction(1, 2))
     assert d.prob_of(2) == Fraction(1, 2)
     assert d.total == Fraction(3, 4)
-    assert not d.is_exact
-    assert d.deficit() == Fraction(1, 4)
     # the counts are kept as given: equal probabilities over another
     # denominator make another value
     assert d != SelectionDistribution((2, 4), 8)
