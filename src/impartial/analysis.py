@@ -2,9 +2,10 @@
 
 Everything numeric here is an exact rational unless explicitly labelled
 as a Monte Carlo estimate.  Every exact value comes from
-Mechanism.exact: ratio_of reads a performance ratio off a graph and its
-SelectionDistribution, and the verifiers compare the distributions'
-integer counts by cross-multiplying.  The exhaustive checks cover the
+Mechanism.exact, or a batch at a time from Mechanism.exact_many: ratio_of
+reads a performance ratio off a graph and its SelectionDistribution, and
+the verifiers compare the distributions' integer counts by
+cross-multiplying.  The exhaustive checks cover the
 full graph class for a given n (all (n-1)^n target assignments), so
 zero-tolerance comparisons against the closed-form guarantees are
 meaningful.  Every mechanism and the Lemma 3 scan commute with
@@ -14,7 +15,6 @@ graphs in its class.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import multiprocessing
@@ -22,7 +22,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -64,6 +64,8 @@ SWEEP_BUDGET = 300_000_000
 # Seeded relabellings per family graph in the ceiling chain's symmetry
 # precheck above n = 6.
 CHAIN_RELABELLINGS = 200
+# Graphs per Mechanism.exact_many call when a verifier fills its memo.
+PREFETCH_CHUNK = 512
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +191,29 @@ def ratio_of(mechanism: str, g: NominationGraph, dist: SelectionDistribution) ->
     return RatioReport(g, mechanism, expected, delta, Fraction(weighted, den * delta))
 
 
-def _exact_lookup(mech: Mechanism) -> Callable[[tuple[int, ...]], SelectionDistribution]:
-    """mech.exact on the total graph with the given out tuple, memoised
-    for the life of the returned function: the one way the verifiers
-    evaluate a mechanism.  They compare probabilities by cross-multiplying
-    the integer counts, so no rational is built per graph."""
-    return functools.cache(lambda out: mech.exact(NominationGraph(out)))
+class _ExactLookup:
+    """mech.exact on the total graph with a given out tuple, memoised for
+    the life of the lookup: the one way the verifiers evaluate a
+    mechanism.  prefetch fills the memo for many out tuples through one
+    mech.exact_many call, so perm and mix run their DP a batch at a time.
+    The verifiers compare probabilities by cross-multiplying the integer
+    counts, so no rational is built per graph."""
+
+    def __init__(self, mech: Mechanism) -> None:
+        self.mech = mech
+        self.memo: dict[tuple[int, ...], SelectionDistribution] = {}
+
+    def __call__(self, out: tuple[int, ...]) -> SelectionDistribution:
+        dist = self.memo.get(out)
+        if dist is None:
+            dist = self.memo[out] = self.mech.exact(NominationGraph(out))
+        return dist
+
+    def prefetch(self, outs: Iterable[tuple[int, ...]]) -> None:
+        todo = [out for out in dict.fromkeys(outs) if out not in self.memo]
+        for i in range(0, len(todo), PREFETCH_CHUNK):  # bounds the graphs alive at once
+            chunk = todo[i : i + PREFETCH_CHUNK]
+            self.memo.update(zip(chunk, self.mech.exact_many([NominationGraph(out) for out in chunk])))
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +286,14 @@ def _in_chunks(worker: Callable, items: Sequence, jobs: int, *args) -> list:
 
 def _class_rows(mechanisms: tuple[str, ...], reps: Sequence[tuple[int, ...]]) -> list[tuple]:
     """(delta, vertices of indegree >= 2, *per-mechanism ratios) per graph."""
-    mechs = [get_mechanism(m) for m in mechanisms]
+    graphs = [NominationGraph(out) for out in reps]
+    columns = []
+    for name in mechanisms:
+        dists = get_mechanism(name).exact_many(graphs)
+        columns.append([ratio_of(name, g, dist).ratio for g, dist in zip(graphs, dists)])
     rows = []
-    for out in reps:
-        g = NominationGraph(out)
+    for g, *ratios in zip(graphs, *columns):
         deg = g.indegrees()
-        ratios = [ratio_of(m.name, g, m.exact(g)).ratio for m in mechs]
         rows.append((max(deg), sum(d >= 2 for d in deg), *ratios))
     return rows
 
@@ -395,24 +416,25 @@ def check_impartial(
         rng = SeedStream(seed).split("impartiality-graphs")
         graphs = [(random_graph(n, rng).out, 1) for _ in range(samples)]
 
-    dist = _exact_lookup(mech)
+    dist = _ExactLookup(mech)
     graphs_checked = 0
     deviations = 0
     for out, weight in graphs:
         graphs_checked += weight
+        moves = [(v, u) for v in range(1, n + 1) for u in range(1, n + 1)
+                 if u != v and u != out[v - 1]]
+        deviated = [out[: v - 1] + (u,) + out[v:] for v, u in moves]
+        dist.prefetch([out] + deviated)
         base = dist(out)
-        for v in range(1, n + 1):
-            for u in range(1, n + 1):
-                if u == v or u == out[v - 1]:
-                    continue
-                deviations += weight
-                after = dist(out[: v - 1] + (u,) + out[v:])
-                if (after.numerators[v - 1] * base.denominator
-                        != base.numerators[v - 1] * after.denominator):
-                    witness = DeviationWitness(
-                        NominationGraph(out), v, u, base.prob_of(v), after.prob_of(v)
-                    )
-                    return ImpartialityReport(graphs_checked, deviations, witness)
+        for (v, u), after_out in zip(moves, deviated):
+            deviations += weight
+            after = dist(after_out)
+            if (after.numerators[v - 1] * base.denominator
+                    != base.numerators[v - 1] * after.denominator):
+                witness = DeviationWitness(
+                    NominationGraph(out), v, u, base.prob_of(v), after.prob_of(v)
+                )
+                return ImpartialityReport(graphs_checked, deviations, witness)
     return ImpartialityReport(graphs_checked, deviations, None)
 
 
@@ -464,18 +486,23 @@ def verify_negative_correlation(g: AnyGraph) -> CorrelationReport:
     delta, _, vstar = g.max_indegree_and_top()
     a, m = engine.left_indegree_profile(engine.out_array(g), vstar - 1)
     nfact = a.shape[0]
-    level_counts = np.bincount(a, minlength=delta + 1)
-    level_probs = tuple(Fraction(int(c), nfact) for c in level_counts[: delta + 1])
+    # both are left indegrees, so at most delta: one joint histogram of
+    # (a, m), summed from the right, gives at_least[a, i] = #(a, m >= i)
+    levels = delta + 1
+    joint = np.bincount(a * levels + m, minlength=levels * levels).reshape(levels, levels)
+    at_least = joint[:, ::-1].cumsum(axis=1)[:, ::-1].tolist()
+    level_counts = joint.sum(axis=1).tolist()
+    level_probs = tuple(Fraction(c, nfact) for c in level_counts)
     level_ok = all(p == Fraction(1, delta + 1) for p in level_probs)
 
     comparisons = []
     vacuous = []
     for i in range(1, delta + 1):
         for j in range(0, i):
-            num_j = int(((a == j) & (m >= i)).sum())
-            num_i = int(((a == i) & (m >= i)).sum())
-            den_j = int(level_counts[j])
-            den_i = int(level_counts[i])
+            num_j = at_least[j][i]
+            num_i = at_least[i][i]
+            den_j = level_counts[j]
+            den_i = level_counts[i]
             if den_j == 0 or den_i == 0:
                 vacuous.append((i, j))
                 continue
@@ -565,18 +592,20 @@ def verify_upper_bound_chain(
     primes = [ub_family_prime(n, i) for i in range(1, nprime + 1)]
     family = members + [cyc, c2] + primes
 
-    dist = _exact_lookup(mech)
+    dist = _ExactLookup(mech)
 
-    # empirical symmetry precheck
+    # empirical symmetry precheck, on images all evaluated up front
     if n <= 6:
         relabellings = [Permutation(seq) for seq in itertools.permutations(range(1, n + 1))]
     else:
         rng = SeedStream(seed).split("chain-relabellings")
         relabellings = [rng.permutation(n) for _ in range(CHAIN_RELABELLINGS)]
-    for graph in family:
+    images = [[graph.relabel(pi).out for pi in relabellings] for graph in family]
+    dist.prefetch(itertools.chain([graph.out for graph in family], *images))
+    for graph, outs in zip(family, images):
         base = dist(graph.out)
-        for pi in relabellings:
-            image = dist(graph.relabel(pi).out)
+        for pi, out in zip(relabellings, outs):
+            image = dist(out)
             for v, w in enumerate(pi.seq, start=1):  # w = pi.image_of(v)
                 if (image.numerators[w - 1] * base.denominator
                         != base.numerators[v - 1] * image.denominator):

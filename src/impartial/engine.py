@@ -3,12 +3,15 @@ closed form.
 
 Exact perm counts come from a dynamic program over prefix sets: the
 scan's future after a prefix depends only on which vertices were placed,
-not on their order, so selection_counts carries integer ordering counts
-per (prefix set, candidate, candidate's left indegree) and covers all n!
-orderings in one pass over the 2^n prefix sets, up to DP_CAP.  The counts
-are exact integers, so dividing by n! at the end loses nothing.  The two-slot
+not on their order, so batch_selection_counts carries integer ordering
+counts per (prefix set, candidate, candidate's left indegree) and covers
+all n! orderings in one pass over the 2^n prefix sets, up to DP_CAP.  It
+holds each layer's live states, for a whole batch of graphs of one size,
+as flat numpy arrays and extends them all in one vectorised step per
+layer; selection_counts is its one-graph entry.  The counts are exact
+integers, so dividing by n! at the end loses nothing.  The two-slot
 rule's counts over all n! orderings depend only on the indegree classes,
-so runner_up_gap_quarter_counts computes them in closed form without
+so two_slot_quarter_counts computes them in closed form without
 enumerating anything.
 
 Checks about individual orderings (the left-indegree profile, and the
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,12 +43,16 @@ from .graphs import AnyGraph, CapacityError
 # n = 10.  (Tightness rows switch from exact to sampled at DP_CAP, not here.)
 ENUM_CAP = 10
 # Largest n at which exact perm, and exact mix above MIX_SMALL_N, run the
-# prefix-set DP: about 1 s and 100 MB at n = 16, and each further vertex
-# roughly doubles both.
+# prefix-set DP: about 0.3 s and 50 MB for a random graph at n = 16, and
+# each further vertex roughly doubles both.
 DP_CAP = 16
+# Index entries (graph, prefix set, d, candidate) per numpy pass of
+# batch_selection_counts, which bounds its memory: a batch is split into
+# passes of whole graphs, and a graph too big for one pass gets its own.
+STATE_BUDGET = 1 << 14
 # Orderings drawn per batch by sampled_selection_counts, which bounds
-# its memory.
-SAMPLE_CHUNK = 20000
+# its memory (about 5 MB at n = 23); the draws do not depend on it.
+SAMPLE_CHUNK = 10000
 _table_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -119,80 +127,122 @@ def run_selection(
 
 
 @functools.lru_cache(maxsize=2)
-def _prefix_layers(n: int) -> tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...], ...]:
-    """The vertex sets of each size 2..n as bitmasks, each with its splits
-    (v, set without v), grouped by size."""
-    layers: list[list] = [[] for _ in range(n + 1)]
-    for mask in range(1, 1 << n):
-        splits = tuple((v, mask ^ 1 << v) for v in range(n) if mask >> v & 1)
-        layers[len(splits)].append((mask, splits))
-    return tuple(tuple(layer) for layer in layers[2:])
+def _set_layers(n: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]]:
+    """The popcount of every n-bit mask, and per set size k = 1..n-1 a
+    triple: the k-sets' masks in rank order (the order of their masks),
+    each set's unplaced vertices, and the rank of the set plus each of
+    them among the (k+1)-sets."""
+    popcount = [m.bit_count() for m in range(1 << n)]
+    by_size = sorted(range(1 << n), key=popcount.__getitem__)  # stable: by mask within a size
+    rank = np.empty(1 << n, dtype=np.int32)
+    layers, start = [], 0
+    for k in range(n + 1):
+        sets = np.array(by_size[start : start + math.comb(n, k)], dtype=np.int32)
+        rank[sets] = np.arange(len(sets))
+        layers.append(sets)
+        start += len(sets)
+    bits = np.array([1 << v for v in range(n)], dtype=np.int32)
+    triples = []
+    for k in range(1, n):
+        sets = layers[k]
+        free = np.nonzero((sets[:, None] & bits) == 0)[1].astype(np.int32)
+        free = free.reshape(len(sets), n - k)
+        triples.append((sets, free, rank[sets[:, None] | bits[free]]))
+    return np.array(popcount, dtype=np.int32), tuple(triples)
 
 
 def selection_counts(out0: np.ndarray) -> tuple[list[int], int]:
     """Exact per-vertex selection counts of the candidate scan over all n!
-    orderings, by dynamic programming over prefix sets.
+    orderings of one graph: batch_selection_counts on a batch of one.
 
-    Returns (counts, n!), the counts a list of Python ints.  The DP only
-    reaches states whose candidate holds the maximum indegree from the
-    left (see below), so it cannot miss that maximum; the
-    ordering-by-ordering check of Lemma 3 is run_selection.  Raises
+    Returns (counts, n!), the counts a list of Python ints.  Raises
+    CapacityError above DP_CAP.
+    """
+    return batch_selection_counts(out0[None])[0], math.factorial(out0.shape[0])
+
+
+def batch_selection_counts(out0s: np.ndarray) -> list[list[int]]:
+    """Exact per-vertex selection counts of the candidate scan over all n!
+    orderings, for each row of a (graphs, n) array of 0-based targets
+    (-1 for an absent edge), by dynamic programming over prefix sets.
+
+    The DP only reaches states whose candidate holds the maximum
+    indegree from the left (see below), so it cannot miss that maximum;
+    the ordering-by-ordering check of Lemma 3 is run_selection.  Raises
     CapacityError above DP_CAP.
 
     After a prefix the scan's future depends only on the set S of placed
-    vertices, the candidate c and c's indegree from the left d.  Per S
-    the DP counts the orderings of S reaching each state, keyed
-    d << 5 | c.  Appending v, whose left indegree is full = |in(v) & S|,
-    v takes over when full - [c nominates v] >= d and then d = full.
-    So v always takes over when full > d, d stays the running maximum
-    of the left indegrees, and every takeover into S + v lands on one
-    key.
+    vertices, the candidate c and c's indegree from the left d.  A layer
+    holds the live states (graph, S, d, c) with the number of orderings
+    of S reaching each, as flat arrays.  Appending v, whose left indegree
+    is full = |in(v) & S|, v takes over when full - [c nominates v] >= d
+    and then d = full.  So v always takes over when full > d, and d stays
+    the running maximum of the left indegrees, at most the maximum
+    indegree.  Each layer extends every state by every unplaced vertex
+    at once and merges equal states by summing their counts over a dense
+    index of (graph, rank of S, d, c).  The sums are float64, exact
+    because no count exceeds n! <= 16! < 2^53.  Graphs are taken in
+    passes of at most STATE_BUDGET index entries, which bounds memory.
     """
-    n = out0.shape[0]
+    graphs, n = out0s.shape
     if n > DP_CAP:
         raise CapacityError(
             f"exact perm runs a DP over all 2^{n} prefix sets and is capped "
             f"at n <= {DP_CAP}; sample it instead with eval --samples or "
             f"MECHANISMS['perm'].sample"
         )
-    targets = out0.tolist()
-    inmask = [0] * n  # bitmask of each vertex's in-neighbors
-    for u, t in enumerate(targets):
-        if t >= 0:
-            inmask[t] |= 1 << u
-    prev = {1 << v: {v: 1} for v in range(n)}
-    for layer in _prefix_layers(n):
-        cur = {}
-        for mask, splits in layer:
-            states: dict[int, int] = {}
-            for v, s in splits:
-                full = (inmask[v] & s).bit_count()
-                # Keys below lo have d < full, so v takes over; keys in
-                # [lo, hi) have d == full, and v takes over unless c
-                # nominates it; the key of a state that keeps c stands.
-                lo = full << 5
-                hi = lo + 32
-                taken = 0
-                for key, w in prev[s].items():
-                    if key < lo or key < hi and targets[key & 31] != v:
-                        taken += w
-                    else:
-                        states[key] = states.get(key, 0) + w
-                if taken:
-                    states[lo | v] = states.get(lo | v, 0) + taken
-            cur[mask] = states
-        prev = cur
-    counts = [0] * n
-    for key, w in prev[(1 << n) - 1].items():
-        counts[key & 31] += w
-    return counts, sum(counts)
+    popcount, layers = _set_layers(n)
+    targets = out0s.astype(np.int32)
+    rows = np.arange(graphs)
+    inmask = np.zeros((graphs, n + 1), dtype=np.int32)  # column n gathers absent edges
+    for u in range(n):
+        inmask[rows, targets[:, u]] |= 1 << u
+    inmask = np.ascontiguousarray(inmask[:, :n])
+    top = int(popcount[inmask].max()) + 1  # d ranges over 0..max indegree
+    step = max(1, STATE_BUDGET // (math.comb(n, n // 2) * top * n))
+    parts = [
+        _counts_pass(targets[i : i + step], inmask[i : i + step], top, popcount, layers)
+        for i in range(0, graphs, step)
+    ]
+    return np.concatenate(parts).astype(np.int64).tolist()
+
+
+def _counts_pass(
+    targets: np.ndarray, inmask: np.ndarray, top: int, popcount: np.ndarray, layers: tuple
+) -> np.ndarray:
+    """batch_selection_counts' DP on one pass of graphs: a (graphs, n)
+    float64 array of counts."""
+    graphs, n = targets.shape
+    # the layer of 1-sets: S = {v} (rank v), c = v, d = 0, one ordering
+    g = np.repeat(np.arange(graphs, dtype=np.int32), n)
+    r = np.tile(np.arange(n, dtype=np.int32), graphs)
+    c, d, w = r.copy(), np.zeros(graphs * n, dtype=np.int32), np.ones(graphs * n)
+    targets, inmask = targets.ravel(), inmask.ravel()
+    for k, (sets, free, grown) in enumerate(layers, start=1):
+        size, span = math.comb(n, k + 1), min(top, k + 1)  # d <= k after k + 1 placed
+        v = free[r]  # (states, n - k): each state's unplaced vertices
+        full = popcount[inmask[(g * n)[:, None] + v] & sets[r][:, None]]
+        held = d[:, None]
+        take = (full > held) | (full == held) & (targets[g * n + c][:, None] != v)
+        key = (g * size)[:, None] + grown[r]
+        key *= span
+        key += np.where(take, full, held)
+        key *= n
+        key += np.where(take, v, c[:, None])
+        acc = np.bincount(key.ravel(), np.repeat(w, n - k))
+        live = np.flatnonzero(acc)
+        w = acc[live]
+        live, c = np.divmod(live.astype(np.int32), n)
+        live, d = np.divmod(live, span)
+        g, r = np.divmod(live, size)
+    return np.bincount(g * n + c, w, minlength=graphs * n).reshape(graphs, n)
 
 
 def sampled_selection_counts(
     out0: np.ndarray, samples: int, seed: int
 ) -> tuple[np.ndarray, int]:
     """Per-vertex selection counts over uniformly sampled orderings, drawn
-    in chunks of SAMPLE_CHUNK.
+    in chunks of SAMPLE_CHUNK into one reused buffer.
 
     Deterministic per seed.  Returns (counts, violations).
     """
@@ -200,12 +250,15 @@ def sampled_selection_counts(
     rng = np.random.default_rng(seed)
     counts = np.zeros(n, dtype=np.int64)
     violations = 0
+    draws = np.empty((min(SAMPLE_CHUNK, samples), n))
+    places = np.empty(draws.shape, dtype=np.int16)
+    ranks = np.arange(n, dtype=np.int16)[None, :]
     remaining = samples
     while remaining > 0:
         b = min(SAMPLE_CHUNK, remaining)
-        u = rng.random((b, n))
-        perms = np.argsort(u, axis=1).astype(np.int16)
-        pos = np.argsort(perms, axis=1).astype(np.int16)
+        perms = np.argsort(rng.random(out=draws[:b]), axis=1).astype(np.int16)
+        pos = places[:b]
+        np.put_along_axis(pos, perms, ranks, axis=1)  # the inverse permutations
         sel, d, m = run_selection(out0, perms, pos)
         counts += np.bincount(sel, minlength=n)
         violations += int((d != m).sum())
@@ -214,8 +267,17 @@ def sampled_selection_counts(
 
 
 def runner_up_gap_quarter_counts(out0: np.ndarray) -> tuple[list[int], int]:
+    """two_slot_quarter_counts of the graph with 0-based targets out0
+    (-1 for an absent edge).  The exact paths read the out tuple
+    directly; this array form stays because perfbench's tracer wraps it
+    by name."""
+    return two_slot_quarter_counts([None if t < 0 else t + 1 for t in out0.tolist()])
+
+
+def two_slot_quarter_counts(out: Sequence[Optional[int]]) -> tuple[list[int], int]:
     """Exact per-vertex counts, in quarter units, of the two-slot rule
-    summed over all n! orderings, in closed form.
+    summed over all n! orderings, in closed form, read off a graph's
+    1-based out tuple (None for an absent edge).
 
     Per ordering the rule gives the lexicographic (indegree, position)
     maximum 3/4 (if removing its own edge leaves it ahead of everyone
@@ -236,30 +298,31 @@ def runner_up_gap_quarter_counts(out0: np.ndarray) -> tuple[list[int], int]:
     Counts are Python ints (n! overflows int64 from n = 21).  Returns
     (quarter_counts, n!).
     """
-    n = out0.shape[0]
+    n = len(out)
     nfact = math.factorial(n)
-    out = out0.tolist()
-    deg = [0] * n
+    deg = [0] * (n + 1)  # deg[v] for vertex v; deg[0] takes absent edges
     for t in out:
-        if t >= 0:
-            deg[t] += 1
+        deg[t or 0] += 1
+    deg[0] = -1
     dmax = max(deg)
-    top = [v for v in range(n) if deg[v] == dmax]
-    k = len(top)
+    k = deg.count(dmax)
     counts = [0] * n
     if k >= 2:
-        for v in top:
-            counts[v] = 2 * nfact // k
-            if out[v] >= 0 and deg[out[v]] == dmax:
-                counts[v] += 2 * nfact // (k * (k - 1))
+        share, pair = 2 * nfact // k, 2 * nfact // (k * (k - 1))
+        for v in range(1, n + 1):
+            if deg[v] == dmax:
+                counts[v - 1] = share + pair if deg[out[v - 1] or 0] == dmax else share
         return counts, nfact
-    t = top[0]
-    rival = max(deg[u] - (u == out[t]) for u in range(n) if u != t)
-    counts[t] = (3 if dmax >= rival + 2 else 2) * nfact
-    second = [r for r in range(n) if deg[r] == dmax - 1]
-    for r in second:
-        if out[r] == t:
-            counts[r] = 2 * nfact // (len(second) + 1)
+    t = deg.index(dmax)
+    deg[t] = -1
+    deg[out[t - 1] or 0] -= 1
+    rival = max(deg)  # the others' indegrees once t's edge is removed
+    deg[out[t - 1] or 0] += 1
+    counts[t - 1] = (3 if dmax >= rival + 2 else 2) * nfact
+    runner = 2 * nfact // (deg.count(dmax - 1) + 1)
+    for r in range(1, n + 1):
+        if out[r - 1] == t and deg[r] == dmax - 1:
+            counts[r - 1] = runner
     return counts, nfact
 
 

@@ -187,7 +187,8 @@ class FamilySpec:
 
     @classmethod
     def parse(cls, text: str) -> "FamilySpec":
-        """Parse ``family=name,key=value,...`` (spaces also separate)."""
+        """Parse ``family=name,key=value,...`` (spaces also separate); a
+        key given twice is an error."""
         tokens = [t for part in text.split(",") for t in part.split()]
         kind = None
         params: dict[str, int] = {}
@@ -197,6 +198,8 @@ class FamilySpec:
             key, sep, value = tok.partition("=")
             if not sep:
                 raise InputError(f"expected key=value, got {tok!r}")
+            if key in params or key == "family" and kind is not None:
+                raise InputError(f"{key}= given more than once in {text!r}")
             if key == "family":
                 kind = value
             else:

@@ -101,25 +101,32 @@ class PartialNominationGraph:
         top = frozenset(v for v in self.vertices if degs[v - 1] == dmax)
         return dmax, top, min(top)
 
+    @classmethod
+    def _derived(cls, out: tuple[Optional[int], ...]) -> "PartialNominationGraph":
+        """An instance on out without validation, for an out tuple derived
+        from a valid graph by a change that keeps it valid."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "out", out)
+        return g
+
     def remove_out_edge(self, v: int) -> "PartialNominationGraph":
         """Drop v's outgoing edge; idempotent if it is already absent."""
         _check_vertex(v, self.n)
         if self.out[v - 1] is None:
             return self
-        out = list(self.out)
-        out[v - 1] = None
-        return PartialNominationGraph(tuple(out))
+        return PartialNominationGraph._derived(self.out[: v - 1] + (None,) + self.out[v:])
 
     def relabel(self, pi: "Permutation") -> "PartialNominationGraph":
         """Rename vertices by pi, mapping each edge (u, w) to (pi(u), pi(w));
         the result has the same graph type as self."""
         if pi.n != self.n:
             raise InputError(f"permutation size {pi.n} != graph size {self.n}")
+        seq = pi.seq  # a relabelling renames v to seq[v-1]
         out: list[Optional[int]] = [None] * self.n
-        for v, t in enumerate(self.out, start=1):
+        for v, t in enumerate(self.out):
             if t is not None:
-                out[pi.image_of(v) - 1] = pi.image_of(t)
-        return type(self)(tuple(out))
+                out[seq[v] - 1] = seq[t - 1]
+        return type(self)._derived(tuple(out))
 
 
 @dataclass(frozen=True)

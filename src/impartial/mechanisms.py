@@ -4,7 +4,10 @@ A mechanism is reached through its Mechanism entry in MECHANISMS,
 which checks the graph once and then runs one of two paths.  The exact
 path returns integer selection counts over a common denominator (the
 ``*_counts`` functions); Mechanism.exact returns them as a
-SelectionDistribution, which validates them.  The sampling path is a
+SelectionDistribution, which validates them, and Mechanism.exact_many
+does so for a list of graphs of one size, running perm's DP, and mix's
+through it, once for the whole list (``perm_counts_many``,
+``mix_counts_many``).  The sampling path is a
 factory (the ``*_sampler`` functions) that reads the graph once and
 returns a draw; each call of the draw simulates the rule on one
 ordering or vertex drawn from a SeedStream.  Exact perm counts the
@@ -23,9 +26,12 @@ mix   - rd for n <= 5, otherwise a fixed coin between perm and prugd.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from . import engine
 from .graphs import (
@@ -92,6 +98,14 @@ def perm_counts(g: AnyGraph) -> Counts:
     return engine.selection_counts(engine.out_array(g))
 
 
+def perm_counts_many(graphs: Sequence[AnyGraph]) -> list[Counts]:
+    """perm_counts of each of a non-empty list of graphs of one size, by
+    one batched run of the DP."""
+    nfact = math.factorial(graphs[0].n)
+    counts = engine.batch_selection_counts(np.stack([engine.out_array(g) for g in graphs]))
+    return [(c, nfact) for c in counts]
+
+
 def perm_sampler(g: AnyGraph) -> Draw:
     """Run the scan on one uniform ordering per draw."""
     n = g.n
@@ -124,7 +138,7 @@ def prug_counts(g: AnyGraph) -> Counts:
     The total may fall short of 1: the rule is allowed to select no one.
     The engine sums in closed form, so no ordering is enumerated.
     """
-    counts, runs = engine.runner_up_gap_quarter_counts(engine.out_array(g))
+    counts, runs = engine.two_slot_quarter_counts(g.out)
     return counts, 4 * runs
 
 
@@ -251,8 +265,19 @@ def mix_counts(g: NominationGraph) -> Counts:
     perm (over n!) and prugd (over 4 n n!), over 1049 * 4 n n!."""
     if g.n <= MIX_SMALL_N:
         return rd_counts(g)
-    pe, nfact = perm_counts(g)
-    pd, den = prugd_counts(g)
+    return _mix_blend(perm_counts(g), prugd_counts(g))
+
+
+def mix_counts_many(graphs: Sequence[NominationGraph]) -> list[Counts]:
+    """mix_counts of each of a non-empty list of graphs of one size, with
+    perm evaluated by one batched run of the DP."""
+    if graphs[0].n <= MIX_SMALL_N:
+        return [rd_counts(g) for g in graphs]
+    return [_mix_blend(pe, prugd_counts(g)) for pe, g in zip(perm_counts_many(graphs), graphs)]
+
+
+def _mix_blend(perm: Counts, prugd: Counts) -> Counts:
+    (pe, nfact), (pd, den) = perm, prugd
     scale = den // nfact
     # both weights are over 1049
     blend = [
@@ -285,6 +310,9 @@ class Mechanism:
     exact(g) is the one exact entry: it wraps the exact path's integer
     counts over one denominator in a SelectionDistribution, which
     validates them, and rejects a count vector that is not one per vertex.
+    exact_many(graphs) is exact on each of a list of graphs of one size;
+    a mechanism with a batched exact path (_counts_many, perm and mix)
+    evaluates the list in one run of it, the others graph by graph.
     sampler(g) reads the graph once and returns a draw that takes a
     SeedStream; sample() is one draw from a seed or a SeedStream.
     """
@@ -293,12 +321,20 @@ class Mechanism:
     accepts_partial: bool
     _counts: Callable[[AnyGraph], Counts]
     _sampler: Callable[[AnyGraph], Draw]
+    _counts_many: Optional[Callable[[Sequence[AnyGraph]], list[Counts]]] = None
 
     def exact(self, g: AnyGraph) -> SelectionDistribution:
-        dist = SelectionDistribution(*self._counts(self._coerce(g)))
-        if dist.n != g.n:
-            raise InputError(f"{self.name} gave {dist.n} counts for {g.n} vertices")
-        return dist
+        return self._distribution(g, self._counts(self._coerce(g)))
+
+    def exact_many(self, graphs: Sequence[AnyGraph]) -> list[SelectionDistribution]:
+        graphs = [self._coerce(g) for g in graphs]
+        if len({g.n for g in graphs}) > 1:
+            raise InputError(f"{self.name}: exact_many needs graphs of one size")
+        if self._counts_many is None or not graphs:
+            counts = map(self._counts, graphs)
+        else:
+            counts = self._counts_many(graphs)
+        return [self._distribution(g, c) for g, c in zip(graphs, counts)]
 
     def sampler(self, g: AnyGraph) -> Draw:
         return self._sampler(self._coerce(g))
@@ -311,13 +347,19 @@ class Mechanism:
             raise InputError(f"{self.name} is only defined on total nomination graphs")
         return g
 
+    def _distribution(self, g: AnyGraph, counts: Counts) -> SelectionDistribution:
+        dist = SelectionDistribution(*counts)
+        if dist.n != g.n:
+            raise InputError(f"{self.name} gave {dist.n} counts for {g.n} vertices")
+        return dist
+
 
 MECHANISMS: dict[str, Mechanism] = {
-    "perm": Mechanism("perm", True, perm_counts, perm_sampler),
+    "perm": Mechanism("perm", True, perm_counts, perm_sampler, perm_counts_many),
     "rd": Mechanism("rd", False, rd_counts, rd_sampler),
     "prug": Mechanism("prug", True, prug_counts, prug_sampler),
     "prugd": Mechanism("prugd", False, prugd_counts, prugd_sampler),
-    "mix": Mechanism("mix", False, mix_counts, mix_sampler),
+    "mix": Mechanism("mix", False, mix_counts, mix_sampler, mix_counts_many),
 }
 
 

@@ -215,14 +215,14 @@ def test_worst_cases_n8_and_perm_n9_pinned():
 
 
 def test_sweep_runs_the_dp_once_per_class(monkeypatch):
-    calls = []
-    kernel = engine.selection_counts
+    calls = []  # one entry per graph the DP runs on
+    kernel = engine.batch_selection_counts
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return kernel(*args, **kwargs)
+    def counted(out0s):
+        calls.extend(map(tuple, out0s.tolist()))
+        return kernel(out0s)
 
-    monkeypatch.setattr(engine, "selection_counts", counted)
+    monkeypatch.setattr(engine, "batch_selection_counts", counted)
     built = []
 
     def build(out):
@@ -231,7 +231,7 @@ def test_sweep_runs_the_dp_once_per_class(monkeypatch):
 
     monkeypatch.setattr(analysis, "NominationGraph", build)
     sweep_graphs(6, ("perm",))
-    assert len(calls) == 40  # the isomorphism classes at n = 6
+    assert len(calls) == len(set(calls)) == 40  # the isomorphism classes at n = 6
     assert len(built) == 40  # one graph built per class, none per labelled graph
     calls.clear()
     sweep_graphs(6, ("perm", "mix"))

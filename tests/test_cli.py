@@ -57,6 +57,12 @@ def test_gen_usage_error(capsys):
     assert code == 2 and "error" in err
 
 
+def test_gen_repeated_key_is_a_usage_error(capsys):
+    for params in (("n=7", "n=3"), ("family=ub", "n=7", "i=0")):
+        code, out, err = run_cli(capsys, "gen", "family=cycle", *params)
+        assert code == 2 and out == "" and "given more than once" in err, params
+
+
 def test_eval_rd_two_cycle(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("2; 2,1\n"))
     code, out, _ = run_cli(capsys, "eval", "--mech", "rd")
@@ -242,10 +248,10 @@ def test_eval_perm_and_mix_exact_past_the_ordering_table(capsys, tmp_path):
 
 
 def test_unexpected_exception_exits_internal(capsys, monkeypatch, tmp_path):
-    def broken_kernel(out0):
+    def broken_kernel(out0s):
         raise RuntimeError("kernel fault")
 
-    monkeypatch.setattr(engine, "selection_counts", broken_kernel)
+    monkeypatch.setattr(engine, "batch_selection_counts", broken_kernel)
     path = tmp_path / "g.txt"
     path.write_text("3; 2,3,1\n")
     code, out, err = run_cli(capsys, "eval", "--mech", "perm", "--graph", str(path))

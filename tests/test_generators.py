@@ -226,3 +226,7 @@ def test_family_spec_errors():
         FamilySpec.parse("family=cycle,n=7,i=1")
     with pytest.raises(InputError):
         FamilySpec.parse("family=cycle,n=x")
+    with pytest.raises(InputError, match="n= given more than once"):
+        FamilySpec.parse("family=cycle n=7 n=3")
+    with pytest.raises(InputError, match="family= given more than once"):
+        FamilySpec.parse("family=cycle,family=ub,n=7,i=0")

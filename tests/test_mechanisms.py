@@ -171,6 +171,91 @@ def test_selection_dp_property(out):
     assert counts == np.bincount(sel, minlength=len(out)).tolist()
 
 
+def batch_probs(graphs):
+    """The batched DP's distributions of graphs of one size, in one call."""
+    nfact = math.factorial(graphs[0].n)
+    counts = engine.batch_selection_counts(np.stack([engine.out_array(g) for g in graphs]))
+    return [[Fraction(c, nfact) for c in row] for row in counts]
+
+
+def partial_graphs_of(totals, seed):
+    """Each total graph with one or two seeded out-edges removed."""
+    rng = SeedStream(seed)
+    partials = []
+    for g in totals:
+        for _ in range(1 + rng.randrange(2)):
+            g = g.remove_out_edge(rng.vertex(g.n))
+        partials.append(g)
+    return partials
+
+
+def test_batched_dp_matches_oracle_on_every_class():
+    for n in range(2, 7):
+        classes = [NominationGraph(out) for out, _ in iso_classes(n)]
+        graphs = classes + partial_graphs_of(classes + seeded_graphs(n, 10, n), 70 + n)
+        assert batch_probs(graphs) == [oracle.perm_dist(g) for g in graphs], n
+
+
+def test_batched_dp_matches_ordering_table_on_every_class_at_7():
+    # the oracle takes about 0.1 s per graph at n = 7, so the 100 classes
+    # are checked against the explicit scan over all 5040 orderings
+    classes = [NominationGraph(out) for out, _ in iso_classes(7)]
+    graphs = classes + partial_graphs_of(classes, 77)
+    perms, pos = engine.permutation_table(7)
+    got = engine.batch_selection_counts(np.stack([engine.out_array(g) for g in graphs]))
+    for g, counts in zip(graphs, got):
+        sel, _, _ = engine.run_selection(engine.out_array(g), perms, pos)
+        assert counts == np.bincount(sel, minlength=7).tolist(), g.out
+    for g in seeded_graphs(7, 3, 7):
+        h = g.remove_out_edge(2)
+        assert batch_probs([g, h]) == [oracle.perm_dist(g), oracle.perm_dist(h)]
+
+
+def test_batch_over_several_passes_equals_per_graph_calls(monkeypatch):
+    graphs = [h for g in seeded_graphs(6, 30, 606) for h in (g, g.remove_out_edge(3))]
+    graphs.append(NominationGraph((2, 1, 1, 1, 1, 1)))  # indegree 5 widens the state index
+    out0s = np.stack([engine.out_array(g) for g in graphs])
+    single = [engine.selection_counts(out0)[0] for out0 in out0s]
+    passes = []
+    kernel = engine._counts_pass
+
+    def counted(targets, *args):
+        passes.append(len(targets))
+        return kernel(targets, *args)
+
+    monkeypatch.setattr(engine, "_counts_pass", counted)
+    monkeypatch.setattr(engine, "STATE_BUDGET", 2000)  # a few graphs per pass
+    assert engine.batch_selection_counts(out0s) == single
+    assert len(passes) > 10 and sum(passes) == len(graphs)
+
+
+def test_dp_pinned_at_13():
+    # counts of a partial graph at n = 13, pinned from the earlier
+    # dictionary-based DP over prefix sets
+    g = PartialNominationGraph((8, 13, 9, None, 7, 11, 11, 6, 12, 2, 2, 11, 5))
+    counts, runs = engine.selection_counts(engine.out_array(g))
+    assert runs == math.factorial(13)
+    assert counts == [
+        0, 1401499320, 0, 0, 220795224, 267723456, 268318336, 223750176,
+        223750176, 0, 3113758128, 267723456, 239702528,
+    ]
+
+
+def test_exact_many_equals_exact_per_graph():
+    for n in (4, 6):
+        graphs = [ub_family(6, 1), cycle(6)] if n == 6 else []
+        graphs += seeded_graphs(n, 5, 90 + n)
+        for name, mech in MECHANISMS.items():
+            assert mech.exact_many(graphs) == [mech.exact(g) for g in graphs], (name, n)
+            assert mech.exact_many([]) == []
+    partial = [PartialNominationGraph((2, None, 1)), PartialNominationGraph((None, 3, 1))]
+    assert PERM.exact_many(partial) == [PERM.exact(g) for g in partial]
+    with pytest.raises(InputError, match="total"):
+        MIX.exact_many(partial)
+    with pytest.raises(InputError, match="one size"):
+        PERM.exact_many([cycle(3), cycle(4)])
+
+
 def test_perm_sample_deterministic_and_consistent():
     assert PERM.sample(TRIANGLE_IN, 42) == PERM.sample(TRIANGLE_IN, 42)
     rng = SeedStream(7)
