@@ -1,14 +1,15 @@
 """Guarantee formulas, performance ratios, and verification sweeps.
 
 Everything numeric here is an exact rational unless explicitly labelled
-as a Monte Carlo estimate.  Every exact value comes from
-Mechanism.exact, or a batch at a time from Mechanism.exact_many: ratio_of
-reads a performance ratio off a graph and its SelectionDistribution, and
-the verifiers compare the distributions' integer counts by
-cross-multiplying.  The exhaustive checks cover the
-full graph class for a given n (all (n-1)^n target assignments), so
-zero-tolerance comparisons against the closed-form guarantees are
-meaningful.  Every mechanism and the Lemma 3 scan commute with
+as a Monte Carlo estimate.  Every exact value comes from a mechanism's
+one exact path: Mechanism.counts on a batch of graphs as one integer
+array, or Mechanism.exact on one graph.  The sweeps read each class's
+ratio off the count arrays, and the verifiers compare whole count
+arrays at once, one probability against another by cross-multiplying
+counts and denominators, so a rational is built only for a value they
+report.  The exhaustive checks cover the full graph class for a given n
+(all (n-1)^n target assignments), so zero-tolerance comparisons against
+the closed-form guarantees are meaningful.  Every mechanism and the Lemma 3 scan commute with
 relabelling, so the sweeps, exhaustive impartiality and the scan walk
 one representative per isomorphism class, weighted by the labelled
 graphs in its class.
@@ -22,7 +23,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -64,8 +65,11 @@ SWEEP_BUDGET = 300_000_000
 # Seeded relabellings per family graph in the ceiling chain's symmetry
 # precheck above n = 6.
 CHAIN_RELABELLINGS = 200
-# Graphs per Mechanism.exact_many call when a verifier fills its memo.
-PREFETCH_CHUNK = 512
+# Graphs, counting each graph's deviations, that exhaustive
+# check_impartial evaluates in one Mechanism.counts call; the graphs
+# alike within such a window (deviations of sibling classes) are
+# evaluated once.
+IMPARTIAL_WINDOW = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -191,29 +195,17 @@ def ratio_of(mechanism: str, g: NominationGraph, dist: SelectionDistribution) ->
     return RatioReport(g, mechanism, expected, delta, Fraction(weighted, den * delta))
 
 
-class _ExactLookup:
-    """mech.exact on the total graph with a given out tuple, memoised for
-    the life of the lookup: the one way the verifiers evaluate a
-    mechanism.  prefetch fills the memo for many out tuples through one
-    mech.exact_many call, so perm and mix run their DP a batch at a time.
-    The verifiers compare probabilities by cross-multiplying the integer
-    counts, so no rational is built per graph."""
-
-    def __init__(self, mech: Mechanism) -> None:
-        self.mech = mech
-        self.memo: dict[tuple[int, ...], SelectionDistribution] = {}
-
-    def __call__(self, out: tuple[int, ...]) -> SelectionDistribution:
-        dist = self.memo.get(out)
-        if dist is None:
-            dist = self.memo[out] = self.mech.exact(NominationGraph(out))
-        return dist
-
-    def prefetch(self, outs: Iterable[tuple[int, ...]]) -> None:
-        todo = [out for out in dict.fromkeys(outs) if out not in self.memo]
-        for i in range(0, len(todo), PREFETCH_CHUNK):  # bounds the graphs alive at once
-            chunk = todo[i : i + PREFETCH_CHUNK]
-            self.memo.update(zip(chunk, self.mech.exact_many([NominationGraph(out) for out in chunk])))
+def _same_probability(a: np.ndarray, a_den: np.ndarray, b: np.ndarray, b_den: np.ndarray) -> np.ndarray:
+    """a / a_den == b / b_den elementwise, for broadcasting count and
+    denominator arrays with every count between 0 and its denominator:
+    the counts themselves when all denominators agree, otherwise the
+    cross products, in Python ints when they could pass int64."""
+    dens = np.concatenate([a_den.ravel(), b_den.ravel()])
+    if not dens.size or (dens == dens[0]).all():
+        return a == b
+    if int(dens.max()) ** 2 >= 2**63:
+        a, a_den, b, b_den = (x.astype(object) for x in (a, a_den, b, b_den))
+    return a * b_den == b * a_den
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +244,13 @@ class GraphSweep:
 
 def _graph_units(n: int, mechanisms: tuple[str, ...]) -> int:
     """Work units charged for evaluating the named mechanisms on one
-    graph: n, plus n*2^n for each run of the prefix-set DP (perm, and
-    mix above MIX_SMALL_N)."""
+    graph: n, plus 2^n for each run of the prefix-set DP (perm, and mix
+    above MIX_SMALL_N).  A unit is about 2 us on one core, so
+    SWEEP_BUDGET is about 10 min: the batched DP took 1.9-2.6 us per 2^n
+    and class over all classes at n = 9, 10 and 11 and every sixth at
+    n = 12."""
     dp_runs = mechanisms.count("perm") + (n > MIX_SMALL_N) * mechanisms.count("mix")
-    return n + dp_runs * n * 2**n
+    return n + dp_runs * 2**n
 
 
 def _class_walk(what: str, n: int, per_class: int) -> tuple[tuple, tuple[int, ...]]:
@@ -286,16 +281,16 @@ def _in_chunks(worker: Callable, items: Sequence, jobs: int, *args) -> list:
 
 def _class_rows(mechanisms: tuple[str, ...], reps: Sequence[tuple[int, ...]]) -> list[tuple]:
     """(delta, vertices of indegree >= 2, *per-mechanism ratios) per graph."""
-    graphs = [NominationGraph(out) for out in reps]
+    out0s = np.array(reps) - 1
+    deg = engine.indegrees(out0s)
+    deltas = deg.max(axis=1)
     columns = []
     for name in mechanisms:
-        dists = get_mechanism(name).exact_many(graphs)
-        columns.append([ratio_of(name, g, dist).ratio for g, dist in zip(graphs, dists)])
-    rows = []
-    for g, *ratios in zip(graphs, *columns):
-        deg = g.indegrees()
-        rows.append((max(deg), sum(d >= 2 for d in deg), *ratios))
-    return rows
+        counts, dens = get_mechanism(name).counts(out0s)
+        weighted = (counts * deg).sum(axis=1)  # ratio_of's numerator, per class
+        columns.append([Fraction(int(w), int(den) * int(delta))
+                        for w, den, delta in zip(weighted, dens, deltas)])
+    return list(zip(deltas.tolist(), (deg >= 2).sum(axis=1).tolist(), *columns))
 
 
 def sweep_graphs(n: int, mechanisms: Sequence[str] = ("perm",), jobs: int = 1) -> GraphSweep:
@@ -306,8 +301,9 @@ def sweep_graphs(n: int, mechanisms: Sequence[str] = ("perm",), jobs: int = 1) -
     n at CLASS_CAP) and weights it by the labelled graphs in its class;
     jobs > 1 splits the classes over a process pool.
 
-    Each class is charged _graph_units against SWEEP_BUDGET, so perm and
-    mix sweep up to n = 11 and the closed forms up to CLASS_CAP.
+    Each class is charged _graph_units against SWEEP_BUDGET, which
+    admits every mechanism up to CLASS_CAP (perm at n = 12 in about
+    3 min).
     """
     mechanisms = tuple(mechanisms)
     for m in mechanisms:
@@ -403,39 +399,58 @@ def check_impartial(
     on a class representative, so it checks the representatives and
     counts each class's weight per graph and per deviation.  A class is
     charged its (n-1)^2 evaluations against SWEEP_BUDGET, so perm and mix
-    run up to n = 9.  For any other mechanism use mode="sampled", which
+    run up to n = 10.  For any other mechanism use mode="sampled", which
     checks every deviation of seeded random graphs.
+
+    The graphs and their deviations go to Mechanism.counts in windows of
+    about IMPARTIAL_WINDOW, each distinct graph of a window once, and
+    every deviator's count is compared with its count on the graph by
+    cross-multiplying; the witness is the first failing move in walk
+    order (graph, then vertex, then new target).
     """
     mech = get_mechanism(mechanism) if isinstance(mechanism, str) else mechanism
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"mode must be exhaustive or sampled, got {mode!r}")
     if mode == "exhaustive":
         per_class = (n - 1) ** 2 * _graph_units(n, (mech.name,))
-        graphs = zip(*_class_walk("exhaustive impartiality", n, per_class))
+        reps, weights = _class_walk("exhaustive impartiality", n, per_class)
     else:
         rng = SeedStream(seed).split("impartiality-graphs")
-        graphs = [(random_graph(n, rng).out, 1) for _ in range(samples)]
+        reps, weights = [random_graph(n, rng).out for _ in range(samples)], [1] * samples
 
-    dist = _ExactLookup(mech)
+    moves = n * (n - 2)  # per graph: every vertex to each target but itself and its own
+    step = max(1, IMPARTIAL_WINDOW // (moves + 1))
     graphs_checked = 0
-    deviations = 0
-    for out, weight in graphs:
-        graphs_checked += weight
-        moves = [(v, u) for v in range(1, n + 1) for u in range(1, n + 1)
-                 if u != v and u != out[v - 1]]
-        deviated = [out[: v - 1] + (u,) + out[v:] for v, u in moves]
-        dist.prefetch([out] + deviated)
-        base = dist(out)
-        for (v, u), after_out in zip(moves, deviated):
-            deviations += weight
-            after = dist(after_out)
-            if (after.numerators[v - 1] * base.denominator
-                    != base.numerators[v - 1] * after.denominator):
-                witness = DeviationWitness(
-                    NominationGraph(out), v, u, base.prob_of(v), after.prob_of(v)
-                )
-                return ImpartialityReport(graphs_checked, deviations, witness)
-    return ImpartialityReport(graphs_checked, deviations, None)
+    for i in range(0, len(reps), step):
+        base = np.array(reps[i : i + step]) - 1
+        k = len(base)
+        # the moves (graph, v, u) in walk order: by graph, then v, then u
+        vertex = np.arange(n)
+        legal = (vertex[None, None, :] != vertex[None, :, None]) & (vertex != base[:, :, None])
+        g, v, u = np.nonzero(legal)
+        deviated = base[g]
+        deviated[np.arange(len(g)), v] = u
+        unique, index = np.unique(np.concatenate([base, deviated]), axis=0, return_inverse=True)
+        counts, dens = mech.counts(unique)
+        index = index.reshape(-1)
+        before, after = index[g], index[k:]
+        same = _same_probability(counts[after, v], dens[after], counts[before, v], dens[before])
+        if not same.all():
+            first = int(np.argmin(same))
+            c, move = divmod(first, moves)
+            witness = DeviationWitness(
+                NominationGraph(reps[i + c]), int(v[first]) + 1, int(u[first]) + 1,
+                Fraction(int(counts[before[first], v[first]]), int(dens[before[first]])),
+                Fraction(int(counts[after[first], v[first]]), int(dens[after[first]])),
+            )
+            done = sum(weights[i : i + c])
+            return ImpartialityReport(
+                graphs_checked + done + weights[i + c],
+                (graphs_checked + done) * moves + weights[i + c] * (move + 1),
+                witness,
+            )
+        graphs_checked += sum(weights[i : i + k])
+    return ImpartialityReport(graphs_checked, graphs_checked * moves, None)
 
 
 # ---------------------------------------------------------------------------
@@ -592,29 +607,39 @@ def verify_upper_bound_chain(
     primes = [ub_family_prime(n, i) for i in range(1, nprime + 1)]
     family = members + [cyc, c2] + primes
 
-    dist = _ExactLookup(mech)
-
-    # empirical symmetry precheck, on images all evaluated up front
+    # empirical symmetry precheck: every family graph and every image,
+    # each distinct graph evaluated once in one batch
     if n <= 6:
-        relabellings = [Permutation(seq) for seq in itertools.permutations(range(1, n + 1))]
+        pis = np.array(list(itertools.permutations(range(n))))
     else:
         rng = SeedStream(seed).split("chain-relabellings")
-        relabellings = [rng.permutation(n) for _ in range(CHAIN_RELABELLINGS)]
-    images = [[graph.relabel(pi).out for pi in relabellings] for graph in family]
-    dist.prefetch(itertools.chain([graph.out for graph in family], *images))
-    for graph, outs in zip(family, images):
-        base = dist(graph.out)
-        for pi, out in zip(relabellings, outs):
-            image = dist(out)
-            for v, w in enumerate(pi.seq, start=1):  # w = pi.image_of(v)
-                if (image.numerators[w - 1] * base.denominator
-                        != base.numerators[v - 1] * image.denominator):
-                    raise SymmetryError(mech.name, graph, pi, v)
+        pis = np.array([rng.permutation(n).seq for _ in range(CHAIN_RELABELLINGS)]) - 1
+    outs = np.array([graph.out for graph in family]) - 1
+    graphs, relabellings = len(family), len(pis)
+    # relabelling by pi sends each edge (v, t) to (pi(v), pi(t))
+    renamed = np.broadcast_to(pis, (graphs, relabellings, n))
+    images = np.empty((graphs, relabellings, n), dtype=outs.dtype)
+    np.put_along_axis(images, renamed, pis[np.arange(relabellings)[:, None], outs[:, None, :]], axis=2)
+    unique, index = np.unique(np.concatenate([outs, images.reshape(graphs * relabellings, n)]), axis=0,
+                              return_inverse=True)
+    counts, dens = mech.counts(unique)
+    index = index.reshape(-1)
+    base, image = index[:graphs], index[graphs:].reshape(graphs, relabellings)
+    # image[pi(v)] against base[v], for every (family graph, relabelling, vertex)
+    same = _same_probability(
+        np.take_along_axis(counts[image], renamed, axis=2), dens[image][:, :, None],
+        counts[base][:, None, :], dens[base][:, None, None],
+    )
+    if not same.all():
+        g, pi, v = np.unravel_index(int(np.argmin(same)), same.shape)
+        raise SymmetryError(mech.name, family[g], Permutation(tuple((pis[pi] + 1).tolist())), int(v) + 1)
 
-    # the family graphs were evaluated by the symmetry precheck; only the
-    # values the chain reads become rationals
+    # only the values the chain reads become rationals
+    dist = {graph.out: SelectionDistribution(tuple(counts[i].tolist()), int(dens[i]))
+            for graph, i in zip(family, base)}
+
     def prob(g: NominationGraph, v: int) -> Fraction:
-        return dist(g.out).prob_of(v)
+        return dist[g.out].prob_of(v)
 
     p = tuple(prob(members[0], v) for v in range(1, n + 1))
     x = tuple(prob(members[i], 2) for i in range(1, nprime + 1))
@@ -627,7 +652,7 @@ def verify_upper_bound_chain(
         for i in range(1, nprime + 1)
     )
 
-    prime_ratios = [ratio_of(mech.name, g, dist(g.out)).ratio for g in primes]
+    prime_ratios = [ratio_of(mech.name, g, dist[g.out]).ratio for g in primes]
     prime_ok = all(r <= (xi + 1) / 2 for r, xi in zip(prime_ratios, x))
     bound = upper_bound(n)
     min_family = min(prime_ratios)
@@ -648,7 +673,7 @@ def verify_upper_bound_chain(
         min_family,
         bound,
         min_vs_bound_ok,
-        len(relabellings) * len(family),
+        relabellings * graphs,
     )
 
 

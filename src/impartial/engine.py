@@ -12,7 +12,8 @@ layer; selection_counts is its one-graph entry.  The counts are exact
 integers, so dividing by n! at the end loses nothing.  The two-slot
 rule's counts over all n! orderings depend only on the indegree classes,
 so two_slot_quarter_counts computes them in closed form without
-enumerating anything.
+enumerating anything, for a whole batch of graphs at once, in int64
+while they fit and in Python ints above (exact_dtype).
 
 Checks about individual orderings (the left-indegree profile, and the
 Lemma 3 check that every scan ends on the maximum left indegree) and
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -199,12 +199,20 @@ def batch_selection_counts(out0s: np.ndarray) -> list[list[int]]:
         inmask[rows, targets[:, u]] |= 1 << u
     inmask = np.ascontiguousarray(inmask[:, :n])
     top = int(popcount[inmask].max()) + 1  # d ranges over 0..max indegree
-    step = max(1, STATE_BUDGET // (math.comb(n, n // 2) * top * n))
+    step = dp_pass_graphs(n, top)
     parts = [
         _counts_pass(targets[i : i + step], inmask[i : i + step], top, popcount, layers)
         for i in range(0, graphs, step)
     ]
     return np.concatenate(parts).astype(np.int64).tolist()
+
+
+def dp_pass_graphs(n: int, top: int) -> int:
+    """Graphs per numpy pass of batch_selection_counts on a batch whose
+    largest indegree is top - 1: at least one, and otherwise as many as
+    keep the pass's index of (graph, prefix set, d, candidate) within
+    STATE_BUDGET entries."""
+    return max(1, STATE_BUDGET // (math.comb(n, n // 2) * top * n))
 
 
 def _counts_pass(
@@ -266,18 +274,33 @@ def sampled_selection_counts(
     return counts, violations
 
 
+def exact_dtype(bound: int) -> type:
+    """The dtype of a computation whose integers are all at most bound:
+    int64 when bound fits in it, otherwise Python ints (dtype object),
+    so exact counts never wrap."""
+    return np.int64 if bound < 2**63 else object
+
+
+def indegrees(out0s: np.ndarray) -> np.ndarray:
+    """(graphs, n) int64 indegrees of each row of a (graphs, n) array of
+    0-based targets (-1 for an absent edge)."""
+    graphs, n = out0s.shape
+    slots = np.where(out0s >= 0, out0s, n) + (n + 1) * np.arange(graphs)[:, None]
+    return np.bincount(slots.ravel(), minlength=graphs * (n + 1)).reshape(graphs, n + 1)[:, :n]
+
+
 def runner_up_gap_quarter_counts(out0: np.ndarray) -> tuple[list[int], int]:
-    """two_slot_quarter_counts of the graph with 0-based targets out0
-    (-1 for an absent edge).  The exact paths read the out tuple
-    directly; this array form stays because perfbench's tracer wraps it
-    by name."""
-    return two_slot_quarter_counts([None if t < 0 else t + 1 for t in out0.tolist()])
+    """two_slot_quarter_counts of one graph's 0-based targets out0 (-1
+    for an absent edge), as a list.  The exact paths run the batch form;
+    this one stays because perfbench's tracer wraps it by name."""
+    counts, nfact = two_slot_quarter_counts(out0[None])
+    return counts[0].tolist(), nfact
 
 
-def two_slot_quarter_counts(out: Sequence[Optional[int]]) -> tuple[list[int], int]:
+def two_slot_quarter_counts(out0s: np.ndarray) -> tuple[np.ndarray, int]:
     """Exact per-vertex counts, in quarter units, of the two-slot rule
-    summed over all n! orderings, in closed form, read off a graph's
-    1-based out tuple (None for an absent edge).
+    summed over all n! orderings, in closed form, for each row of a
+    (graphs, n) array of 0-based targets (-1 for an absent edge).
 
     Per ordering the rule gives the lexicographic (indegree, position)
     maximum 3/4 (if removing its own edge leaves it ahead of everyone
@@ -295,35 +318,39 @@ def two_slot_quarter_counts(out: Sequence[Optional[int]]) -> tuple[list[int], in
       T2 nominating t is the runner-up to the right of t exactly when it
       comes last among T2 and t, so it gets 2 n!/(|T2|+1).
 
-    Counts are Python ints (n! overflows int64 from n = 21).  Returns
-    (quarter_counts, n!).
+    Both cases are computed for every row and each row keeps its own.
+    Returns (quarter_counts, n!): a (graphs, n) array, int64 while its
+    total 4 n! fits (n <= 19), Python ints above.
     """
-    n = len(out)
+    graphs, n = out0s.shape
     nfact = math.factorial(n)
-    deg = [0] * (n + 1)  # deg[v] for vertex v; deg[0] takes absent edges
-    for t in out:
-        deg[t or 0] += 1
-    deg[0] = -1
-    dmax = max(deg)
-    k = deg.count(dmax)
-    counts = [0] * n
-    if k >= 2:
-        share, pair = 2 * nfact // k, 2 * nfact // (k * (k - 1))
-        for v in range(1, n + 1):
-            if deg[v] == dmax:
-                counts[v - 1] = share + pair if deg[out[v - 1] or 0] == dmax else share
-        return counts, nfact
-    t = deg.index(dmax)
-    deg[t] = -1
-    deg[out[t - 1] or 0] -= 1
-    rival = max(deg)  # the others' indegrees once t's edge is removed
-    deg[out[t - 1] or 0] += 1
-    counts[t - 1] = (3 if dmax >= rival + 2 else 2) * nfact
-    runner = 2 * nfact // (deg.count(dmax - 1) + 1)
-    for r in range(1, n + 1):
-        if out[r - 1] == t and deg[r] == dmax - 1:
-            counts[r - 1] = runner
-    return counts, nfact
+    dtype = exact_dtype(4 * nfact)
+    rows = np.arange(graphs)
+    deg = indegrees(out0s)
+    absent = out0s < 0
+    target_deg = np.where(absent, -1, np.take_along_axis(deg, np.where(absent, 0, out0s), axis=1))
+    dmax = deg.max(axis=1)
+    top = deg == dmax[:, None]
+    k = top.sum(axis=1)
+    two = np.full(graphs, 2 * nfact, dtype=dtype)
+    # k >= 2 (kk keeps the k = 1 rows clear of a zero divisor)
+    kk = np.maximum(k, 2).astype(dtype)
+    share, pair = two // kk, two // (kk * (kk - 1))
+    pairs = np.where(target_deg == dmax[:, None], pair[:, None], 0)
+    several = np.where(top, share[:, None] + pairs, 0)
+    # k = 1, T = {t}
+    t = deg.argmax(axis=1)
+    t_target = out0s[rows, t]
+    rivals = deg.copy()  # the others' indegrees once t's edge is removed
+    rivals[rows, t] = -1
+    edged = t_target >= 0
+    rivals[rows[edged], t_target[edged]] -= 1
+    gap = dmax >= rivals.max(axis=1) + 2
+    second = deg == (dmax - 1)[:, None]
+    runner = two // (second.sum(axis=1) + 1).astype(dtype)
+    single = np.where((out0s == t[:, None]) & second, runner[:, None], 0)
+    single[rows, t] = np.where(gap, 3, 2).astype(dtype) * nfact
+    return np.where((k >= 2)[:, None], several, single), nfact
 
 
 def left_indegree_profile(out0: np.ndarray, vstar0: int) -> tuple[np.ndarray, np.ndarray]:

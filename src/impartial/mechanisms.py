@@ -2,18 +2,21 @@
 
 A mechanism is reached through its Mechanism entry in MECHANISMS,
 which checks the graph once and then runs one of two paths.  The exact
-path returns integer selection counts over a common denominator (the
-``*_counts`` functions); Mechanism.exact returns them as a
-SelectionDistribution, which validates them, and Mechanism.exact_many
-does so for a list of graphs of one size, running perm's DP, and mix's
-through it, once for the whole list (``perm_counts_many``,
-``mix_counts_many``).  The sampling path is a
-factory (the ``*_sampler`` functions) that reads the graph once and
-returns a draw; each call of the draw simulates the rule on one
-ordering or vertex drawn from a SeedStream.  Exact perm counts the
-scan's outcomes over all n! vertex orderings by a DP over prefix sets,
-whose 2^n states cap perm, and mix through it, at engine.DP_CAP
-vertices; rd, prug and prugd are closed forms with no cap.
+path is one function per mechanism (the ``*_counts`` functions) that
+maps a (graphs, n) array of 0-based targets to a (graphs, n) array of
+integer selection counts over a denominator; Mechanism.counts runs it
+and validates the whole batch at once, and Mechanism.exact is that
+path on a batch of one, returned as a SelectionDistribution.  perm
+counts the scan's outcomes over all n! orderings with the engine's
+batched DP over prefix sets, whose 2^n states cap perm, and mix
+through it, at engine.DP_CAP vertices; rd, prug and prugd are numpy
+closed forms over the whole batch with no cap.  Counts are int64 while
+the largest of them fits, and Python ints (dtype object) above, so
+they never wrap.  A rule written for one graph at a time joins the
+same path through per_graph.  The sampling path is a factory (the
+``*_sampler`` functions) that reads the graph once and returns a draw;
+each call of the draw simulates the rule on one ordering or vertex
+drawn from a SeedStream.
 
 perm  - left-to-right candidate scan along a uniform random ordering.
 rd    - random dictatorship: a uniform vertex's nominee.
@@ -27,9 +30,10 @@ mix   - rd for n <= 5, otherwise a fixed coin between perm and prugd.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -44,12 +48,18 @@ from .graphs import (
 )
 from .rng import SeedStream, as_stream
 
-Counts = tuple[Sequence[int], int]  # per-vertex numerators, common denominator
+# The exact path's result on a batch: a (graphs, n) integer count array
+# and the denominator, one for the batch or one per row.
+Counts = tuple[np.ndarray, Union[int, np.ndarray]]
 Draw = Callable[[SeedStream], Optional[int]]  # one seeded draw on a fixed graph
 
 MIX_PERM_WEIGHT = Fraction(825, 1049)
 MIX_PRUGD_WEIGHT = Fraction(224, 1049)
 MIX_SMALL_N = 5
+# Entries of the edge-removed copies (graphs times n^2) that prugd
+# passes to the two-slot closed form at once, which bounds its memory:
+# each graph becomes n copies, held as Python ints from n = 19.
+PRUGD_CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -92,18 +102,23 @@ def perm_run(g: AnyGraph, pi: Permutation) -> int:
     return cand
 
 
-def perm_counts(g: AnyGraph) -> Counts:
+def perm_counts(out0s: np.ndarray) -> Counts:
     """How many of the n! orderings make the scan select each vertex,
-    counted by the engine's DP over prefix sets, over n!."""
-    return engine.selection_counts(engine.out_array(g))
+    counted by the engine's DP over prefix sets, over n!.
 
-
-def perm_counts_many(graphs: Sequence[AnyGraph]) -> list[Counts]:
-    """perm_counts of each of a non-empty list of graphs of one size, by
-    one batched run of the DP."""
-    nfact = math.factorial(graphs[0].n)
-    counts = engine.batch_selection_counts(np.stack([engine.out_array(g) for g in graphs]))
-    return [(c, nfact) for c in counts]
+    The DP indexes every graph of a batch up to the batch's largest
+    indegree, so a batch too big for one of its passes goes to it in one
+    batch per maximum indegree.
+    """
+    graphs, n = out0s.shape
+    delta = engine.indegrees(out0s).max(axis=1)
+    if graphs <= engine.dp_pass_graphs(n, int(delta.max()) + 1):
+        return np.array(engine.batch_selection_counts(out0s), dtype=np.int64), math.factorial(n)
+    counts = np.empty((graphs, n), dtype=np.int64)
+    for d in np.flatnonzero(np.bincount(delta)):
+        rows = np.flatnonzero(delta == d)
+        counts[rows] = engine.batch_selection_counts(out0s[rows])
+    return counts, math.factorial(n)
 
 
 def perm_sampler(g: AnyGraph) -> Draw:
@@ -115,9 +130,9 @@ def perm_sampler(g: AnyGraph) -> Draw:
 # ---------------------------------------------------------------------------
 # Random dictatorship
 
-def rd_counts(g: NominationGraph) -> Counts:
+def rd_counts(out0s: np.ndarray) -> Counts:
     """Each vertex is selected with probability indegree/n."""
-    return g.indegrees(), g.n
+    return engine.indegrees(out0s), out0s.shape[1]
 
 
 def rd_sampler(g: NominationGraph) -> Draw:
@@ -129,7 +144,7 @@ def rd_sampler(g: NominationGraph) -> Draw:
 # ---------------------------------------------------------------------------
 # Plurality with runner-up and gap
 
-def prug_counts(g: AnyGraph) -> Counts:
+def prug_counts(out0s: np.ndarray) -> Counts:
     """Sum of the single-ordering weight vectors over all orderings, in
     quarters, over 4 n!.
 
@@ -138,7 +153,7 @@ def prug_counts(g: AnyGraph) -> Counts:
     The total may fall short of 1: the rule is allowed to select no one.
     The engine sums in closed form, so no ordering is enumerated.
     """
-    counts, runs = engine.two_slot_quarter_counts(g.out)
+    counts, runs = engine.two_slot_quarter_counts(out0s)
     return counts, 4 * runs
 
 
@@ -211,34 +226,30 @@ def prug_sampler(g: AnyGraph) -> Draw:
 
 
 # ---------------------------------------------------------------------------
-# Default-vertex wrapper
+# prug with a default vertex
 
-def dv_wrap_counts(
-    inner_counts: Callable[[PartialNominationGraph], Counts], g: NominationGraph
-) -> Counts:
-    """Run an inexact rule with a uniformly chosen default vertex.
+def prugd_counts(out0s: np.ndarray) -> Counts:
+    """prug run with a uniformly chosen default vertex, over 4 n n!.
 
-    The default vertex's outgoing edge is removed before the inner rule
-    runs, and the default vertex picks up the inner rule's unassigned
-    mass on top of its own share, so the wrapped rule always selects.
-    The inner rule's denominator must depend on n only; the wrapped
-    counts are over n times it.
+    The default vertex's outgoing edge is removed before prug runs, and
+    the default vertex picks up prug's unassigned mass on top of its own
+    share, so the wrapped rule always selects.  The n edge-removed
+    copies of each graph go through prug's closed form as one
+    (graphs * n, n) batch, PRUGD_CHUNK entries at a time.
     """
-    n = g.n
-    acc = [0] * n
-    for vbar in g.vertices:
-        counts, den = inner_counts(g.remove_out_edge(vbar))
-        if len(counts) != n:
-            raise InputError("inner mechanism changed the vertex count")
-        for v, c in enumerate(counts):
-            acc[v] += c
-        acc[vbar - 1] += den - sum(counts)
-    return acc, n * den
-
-
-def prugd_counts(g: NominationGraph) -> Counts:
-    """prug with a uniform default vertex, over 4 n n!."""
-    return dv_wrap_counts(prug_counts, g)
+    graphs, n = out0s.shape
+    den = 4 * math.factorial(n)
+    dtype = engine.exact_dtype(n * den)
+    counts = np.empty((graphs, n), dtype=dtype)
+    step = max(1, PRUGD_CHUNK // (n * n))
+    for i in range(0, graphs, step):
+        part = out0s[i : i + step]
+        copies = np.repeat(part, n, axis=0)  # row g * n + j: graph g without j's edge
+        copies[np.arange(len(copies)), np.tile(np.arange(n), len(part))] = -1
+        quarters = engine.two_slot_quarter_counts(copies)[0].astype(dtype).reshape(len(part), n, n)
+        # default j's unassigned quarters go to j
+        counts[i : i + step] = quarters.sum(axis=1) + (den - quarters.sum(axis=2))
+    return counts, n * den
 
 
 def prugd_sampler(g: NominationGraph) -> Draw:
@@ -260,30 +271,16 @@ def prugd_sampler(g: NominationGraph) -> Draw:
 # ---------------------------------------------------------------------------
 # Mixture mechanism
 
-def mix_counts(g: NominationGraph) -> Counts:
+def mix_counts(out0s: np.ndarray) -> Counts:
     """rd for n <= 5; otherwise the fixed 825/1049 : 224/1049 blend of
     perm (over n!) and prugd (over 4 n n!), over 1049 * 4 n n!."""
-    if g.n <= MIX_SMALL_N:
-        return rd_counts(g)
-    return _mix_blend(perm_counts(g), prugd_counts(g))
-
-
-def mix_counts_many(graphs: Sequence[NominationGraph]) -> list[Counts]:
-    """mix_counts of each of a non-empty list of graphs of one size, with
-    perm evaluated by one batched run of the DP."""
-    if graphs[0].n <= MIX_SMALL_N:
-        return [rd_counts(g) for g in graphs]
-    return [_mix_blend(pe, prugd_counts(g)) for pe, g in zip(perm_counts_many(graphs), graphs)]
-
-
-def _mix_blend(perm: Counts, prugd: Counts) -> Counts:
-    (pe, nfact), (pd, den) = perm, prugd
-    scale = den // nfact
+    if out0s.shape[1] <= MIX_SMALL_N:
+        return rd_counts(out0s)
+    (pe, nfact), (pd, den) = perm_counts(out0s), prugd_counts(out0s)
+    dtype = engine.exact_dtype(MIX_PERM_WEIGHT.denominator * den)
     # both weights are over 1049
-    blend = [
-        MIX_PERM_WEIGHT.numerator * scale * a + MIX_PRUGD_WEIGHT.numerator * b
-        for a, b in zip(pe, pd)
-    ]
+    blend = (MIX_PERM_WEIGHT.numerator * (den // nfact) * pe.astype(dtype)
+             + MIX_PRUGD_WEIGHT.numerator * pd.astype(dtype))
     return blend, MIX_PERM_WEIGHT.denominator * den
 
 
@@ -300,41 +297,94 @@ def mix_sampler(g: NominationGraph) -> Draw:
 # ---------------------------------------------------------------------------
 # Registry
 
+_as_index = np.frompyfunc(operator.index, 1, 1)
+
+
+def _integers(a: np.ndarray) -> np.ndarray:
+    """a itself if its dtype is an integer type, its entries as Python
+    ints if they all are integers of dtype object; else TypeError."""
+    if a.dtype == object:
+        return _as_index(a)
+    if not np.issubdtype(a.dtype, np.integer):
+        raise TypeError(f"{a.dtype} entries are not integers")
+    return a
+
+
+def per_graph(counts: Callable[[AnyGraph], tuple[Sequence[int], int]]) -> Callable[[np.ndarray], Counts]:
+    """An exact path made of a rule written for one graph at a time, which
+    returns one count per vertex and a denominator: it runs the rule on
+    each row's graph and leaves the checks to Mechanism.counts."""
+
+    def batch(out0s: np.ndarray) -> Counts:
+        graphs, n = out0s.shape
+        rows, dens = [], []
+        for out0 in out0s.tolist():
+            out = tuple(None if t < 0 else t + 1 for t in out0)
+            numerators, den = counts((PartialNominationGraph if None in out else NominationGraph)(out))
+            if len(numerators) != n:
+                raise InputError(f"a per-graph rule gave {len(numerators)} counts for {n} vertices")
+            rows.append(list(numerators))
+            dens.append(den)
+        return np.array(rows, dtype=object).reshape(graphs, n), np.array(dens, dtype=object)
+
+    return batch
+
+
 @dataclass(frozen=True)
 class Mechanism:
     """A named exact path and sampler: the one way into a mechanism.
 
-    accepts_partial: defined on graphs with missing out-edges; exact()
-    and sampler() reject any other graph for a mechanism without it, so
-    the paths behind them never check.
-    exact(g) is the one exact entry: it wraps the exact path's integer
-    counts over one denominator in a SelectionDistribution, which
-    validates them, and rejects a count vector that is not one per vertex.
-    exact_many(graphs) is exact on each of a list of graphs of one size;
-    a mechanism with a batched exact path (_counts_many, perm and mix)
-    evaluates the list in one run of it, the others graph by graph.
+    accepts_partial: defined on graphs with missing out-edges; counts(),
+    exact() and sampler() reject any other graph for a mechanism without
+    it, so the paths behind them never check.
+    counts(out0s) is the one exact entry: it runs the exact path on a
+    (graphs, n) array of 0-based targets and returns the (graphs, n)
+    counts with one denominator per row, after checking the whole batch
+    once as SelectionDistribution checks one graph: integer counts, one per vertex, each between 0 and the
+    denominator, summing to at most it, over a denominator of at least 1.
+    exact(g) is counts on a batch of one, as a SelectionDistribution.
     sampler(g) reads the graph once and returns a draw that takes a
     SeedStream; sample() is one draw from a seed or a SeedStream.
     """
 
     name: str
     accepts_partial: bool
-    _counts: Callable[[AnyGraph], Counts]
+    _counts: Callable[[np.ndarray], Counts]
     _sampler: Callable[[AnyGraph], Draw]
-    _counts_many: Optional[Callable[[Sequence[AnyGraph]], list[Counts]]] = None
+
+    def counts(self, out0s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        graphs, n = out0s.shape
+        if not self.accepts_partial and (out0s < 0).any():
+            raise InputError(f"{self.name} is only defined on total nomination graphs")
+        counts, den = self._counts(out0s)
+        counts = np.asarray(counts)
+        if counts.shape != (graphs, n):
+            raise InputError(f"{self.name} gave {counts.shape[-1]} counts for {n} vertices")
+        try:
+            counts = _integers(counts)
+            dens = _integers(np.broadcast_to(np.asarray(den), (graphs,)))
+        except TypeError as exc:
+            raise InputError(f"selection counts must be integers: {exc}") from None
+        if (dens < 1).any():
+            raise InputError(f"denominator {dens[np.argmax(dens < 1)]} is not positive")
+        outside = (counts < 0) | (counts > dens[:, None])
+        if outside.any():
+            g, v = divmod(int(np.argmax(outside)), n)
+            prob = Fraction(int(counts[g, v]), int(dens[g]))
+            raise InputError(f"probability of vertex {v + 1} out of [0,1]: {prob}")
+        if counts.dtype != object and n * int(dens.max()) >= 2**63:
+            totals = counts.astype(object).sum(axis=1)  # n counts of up to den each
+        else:
+            totals = counts.sum(axis=1)
+        over = totals > dens
+        if over.any():
+            g = int(np.argmax(over))
+            raise InputError(f"probabilities sum to {Fraction(int(totals[g]), int(dens[g]))} > 1")
+        return counts, dens
 
     def exact(self, g: AnyGraph) -> SelectionDistribution:
-        return self._distribution(g, self._counts(self._coerce(g)))
-
-    def exact_many(self, graphs: Sequence[AnyGraph]) -> list[SelectionDistribution]:
-        graphs = [self._coerce(g) for g in graphs]
-        if len({g.n for g in graphs}) > 1:
-            raise InputError(f"{self.name}: exact_many needs graphs of one size")
-        if self._counts_many is None or not graphs:
-            counts = map(self._counts, graphs)
-        else:
-            counts = self._counts_many(graphs)
-        return [self._distribution(g, c) for g, c in zip(graphs, counts)]
+        counts, dens = self.counts(engine.out_array(self._coerce(g))[None])
+        return SelectionDistribution(tuple(counts[0].tolist()), int(dens[0]))
 
     def sampler(self, g: AnyGraph) -> Draw:
         return self._sampler(self._coerce(g))
@@ -347,19 +397,13 @@ class Mechanism:
             raise InputError(f"{self.name} is only defined on total nomination graphs")
         return g
 
-    def _distribution(self, g: AnyGraph, counts: Counts) -> SelectionDistribution:
-        dist = SelectionDistribution(*counts)
-        if dist.n != g.n:
-            raise InputError(f"{self.name} gave {dist.n} counts for {g.n} vertices")
-        return dist
-
 
 MECHANISMS: dict[str, Mechanism] = {
-    "perm": Mechanism("perm", True, perm_counts, perm_sampler, perm_counts_many),
+    "perm": Mechanism("perm", True, perm_counts, perm_sampler),
     "rd": Mechanism("rd", False, rd_counts, rd_sampler),
     "prug": Mechanism("prug", True, prug_counts, prug_sampler),
     "prugd": Mechanism("prugd", False, prugd_counts, prugd_sampler),
-    "mix": Mechanism("mix", False, mix_counts, mix_sampler, mix_counts_many),
+    "mix": Mechanism("mix", False, mix_counts, mix_sampler),
 }
 
 

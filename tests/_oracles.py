@@ -2,10 +2,14 @@
 
 Everything here enumerates graphs and permutations with itertools and
 plain set arithmetic, deliberately sharing no code with the package's
-evaluators.  Slow, small-n only.  prug_p_vector and prug_q_vector
-are the two-slot rule read directly off one ordering, the reference
-for the prug sampler's per-graph tables.  late_takeover_run is the one
-deliberately wrong rule here, a negative control for the Lemma 3 scan.
+evaluators.  Slow, small-n only, except the per-graph closed forms:
+two_slot_quarter_counts and dv_wrap_counts are the scalar forms of the
+package's array paths for prug and prugd, one graph at a time in Python
+ints at any n, the reference for those paths at every size.
+prug_p_vector and prug_q_vector are the two-slot rule read directly off
+one ordering, the reference for the prug sampler's per-graph tables.
+late_takeover_run is the one deliberately wrong rule here, a negative
+control for the Lemma 3 scan.
 """
 from __future__ import annotations
 
@@ -137,6 +141,80 @@ def prugd_dist(g: NominationGraph) -> list[Fraction]:
             acc[vbar - 1] += 1 - sum(q)
     total = n * math.factorial(n)
     return [a / total for a in acc]
+
+
+def two_slot_quarter_counts(g: AnyGraph) -> tuple[list[int], int]:
+    """The two-slot rule's per-vertex counts in quarters summed over all
+    n! orderings, in closed form, and n!.
+
+    Only the relative order of the top indegree class T and of T2
+    (indegree dmax - 1) matters.  With k = |T| >= 2 the front vertex is
+    uniform over T and a tied rival blocks the gap, so each member gets
+    2 n!/k, plus 2 n!/(k(k-1)) if it nominates another member.  With
+    T = {t}, t gets 3 n! or 2 n! by its gap test, and a member of T2
+    nominating t gets 2 n!/(|T2| + 1).
+    """
+    out, n = g.out, g.n
+    nfact = math.factorial(n)
+    deg = [0] * (n + 1)  # deg[v] for vertex v; deg[0] takes absent edges
+    for t in out:
+        deg[t or 0] += 1
+    deg[0] = -1
+    dmax = max(deg)
+    k = deg.count(dmax)
+    counts = [0] * n
+    if k >= 2:
+        share, pair = 2 * nfact // k, 2 * nfact // (k * (k - 1))
+        for v in range(1, n + 1):
+            if deg[v] == dmax:
+                counts[v - 1] = share + pair if deg[out[v - 1] or 0] == dmax else share
+        return counts, nfact
+    t = deg.index(dmax)
+    deg[t] = -1
+    deg[out[t - 1] or 0] -= 1
+    rival = max(deg)  # the others' indegrees once t's edge is removed
+    deg[out[t - 1] or 0] += 1
+    counts[t - 1] = (3 if dmax >= rival + 2 else 2) * nfact
+    runner = 2 * nfact // (deg.count(dmax - 1) + 1)
+    for r in range(1, n + 1):
+        if out[r - 1] == t and deg[r] == dmax - 1:
+            counts[r - 1] = runner
+    return counts, nfact
+
+
+def prug_counts(g: AnyGraph) -> tuple[list[int], int]:
+    """prug's counts in quarters over 4 n!."""
+    counts, nfact = two_slot_quarter_counts(g)
+    return counts, 4 * nfact
+
+
+def dv_wrap_counts(inner_counts, g: NominationGraph) -> tuple[list[int], int]:
+    """An inexact rule run with a uniformly chosen default vertex, whose
+    edge is removed first and who takes the rule's unassigned mass.  The
+    inner rule's denominator must depend on n only; the wrapped counts
+    are over n times it."""
+    n = g.n
+    acc = [0] * n
+    for vbar in g.vertices:
+        counts, den = inner_counts(g.remove_out_edge(vbar))
+        assert len(counts) == n
+        for v, c in enumerate(counts):
+            acc[v] += c
+        acc[vbar - 1] += den - sum(counts)
+    return acc, n * den
+
+
+def prugd_counts(g: NominationGraph) -> tuple[list[int], int]:
+    """prugd's counts over 4 n n!."""
+    return dv_wrap_counts(prug_counts, g)
+
+
+def mix_counts(g: NominationGraph, perm_counts: list[int]) -> tuple[list[int], int]:
+    """mix's counts above n = 5, blended from perm's counts over n! and
+    prugd_counts, over 1049 * 4 n n!."""
+    pd, den = prugd_counts(g)
+    scale = den // math.factorial(g.n)
+    return [825 * scale * a + 224 * b for a, b in zip(perm_counts, pd)], 1049 * den
 
 
 def rd_dist(g: NominationGraph) -> list[Fraction]:

@@ -30,7 +30,7 @@ from impartial.analysis import (
 from impartial.cli import main as cli_main
 from impartial.generators import lower_bound_family, random_graph
 from impartial.graphs import Permutation
-from impartial.mechanisms import MECHANISMS, Mechanism, dv_wrap_counts
+from impartial.mechanisms import MECHANISMS, Mechanism, per_graph
 from impartial.rng import SeedStream
 
 ALL_MECHS = ("perm", "rd", "prug", "prugd", "mix")
@@ -168,11 +168,14 @@ def test_criterion_09b_chain_rejects_prugd():
         return list(oracle.prug_q_vector(g, Permutation(tuple(g.vertices)))), 8  # in eighths
 
     label_order = Mechanism(  # the chain never samples
-        "prugd", False, lambda g: dv_wrap_counts(label_order_prug_counts, g), lambda g: lambda rng: 1
+        "prugd", False, per_graph(lambda g: oracle.dv_wrap_counts(label_order_prug_counts, g)),
+        lambda g: lambda rng: 1,
     )
     with pytest.raises(SymmetryError) as err:
         verify_upper_bound_chain(label_order, 6)
     graph, relabelling, v = err.value.graph, err.value.relabelling, err.value.vertex
+    # the first mismatch in (family graph, relabelling, vertex) order
+    assert (graph.out, relabelling.seq, v) == ((2, 1, 2, 3, 4, 5), (1, 2, 3, 5, 4, 6), 1)
     relabelled, image = graph.relabel(relabelling), relabelling.image_of(v)
     before = label_order.exact(graph).prob_of(v)
     after = label_order.exact(relabelled).prob_of(image)

@@ -47,7 +47,7 @@ from impartial.graphs import (
     iso_classes,
     iso_code,
 )
-from impartial.mechanisms import MECHANISMS, Mechanism
+from impartial.mechanisms import MECHANISMS, Mechanism, per_graph
 from impartial.rng import SeedStream
 
 
@@ -232,7 +232,7 @@ def test_sweep_runs_the_dp_once_per_class(monkeypatch):
     monkeypatch.setattr(analysis, "NominationGraph", build)
     sweep_graphs(6, ("perm",))
     assert len(calls) == len(set(calls)) == 40  # the isomorphism classes at n = 6
-    assert len(built) == 40  # one graph built per class, none per labelled graph
+    assert built == []  # the classes go to the exact paths as one array: no graph object is built
     calls.clear()
     sweep_graphs(6, ("perm", "mix"))
     assert len(calls) == 80  # mix runs the DP again inside its blend
@@ -297,15 +297,14 @@ def test_in_chunks_pool_is_capped_by_chunks_and_cpus(monkeypatch):
 
 
 def test_sweep_budget_guard(monkeypatch):
-    # a sweep is charged per class: n units, plus n * 2^n for each run
-    # of the prefix-set DP (perm, and mix above n = 5); the ordering
-    # scan is charged n! per class
+    # a sweep is charged per class: n units, plus 2^n for each run of the
+    # prefix-set DP (perm, and mix above n = 5); the ordering scan is
+    # charged n! per class
     assert analysis.SWEEP_BUDGET == 300_000_000
-    charge11 = 6389 * (11 + 11 * 2**11)
-    assert charge11 <= analysis.SWEEP_BUDGET
+    assert 18264 * (12 + 2 * 2**12) <= analysis.SWEEP_BUDGET  # perm and mix at CLASS_CAP
     assert 797 * math.factorial(9) <= analysis.SWEEP_BUDGET
-    with pytest.raises(CapacityError, match=f"needs {18264 * (12 + 12 * 2**12)} units"):
-        sweep_graphs(12, ("perm",))
+    with pytest.raises(CapacityError, match=f"needs {18264 * (12 + 5 * 2**12)} units"):
+        sweep_graphs(12, ("perm", "mix", "perm", "mix", "perm"))
     with pytest.raises(CapacityError, match=f"needs {2273 * math.factorial(10)} units"):
         scan_orderings(10)
     with pytest.raises(CapacityError, match="n <= 12"):
@@ -313,12 +312,12 @@ def test_sweep_budget_guard(monkeypatch):
     # mix runs the DP only above n = 5, the closed forms never
     monkeypatch.setattr(analysis, "SWEEP_BUDGET", 0)
     for n, mechs, charge in ((5, ("mix", "rd", "prug", "prugd"), 13 * 5),
-                             (6, ("mix",), 40 * (6 + 6 * 64)),
-                             (6, ("perm", "mix"), 40 * (6 + 2 * 6 * 64))):
+                             (6, ("mix",), 40 * (6 + 64)),
+                             (6, ("perm", "mix"), 40 * (6 + 2 * 64))):
         with pytest.raises(CapacityError, match=f"needs {charge} units"):
             sweep_graphs(n, mechs)
     # the budget is inclusive: a sweep charged exactly the budget runs
-    monkeypatch.setattr(analysis, "SWEEP_BUDGET", 40 * (6 + 6 * 64))
+    monkeypatch.setattr(analysis, "SWEEP_BUDGET", 40 * (6 + 64))
     assert sweep_graphs(6, ("perm",)).graphs_checked == 5**6
     monkeypatch.setattr(analysis, "SWEEP_BUDGET", 6 * 24)
     assert scan_orderings(4)[1] == 81 * 24
@@ -377,7 +376,7 @@ def _naive_perm():
         nfact = math.factorial(g.n)
         return [int(p * nfact) for p in oracle.perm_dist(g, exclude_candidate=False)], nfact
 
-    return Mechanism("perm-naive", True, naive_counts, lambda g, s: 1)
+    return Mechanism("perm-naive", True, per_graph(naive_counts), lambda g, s: 1)
 
 
 def _labelled_impartial(mech, n):
@@ -425,10 +424,18 @@ def test_class_walk_matches_the_labelled_walk(monkeypatch):
 def test_naive_scan_variant_fails_impartiality():
     naive = _naive_perm()
     sampled = {"mode": "sampled", "seed": 0, "samples": 20}
+    # the first failing move in walk order, with the labelled counts up to it
+    pinned = {
+        (4, False): ((2, 3, 4, 1), 1, 3, 9, 30),
+        (4, True): ((2, 4, 1, 1), 1, 3, 1, 1),
+        (5, True): ((2, 3, 2, 2, 3), 2, 1, 1, 4),
+    }
     for n, kwargs in ((4, {}), (4, sampled), (5, sampled)):
         rep = check_impartial(naive, n, **kwargs)
         assert not rep.passed, (n, kwargs)
         w = rep.counterexample
+        assert (w.graph.out, w.vertex, w.new_target, rep.graphs_checked,
+                rep.deviations_checked) == pinned[n, bool(kwargs)]
         assert w.vertex >= 1 and w.new_target not in (w.vertex, w.graph.out[w.vertex - 1])
         deviated = w.graph.retarget(w.vertex, w.new_target)
         assert w.prob_before == naive.exact(w.graph).prob_of(w.vertex)
@@ -438,13 +445,34 @@ def test_naive_scan_variant_fails_impartiality():
 
 def test_check_impartial_budget_and_sampled():
     # each class is charged its (n-1)^2 evaluations at the sweep's units
-    # per graph: perm runs up to n = 9
-    assert 797 * 64 * (9 + 9 * 2**9) <= analysis.SWEEP_BUDGET
-    with pytest.raises(CapacityError, match=f"needs {2273 * 81 * (10 + 10 * 2**10)} units"):
-        check_impartial("perm", 10)
+    # per graph: perm runs up to n = 10
+    assert 2273 * 81 * (10 + 2**10) <= analysis.SWEEP_BUDGET
+    with pytest.raises(CapacityError, match=f"needs {6389 * 100 * (11 + 2**11)} units"):
+        check_impartial("perm", 11)
     assert check_impartial("rd", 7).graphs_checked == 6**7
     rep = check_impartial("rd", 7, mode="sampled", seed=5, samples=20)
     assert rep.passed and rep.graphs_checked == 20
+
+
+def test_budget_admits_the_perm_sweep_at_12_and_perm_impartiality_at_10(monkeypatch):
+    # at about 2 us a unit the budget is about 10 min on one core: the
+    # perm sweep at n = 12 (about 3 min) and perm impartiality at n = 10
+    # (about 4.5 min) pass it.  An admitted walk is stopped right after
+    # its budget check.
+    class Admitted(Exception):
+        pass
+
+    walk = analysis._class_walk
+
+    def checked(*args):
+        walk(*args)
+        raise Admitted
+
+    monkeypatch.setattr(analysis, "_class_walk", checked)
+    with pytest.raises(Admitted):
+        worst_case("perm", 12)
+    with pytest.raises(Admitted):
+        check_impartial("perm", 10)
 
 
 def test_rd_impartial_exhaustive_n6():
@@ -481,7 +509,7 @@ def _half_on_top(half):
          "float-count"],
 )
 def test_verifiers_reject_counts_that_are_no_distribution(counts):
-    bad = Mechanism("bad", False, counts, lambda g, s: 1)
+    bad = Mechanism("bad", False, per_graph(counts), lambda g, s: 1)
     with pytest.raises(InputError):
         check_impartial(bad, 4)
     with pytest.raises(InputError):
@@ -503,7 +531,7 @@ def test_verifiers_compare_across_denominators(scale):
         k = scale(g)
         return [k * d for d in g.indegrees()], k * g.n
 
-    mech = Mechanism("rd-scaled", False, scaled_rd, lambda g, s: 1)
+    mech = Mechanism("rd-scaled", False, per_graph(scaled_rd), lambda g, s: 1)
     assert check_impartial(mech, 4).passed
     rep, rd = verify_upper_bound_chain(mech, 6), verify_upper_bound_chain("rd", 6)
     assert rep.passed
@@ -528,10 +556,12 @@ def test_impartiality_witness_carries_the_oracle_fractions():
         nums[u - 1] -= 1
         return nums, 2 * g.n
 
-    mech = Mechanism("rd-shifted", False, counts, lambda g, s: 1)
+    mech = Mechanism("rd-shifted", False, per_graph(counts), lambda g, s: 1)
     assert not _labelled_impartial(mech, 4)
-    w = check_impartial(mech, 4).counterexample
-    assert (w.graph.out, w.vertex, w.new_target) == (out, 1, u)
+    rep = check_impartial(mech, 4)
+    w = rep.counterexample
+    assert (w.graph.out, w.vertex, w.new_target) == (out, 1, u) == ((2, 1, 4, 3), 1, 3)
+    assert (rep.graphs_checked, rep.deviations_checked) == (3, 3)
     assert w.prob_before == mech.exact(NominationGraph(out)).probs[0]
     assert w.prob_after == mech.exact(NominationGraph(shifted)).probs[0] != w.prob_before
 
@@ -612,11 +642,14 @@ def test_chain_rejects_relabelling_sensitive_mechanism():
     def const_first(g):
         return [1] + [0] * (g.n - 1), 1
 
-    fixed = Mechanism("const1", False, const_first, lambda g, s: 1)
+    fixed = Mechanism("const1", False, per_graph(const_first), lambda g, s: 1)
     with pytest.raises(SymmetryError) as err:
         verify_upper_bound_chain(fixed, 6)
     assert err.value.mechanism == "const1"
-    assert err.value.graph.n == 6
+    # the first mismatch in (family graph, relabelling, vertex) order
+    assert err.value.graph.out == (2, 1, 2, 3, 4, 5)
+    assert err.value.relabelling.seq == (2, 1, 3, 4, 5, 6)
+    assert err.value.vertex == 1
 
 
 def test_chain_requires_n_at_least_6():

@@ -215,14 +215,13 @@ def test_eval_capacity_exit_code(capsys, tmp_path):
 
 
 def test_sweep_capacity_exit_code(capsys):
-    # perm at n = 12 is charged 18264 classes * (12 + 12 * 2^12) units,
-    # the n = 10 ordering scan 2273 classes * 10!, perm's n = 10
-    # impartiality 2273 * 81 * (10 + 10 * 2^10), and no class is
-    # generated past n = 12
-    for argv in (("worst-case", "--mech", "perm", "--n", "12"),
+    # the n = 10 ordering scan is charged 2273 classes * 10! units,
+    # perm's n = 11 impartiality 6389 * 100 * (11 + 2^11), and no class
+    # is generated past n = 12
+    for argv in (("worst-case", "--mech", "perm", "--n", "13"),
                  ("verify", "bounds", "--mech", "perm", "--n", "10"),
                  ("verify", "lemma3", "--n", "10"),
-                 ("verify", "impartial", "--mech", "perm", "--n", "10"),
+                 ("verify", "impartial", "--mech", "perm", "--n", "11"),
                  ("worst-case", "--mech", "rd", "--n", "30")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == "" and "capacity" in err, argv

@@ -21,8 +21,9 @@ from impartial.graphs import (
 )
 from impartial.mechanisms import (
     MECHANISMS,
-    dv_wrap_counts,
+    Mechanism,
     get_mechanism,
+    per_graph,
     mix_sampler,
     perm_run,
     perm_sampler,
@@ -241,19 +242,82 @@ def test_dp_pinned_at_13():
     ]
 
 
-def test_exact_many_equals_exact_per_graph():
+def test_batch_counts_equal_exact_per_graph():
     for n in (4, 6):
         graphs = [ub_family(6, 1), cycle(6)] if n == 6 else []
         graphs += seeded_graphs(n, 5, 90 + n)
+        out0s = np.stack([engine.out_array(g) for g in graphs])
         for name, mech in MECHANISMS.items():
-            assert mech.exact_many(graphs) == [mech.exact(g) for g in graphs], (name, n)
-            assert mech.exact_many([]) == []
+            counts, dens = mech.counts(out0s)
+            got = [SelectionDistribution(tuple(c.tolist()), int(d)) for c, d in zip(counts, dens)]
+            assert got == [mech.exact(g) for g in graphs], (name, n)
     partial = [PartialNominationGraph((2, None, 1)), PartialNominationGraph((None, 3, 1))]
-    assert PERM.exact_many(partial) == [PERM.exact(g) for g in partial]
+    out0s = np.stack([engine.out_array(g) for g in partial])
+    counts, dens = PERM.counts(out0s)
+    assert [tuple(c) for c in counts.tolist()] == [PERM.exact(g).numerators for g in partial]
     with pytest.raises(InputError, match="total"):
-        MIX.exact_many(partial)
-    with pytest.raises(InputError, match="one size"):
-        PERM.exact_many([cycle(3), cycle(4)])
+        MIX.counts(out0s)
+
+
+# ---------------------------------------------------------------------------
+# the array closed forms against the per-graph oracles
+
+def batch_counts(mech, graphs):
+    """mech's batch exact path on graphs of one size, as (counts, den)
+    pairs of Python ints."""
+    counts, dens = mech.counts(np.stack([engine.out_array(g) for g in graphs]))
+    return [(c.tolist(), int(d)) for c, d in zip(counts, dens)]
+
+
+def test_closed_forms_match_the_per_graph_oracles_on_every_class():
+    for n in range(2, 9):
+        classes = [NominationGraph(out) for out, _ in iso_classes(n)]
+        partials = partial_graphs_of(classes + seeded_graphs(n, 10, 80 + n), 180 + n)
+        graphs = classes + partials
+        assert batch_counts(PRUG, graphs) == [oracle.prug_counts(g) for g in graphs], n
+        assert batch_counts(PRUGD, classes) == [oracle.prugd_counts(g) for g in classes], n
+        assert batch_counts(RD, classes) == [(list(g.indegrees()), n) for g in classes], n
+        if n > mechanisms.MIX_SMALL_N:
+            perm = [engine.selection_counts(engine.out_array(g))[0] for g in classes]
+            want = [oracle.mix_counts(g, p) for g, p in zip(classes, perm)]
+            assert batch_counts(MIX, classes) == want, n
+
+
+def test_closed_forms_stay_exact_past_int64():
+    # a batch computes in int64 only while its largest count fits: prug's
+    # 4 n! passes 2^63 at n = 20 and prugd's 4 n n! at n = 19, where they
+    # switch to Python ints; mix's 1049 * 4 n n! still fits at the DP cap
+    def check(mech, oracle_counts, ns, first_object, seed):
+        for n in ns:
+            totals = seeded_graphs(n, 4, seed + n) + [cycle(n), ub_family(n, 1)]
+            graphs = totals + (partial_graphs_of(totals, seed - n) if mech.accepts_partial else [])
+            counts, _ = mech.counts(np.stack([engine.out_array(g) for g in graphs]))
+            assert counts.dtype == (object if n >= first_object else np.int64), (mech.name, n)
+            assert batch_counts(mech, graphs) == [oracle_counts(g) for g in graphs], (mech.name, n)
+
+    check(PRUG, oracle.prug_counts, range(19, 23), 20, 300)
+    check(PRUGD, oracle.prugd_counts, range(17, 22), 19, 400)
+    graphs = [random_graph(16, 5), ub_family(16, 2)]
+    perm = batch_counts(PERM, graphs)
+    want = [oracle.mix_counts(g, p) for g, (p, _) in zip(graphs, perm)]
+    assert max(den for _, den in want) < 2**63 <= 1049 * 4 * 17 * math.factorial(17)
+    assert batch_counts(MIX, graphs) == want
+
+
+def test_batch_counts_are_checked_without_wrapping():
+    # each count is within its denominator, but the two sum past 2^63,
+    # which int64 would wrap to a negative total
+    big = np.array([[2**62, 2**62]], dtype=np.int64)
+    wraps = Mechanism("wraps", True, lambda out0s: (big, 2**62 + 1), perm_sampler)
+    two_cycle = np.array([[1, 0]])
+    with pytest.raises(InputError, match="sum"):
+        wraps.counts(two_cycle)
+    halves = Mechanism("halves", True, lambda out0s: (np.full(out0s.shape, 0.5), 1), perm_sampler)
+    with pytest.raises(InputError, match="integers"):
+        halves.counts(two_cycle)
+    rows = Mechanism("rows", True, per_graph(lambda g: ([1] * g.n, g.n)), perm_sampler)
+    counts, dens = rows.counts(np.array([[1, 0], [1, -1]]))  # a total and a partial graph
+    assert counts.tolist() == [[1, 1], [1, 1]] and dens.tolist() == [2, 2]
 
 
 def test_perm_sample_deterministic_and_consistent():
@@ -485,7 +549,7 @@ def test_dv_wrap_never_selecting_inner_gives_uniform():
     def nothing(h):
         return [0] * h.n, 1
 
-    counts, den = dv_wrap_counts(nothing, STAR4)
+    counts, den = oracle.dv_wrap_counts(nothing, STAR4)
     assert SelectionDistribution(counts, den).probs == (Fraction(1, 4),) * 4
 
 
@@ -498,7 +562,7 @@ def test_dv_wrap_exact_inner_is_plain_average():
         return counts, 1
 
     g = NominationGraph((2, 3, 1))
-    counts, den = dv_wrap_counts(first_on_board, g)
+    counts, den = oracle.dv_wrap_counts(first_on_board, g)
     # defaults 1,2,3 leave lowest-edged vertices 2,1,1
     assert (counts, den) == ([2, 1, 0], 3)
 
