@@ -203,9 +203,18 @@ def _same_probability(a: np.ndarray, a_den: np.ndarray, b: np.ndarray, b_den: np
     dens = np.concatenate([a_den.ravel(), b_den.ravel()])
     if not dens.size or (dens == dens[0]).all():
         return a == b
-    if int(dens.max()) ** 2 >= 2**63:
-        a, a_den, b, b_den = (x.astype(object) for x in (a, a_den, b, b_den))
+    dtype = engine.exact_dtype(int(dens.max()) ** 2)
+    a, a_den, b, b_den = (x.astype(dtype, copy=False) for x in (a, a_den, b, b_den))
     return a * b_den == b * a_den
+
+
+def _unique_counts(mech: Mechanism, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """mech's counts on the distinct rows of a (graphs, n) target array,
+    each evaluated once: (counts, dens, index), row i's counts being
+    counts[index[i]] over dens[index[i]]."""
+    unique, index = np.unique(rows, axis=0, return_inverse=True)
+    counts, dens = mech.counts(unique)
+    return counts, dens, index.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +439,7 @@ def check_impartial(
         g, v, u = np.nonzero(legal)
         deviated = base[g]
         deviated[np.arange(len(g)), v] = u
-        unique, index = np.unique(np.concatenate([base, deviated]), axis=0, return_inverse=True)
-        counts, dens = mech.counts(unique)
-        index = index.reshape(-1)
+        counts, dens, index = _unique_counts(mech, np.concatenate([base, deviated]))
         before, after = index[g], index[k:]
         same = _same_probability(counts[after, v], dens[after], counts[before, v], dens[before])
         if not same.all():
@@ -620,10 +627,7 @@ def verify_upper_bound_chain(
     renamed = np.broadcast_to(pis, (graphs, relabellings, n))
     images = np.empty((graphs, relabellings, n), dtype=outs.dtype)
     np.put_along_axis(images, renamed, pis[np.arange(relabellings)[:, None], outs[:, None, :]], axis=2)
-    unique, index = np.unique(np.concatenate([outs, images.reshape(graphs * relabellings, n)]), axis=0,
-                              return_inverse=True)
-    counts, dens = mech.counts(unique)
-    index = index.reshape(-1)
+    counts, dens, index = _unique_counts(mech, np.concatenate([outs, images.reshape(-1, n)]))
     base, image = index[:graphs], index[graphs:].reshape(graphs, relabellings)
     # image[pi(v)] against base[v], for every (family graph, relabelling, vertex)
     same = _same_probability(

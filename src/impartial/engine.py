@@ -5,10 +5,11 @@ Exact perm counts come from a dynamic program over prefix sets: the
 scan's future after a prefix depends only on which vertices were placed,
 not on their order, so batch_selection_counts carries integer ordering
 counts per (prefix set, candidate, candidate's left indegree) and covers
-all n! orderings in one pass over the 2^n prefix sets, up to DP_CAP.  It
+all n! orderings in one sweep over the 2^n prefix sets, up to DP_CAP.  It
 holds each layer's live states, for a whole batch of graphs of one size,
 as flat numpy arrays and extends them all in one vectorised step per
-layer; selection_counts is its one-graph entry.  The counts are exact
+layer, in passes it packs itself, and returns one int64 count array;
+selection_counts is its one-graph entry.  The counts are exact
 integers, so dividing by n! at the end loses nothing.  The two-slot
 rule's counts over all n! orderings depend only on the indegree classes,
 so two_slot_quarter_counts computes them in closed form without
@@ -158,13 +159,14 @@ def selection_counts(out0: np.ndarray) -> tuple[list[int], int]:
     Returns (counts, n!), the counts a list of Python ints.  Raises
     CapacityError above DP_CAP.
     """
-    return batch_selection_counts(out0[None])[0], math.factorial(out0.shape[0])
+    return batch_selection_counts(out0[None])[0].tolist(), math.factorial(out0.shape[0])
 
 
-def batch_selection_counts(out0s: np.ndarray) -> list[list[int]]:
+def batch_selection_counts(out0s: np.ndarray) -> np.ndarray:
     """Exact per-vertex selection counts of the candidate scan over all n!
     orderings, for each row of a (graphs, n) array of 0-based targets
     (-1 for an absent edge), by dynamic programming over prefix sets.
+    Returns a (graphs, n) int64 array.
 
     The DP only reaches states whose candidate holds the maximum
     indegree from the left (see below), so it cannot miss that maximum;
@@ -181,8 +183,11 @@ def batch_selection_counts(out0s: np.ndarray) -> list[list[int]]:
     indegree.  Each layer extends every state by every unplaced vertex
     at once and merges equal states by summing their counts over a dense
     index of (graph, rank of S, d, c).  The sums are float64, exact
-    because no count exceeds n! <= 16! < 2^53.  Graphs are taken in
-    passes of at most STATE_BUDGET index entries, which bounds memory.
+    because no count exceeds n! <= 16! < 2^53.  The graphs go in order
+    of maximum indegree, and each pass takes as many of the next ones as
+    keep its index, graphs * C(n, n/2) * top * n entries with top one
+    more than the pass's largest indegree, within STATE_BUDGET, which
+    bounds memory; a graph too big for one pass gets its own.
     """
     graphs, n = out0s.shape
     if n > DP_CAP:
@@ -198,21 +203,20 @@ def batch_selection_counts(out0s: np.ndarray) -> list[list[int]]:
     for u in range(n):
         inmask[rows, targets[:, u]] |= 1 << u
     inmask = np.ascontiguousarray(inmask[:, :n])
-    top = int(popcount[inmask].max()) + 1  # d ranges over 0..max indegree
-    step = dp_pass_graphs(n, top)
-    parts = [
-        _counts_pass(targets[i : i + step], inmask[i : i + step], top, popcount, layers)
-        for i in range(0, graphs, step)
-    ]
-    return np.concatenate(parts).astype(np.int64).tolist()
-
-
-def dp_pass_graphs(n: int, top: int) -> int:
-    """Graphs per numpy pass of batch_selection_counts on a batch whose
-    largest indegree is top - 1: at least one, and otherwise as many as
-    keep the pass's index of (graph, prefix set, d, candidate) within
-    STATE_BUDGET entries."""
-    return max(1, STATE_BUDGET // (math.comb(n, n // 2) * top * n))
+    tops = popcount[inmask].max(axis=1) + 1  # d ranges over 0..max indegree
+    # grouped, not argsorted: an argsort here moved later buffers and raised the sampler's peak RSS
+    order = np.concatenate([np.flatnonzero(tops == t) for t in np.flatnonzero(np.bincount(tops))])
+    tops = tops[order]
+    room = STATE_BUDGET // (math.comb(n, n // 2) * n)  # graphs * top per pass
+    counts = np.empty((graphs, n), dtype=np.int64)
+    start = 0
+    while start < graphs:
+        run = tops[start : start + room // tops[start]]  # tops only grow along it
+        stop = start + max(1, int(np.count_nonzero(run * np.arange(1, len(run) + 1) <= room)))
+        part = order[start:stop]
+        counts[part] = _counts_pass(targets[part], inmask[part], int(tops[stop - 1]), popcount, layers)
+        start = stop
+    return counts
 
 
 def _counts_pass(

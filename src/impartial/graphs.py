@@ -243,8 +243,8 @@ class Permutation:
     """An ordering of the vertices 1..n.
 
     ``seq[i-1]`` is the vertex at position i.  The same object doubles
-    as a relabelling map via :meth:`image_of`, which sends v to seq[v-1];
-    this is the convention used when renaming graph vertices.
+    as a relabelling map that sends v to seq[v-1]; this is the
+    convention used when renaming graph vertices.
     """
 
     seq: tuple[int, ...]
@@ -259,11 +259,6 @@ class Permutation:
     @property
     def n(self) -> int:
         return len(self.seq)
-
-    def image_of(self, v: int) -> int:
-        """The relabelling view: v is renamed to the v-th entry of seq."""
-        _check_vertex(v, self.n)
-        return self.seq[v - 1]
 
 
 @dataclass(frozen=True, slots=True)

@@ -7,16 +7,17 @@ maps a (graphs, n) array of 0-based targets to a (graphs, n) array of
 integer selection counts over a denominator; Mechanism.counts runs it
 and validates the whole batch at once, and Mechanism.exact is that
 path on a batch of one, returned as a SelectionDistribution.  perm
-counts the scan's outcomes over all n! orderings with the engine's
-batched DP over prefix sets, whose 2^n states cap perm, and mix
-through it, at engine.DP_CAP vertices; rd, prug and prugd are numpy
-closed forms over the whole batch with no cap.  Counts are int64 while
-the largest of them fits, and Python ints (dtype object) above, so
-they never wrap.  A rule written for one graph at a time joins the
-same path through per_graph.  The sampling path is a factory (the
-``*_sampler`` functions) that reads the graph once and returns a draw;
-each call of the draw simulates the rule on one ordering or vertex
-drawn from a SeedStream.
+is one call of the engine's batched DP over prefix sets, which packs
+its own passes and returns the scan's outcome counts over all n!
+orderings as one int64 array; its 2^n states cap perm, and mix through
+it, at engine.DP_CAP vertices.  rd, prug and prugd are numpy closed
+forms over the whole batch with no cap.
+Counts are int64 while the largest of them fits, and Python ints
+(dtype object) above, so they never wrap.  A rule written for one
+graph at a time joins the same path through per_graph.  The sampling
+path is a factory (the ``*_sampler`` functions) that reads the graph
+once and returns a draw; each call of the draw simulates the rule on
+one ordering or vertex drawn from a SeedStream.
 
 perm  - left-to-right candidate scan along a uniform random ordering.
 rd    - random dictatorship: a uniform vertex's nominee.
@@ -104,21 +105,8 @@ def perm_run(g: AnyGraph, pi: Permutation) -> int:
 
 def perm_counts(out0s: np.ndarray) -> Counts:
     """How many of the n! orderings make the scan select each vertex,
-    counted by the engine's DP over prefix sets, over n!.
-
-    The DP indexes every graph of a batch up to the batch's largest
-    indegree, so a batch too big for one of its passes goes to it in one
-    batch per maximum indegree.
-    """
-    graphs, n = out0s.shape
-    delta = engine.indegrees(out0s).max(axis=1)
-    if graphs <= engine.dp_pass_graphs(n, int(delta.max()) + 1):
-        return np.array(engine.batch_selection_counts(out0s), dtype=np.int64), math.factorial(n)
-    counts = np.empty((graphs, n), dtype=np.int64)
-    for d in np.flatnonzero(np.bincount(delta)):
-        rows = np.flatnonzero(delta == d)
-        counts[rows] = engine.batch_selection_counts(out0s[rows])
-    return counts, math.factorial(n)
+    counted by the engine's DP over prefix sets, over n!."""
+    return engine.batch_selection_counts(out0s), math.factorial(out0s.shape[1])
 
 
 def perm_sampler(g: AnyGraph) -> Draw:
@@ -340,8 +328,9 @@ class Mechanism:
     counts(out0s) is the one exact entry: it runs the exact path on a
     (graphs, n) array of 0-based targets and returns the (graphs, n)
     counts with one denominator per row, after checking the whole batch
-    once as SelectionDistribution checks one graph: integer counts, one per vertex, each between 0 and the
-    denominator, summing to at most it, over a denominator of at least 1.
+    once as SelectionDistribution checks one graph: integer counts, one
+    per vertex, each between 0 and the denominator, summing to at most
+    it, over a denominator of at least 1.
     exact(g) is counts on a batch of one, as a SelectionDistribution.
     sampler(g) reads the graph once and returns a draw that takes a
     SeedStream; sample() is one draw from a seed or a SeedStream.
@@ -372,10 +361,7 @@ class Mechanism:
             g, v = divmod(int(np.argmax(outside)), n)
             prob = Fraction(int(counts[g, v]), int(dens[g]))
             raise InputError(f"probability of vertex {v + 1} out of [0,1]: {prob}")
-        if counts.dtype != object and n * int(dens.max()) >= 2**63:
-            totals = counts.astype(object).sum(axis=1)  # n counts of up to den each
-        else:
-            totals = counts.sum(axis=1)
+        totals = counts.astype(engine.exact_dtype(n * int(dens.max())), copy=False).sum(axis=1)
         over = totals > dens
         if over.any():
             g = int(np.argmax(over))

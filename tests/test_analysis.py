@@ -238,6 +238,32 @@ def test_sweep_runs_the_dp_once_per_class(monkeypatch):
     assert len(calls) == 80  # mix runs the DP again inside its blend
 
 
+def test_dp_passes_stay_within_the_state_budget(monkeypatch):
+    passes = []  # (graphs, top, 1 + the largest indegree among them) per DP pass
+    kernel = engine._counts_pass
+
+    def counted(targets, inmask, top, *args):
+        passes.append((len(targets), top, int(engine.indegrees(targets).max()) + 1))
+        return kernel(targets, inmask, top, *args)
+
+    monkeypatch.setattr(engine, "_counts_pass", counted)
+
+    def check(n, most):
+        assert 0 < len(passes) <= most, n
+        width = math.comb(n, n // 2) * n
+        for graphs, top, own in passes:
+            assert top == own, n  # each pass indexes d up to its own largest indegree
+            assert graphs == 1 or graphs * width * top <= engine.STATE_BUDGET, (n, graphs, top)
+        passes.clear()
+
+    # at most the pass counts of the earlier packing, which cut a batch
+    # by its largest indegree and regrouped one too big for one pass
+    sweep_graphs(9, ("perm",))
+    check(9, 284)
+    assert check_impartial("perm", 7).passed
+    check(7, 139)
+
+
 def test_sweep_low_perm_ratio_structure():
     # graphs where the scan dips under 31/45 have max indegree 2 or 3
     # and a single vertex of indegree >= 2
@@ -587,7 +613,7 @@ def test_perm_and_rd_relabel_invariance_exhaustive():
                 for pi in relabellings:
                     image = dists[g.relabel(pi).out]
                     assert all(
-                        image[pi.image_of(v) - 1] == base[v - 1]
+                        image[pi.seq[v - 1] - 1] == base[v - 1]
                         for v in range(1, n + 1)
                     ), (name, out, pi.seq)
 

@@ -204,9 +204,10 @@ def test_batched_dp_matches_ordering_table_on_every_class_at_7():
     graphs = classes + partial_graphs_of(classes, 77)
     perms, pos = engine.permutation_table(7)
     got = engine.batch_selection_counts(np.stack([engine.out_array(g) for g in graphs]))
+    assert got.dtype == np.int64
     for g, counts in zip(graphs, got):
         sel, _, _ = engine.run_selection(engine.out_array(g), perms, pos)
-        assert counts == np.bincount(sel, minlength=7).tolist(), g.out
+        assert np.array_equal(counts, np.bincount(sel, minlength=7)), g.out
     for g in seeded_graphs(7, 3, 7):
         h = g.remove_out_edge(2)
         assert batch_probs([g, h]) == [oracle.perm_dist(g), oracle.perm_dist(h)]
@@ -226,8 +227,12 @@ def test_batch_over_several_passes_equals_per_graph_calls(monkeypatch):
 
     monkeypatch.setattr(engine, "_counts_pass", counted)
     monkeypatch.setattr(engine, "STATE_BUDGET", 2000)  # a few graphs per pass
-    assert engine.batch_selection_counts(out0s) == single
+    assert np.array_equal(engine.batch_selection_counts(out0s), single)
     assert len(passes) > 10 and sum(passes) == len(graphs)
+    passes.clear()
+    monkeypatch.setattr(engine, "STATE_BUDGET", 1)  # no graph fits: one pass each
+    assert np.array_equal(engine.batch_selection_counts(out0s), single)
+    assert passes == [1] * len(graphs)
 
 
 def test_dp_pinned_at_13():
