@@ -43,6 +43,7 @@ from .graphs import (
     NominationGraph,
     Permutation,
     SelectionDistribution,
+    exact_dtype,
     iso_classes,
 )
 from .mechanisms import (
@@ -181,7 +182,7 @@ class RatioReport:
 
 def ratio(mechanism: str | Mechanism, g: NominationGraph) -> RatioReport:
     """Expected indegree of the selection divided by the maximum indegree."""
-    mech = get_mechanism(mechanism) if isinstance(mechanism, str) else mechanism
+    mech = get_mechanism(mechanism)
     return ratio_of(mech.name, g, mech.exact(g))
 
 
@@ -203,7 +204,7 @@ def _same_probability(a: np.ndarray, a_den: np.ndarray, b: np.ndarray, b_den: np
     dens = np.concatenate([a_den.ravel(), b_den.ravel()])
     if not dens.size or (dens == dens[0]).all():
         return a == b
-    dtype = engine.exact_dtype(int(dens.max()) ** 2)
+    dtype = exact_dtype(int(dens.max()) ** 2)
     a, a_den, b, b_den = (x.astype(dtype, copy=False) for x in (a, a_den, b, b_den))
     return a * b_den == b * a_den
 
@@ -417,7 +418,7 @@ def check_impartial(
     cross-multiplying; the witness is the first failing move in walk
     order (graph, then vertex, then new target).
     """
-    mech = get_mechanism(mechanism) if isinstance(mechanism, str) else mechanism
+    mech = get_mechanism(mechanism)
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"mode must be exhaustive or sampled, got {mode!r}")
     if mode == "exhaustive":
@@ -604,7 +605,7 @@ def verify_upper_bound_chain(
     the x values, and confirms that the worst family member pins the
     mechanism's ratio under the closed-form ceiling.
     """
-    mech = get_mechanism(mechanism) if isinstance(mechanism, str) else mechanism
+    mech = get_mechanism(mechanism)
     if n < 6:
         raise InputError(f"the chain needs n >= 6, got {n}")
     nprime = n // 2 - 1
@@ -759,15 +760,3 @@ def _sampled_tightness_row(
     return TightnessRow(
         nprime, g.n, "sampled", value, 3.0 * math.sqrt(var / samples), samples
     )
-
-
-# ---------------------------------------------------------------------------
-# Rendering helpers
-
-def frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
-
-
-def frac_decimal(f: Fraction | float) -> str:
-    """Decimal rendering to 12 places; lossy but within 1e-12."""
-    return f"{float(f):.12f}"

@@ -11,7 +11,8 @@ Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error
 behind perm and mix, the n <= 10 table of all orderings behind the
 correlation check, the n <= 12 isomorphism-class generator, or the work
 budget of an exhaustive sweep or check (which stops the Lemma 3 scan
-at n = 10, before that table does),
+at n = 10, before that table does); or the run ran out of memory, as a
+graph too large to build does,
 4 an internal error: an unexpected exception, reported on stderr as
 "internal error: ..." with its traceback, 141 stdout was closed before
 all output was written (a reader such as `head` went away).  Outputs
@@ -39,7 +40,7 @@ from .graphs import (
     graph_to_text,
     graphs_from_text,
 )
-from .mechanisms import MECHANISMS, get_mechanism
+from .mechanisms import MECHANISMS, MIX_SMALL_N, get_mechanism
 from .rng import SeedStream
 
 PASS, FAIL, USAGE, CAPACITY, INTERNAL = 0, 1, 2, 3, 4
@@ -48,8 +49,13 @@ CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader gone away
 _ENV_SEED = "IMPARTIAL_SEED"
 
 
-def _frac(f: Fraction) -> str:
-    return analysis.frac_str(f)
+def frac_str(f: Fraction) -> str:
+    return f"{f.numerator}/{f.denominator}"
+
+
+def frac_decimal(f: Fraction | float) -> str:
+    """Decimal rendering to 12 places; lossy but within 1e-12."""
+    return f"{float(f):.12f}"
 
 
 def _config_header(args: argparse.Namespace) -> dict:
@@ -124,17 +130,17 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.samples is None:
         dist = mech.exact(graph)
         header = ["vertex", "prob", "decimal"]
-        table = [[v, _frac(p), analysis.frac_decimal(p)] for v, p in zip(graph.vertices, dist.probs)]
+        table = [[v, frac_str(p), frac_decimal(p)] for v, p in zip(graph.vertices, dist.probs)]
         payload["mode"] = "exact"
         payload["distribution"] = [dict(zip(header, row)) for row in table]
-        payload["total"] = _frac(dist.total)
+        payload["total"] = frac_str(dist.total)
         if isinstance(graph, NominationGraph):
             rep = analysis.ratio_of(mech.name, graph, dist)
             payload["ratio"] = {
-                "expected_indegree": _frac(rep.expected_indegree),
+                "expected_indegree": frac_str(rep.expected_indegree),
                 "max_indegree": rep.delta,
-                "ratio": _frac(rep.ratio),
-                "decimal": analysis.frac_decimal(rep.ratio),
+                "ratio": frac_str(rep.ratio),
+                "decimal": frac_decimal(rep.ratio),
             }
     else:
         rng = SeedStream(_resolve_seed(args, required=True))
@@ -176,8 +182,8 @@ def _verify_impartial(args: argparse.Namespace, payload: dict) -> bool:
             "graph": graph_to_text(w.graph),
             "vertex": w.vertex,
             "new_target": w.new_target,
-            "prob_before": _frac(w.prob_before),
-            "prob_after": _frac(w.prob_after),
+            "prob_before": frac_str(w.prob_before),
+            "prob_after": frac_str(w.prob_after),
         }
     return rep.passed
 
@@ -198,8 +204,8 @@ def _verify_bounds(args: argparse.Namespace, payload: dict) -> bool:
         sweep = analysis.sweep_graphs(n, ("rd",), jobs=args.jobs)
         best, idx = sweep.min_ratio("rd")
         target = Fraction(1, 2) + Fraction(1, n)
-        payload["min_ratio"] = _frac(best)
-        payload["target"] = _frac(target)
+        payload["min_ratio"] = frac_str(best)
+        payload["target"] = frac_str(target)
         payload["witness"] = graph_to_text(sweep.witness(idx))
         return best == target
     if mech == "perm":
@@ -207,7 +213,7 @@ def _verify_bounds(args: argparse.Namespace, payload: dict) -> bool:
         sweep = analysis.sweep_graphs(n, ("perm",), jobs=args.jobs)
         bad = _below_floor(sweep, "perm", analysis.perm_floor)
         best, _ = sweep.min_ratio("perm")
-        payload["min_ratio"] = _frac(best)
+        payload["min_ratio"] = frac_str(best)
         payload["orderings_run"] = runs
         payload["left_max_violations"] = violations
         if bad:
@@ -224,10 +230,10 @@ def _verify_bounds(args: argparse.Namespace, payload: dict) -> bool:
         return not bad
     if mech == "mix":
         sweep = analysis.sweep_graphs(n, ("mix",), jobs=args.jobs)
-        floor = analysis.MIX_GUARANTEE if n >= 6 else Fraction(7, 10)
+        floor = analysis.MIX_GUARANTEE if n > MIX_SMALL_N else Fraction(7, 10)
         best, idx = sweep.min_ratio("mix")
-        payload["min_ratio"] = _frac(best)
-        payload["floor"] = _frac(floor)
+        payload["min_ratio"] = frac_str(best)
+        payload["floor"] = frac_str(floor)
         if best < floor:
             payload["counterexample"] = graph_to_text(sweep.witness(idx))
         return best >= floor
@@ -266,11 +272,11 @@ def _verify_ub_chain(args: argparse.Namespace, payload: dict) -> bool:
             "vertex": exc.vertex,
         }
         return False
-    payload["p"] = [_frac(v) for v in rep.p]
-    payload["x"] = [_frac(v) for v in rep.x]
-    payload["prime_ratios"] = [_frac(v) for v in rep.prime_ratios]
-    payload["min_family_ratio"] = _frac(rep.min_family_ratio)
-    payload["bound"] = _frac(rep.bound)
+    payload["p"] = [frac_str(v) for v in rep.p]
+    payload["x"] = [frac_str(v) for v in rep.x]
+    payload["prime_ratios"] = [frac_str(v) for v in rep.prime_ratios]
+    payload["min_family_ratio"] = frac_str(rep.min_family_ratio)
+    payload["bound"] = frac_str(rep.bound)
     payload["symmetry_checks"] = rep.symmetry_checks
     payload["identities"] = {
         "p1": rep.p1_ok,
@@ -289,14 +295,14 @@ def _verify_tightness(args: argparse.Namespace, payload: dict) -> bool:
     rep = analysis.tightness_scan(
         args.delta, nprimes, samples=args.samples or 1_000_000, seed=seed
     )
-    payload["alpha"] = _frac(rep.alpha)
+    payload["alpha"] = frac_str(rep.alpha)
     payload["rows"] = [
         {
             "nprime": r.nprime,
             "n": r.n,
             "kind": r.kind,
-            "ratio": _frac(r.ratio),
-            "decimal": analysis.frac_decimal(r.ratio),
+            "ratio": frac_str(r.ratio),
+            "decimal": frac_decimal(r.ratio),
             "ci3": f"{r.ci_halfwidth:.12f}",
             "samples": r.samples,
         }
@@ -342,12 +348,12 @@ def _cmd_figure3(args: argparse.Namespace) -> int:
         [
             str(r.delta),
             r.case,
-            _frac(r.perm),
-            _frac(r.prugd),
-            _frac(r.mix),
-            analysis.frac_decimal(r.perm),
-            analysis.frac_decimal(r.prugd),
-            analysis.frac_decimal(r.mix),
+            frac_str(r.perm),
+            frac_str(r.prugd),
+            frac_str(r.mix),
+            frac_decimal(r.perm),
+            frac_decimal(r.prugd),
+            frac_decimal(r.mix),
         ]
         for r in rows
     ]
@@ -367,8 +373,8 @@ def _cmd_figure3(args: argparse.Namespace) -> int:
 def _cmd_worst_case(args: argparse.Namespace) -> int:
     rep = analysis.worst_case(args.mech, args.n, jobs=args.jobs)
     payload = _config_header(args)
-    payload["min_ratio"] = _frac(rep.min_ratio)
-    payload["decimal"] = analysis.frac_decimal(rep.min_ratio)
+    payload["min_ratio"] = frac_str(rep.min_ratio)
+    payload["decimal"] = frac_decimal(rep.min_ratio)
     payload["witness"] = graph_to_text(rep.witness)
     payload["graphs_checked"] = rep.graphs_checked
     _emit_json(payload)
@@ -470,8 +476,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except CapacityError as exc:
-        print(f"capacity: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        print(f"capacity: {str(exc) or 'out of memory'}", file=sys.stderr)
         return CAPACITY
     except Exception as exc:  # a bug, not a failed check: keep it off exit 1
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

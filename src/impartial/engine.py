@@ -14,7 +14,7 @@ integers, so dividing by n! at the end loses nothing.  The two-slot
 rule's counts over all n! orderings depend only on the indegree classes,
 so two_slot_quarter_counts computes them in closed form without
 enumerating anything, for a whole batch of graphs at once, in int64
-while they fit and in Python ints above (exact_dtype).
+while they fit and in Python ints above (graphs.exact_dtype).
 
 Checks about individual orderings (the left-indegree profile, and the
 Lemma 3 check that every scan ends on the maximum left indegree) and
@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .graphs import AnyGraph, CapacityError
+from .graphs import AnyGraph, CapacityError, exact_dtype
 
 # Largest n whose n! orderings are ever enumerated one by one: the
 # ordering table behind the correlation check and the Lemma 3 scan.  Only
@@ -276,13 +276,6 @@ def sampled_selection_counts(
         violations += int((d != m).sum())
         remaining -= b
     return counts, violations
-
-
-def exact_dtype(bound: int) -> type:
-    """The dtype of a computation whose integers are all at most bound:
-    int64 when bound fits in it, otherwise Python ints (dtype object),
-    so exact counts never wrap."""
-    return np.int64 if bound < 2**63 else object
 
 
 def indegrees(out0s: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graphs import InputError, NominationGraph
-from .rng import SeedStream
+from .rng import SeedStream, as_stream
 
 
 def cycle(n: int) -> NominationGraph:
@@ -128,7 +128,7 @@ def random_graph(n: int, seed: int | SeedStream) -> NominationGraph:
     other n-1 vertices independently.  Deterministic per seed."""
     if n < 2:
         raise InputError(f"random_graph needs n >= 2, got {n}")
-    rng = seed if isinstance(seed, SeedStream) else SeedStream(seed)
+    rng = as_stream(seed)
     out = []
     for v in range(1, n + 1):
         k = rng.randrange(n - 1) + 1

@@ -8,8 +8,11 @@ PartialNominationGraph and only tightens its validation.  iso_code
 names a total graph's isomorphism class, and iso_classes lists the
 classes of a size with a representative of each.  A
 SelectionDistribution is a mechanism's exact result: integer counts
-over one denominator, validated once when it is built, read as
-rationals.
+over one denominator, read as rationals.  check_counts holds the rules
+every exact result obeys and checks a whole batch of them at once; a
+SelectionDistribution runs it on a batch of one when it is built, and
+Mechanism.counts on every batch.  exact_dtype picks int64 or Python
+ints for exact integer arithmetic, so counts never wrap.
 
 All types are immutable values and all operations are pure, so instances
 can be shared freely across parallel workers.  Vertices are 1-based
@@ -24,6 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 # Largest n that iso_classes generates: 18 264 classes in about 2 s
 # at n = 12, and each further vertex roughly triples both.
@@ -261,39 +266,73 @@ class Permutation:
         return len(self.seq)
 
 
+def exact_dtype(bound: int) -> type:
+    """The dtype of a computation whose integers are all at most bound:
+    int64 when bound fits in it, otherwise Python ints (dtype object),
+    so exact counts never wrap."""
+    return np.int64 if bound < 2**63 else object
+
+
+_as_index = np.frompyfunc(operator.index, 1, 1)
+
+
+def check_counts(counts: np.ndarray, dens: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Check a batch of exact results, row i of the (graphs, n) counts
+    over dens[i] (one denominator for every row if dens is a scalar),
+    and return (counts, dens) as integer arrays: signed integer arrays
+    as given, any other entries as Python ints.
+
+    The rules: every count and denominator is an integer (a Fraction or
+    float is rejected, not truncated), each denominator is at least 1,
+    each count lies between 0 and its denominator, and each row sums to
+    at most its denominator, summed in Python ints when the sum could
+    pass int64.  Raises InputError on the first row that breaks one.
+    """
+    graphs, n = counts.shape
+    try:
+        counts, dens = (a if a.dtype.kind == "i" else _as_index(a)
+                        for a in (counts, np.broadcast_to(np.asarray(dens), (graphs,))))
+    except TypeError as exc:
+        raise InputError(f"selection counts must be integers: {exc}") from None
+    if (dens < 1).any():
+        raise InputError(f"denominator {dens[np.argmax(dens < 1)]} is not positive")
+    outside = (counts < 0) | (counts > dens[:, None])
+    if outside.any():
+        g, v = divmod(int(np.argmax(outside)), n)
+        prob = Fraction(int(counts[g, v]), int(dens[g]))
+        raise InputError(f"probability of vertex {v + 1} out of [0,1]: {prob}")
+    totals = counts.astype(exact_dtype(n * int(dens.max())), copy=False).sum(axis=1)
+    over = totals > dens
+    if over.any():
+        g = int(np.argmax(over))
+        raise InputError(f"probabilities sum to {Fraction(int(totals[g]), int(dens[g]))} > 1")
+    return counts, dens
+
+
 @dataclass(frozen=True, slots=True)
 class SelectionDistribution:
     """Exact per-vertex selection probabilities: vertex v is selected with
     probability numerators[v-1] / denominator.
 
-    The counts are validated once, in integers, when the value is built;
-    a Fraction or float count is rejected rather than truncated.  The
-    total is at most 1; mechanisms that always select sum to exactly 1,
-    inexact ones may leave a deficit (the probability of selecting no
-    one).  The rationals are computed when read, and the denominator is
-    kept as given, so equality compares the stored counts.
+    The counts are validated once, by check_counts on a batch of one,
+    when the value is built.  The total is at most 1; mechanisms that
+    always select sum to exactly 1, inexact ones may leave a deficit
+    (the probability of selecting no one).  The rationals are computed
+    when read, and the denominator is kept as given, so equality
+    compares the stored counts.
     """
 
     numerators: tuple[int, ...]
     denominator: int
 
     def __post_init__(self) -> None:
-        try:
-            nums = tuple(map(operator.index, self.numerators))
-            den = operator.index(self.denominator)
-        except TypeError as exc:
-            raise InputError(f"selection counts must be integers: {exc}") from None
-        object.__setattr__(self, "numerators", nums)
-        object.__setattr__(self, "denominator", den)
+        nums = tuple(self.numerators)
         if len(nums) < 2:
             raise InputError("distribution needs at least 2 vertices")
-        if den < 1:
-            raise InputError(f"denominator {den} is not positive")
-        for v, c in enumerate(nums, start=1):
-            if not 0 <= c <= den:
-                raise InputError(f"probability of vertex {v} out of [0,1]: {Fraction(c, den)}")
-        if sum(nums) > den:
-            raise InputError(f"probabilities sum to {Fraction(sum(nums), den)} > 1")
+        # dtype object: numpy would turn a row of Python ints past 2^63 into floats
+        counts, dens = check_counts(np.array([nums], dtype=object), self.denominator)
+        object.__setattr__(self, "numerators", tuple(counts[0].tolist()))
+        object.__setattr__(self, "denominator", int(dens[0]))
 
     @property
     def n(self) -> int:

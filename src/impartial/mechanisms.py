@@ -5,13 +5,13 @@ which checks the graph once and then runs one of two paths.  The exact
 path is one function per mechanism (the ``*_counts`` functions) that
 maps a (graphs, n) array of 0-based targets to a (graphs, n) array of
 integer selection counts over a denominator; Mechanism.counts runs it
-and validates the whole batch at once, and Mechanism.exact is that
-path on a batch of one, returned as a SelectionDistribution.  perm
-is one call of the engine's batched DP over prefix sets, which packs
-its own passes and returns the scan's outcome counts over all n!
-orderings as one int64 array; its 2^n states cap perm, and mix through
-it, at engine.DP_CAP vertices.  rd, prug and prugd are numpy closed
-forms over the whole batch with no cap.
+and checks the whole batch at once with graphs.check_counts, and
+Mechanism.exact is that path on a batch of one, returned as a
+SelectionDistribution.  perm is one call of the engine's batched DP
+over prefix sets, which packs its own passes and returns the scan's
+outcome counts over all n! orderings as one int64 array; its 2^n
+states cap perm, and mix through it, at engine.DP_CAP vertices.  rd,
+prug and prugd are numpy closed forms over the whole batch with no cap.
 Counts are int64 while the largest of them fits, and Python ints
 (dtype object) above, so they never wrap.  A rule written for one
 graph at a time joins the same path through per_graph.  The sampling
@@ -31,7 +31,6 @@ mix   - rd for n <= 5, otherwise a fixed coin between perm and prugd.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -46,6 +45,8 @@ from .graphs import (
     PartialNominationGraph,
     Permutation,
     SelectionDistribution,
+    check_counts,
+    exact_dtype,
 )
 from .rng import SeedStream, as_stream
 
@@ -154,8 +155,8 @@ def prug_sampler(g: AnyGraph) -> Draw:
     In one ordering the front vertex, the (indegree, position)-maximum,
     is the last member of the top indegree class T.  It gets 3 quarters
     if, once its own edge is removed, it still leads every other vertex
-    by at least 2, otherwise 2; that test depends only on which member
-    of T is the front, so it is tabulated here, once per graph.  The
+    by at least 2, otherwise 2.  A tied rival always blocks that gap, so
+    only a lone top t can pass it, and the test runs here, once.  The
     runner-up gets 2 quarters if it nominates the front and either ties
     the maximum indegree or sits one below it while placed to the right
     of the front.  With |T| >= 2 it is the next-to-last member of T.
@@ -169,13 +170,12 @@ def prug_sampler(g: AnyGraph) -> Draw:
     degs = g.indegrees()
     dmax = max(degs)
     top = [v for v in g.vertices if degs[v - 1] == dmax]
-    front_quarters = [0] * (n + 1)
-    for f in top:
+    t, gap = top[0], False
+    if len(top) == 1:
         reduced = list(degs)
-        if out[f - 1] is not None:
-            reduced[out[f - 1] - 1] -= 1
-        gap = all(dmax >= reduced[v - 1] + 2 for v in g.vertices if v != f)
-        front_quarters[f] = 3 if gap else 2
+        if out[t - 1] is not None:
+            reduced[out[t - 1] - 1] -= 1
+        gap = all(dmax >= reduced[v - 1] + 2 for v in g.vertices if v != t)
     marked = [False] * (n + 1)
     for v in g.vertices:
         marked[v] = degs[v - 1] == dmax or (len(top) == 1 and degs[v - 1] == dmax - 1)
@@ -196,12 +196,11 @@ def prug_sampler(g: AnyGraph) -> Draw:
         if len(top) > 1:
             # the front and runner-up of seq, then of its reverse
             for front, runner in (tail, head):
-                w[front - 1] += front_quarters[front]
+                w[front - 1] += 2
                 if out[runner - 1] == front:
                     w[runner - 1] += 2
         else:
-            t = top[0]
-            w[t - 1] = 2 * front_quarters[t]
+            w[t - 1] = 2 * (3 if gap else 2)
             # the last marked vertex of seq, and of its reverse, scores
             # if it nominates t (so it is not t, and follows t)
             for runner in (tail[0], head[0]):
@@ -227,7 +226,7 @@ def prugd_counts(out0s: np.ndarray) -> Counts:
     """
     graphs, n = out0s.shape
     den = 4 * math.factorial(n)
-    dtype = engine.exact_dtype(n * den)
+    dtype = exact_dtype(n * den)
     counts = np.empty((graphs, n), dtype=dtype)
     step = max(1, PRUGD_CHUNK // (n * n))
     for i in range(0, graphs, step):
@@ -265,7 +264,7 @@ def mix_counts(out0s: np.ndarray) -> Counts:
     if out0s.shape[1] <= MIX_SMALL_N:
         return rd_counts(out0s)
     (pe, nfact), (pd, den) = perm_counts(out0s), prugd_counts(out0s)
-    dtype = engine.exact_dtype(MIX_PERM_WEIGHT.denominator * den)
+    dtype = exact_dtype(MIX_PERM_WEIGHT.denominator * den)
     # both weights are over 1049
     blend = (MIX_PERM_WEIGHT.numerator * (den // nfact) * pe.astype(dtype)
              + MIX_PRUGD_WEIGHT.numerator * pd.astype(dtype))
@@ -284,19 +283,6 @@ def mix_sampler(g: NominationGraph) -> Draw:
 
 # ---------------------------------------------------------------------------
 # Registry
-
-_as_index = np.frompyfunc(operator.index, 1, 1)
-
-
-def _integers(a: np.ndarray) -> np.ndarray:
-    """a itself if its dtype is an integer type, its entries as Python
-    ints if they all are integers of dtype object; else TypeError."""
-    if a.dtype == object:
-        return _as_index(a)
-    if not np.issubdtype(a.dtype, np.integer):
-        raise TypeError(f"{a.dtype} entries are not integers")
-    return a
-
 
 def per_graph(counts: Callable[[AnyGraph], tuple[Sequence[int], int]]) -> Callable[[np.ndarray], Counts]:
     """An exact path made of a rule written for one graph at a time, which
@@ -327,10 +313,9 @@ class Mechanism:
     it, so the paths behind them never check.
     counts(out0s) is the one exact entry: it runs the exact path on a
     (graphs, n) array of 0-based targets and returns the (graphs, n)
-    counts with one denominator per row, after checking the whole batch
-    once as SelectionDistribution checks one graph: integer counts, one
-    per vertex, each between 0 and the denominator, summing to at most
-    it, over a denominator of at least 1.
+    counts with one denominator per row, after checking that there is
+    one count per vertex and then the whole batch once with
+    check_counts.
     exact(g) is counts on a batch of one, as a SelectionDistribution.
     sampler(g) reads the graph once and returns a draw that takes a
     SeedStream; sample() is one draw from a seed or a SeedStream.
@@ -349,24 +334,7 @@ class Mechanism:
         counts = np.asarray(counts)
         if counts.shape != (graphs, n):
             raise InputError(f"{self.name} gave {counts.shape[-1]} counts for {n} vertices")
-        try:
-            counts = _integers(counts)
-            dens = _integers(np.broadcast_to(np.asarray(den), (graphs,)))
-        except TypeError as exc:
-            raise InputError(f"selection counts must be integers: {exc}") from None
-        if (dens < 1).any():
-            raise InputError(f"denominator {dens[np.argmax(dens < 1)]} is not positive")
-        outside = (counts < 0) | (counts > dens[:, None])
-        if outside.any():
-            g, v = divmod(int(np.argmax(outside)), n)
-            prob = Fraction(int(counts[g, v]), int(dens[g]))
-            raise InputError(f"probability of vertex {v + 1} out of [0,1]: {prob}")
-        totals = counts.astype(engine.exact_dtype(n * int(dens.max())), copy=False).sum(axis=1)
-        over = totals > dens
-        if over.any():
-            g = int(np.argmax(over))
-            raise InputError(f"probabilities sum to {Fraction(int(totals[g]), int(dens[g]))} > 1")
-        return counts, dens
+        return check_counts(counts, den)
 
     def exact(self, g: AnyGraph) -> SelectionDistribution:
         counts, dens = self.counts(engine.out_array(self._coerce(g))[None])
@@ -393,10 +361,13 @@ MECHANISMS: dict[str, Mechanism] = {
 }
 
 
-def get_mechanism(name: str) -> Mechanism:
+def get_mechanism(mechanism: str | Mechanism) -> Mechanism:
+    """The registered mechanism of that name; a Mechanism is returned as given."""
+    if isinstance(mechanism, Mechanism):
+        return mechanism
     try:
-        return MECHANISMS[name]
+        return MECHANISMS[mechanism]
     except KeyError:
         raise InputError(
-            f"unknown mechanism {name!r}; expected one of {sorted(MECHANISMS)}"
+            f"unknown mechanism {mechanism!r}; expected one of {sorted(MECHANISMS)}"
         ) from None

@@ -16,7 +16,6 @@ from impartial.analysis import (
     SymmetryError,
     check_impartial,
     correlation_example_graph,
-    frac_decimal,
     guarantee_rows,
     mix_high_delta_branch,
     perm_alpha,
@@ -32,6 +31,7 @@ from impartial.analysis import (
     verify_upper_bound_chain,
     worst_case,
 )
+from impartial.cli import frac_decimal
 from impartial.generators import (
     cycle,
     lower_bound_family,

@@ -228,6 +228,13 @@ def test_sweep_capacity_exit_code(capsys):
         assert "budget_rows" not in err
 
 
+def test_impossible_size_exits_capacity_without_traceback(capsys):
+    # 8 * 10^14 bytes of targets exceed the address space, so the
+    # allocation fails at once instead of filling memory
+    code, out, err = run_cli(capsys, "gen", "family=cycle", "n=100000000000000")
+    assert (code, out, err) == (3, "", "capacity: out of memory\n")
+
+
 def test_eval_prugd_has_no_cap_but_mix_keeps_the_scan_cap(capsys, tmp_path):
     path = tmp_path / "g.txt"
     path.write_text(graph_to_text(ub_family(12, 1)) + "\n")

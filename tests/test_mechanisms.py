@@ -325,6 +325,36 @@ def test_batch_counts_are_checked_without_wrapping():
     assert counts.tolist() == [[1, 1], [1, 1]] and dens.tolist() == [2, 2]
 
 
+@pytest.mark.parametrize("row, den, message", [
+    ((Fraction(1, 2), 0), 1, "selection counts must be integers: 'Fraction' object cannot be interpreted as an integer"),
+    ((0.5, 0), 1, "selection counts must be integers: 'float' object cannot be interpreted as an integer"),
+    ((-1, 2), 4, "probability of vertex 1 out of [0,1]: -1/4"),
+    ((1, 5), 4, "probability of vertex 2 out of [0,1]: 5/4"),
+    ((0, 0), 0, "denominator 0 is not positive"),
+    # each count fits its denominator, but the sum passes it and 2^63
+    ((2**62, 2**62), 2**62 + 1, f"probabilities sum to {2**63}/{2**62 + 1} > 1"),
+    ((2**63, 1), 2**64, None),  # valid, past int64
+])
+def test_both_exact_entries_check_counts_alike(row, den, message):
+    fixed = Mechanism("fixed", True, per_graph(lambda g: (row, den)), perm_sampler)
+
+    def one():
+        dist = SelectionDistribution(row, den)
+        return dist.numerators, dist.denominator
+
+    def batch():
+        counts, dens = fixed.counts(np.array([[1, 0]]))
+        return tuple(counts[0].tolist()), int(dens[0])
+
+    for entry in (one, batch):
+        if message is None:
+            assert entry() == (row, den)
+        else:
+            with pytest.raises(InputError) as err:
+                entry()
+            assert str(err.value) == message
+
+
 def test_perm_sample_deterministic_and_consistent():
     assert PERM.sample(TRIANGLE_IN, 42) == PERM.sample(TRIANGLE_IN, 42)
     rng = SeedStream(7)
