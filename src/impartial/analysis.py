@@ -43,6 +43,7 @@ from .graphs import (
     NominationGraph,
     Permutation,
     SelectionDistribution,
+    derived,
     exact_dtype,
     iso_classes,
 )
@@ -639,8 +640,10 @@ def verify_upper_bound_chain(
         g, pi, v = np.unravel_index(int(np.argmin(same)), same.shape)
         raise SymmetryError(mech.name, family[g], Permutation(tuple((pis[pi] + 1).tolist())), int(v) + 1)
 
-    # only the values the chain reads become rationals
-    dist = {graph.out: SelectionDistribution(tuple(counts[i].tolist()), int(dens[i]))
+    # only the values the chain reads become rationals, from rows
+    # mech.counts has checked
+    dist = {graph.out: derived(SelectionDistribution, numerators=tuple(counts[i].tolist()),
+                               denominator=int(dens[i]))
             for graph, i in zip(family, base)}
 
     def prob(g: NominationGraph, v: int) -> Fraction:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__, analysis
-from .generators import FamilySpec
+from .generators import family_graph
 from .graphs import (
     CapacityError,
     InputError,
@@ -107,9 +107,7 @@ def _read_one_graph(path: str):
 # gen
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    spec = FamilySpec.parse(" ".join(args.params))
-    graph = spec.build()
-    line = graph_to_text(graph)
+    line = graph_to_text(family_graph(" ".join(args.params)))
     if args.format == "json":
         payload = _config_header(args)
         payload["graph"] = line

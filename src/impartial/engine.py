@@ -196,6 +196,8 @@ def batch_selection_counts(out0s: np.ndarray) -> np.ndarray:
             f"at n <= {DP_CAP}; sample it instead with eval --samples or "
             f"MECHANISMS['perm'].sample"
         )
+    if not graphs:
+        return np.zeros((0, n), dtype=np.int64)
     popcount, layers = _set_layers(n)
     targets = out0s.astype(np.int32)
     rows = np.arange(graphs)

@@ -3,12 +3,12 @@
 The families keep their construction-specific vertex labels (not just
 isomorphism classes) so that structural identities between family
 members can be checked verbatim, e.g. that redirecting one nomination
-turns one family member into a relabelling of another.
+turns one family member into a relabelling of another.  family_graph
+builds a member from a text spec such as ``family=ub,n=7,i=0``.
 """
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graphs import InputError, NominationGraph
@@ -136,19 +136,6 @@ def random_graph(n: int, seed: int | SeedStream) -> NominationGraph:
     return NominationGraph(tuple(out))
 
 
-_FAMILY_ALIASES = {
-    "cycle": "cycle",
-    "two_cycle_path": "two_cycle_path",
-    "c2n": "two_cycle_path",
-    "ub": "ub_family",
-    "ub_family": "ub_family",
-    "ub_prime": "ub_family_prime",
-    "ub_family_prime": "ub_family_prime",
-    "lb": "lower_bound",
-    "lower_bound": "lower_bound",
-    "random": "random",
-}
-
 # each builder's parameter names are the ones the spec takes
 _FAMILIES = {
     "cycle": cycle,
@@ -159,57 +146,48 @@ _FAMILIES = {
     "random": random_graph,
 }
 
+_FAMILY_ALIASES = {
+    "c2n": "two_cycle_path",
+    "ub": "ub_family",
+    "ub_prime": "ub_family_prime",
+    "lb": "lower_bound",
+}
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A named family plus its integer parameters, e.g. parsed from
-    ``family=ub,n=7,i=0``."""
 
-    kind: str
-    params: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        kind = _FAMILY_ALIASES.get(self.kind)
-        if kind is None:
-            raise InputError(
-                f"unknown family {self.kind!r}; expected one of "
-                f"{sorted(set(_FAMILY_ALIASES))}"
-            )
-        object.__setattr__(self, "kind", kind)
-        expected = tuple(inspect.signature(_FAMILIES[kind]).parameters)
-        missing = [k for k in expected if k not in self.params]
-        extra = [k for k in self.params if k not in expected]
-        if missing or extra:
-            raise InputError(
-                f"family {kind!r} takes parameters {expected}; "
-                f"missing {missing}, unexpected {extra}"
-            )
-
-    @classmethod
-    def parse(cls, text: str) -> "FamilySpec":
-        """Parse ``family=name,key=value,...`` (spaces also separate); a
-        key given twice is an error."""
-        tokens = [t for part in text.split(",") for t in part.split()]
-        kind = None
-        params: dict[str, int] = {}
-        for tok in tokens:
-            if not tok:
-                continue
-            key, sep, value = tok.partition("=")
-            if not sep:
-                raise InputError(f"expected key=value, got {tok!r}")
-            if key in params or key == "family" and kind is not None:
-                raise InputError(f"{key}= given more than once in {text!r}")
-            if key == "family":
-                kind = value
-            else:
-                try:
-                    params[key] = int(value)
-                except ValueError as exc:
-                    raise InputError(f"parameter {key}={value!r} is not an integer") from exc
-        if kind is None:
-            raise InputError(f"no family= given in {text!r}")
-        return cls(kind, params)
-
-    def build(self) -> NominationGraph:
-        return _FAMILIES[self.kind](**self.params)
+def family_graph(text: str) -> NominationGraph:
+    """The graph a spec such as ``family=ub,n=7,i=0`` names: the family's
+    builder called with the spec's integer parameters.  Commas and spaces
+    separate the key=value pairs; a key given twice is an error."""
+    kind = None
+    params: dict[str, int] = {}
+    for tok in text.replace(",", " ").split():
+        key, sep, value = tok.partition("=")
+        if not sep:
+            raise InputError(f"expected key=value, got {tok!r}")
+        if key in params or key == "family" and kind is not None:
+            raise InputError(f"{key}= given more than once in {text!r}")
+        if key == "family":
+            kind = value
+        else:
+            try:
+                params[key] = int(value)
+            except ValueError as exc:
+                raise InputError(f"parameter {key}={value!r} is not an integer") from exc
+    if kind is None:
+        raise InputError(f"no family= given in {text!r}")
+    name = _FAMILY_ALIASES.get(kind, kind)
+    if name not in _FAMILIES:
+        raise InputError(
+            f"unknown family {kind!r}; expected one of "
+            f"{sorted(set(_FAMILIES) | set(_FAMILY_ALIASES))}"
+        )
+    build = _FAMILIES[name]
+    expected = tuple(inspect.signature(build).parameters)
+    missing = [k for k in expected if k not in params]
+    extra = [k for k in params if k not in expected]
+    if missing or extra:
+        raise InputError(
+            f"family {name!r} takes parameters {expected}; "
+            f"missing {missing}, unexpected {extra}"
+        )
+    return build(**params)

@@ -9,10 +9,12 @@ names a total graph's isomorphism class, and iso_classes lists the
 classes of a size with a representative of each.  A
 SelectionDistribution is a mechanism's exact result: integer counts
 over one denominator, read as rationals.  check_counts holds the rules
-every exact result obeys and checks a whole batch of them at once; a
-SelectionDistribution runs it on a batch of one when it is built, and
-Mechanism.counts on every batch.  exact_dtype picks int64 or Python
-ints for exact integer arithmetic, so counts never wrap.
+every exact result obeys and checks a whole batch of them at once;
+Mechanism.counts runs it on every batch, and a SelectionDistribution
+that a caller builds on a batch of one.  derived builds a value from
+checked ones without a second check, as Mechanism.exact does from its
+checked row.  exact_dtype picks int64 or Python ints for exact integer
+arithmetic, so counts never wrap.
 
 All types are immutable values and all operations are pure, so instances
 can be shared freely across parallel workers.  Vertices are 1-based
@@ -46,6 +48,16 @@ class CapacityError(RuntimeError):
 def _check_vertex(v: int, n: int) -> None:
     if not isinstance(v, int) or not 1 <= v <= n:
         raise InputError(f"vertex {v!r} out of range 1..{n}")
+
+
+def derived(cls: type, **fields):
+    """A cls built from fields without running its __post_init__, for
+    values derived from already checked ones by a change that keeps them
+    valid; the checks are for values that come from outside."""
+    value = object.__new__(cls)
+    for name, field_value in fields.items():
+        object.__setattr__(value, name, field_value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -106,20 +118,12 @@ class PartialNominationGraph:
         top = frozenset(v for v in self.vertices if degs[v - 1] == dmax)
         return dmax, top, min(top)
 
-    @classmethod
-    def _derived(cls, out: tuple[Optional[int], ...]) -> "PartialNominationGraph":
-        """An instance on out without validation, for an out tuple derived
-        from a valid graph by a change that keeps it valid."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "out", out)
-        return g
-
     def remove_out_edge(self, v: int) -> "PartialNominationGraph":
         """Drop v's outgoing edge; idempotent if it is already absent."""
         _check_vertex(v, self.n)
         if self.out[v - 1] is None:
             return self
-        return PartialNominationGraph._derived(self.out[: v - 1] + (None,) + self.out[v:])
+        return derived(PartialNominationGraph, out=self.out[: v - 1] + (None,) + self.out[v:])
 
     def relabel(self, pi: "Permutation") -> "PartialNominationGraph":
         """Rename vertices by pi, mapping each edge (u, w) to (pi(u), pi(w));
@@ -131,7 +135,7 @@ class PartialNominationGraph:
         for v, t in enumerate(self.out):
             if t is not None:
                 out[seq[v] - 1] = seq[t - 1]
-        return type(self)._derived(tuple(out))
+        return derived(type(self), out=tuple(out))
 
 
 @dataclass(frozen=True)
@@ -286,7 +290,8 @@ def check_counts(counts: np.ndarray, dens: int | np.ndarray) -> tuple[np.ndarray
     float is rejected, not truncated), each denominator is at least 1,
     each count lies between 0 and its denominator, and each row sums to
     at most its denominator, summed in Python ints when the sum could
-    pass int64.  Raises InputError on the first row that breaks one.
+    pass int64.  Raises InputError on the first row that breaks one; an
+    empty batch passes.
     """
     graphs, n = counts.shape
     try:
@@ -294,6 +299,8 @@ def check_counts(counts: np.ndarray, dens: int | np.ndarray) -> tuple[np.ndarray
                         for a in (counts, np.broadcast_to(np.asarray(dens), (graphs,))))
     except TypeError as exc:
         raise InputError(f"selection counts must be integers: {exc}") from None
+    if not graphs:
+        return counts, dens
     if (dens < 1).any():
         raise InputError(f"denominator {dens[np.argmax(dens < 1)]} is not positive")
     outside = (counts < 0) | (counts > dens[:, None])
@@ -314,12 +321,13 @@ class SelectionDistribution:
     """Exact per-vertex selection probabilities: vertex v is selected with
     probability numerators[v-1] / denominator.
 
-    The counts are validated once, by check_counts on a batch of one,
-    when the value is built.  The total is at most 1; mechanisms that
-    always select sum to exactly 1, inexact ones may leave a deficit
-    (the probability of selecting no one).  The rationals are computed
-    when read, and the denominator is kept as given, so equality
-    compares the stored counts.
+    Counts from outside are validated once, by check_counts on a batch
+    of one, when the value is built; Mechanism.exact builds its result
+    with derived from a row check_counts has already passed.  The total
+    is at most 1; mechanisms that always select sum to exactly 1,
+    inexact ones may leave a deficit (the probability of selecting no
+    one).  The rationals are computed when read, and the denominator is
+    kept as given, so equality compares the stored counts.
     """
 
     numerators: tuple[int, ...]

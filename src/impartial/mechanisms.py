@@ -7,10 +7,11 @@ maps a (graphs, n) array of 0-based targets to a (graphs, n) array of
 integer selection counts over a denominator; Mechanism.counts runs it
 and checks the whole batch at once with graphs.check_counts, and
 Mechanism.exact is that path on a batch of one, returned as a
-SelectionDistribution.  perm is one call of the engine's batched DP
-over prefix sets, which packs its own passes and returns the scan's
-outcome counts over all n! orderings as one int64 array; its 2^n
-states cap perm, and mix through it, at engine.DP_CAP vertices.  rd,
+SelectionDistribution built from the checked row without a second
+check.  perm is one call of the engine's batched DP over prefix sets,
+which packs its own passes and returns the scan's outcome counts over
+all n! orderings as one int64 array; its 2^n states cap perm, and mix
+through it, at engine.DP_CAP vertices.  rd,
 prug and prugd are numpy closed forms over the whole batch with no cap.
 Counts are int64 while the largest of them fits, and Python ints
 (dtype object) above, so they never wrap.  A rule written for one
@@ -46,6 +47,7 @@ from .graphs import (
     Permutation,
     SelectionDistribution,
     check_counts,
+    derived,
     exact_dtype,
 )
 from .rng import SeedStream, as_stream
@@ -308,15 +310,17 @@ def per_graph(counts: Callable[[AnyGraph], tuple[Sequence[int], int]]) -> Callab
 class Mechanism:
     """A named exact path and sampler: the one way into a mechanism.
 
-    accepts_partial: defined on graphs with missing out-edges; counts(),
-    exact() and sampler() reject any other graph for a mechanism without
-    it, so the paths behind them never check.
+    accepts_partial: defined on graphs with missing out-edges; for a
+    mechanism without it, counts() and sampler() reject a graph with an
+    absent edge, whatever its type, and exact() through counts(), so
+    the paths behind them never check.
     counts(out0s) is the one exact entry: it runs the exact path on a
     (graphs, n) array of 0-based targets and returns the (graphs, n)
     counts with one denominator per row, after checking that there is
     one count per vertex and then the whole batch once with
     check_counts.
-    exact(g) is counts on a batch of one, as a SelectionDistribution.
+    exact(g) is counts on a batch of one, as a SelectionDistribution
+    built from the row counts has checked, without checking it again.
     sampler(g) reads the graph once and returns a draw that takes a
     SeedStream; sample() is one draw from a seed or a SeedStream.
     """
@@ -328,8 +332,7 @@ class Mechanism:
 
     def counts(self, out0s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         graphs, n = out0s.shape
-        if not self.accepts_partial and (out0s < 0).any():
-            raise InputError(f"{self.name} is only defined on total nomination graphs")
+        self._check_total((out0s < 0).any())
         counts, den = self._counts(out0s)
         counts = np.asarray(counts)
         if counts.shape != (graphs, n):
@@ -337,19 +340,21 @@ class Mechanism:
         return check_counts(counts, den)
 
     def exact(self, g: AnyGraph) -> SelectionDistribution:
-        counts, dens = self.counts(engine.out_array(self._coerce(g))[None])
-        return SelectionDistribution(tuple(counts[0].tolist()), int(dens[0]))
+        counts, dens = self.counts(engine.out_array(g)[None])
+        # counts has checked the row; tolist and int give Python ints
+        return derived(SelectionDistribution, numerators=tuple(counts[0].tolist()),
+                       denominator=int(dens[0]))
 
     def sampler(self, g: AnyGraph) -> Draw:
-        return self._sampler(self._coerce(g))
+        self._check_total(None in g.out)
+        return self._sampler(g)
 
     def sample(self, g: AnyGraph, seed: int | SeedStream) -> Optional[int]:
         return self.sampler(g)(as_stream(seed))
 
-    def _coerce(self, g: AnyGraph) -> AnyGraph:
-        if not (self.accepts_partial or isinstance(g, NominationGraph)):
+    def _check_total(self, edge_missing: bool) -> None:
+        if edge_missing and not self.accepts_partial:
             raise InputError(f"{self.name} is only defined on total nomination graphs")
-        return g
 
 
 MECHANISMS: dict[str, Mechanism] = {

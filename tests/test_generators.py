@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from impartial.generators import (
+    _FAMILIES,
     _FAMILY_ALIASES,
-    FamilySpec,
     cycle,
+    family_graph,
     lower_bound_family,
     random_graph,
     required_nprime,
@@ -198,7 +199,7 @@ def test_random_graph_always_valid(n, seed):
 
 
 def test_family_spec_parse_and_build():
-    cases = {  # alias: (parameters, the graph they build)
+    cases = {  # family name or alias: (parameters, the graph they build)
         "cycle": ("n=7", cycle(7)),
         "two_cycle_path": ("n=6", two_cycle_path(6)),
         "c2n": ("n=5", two_cycle_path(5)),
@@ -210,23 +211,45 @@ def test_family_spec_parse_and_build():
         "lower_bound": ("delta=3,nprime=1", lower_bound_family(3, 1)),
         "random": ("n=6,seed=5", random_graph(6, 5)),
     }
-    assert set(cases) == set(_FAMILY_ALIASES)
+    assert set(cases) == set(_FAMILIES) | set(_FAMILY_ALIASES)
     for alias, (params, graph) in cases.items():
-        assert FamilySpec.parse(f"family={alias} {params}").build() == graph, alias
+        assert family_graph(f"family={alias} {params}") == graph, alias
+
+
+FAMILY_NAMES = ("['c2n', 'cycle', 'lb', 'lower_bound', 'random', 'two_cycle_path', "
+                "'ub', 'ub_family', 'ub_family_prime', 'ub_prime']")
 
 
 def test_family_spec_errors():
-    with pytest.raises(InputError):
-        FamilySpec.parse("family=nope,n=3")
-    with pytest.raises(InputError):
-        FamilySpec.parse("n=3")
-    with pytest.raises(InputError):
-        FamilySpec.parse("family=cycle")
-    with pytest.raises(InputError, match=r"family 'cycle' takes parameters \('n',\); missing \[\], unexpected \['i'\]"):
-        FamilySpec.parse("family=cycle,n=7,i=1")
-    with pytest.raises(InputError):
-        FamilySpec.parse("family=cycle,n=x")
-    with pytest.raises(InputError, match="n= given more than once"):
-        FamilySpec.parse("family=cycle n=7 n=3")
-    with pytest.raises(InputError, match="family= given more than once"):
-        FamilySpec.parse("family=cycle,family=ub,n=7,i=0")
+    errors = {  # spec: its message, in full
+        "family=nope,n=3": f"unknown family 'nope'; expected one of {FAMILY_NAMES}",
+        "n=3": "no family= given in 'n=3'",
+        "family=cycle": "family 'cycle' takes parameters ('n',); missing ['n'], unexpected []",
+        "family=cycle,n=7,i=1": "family 'cycle' takes parameters ('n',); missing [], unexpected ['i']",
+        "family=cycle,n=x": "parameter n='x' is not an integer",
+        "family=cycle n=7 n=3": "n= given more than once in 'family=cycle n=7 n=3'",
+        "family=cycle,family=ub,n=7,i=0":
+            "family= given more than once in 'family=cycle,family=ub,n=7,i=0'",
+        "family=cycle n": "expected key=value, got 'n'",
+    }
+    for spec, message in errors.items():
+        with pytest.raises(InputError) as err:
+            family_graph(spec)
+        assert str(err.value) == message, spec
+
+
+SPEC_KEYS = ("family", "n", "i", "delta", "nprime", "seed", "junk", "")
+SPEC_VALUES = tuple(sorted(set(_FAMILIES) | set(_FAMILY_ALIASES))) + tuple(
+    str(k) for k in range(-3, 13)) + ("x", "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(SPEC_KEYS), st.sampled_from(SPEC_VALUES),
+                          st.sampled_from((",", " "))), max_size=5))
+def test_family_spec_builds_a_graph_or_raises_input_error(pairs):
+    spec = "".join(f"{key}={value}{sep}" for key, value, sep in pairs)
+    try:
+        graph = family_graph(spec)
+    except InputError:
+        return
+    assert isinstance(graph, NominationGraph)

@@ -747,11 +747,60 @@ def test_registry_flags():
 def test_registry_rejects_partial_for_total_only():
     p = PartialNominationGraph((2, None, 1))
     for name in ("rd", "prugd", "mix"):
-        with pytest.raises(InputError):
-            MECHANISMS[name].exact(p)
-        with pytest.raises(InputError):
-            MECHANISMS[name].sample(p, 7)
+        mech = MECHANISMS[name]
+        entries = (lambda: mech.counts(engine.out_array(p)[None]),
+                   lambda: mech.exact(p), lambda: mech.sample(p, 7))
+        for entry in entries:
+            with pytest.raises(InputError) as err:
+                entry()
+            assert str(err.value) == f"{name} is only defined on total nomination graphs"
     assert MECHANISMS["perm"].exact(p).total == 1
+
+
+def test_total_graph_rule_reads_the_edges_not_the_type():
+    # a partial graph with every edge present is a total graph
+    total, all_edges = NominationGraph((2, 3, 1)), PartialNominationGraph((2, 3, 1))
+    assert RD.exact(all_edges) == RD.exact(total)
+    for name, mech in MECHANISMS.items():
+        draws = []
+        for g in (total, all_edges):
+            draw, rng = mech.sampler(g), SeedStream(11)
+            draws.append([draw(rng) for _ in range(50)])
+        assert draws[0] == draws[1], name
+
+
+def test_exact_checks_its_row_once(monkeypatch):
+    calls = []
+    check = mechanisms.check_counts
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    # mechanisms imports the name, so both bindings are patched
+    monkeypatch.setattr("impartial.graphs.check_counts", counted)
+    monkeypatch.setattr(mechanisms, "check_counts", counted)
+    partial = PartialNominationGraph((2, None, 1, 3, 1, 2, 4))
+    cases = [(mech, ub_family(7, 1)) for mech in MECHANISMS.values()]
+    cases += [(PERM, partial), (PRUG, partial), (PRUG, random_graph(20, 3)),
+              (PRUGD, random_graph(19, 3))]  # the last two count in Python ints
+    for mech, g in cases:
+        calls.clear()
+        d = mech.exact(g)
+        assert len(calls) == 1, (mech.name, g)
+        assert all(type(c) is int for c in d.numerators), (mech.name, g)
+        assert type(d.denominator) is int, (mech.name, g)
+        # a caller's SelectionDistribution is still checked
+        assert d == SelectionDistribution(d.numerators, d.denominator), (mech.name, g)
+        assert len(calls) == 2, (mech.name, g)
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_counts_on_an_empty_batch(n):
+    for name, mech in MECHANISMS.items():
+        counts, dens = mech.counts(np.empty((0, n), dtype=np.int16))
+        assert counts.shape == (0, n) and counts.dtype == np.int64, name
+        assert dens.shape == (0,) and dens.dtype == np.int64, name
 
 
 def test_registry_sample_takes_a_seed_or_a_stream():
