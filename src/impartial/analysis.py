@@ -327,10 +327,18 @@ def sweep_graphs(n: int, mechanisms: Sequence[str] = ("perm",), jobs: int = 1) -
 
 def _scan_range(n: int, outs: Sequence[tuple[int, ...]]) -> list[int]:
     """Per graph, the orderings on which the candidate scan misses the
-    maximum indegree from the left."""
-    perms, pos = engine.permutation_table(n)
-    runs = (engine.run_selection(np.array(out, dtype=np.int16) - 1, perms, pos) for out in outs)
-    return [int((final_d != max_left).sum()) for _, final_d, max_left in runs]
+    maximum indegree from the left.  The table goes to the scan in
+    blocks of SAMPLE_CHUNK orderings, which bounds the scan's memory
+    and keeps its arrays in cache."""
+    perms, _ = engine.permutation_table(n)
+    step = engine.SAMPLE_CHUNK
+    blocks = [perms[lo : lo + step] for lo in range(0, len(perms), step)]
+    violations = []
+    for out in outs:
+        out0 = np.array(out, dtype=np.int16) - 1
+        runs = (engine.run_selection(out0, block) for block in blocks)
+        violations.append(sum(int((final_d != max_left).sum()) for _, final_d, max_left in runs))
+    return violations
 
 
 def scan_orderings(n: int, jobs: int = 1) -> tuple[int, int, int]:

@@ -22,9 +22,13 @@ the sampled scan still run on explicit orderings with numpy, many at once.
 The key shortcut there: when the left-to-right scan considers vertex v,
 the prefix is exactly the set of vertices placed before v.  So the
 indegree from the left that the scan sees for v equals the number of
-in-neighbors of v placed before v, which can be computed for all
-permutations and all vertices in O(n) vector operations, without
-materializing prefixes.
+in-neighbors of v placed before v, without materializing prefixes.
+run_selection walks a batch position by position and keeps, per
+ordering and vertex, a running count of the nominations placed so far,
+so each step reads the placed vertex's count and adds one to its
+target's, for all orderings at once.  The left-indegree profile counts
+the same numbers per vertex from the inverse permutations, in O(n)
+vector operations.
 
 Everything here is 0-based and array-typed; the public modules convert
 at the boundary.
@@ -51,8 +55,11 @@ DP_CAP = 16
 # batch_selection_counts, which bounds its memory: a batch is split into
 # passes of whole graphs, and a graph too big for one pass gets its own.
 STATE_BUDGET = 1 << 14
-# Orderings drawn per batch by sampled_selection_counts, which bounds
-# its memory (about 5 MB at n = 23); the draws do not depend on it.
+# Orderings per run_selection call: sampled_selection_counts draws this
+# many at a time and the Lemma 3 scan slices its table into blocks of
+# this many.  It bounds their memory (a sampler peak of about 4.8 MB at
+# n = 23, by tracemalloc) and keeps a block's arrays in cache; the draws
+# do not depend on it.
 SAMPLE_CHUNK = 10000
 _table_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -101,10 +108,9 @@ def left_indegree_matrix(out0: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return c
 
 
-def run_selection(
-    out0: np.ndarray, perms: np.ndarray, pos: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Left-to-right candidate scan over a batch of orderings.
+def run_selection(out0: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left-to-right candidate scan over a batch of orderings, perms[r, j]
+    the vertex at position j of ordering r.
 
     v takes over when its indegree from the left, less the current
     candidate's edge if the candidate nominates v, ties or beats the
@@ -112,19 +118,39 @@ def run_selection(
     where final_d is the selected vertex's indegree from the left and
     max_left the maximum indegree from the left over all vertices.  The
     two must agree; the caller is expected to assert that.
+
+    The scan walks a position-major copy of the orderings and keeps, per
+    ordering and vertex, a running count of the nominations placed so
+    far: when v is placed its count is its indegree from the left, and
+    placing v adds one to its target's count.  A vertex with no edge
+    counts into its own slot, which is never read again once it is placed.
     """
     rows, n = perms.shape
-    c = left_indegree_matrix(out0, pos)
-    idx = np.arange(rows)
-    cand = perms[:, 0].copy()
+    order = np.ascontiguousarray(perms.T, dtype=np.int16)
+    target = np.where(out0 < 0, np.arange(n), out0).astype(np.int16)
+    base = np.arange(0, rows * n, n)  # ordering r's counts are left[r*n : r*n + n]
+    left = np.zeros(rows * n, dtype=np.int16)
+    at = np.empty(rows, dtype=np.intp)  # take and fancy indexing run fastest on intp indices
+    step = np.empty(rows, dtype=np.int16)
+    cand = order[0].copy()
+    held = target.take(cand)  # the candidate's target
+    t = held
     d = np.zeros(rows, dtype=np.int16)
+    top = np.zeros(rows, dtype=np.int16)
     for j in range(1, n):
-        v = perms[:, j]
-        contrib = c[idx, v]
-        upd = contrib - (out0[cand] == v) >= d
-        cand = np.where(upd, v, cand)
-        d = np.where(upd, contrib, d)
-    return cand, d, c.max(axis=1)
+        left[np.add(base, t, out=at)] += 1
+        v = order[j]
+        t = target.take(v)
+        contrib = left.take(np.add(base, v, out=at))
+        upd = contrib - (held == v) >= d
+        # x += upd * (new - x) for the three candidate arrays: np.where
+        # allocates and costs several times more per step
+        for x, new in ((cand, v), (d, contrib), (held, t)):
+            np.subtract(new, x, out=step)
+            step *= upd
+            x += step
+        np.maximum(top, contrib, out=top)
+    return cand, d, top
 
 
 @functools.lru_cache(maxsize=2)
@@ -258,22 +284,18 @@ def sampled_selection_counts(
     """Per-vertex selection counts over uniformly sampled orderings, drawn
     in chunks of SAMPLE_CHUNK into one reused buffer.
 
-    Deterministic per seed.  Returns (counts, violations).
+    Deterministic per seed, and independent of SAMPLE_CHUNK.  Returns
+    (counts, violations).
     """
     n = out0.shape[0]
     rng = np.random.default_rng(seed)
     counts = np.zeros(n, dtype=np.int64)
     violations = 0
     draws = np.empty((min(SAMPLE_CHUNK, samples), n))
-    places = np.empty(draws.shape, dtype=np.int16)
-    ranks = np.arange(n, dtype=np.int16)[None, :]
     remaining = samples
     while remaining > 0:
         b = min(SAMPLE_CHUNK, remaining)
-        perms = np.argsort(rng.random(out=draws[:b]), axis=1).astype(np.int16)
-        pos = places[:b]
-        np.put_along_axis(pos, perms, ranks, axis=1)  # the inverse permutations
-        sel, d, m = run_selection(out0, perms, pos)
+        sel, d, m = run_selection(out0, np.argsort(rng.random(out=draws[:b]), axis=1))
         counts += np.bincount(sel, minlength=n)
         violations += int((d != m).sum())
         remaining -= b

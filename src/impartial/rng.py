@@ -1,9 +1,11 @@
 """Seedable randomness for the samplers.
 
 A SeedStream wraps a Mersenne-Twister state behind the draw kinds the
-samplers need: uniform permutations (random.Random.shuffle, a
-Fisher-Yates pass over positions with one draw per swap),
-uniform vertices, uniform integers below a bound (the mix coin),
+samplers need: uniform permutations (a Fisher-Yates pass over positions
+with one draw per swap, taken straight from getrandbits: for each
+0-based position i from n - 1 down to 1, k = (i + 1).bit_length() bits,
+redrawn while they exceed i, which is the stream random.Random.shuffle
+reads on CPython 3.10 and 3.11), uniform vertices, uniform integers below a bound (the mix coin),
 categorical draws over integer weights, and uniform rationals with
 resolution 2**-64.  A categorical draw takes one uniform integer below
 the weights' common denominator, so every outcome has exactly its
@@ -19,7 +21,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .graphs import Permutation
+from .graphs import InputError, Permutation, derived
 
 _TWO64 = 1 << 64
 
@@ -51,11 +53,20 @@ class SeedStream:
         return self._rng.randrange(n) + 1
 
     def permutation(self, n: int) -> Permutation:
-        """Uniform permutation of 1..n: random.Random.shuffle, which is
-        Fisher-Yates over positions."""
+        """Uniform permutation of 1..n by Fisher-Yates over positions,
+        each swap partner drawn from getrandbits by rejection; a shuffle
+        of 1..n, so it is built without the Permutation check."""
+        if n < 1:
+            raise InputError(f"a permutation needs n >= 1, got {n}")
         seq = list(range(1, n + 1))
-        self._rng.shuffle(seq)
-        return Permutation(tuple(seq))
+        bits = self._rng.getrandbits
+        for i in range(n - 1, 0, -1):
+            k = (i + 1).bit_length()
+            j = bits(k)
+            while j > i:
+                j = bits(k)
+            seq[i], seq[j] = seq[j], seq[i]
+        return derived(Permutation, seq=tuple(seq))
 
     def categorical(self, weights: Sequence[int], total: int) -> Optional[int]:
         """Index i with probability weights[i] / total, by one uniform

@@ -35,6 +35,14 @@ def scan_select(g: AnyGraph, order: tuple[int, ...], exclude_candidate: bool = T
     return cand
 
 
+def scan_run(g: AnyGraph, order: tuple[int, ...]) -> tuple[int, int, int]:
+    """(selected vertex, its indegree from the left, the maximum indegree
+    from the left over all vertices) of the scan on one ordering."""
+    left = [sum(1 for u in order[:j] if g.out[u - 1] == v) for j, v in enumerate(order)]
+    selected = scan_select(g, order)
+    return selected, left[order.index(selected)], max(left)
+
+
 def perm_dist(g: AnyGraph, exclude_candidate: bool = True) -> list[Fraction]:
     counts = [0] * g.n
     for order in itertools.permutations(g.vertices):
@@ -241,11 +249,12 @@ def all_graphs(n: int):
         yield NominationGraph(out)
 
 
-def late_takeover_run(out0, perms, pos):
+def late_takeover_run(out0, perms):
     """engine.run_selection's contract with the takeover threshold one
     too high: v must beat the candidate's left indegree instead of tying
     it, so some runs end below the maximum left indegree."""
     rows, n = perms.shape
+    pos = np.argsort(perms, axis=1)
     c = np.zeros((rows, n), dtype=np.int16)  # left indegree per ordering and vertex
     for u in range(n):
         c[:, out0[u]] += pos[:, u] < pos[:, out0[u]]

@@ -197,9 +197,9 @@ def test_criterion_10_left_max_invariant(monkeypatch):
     scanned = []
     kernel = engine.run_selection
 
-    def counted(out0, perms, pos):
+    def counted(out0, perms):
         scanned.append(perms.shape[0])
-        return kernel(out0, perms, pos)
+        return kernel(out0, perms)
 
     monkeypatch.setattr(engine, "run_selection", counted)
     violations = sum(scan_orderings(n)[2] for n in range(2, 9))

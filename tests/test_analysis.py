@@ -421,8 +421,8 @@ def _labelled_impartial(mech, n):
 def _labelled_scan_violations(n, run):
     """Runs of the scan kernel run, over every ordering of every labelled
     graph of size n, that miss the maximum left indegree."""
-    perms, pos = engine.permutation_table(n)
-    runs = (run(np.array(out, dtype=np.int16) - 1, perms, pos) for out in oracle.iter_out_tuples(n))
+    perms, _ = engine.permutation_table(n)
+    runs = (run(np.array(out, dtype=np.int16) - 1, perms) for out in oracle.iter_out_tuples(n))
     return sum(int((d != m).sum()) for _, d, m in runs)
 
 

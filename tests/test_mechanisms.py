@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -98,6 +99,37 @@ def test_perm_sample_seeded_stream_pinned():
     assert [draw(rng) for _ in range(200)] == PERM_SAMPLE_PINNED
 
 
+def test_permutation_stream_is_the_stdlib_shuffle():
+    # SeedStream.permutation runs Fisher-Yates on getrandbits; it must
+    # read the stream random.Random.shuffle reads, draw for draw, and
+    # leave the generator in the same state
+    for seed in range(300):
+        for n in (1, 2, 3, 5, 7, 23, 50, 200):
+            stream, reference = SeedStream(seed), random.Random(seed)
+            for _ in range(3):
+                seq = list(range(1, n + 1))
+                reference.shuffle(seq)
+                assert stream.permutation(n).seq == tuple(seq), (seed, n)
+                assert stream.randrange(8) == reference.randrange(8)
+            assert stream._rng.getstate() == reference.getstate(), (seed, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**64), st.integers(min_value=1, max_value=60))
+def test_permutation_draws_are_permutations(seed, n):
+    rng = SeedStream(seed)
+    for _ in range(3):
+        pi = rng.permutation(n)
+        assert sorted(pi.seq) == list(range(1, n + 1))
+        assert Permutation(pi.seq) == pi
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_permutation_of_no_vertices_is_refused(n):
+    with pytest.raises(InputError, match="n >= 1"):
+        SeedStream(0).permutation(n)
+
+
 def test_perm_exact_two_cycle():
     assert PERM.exact(TWO_CYCLE).probs == (Fraction(1, 2), Fraction(1, 2))
 
@@ -145,15 +177,45 @@ def test_selection_dp_matches_oracle_exhaustive():
 
 def test_selection_dp_matches_ordering_table():
     for n in (6, 7, 8, 9):
-        perms, pos = engine.permutation_table(n)
+        perms, _ = engine.permutation_table(n)
         for g in seeded_graphs(n, 4, 60 + n):
             for h in (g, g.remove_out_edge(1)):
                 out0 = engine.out_array(h)
-                sel, d, m = engine.run_selection(out0, perms, pos)
+                sel, d, m = engine.run_selection(out0, perms)
                 counts, runs = engine.selection_counts(out0)
                 assert counts == np.bincount(sel, minlength=n).tolist()
                 assert runs == perms.shape[0] == math.factorial(n)
                 assert int((d != m).sum()) == 0
+
+
+def test_run_selection_matches_the_scan_oracle_on_every_ordering():
+    # selected vertex, its final d and the maximum left indegree of the
+    # batch scan against the one-ordering oracle, on every ordering
+    for n in range(2, 8):
+        perms, _ = engine.permutation_table(n)
+        orders = [tuple(row) for row in (perms + 1).tolist()]
+        totals = seeded_graphs(n, 2, 80 + n)
+        for g in totals + partial_graphs_of(totals, 90 + n):
+            runs = zip(*(a.tolist() for a in engine.run_selection(engine.out_array(g), perms)))
+            for order, (sel, d, m) in zip(orders, runs):
+                assert (sel + 1, d, m) == oracle.scan_run(g, order), (g.out, order)
+
+
+# seeded counts of the sampled scan on lower_bound_family(2, 10), n = 23,
+# as drawn in chunks of 10 000; the chunk size must not move them
+SAMPLED_COUNTS_LB_2_10 = [
+    33523, 3099, 3001, 3113, 3120, 3076, 3145, 3136, 3126, 3141, 3105, 4443,
+    0, 3070, 3034, 3087, 3096, 3144, 3144, 3085, 3110, 3077, 3125,
+]
+
+
+@pytest.mark.parametrize("chunk", [7, 10_000, 100_000])
+def test_sampled_counts_do_not_depend_on_the_chunk(monkeypatch, chunk):
+    monkeypatch.setattr(engine, "SAMPLE_CHUNK", chunk)
+    out0 = engine.out_array(lower_bound_family(2, 10))
+    counts, violations = engine.sampled_selection_counts(out0, 100_000, 5)
+    assert counts.tolist() == SAMPLED_COUNTS_LB_2_10
+    assert violations == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,8 +228,8 @@ def test_selection_dp_matches_ordering_table():
 )
 def test_selection_dp_property(out):
     out0 = engine.out_array(PartialNominationGraph(out))
-    perms, pos = engine.permutation_table(len(out))
-    sel, _, _ = engine.run_selection(out0, perms, pos)
+    perms, _ = engine.permutation_table(len(out))
+    sel, _, _ = engine.run_selection(out0, perms)
     counts, _ = engine.selection_counts(out0)
     assert counts == np.bincount(sel, minlength=len(out)).tolist()
 
@@ -202,11 +264,11 @@ def test_batched_dp_matches_ordering_table_on_every_class_at_7():
     # are checked against the explicit scan over all 5040 orderings
     classes = [NominationGraph(out) for out, _ in iso_classes(7)]
     graphs = classes + partial_graphs_of(classes, 77)
-    perms, pos = engine.permutation_table(7)
+    perms, _ = engine.permutation_table(7)
     got = engine.batch_selection_counts(np.stack([engine.out_array(g) for g in graphs]))
     assert got.dtype == np.int64
     for g, counts in zip(graphs, got):
-        sel, _, _ = engine.run_selection(engine.out_array(g), perms, pos)
+        sel, _, _ = engine.run_selection(engine.out_array(g), perms)
         assert np.array_equal(counts, np.bincount(sel, minlength=7)), g.out
     for g in seeded_graphs(7, 3, 7):
         h = g.remove_out_edge(2)
