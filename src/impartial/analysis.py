@@ -330,7 +330,7 @@ def _scan_range(n: int, outs: Sequence[tuple[int, ...]]) -> list[int]:
     maximum indegree from the left.  The table goes to the scan in
     blocks of SAMPLE_CHUNK orderings, which bounds the scan's memory
     and keeps its arrays in cache."""
-    perms, _ = engine.permutation_table(n)
+    perms = engine.permutation_table(n)
     step = engine.SAMPLE_CHUNK
     blocks = [perms[lo : lo + step] for lo in range(0, len(perms), step)]
     violations = []
@@ -516,15 +516,19 @@ def verify_negative_correlation(g: AnyGraph) -> CorrelationReport:
     but an empty one would be reported as vacuous rather than compared.
     """
     delta, _, vstar = g.max_indegree_and_top()
-    a, m = engine.left_indegree_profile(engine.out_array(g), vstar - 1)
-    nfact = a.shape[0]
+    c = engine.left_indegree_matrix(engine.out_array(g), engine.permutation_table(g.n))
+    nfact = c.shape[0]
+    # per ordering: vstar's left indegree a, the others' maximum m
+    a = c[:, vstar - 1].copy()
+    c[:, vstar - 1] = -1
+    m = c.max(axis=1)
     # both are left indegrees, so at most delta: one joint histogram of
     # (a, m), summed from the right, gives at_least[a, i] = #(a, m >= i)
     levels = delta + 1
     joint = np.bincount(a * levels + m, minlength=levels * levels).reshape(levels, levels)
     at_least = joint[:, ::-1].cumsum(axis=1)[:, ::-1].tolist()
     level_counts = joint.sum(axis=1).tolist()
-    level_probs = tuple(Fraction(c, nfact) for c in level_counts)
+    level_probs = tuple(Fraction(k, nfact) for k in level_counts)
     level_ok = all(p == Fraction(1, delta + 1) for p in level_probs)
 
     comparisons = []

@@ -16,7 +16,7 @@ so two_slot_quarter_counts computes them in closed form without
 enumerating anything, for a whole batch of graphs at once, in int64
 while they fit and in Python ints above (graphs.exact_dtype).
 
-Checks about individual orderings (the left-indegree profile, and the
+Checks about individual orderings (the correlation check, and the
 Lemma 3 check that every scan ends on the maximum left indegree) and
 the sampled scan still run on explicit orderings with numpy, many at once.
 The key shortcut there: when the left-to-right scan considers vertex v,
@@ -26,9 +26,9 @@ in-neighbors of v placed before v, without materializing prefixes.
 run_selection walks a batch position by position and keeps, per
 ordering and vertex, a running count of the nominations placed so far,
 so each step reads the placed vertex's count and adds one to its
-target's, for all orderings at once.  The left-indegree profile counts
-the same numbers per vertex from the inverse permutations, in O(n)
-vector operations.
+target's, for all orderings at once.  left_indegree_matrix counts the
+same numbers per vertex from positions, in O(n) vector operations, for
+the correlation check on the one table of all n! orderings.
 
 Everything here is 0-based and array-typed; the public modules convert
 at the boundary.
@@ -42,10 +42,10 @@ import numpy as np
 
 from .graphs import AnyGraph, CapacityError, exact_dtype
 
-# Largest n whose n! orderings are ever enumerated one by one: the
-# ordering table behind the correlation check and the Lemma 3 scan.  Only
-# the correlation check reaches it; the sweep budget stops the scan at
-# n = 10.  (Tightness rows switch from exact to sampled at DP_CAP, not here.)
+# Largest n of the ordering table, the one (n!, n) int16 array (72 MB at
+# n = 10) behind the correlation check and the Lemma 3 scan.  Only the
+# correlation check reaches it; the sweep budget stops the scan at n = 10.
+# (Tightness rows switch from exact to sampled at DP_CAP, not here.)
 ENUM_CAP = 10
 # Largest n at which exact perm, and exact mix above MIX_SMALL_N, run the
 # prefix-set DP: about 0.3 s and 50 MB for a random graph at n = 16, and
@@ -61,7 +61,7 @@ STATE_BUDGET = 1 << 14
 # n = 23, by tracemalloc) and keeps a block's arrays in cache; the draws
 # do not depend on it.
 SAMPLE_CHUNK = 10000
-_table_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_table_cache: dict[int, np.ndarray] = {}
 
 
 def _build_perms(n: int) -> np.ndarray:
@@ -76,19 +76,18 @@ def _build_perms(n: int) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-def permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(perms, pos): all n! orderings, perms[r, j] = vertex at position j,
-    pos[r, v] = position of vertex v.  Cached per n."""
+def permutation_table(n: int) -> np.ndarray:
+    """All n! orderings as one (n!, n) int16 array, perms[r, j] = the
+    vertex at position j of ordering r.  Cached per n."""
     if n > ENUM_CAP:
         raise CapacityError(
             f"full permutation table for n={n} exceeds the n<={ENUM_CAP} cap"
         )
     if n not in _table_cache:
         perms = _build_perms(n)
-        pos = np.argsort(perms, axis=1).astype(np.int16)
         while len(_table_cache) >= 2:
             _table_cache.pop(next(iter(_table_cache)))
-        _table_cache[n] = (perms, pos)
+        _table_cache[n] = perms
     return _table_cache[n]
 
 
@@ -98,7 +97,11 @@ def out_array(g: AnyGraph) -> np.ndarray:
 
 
 def left_indegree_matrix(out0: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """C[r, v] = number of in-neighbors of v placed before v in ordering r."""
+    """C[r, v] = number of in-neighbors of v placed before v in ordering
+    r, pos[r, u] the position of vertex u.  The correlation check passes
+    permutation_table(n) as pos: row r read as positions is the inverse
+    of ordering r, inverting is a bijection of S_n, and the check only
+    sums over all n! orderings, so its counts need no argsort."""
     rows, n = pos.shape
     c = np.zeros((rows, n), dtype=np.int16)
     for u in range(n):
@@ -373,13 +376,3 @@ def two_slot_quarter_counts(out0s: np.ndarray) -> tuple[np.ndarray, int]:
     single[rows, t] = np.where(gap, 3, 2).astype(dtype) * nfact
     return np.where((k >= 2)[:, None], several, single), nfact
 
-
-def left_indegree_profile(out0: np.ndarray, vstar0: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per ordering: (left indegree of vstar, max left indegree among the
-    other vertices), over all n! orderings."""
-    n = out0.shape[0]
-    _, pos = permutation_table(n)
-    c = left_indegree_matrix(out0, pos)
-    a = c[:, vstar0].copy()
-    c[:, vstar0] = -1
-    return a, c.max(axis=1)

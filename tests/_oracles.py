@@ -8,6 +8,8 @@ package's array paths for prug and prugd, one graph at a time in Python
 ints at any n, the reference for those paths at every size.
 prug_p_vector and prug_q_vector are the two-slot rule read directly off
 one ordering, the reference for the prug sampler's per-graph tables.
+correlation_histogram reads the correlation check's left indegrees off
+each ordering's positions, with no ordering table.
 late_takeover_run is the one deliberately wrong rule here, a negative
 control for the Lemma 3 scan.
 """
@@ -235,6 +237,22 @@ def mix_dist(g: NominationGraph) -> list[Fraction]:
     pe = perm_dist(g)
     pd = prugd_dist(g)
     return [Fraction(825, 1049) * a + Fraction(224, 1049) * b for a, b in zip(pe, pd)]
+
+
+def correlation_histogram(g: AnyGraph, vstar: int) -> dict[tuple[int, int], int]:
+    """Orderings per (a, m) over all n! orderings: a the left indegree of
+    vstar, m the maximum left indegree of the other vertices."""
+    hist: dict[tuple[int, int], int] = {}
+    for order in itertools.permutations(g.vertices):
+        pos = {v: i for i, v in enumerate(order)}
+        left = {v: 0 for v in g.vertices}
+        for u, t in enumerate(g.out, start=1):
+            if t is not None and pos[u] < pos[t]:
+                left[t] += 1
+        a = left.pop(vstar)
+        key = (a, max(left.values()))
+        hist[key] = hist.get(key, 0) + 1
+    return hist
 
 
 def iter_out_tuples(n: int):

@@ -421,7 +421,7 @@ def _labelled_impartial(mech, n):
 def _labelled_scan_violations(n, run):
     """Runs of the scan kernel run, over every ordering of every labelled
     graph of size n, that miss the maximum left indegree."""
-    perms, _ = engine.permutation_table(n)
+    perms = engine.permutation_table(n)
     runs = (run(np.array(out, dtype=np.int16) - 1, perms) for out in oracle.iter_out_tuples(n))
     return sum(int((d != m).sum()) for _, d, m in runs)
 
@@ -642,6 +642,27 @@ def test_correlation_on_seeded_graphs():
     for _ in range(20):
         rep = verify_negative_correlation(random_graph(6, rng))
         assert rep.passed
+
+
+def test_correlation_matches_the_position_oracle_on_every_class():
+    # the check reads the ordering table's rows as positions; the oracle
+    # reads each ordering's own positions, so equal conditionals confirm
+    # that the inverse orderings cover the same counts
+    for n in range(3, 7):
+        for out, _ in iso_classes(n):
+            g = NominationGraph(out)
+            rep = verify_negative_correlation(g)
+            hist = oracle.correlation_histogram(g, rep.vstar)
+            levels = [sum(k for (a, _), k in hist.items() if a == j) for j in range(rep.delta + 1)]
+            assert rep.level_probs == tuple(Fraction(k, math.factorial(n)) for k in levels), out
+
+            def given_a(j, i):
+                return Fraction(sum(k for (a, m), k in hist.items() if a == j and m >= i), levels[j])
+
+            pairs = [(i, j) for i in range(1, rep.delta + 1) for j in range(i)]
+            assert [(c.i, c.j) for c in rep.comparisons] == pairs and not rep.vacuous, out
+            for c in rep.comparisons:
+                assert (c.given_aj, c.given_ai) == (given_a(c.j, c.i), given_a(c.i, c.i)), (out, c)
 
 
 # ---------------------------------------------------------------------------

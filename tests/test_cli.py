@@ -216,13 +216,14 @@ def test_eval_capacity_exit_code(capsys, tmp_path):
 
 def test_sweep_capacity_exit_code(capsys):
     # the n = 10 ordering scan is charged 2273 classes * 10! units,
-    # perm's n = 11 impartiality 6389 * 100 * (11 + 2^11), and no class
-    # is generated past n = 12
+    # perm's n = 11 impartiality 6389 * 100 * (11 + 2^11), no class is
+    # generated past n = 12, and no ordering table is built past ENUM_CAP
     for argv in (("worst-case", "--mech", "perm", "--n", "13"),
                  ("verify", "bounds", "--mech", "perm", "--n", "10"),
                  ("verify", "lemma3", "--n", "10"),
                  ("verify", "impartial", "--mech", "perm", "--n", "11"),
-                 ("worst-case", "--mech", "rd", "--n", "30")):
+                 ("worst-case", "--mech", "rd", "--n", "30"),
+                 ("verify", "correlation", "--n", "11", "--graphs", "1")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == "" and "capacity" in err, argv
         assert "budget_rows" not in err
@@ -422,6 +423,20 @@ def test_verify_correlation(capsys):
     )
     payload = json.loads(out)
     assert code == 0 and payload["passed"] and payload["graphs_checked"] == 11
+
+
+# sha256 of verify correlation stdout at n = 7 on the example graph and
+# 20 seeded graphs, pinned so that the report stays byte-identical; the
+# counts behind it are checked against _oracles.correlation_histogram
+VERIFY_CORRELATION_SHA256 = "4eabfdf18826eba1d9499c1a207b42c3edf037099bb0653b659d35c04ed9bf2f"
+
+
+def test_verify_correlation_stdout_pinned(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "correlation", "--n", "7", "--graphs", "20", "--seed", "1"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_CORRELATION_SHA256
 
 
 def test_verify_ub_chain_perm(capsys):

@@ -175,9 +175,18 @@ def test_selection_dp_matches_oracle_exhaustive():
             assert dp_probs(g) == oracle.perm_dist(g), g.out
 
 
+def test_permutation_table_is_one_cached_array_of_every_ordering():
+    for n in range(1, 8):
+        perms = engine.permutation_table(n)
+        assert isinstance(perms, np.ndarray) and perms.dtype == np.int16
+        assert perms.shape == (math.factorial(n), n)
+        assert set(map(tuple, perms.tolist())) == set(itertools.permutations(range(n)))
+        assert engine.permutation_table(n) is perms
+
+
 def test_selection_dp_matches_ordering_table():
     for n in (6, 7, 8, 9):
-        perms, _ = engine.permutation_table(n)
+        perms = engine.permutation_table(n)
         for g in seeded_graphs(n, 4, 60 + n):
             for h in (g, g.remove_out_edge(1)):
                 out0 = engine.out_array(h)
@@ -192,7 +201,7 @@ def test_run_selection_matches_the_scan_oracle_on_every_ordering():
     # selected vertex, its final d and the maximum left indegree of the
     # batch scan against the one-ordering oracle, on every ordering
     for n in range(2, 8):
-        perms, _ = engine.permutation_table(n)
+        perms = engine.permutation_table(n)
         orders = [tuple(row) for row in (perms + 1).tolist()]
         totals = seeded_graphs(n, 2, 80 + n)
         for g in totals + partial_graphs_of(totals, 90 + n):
@@ -228,7 +237,7 @@ def test_sampled_counts_do_not_depend_on_the_chunk(monkeypatch, chunk):
 )
 def test_selection_dp_property(out):
     out0 = engine.out_array(PartialNominationGraph(out))
-    perms, _ = engine.permutation_table(len(out))
+    perms = engine.permutation_table(len(out))
     sel, _, _ = engine.run_selection(out0, perms)
     counts, _ = engine.selection_counts(out0)
     assert counts == np.bincount(sel, minlength=len(out)).tolist()
@@ -264,7 +273,7 @@ def test_batched_dp_matches_ordering_table_on_every_class_at_7():
     # are checked against the explicit scan over all 5040 orderings
     classes = [NominationGraph(out) for out, _ in iso_classes(7)]
     graphs = classes + partial_graphs_of(classes, 77)
-    perms, _ = engine.permutation_table(7)
+    perms = engine.permutation_table(7)
     got = engine.batch_selection_counts(np.stack([engine.out_array(g) for g in graphs]))
     assert got.dtype == np.int64
     for g, counts in zip(graphs, got):
