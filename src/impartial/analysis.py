@@ -514,18 +514,39 @@ def verify_negative_correlation(g: AnyGraph) -> CorrelationReport:
     Also checks that the top vertex's left indegree is uniform over
     0..delta.  Conditioning events are never empty here for that reason,
     but an empty one would be reported as vacuous rather than compared.
+    This is verify_negative_correlations on one graph.
     """
-    delta, _, vstar = g.max_indegree_and_top()
-    c = engine.left_indegree_matrix(engine.out_array(g), engine.permutation_table(g.n))
-    nfact = c.shape[0]
-    # per ordering: vstar's left indegree a, the others' maximum m
-    a = c[:, vstar - 1].copy()
-    c[:, vstar - 1] = -1
-    m = c.max(axis=1)
-    # both are left indegrees, so at most delta: one joint histogram of
-    # (a, m), summed from the right, gives at_least[a, i] = #(a, m >= i)
-    levels = delta + 1
-    joint = np.bincount(a * levels + m, minlength=levels * levels).reshape(levels, levels)
+    return verify_negative_correlations([g])[0]
+
+
+def verify_negative_correlations(graphs: Sequence[AnyGraph]) -> list[CorrelationReport]:
+    """verify_negative_correlation on each graph, in order.  The graphs
+    of each size go to engine.correlation_histograms as one batch, which
+    sums the joint histogram of (a, m) over all n! orderings by a
+    prefix-set DP: a is the top vertex's left indegree, m the others'
+    maximum.  Raises CapacityError above engine.DP_CAP."""
+    reports: list[Optional[CorrelationReport]] = [None] * len(graphs)
+    by_size: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        by_size.setdefault(g.n, []).append(i)
+    for n, idx in by_size.items():
+        out0s = np.stack([engine.out_array(graphs[i]) for i in idx])
+        deg = engine.indegrees(out0s)
+        vstars = deg.argmax(axis=1)  # the smallest vertex of maximum indegree
+        hists = engine.correlation_histograms(out0s, vstars)
+        nfact = math.factorial(n)
+        for i, delta, vstar, joint in zip(idx, deg.max(axis=1).tolist(), vstars.tolist(), hists):
+            levels = delta + 1
+            reports[i] = _correlation_report(graphs[i], vstar + 1, delta, joint[:levels, :levels], nfact)
+    return reports
+
+
+def _correlation_report(
+    g: AnyGraph, vstar: int, delta: int, joint: np.ndarray, nfact: int
+) -> CorrelationReport:
+    """The report of one graph from its (delta + 1, delta + 1) joint
+    histogram of (a, m) over all nfact orderings."""
+    # summed from the right: at_least[a, i] = #(a, m >= i)
     at_least = joint[:, ::-1].cumsum(axis=1)[:, ::-1].tolist()
     level_counts = joint.sum(axis=1).tolist()
     level_probs = tuple(Fraction(k, nfact) for k in level_counts)

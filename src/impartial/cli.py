@@ -8,10 +8,10 @@ minimum-ratio search).
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error
 (including numbers rejected at parse time and unreadable graph files),
 3 an exact computation exceeded its cap: the n <= 16 prefix-set DP
-behind perm and mix, the n <= 10 table of all orderings behind the
-correlation check, the n <= 12 isomorphism-class generator, or the work
-budget of an exhaustive sweep or check (which stops the Lemma 3 scan
-at n = 10, before that table does); or the run ran out of memory, as a
+behind perm, mix and the correlation check, the n <= 12
+isomorphism-class generator, or the work budget of an exhaustive sweep
+or check (which stops the Lemma 3 scan at n = 10, before its n <= 10
+table of all orderings does); or the run ran out of memory, as a
 graph too large to build does,
 4 an internal error: an unexpected exception, reported on stderr as
 "internal error: ..." with its traceback, 141 stdout was closed before
@@ -247,11 +247,10 @@ def _verify_correlation(args: argparse.Namespace, payload: dict) -> bool:
     graphs += [random_graph(args.n, rng) for _ in range(args.graphs)]
     failures = []
     vacuous = 0
-    for g in graphs:
-        rep = analysis.verify_negative_correlation(g)
+    for rep in analysis.verify_negative_correlations(graphs):
         vacuous += len(rep.vacuous)
         if not rep.passed:
-            failures.append(graph_to_text(g))
+            failures.append(graph_to_text(rep.graph))
     payload["graphs_checked"] = len(graphs)
     payload["vacuous_comparisons"] = vacuous
     if failures:

@@ -1,34 +1,36 @@
-"""Exact and sampled evaluation of the candidate scan, and the two-slot
-closed form.
+"""Exact and sampled evaluation of the candidate scan, the correlation
+check's joint histograms, and the two-slot closed form.
 
 Exact perm counts come from a dynamic program over prefix sets: the
 scan's future after a prefix depends only on which vertices were placed,
 not on their order, so batch_selection_counts carries integer ordering
 counts per (prefix set, candidate, candidate's left indegree) and covers
-all n! orderings in one sweep over the 2^n prefix sets, up to DP_CAP.  It
-holds each layer's live states, for a whole batch of graphs of one size,
-as flat numpy arrays and extends them all in one vectorised step per
-layer, in passes it packs itself, and returns one int64 count array;
-selection_counts is its one-graph entry.  The counts are exact
-integers, so dividing by n! at the end loses nothing.  The two-slot
-rule's counts over all n! orderings depend only on the indegree classes,
-so two_slot_quarter_counts computes them in closed form without
-enumerating anything, for a whole batch of graphs at once, in int64
-while they fit and in Python ints above (graphs.exact_dtype).
+all n! orderings in one sweep over the 2^n prefix sets, up to DP_CAP.
+correlation_histograms runs the same walk with the state (prefix set,
+v*'s left indegree or "not yet placed", the others' maximum), for the
+correlation check.  The walk, _prefix_walk, holds each layer's live
+states, for a whole batch of graphs of one size, as flat numpy arrays
+and extends them all in one vectorised step per layer, in passes
+_dp_passes packs; selection_counts is the one-graph entry of exact
+perm.  The counts are exact integers, so dividing by n! at the end
+loses nothing.  The two-slot rule's counts over all n! orderings depend
+only on the indegree classes, so two_slot_quarter_counts computes them
+in closed form without enumerating anything, for a whole batch of
+graphs at once, in int64 while they fit and in Python ints above
+(graphs.exact_dtype).
 
-Checks about individual orderings (the correlation check, and the
-Lemma 3 check that every scan ends on the maximum left indegree) and
-the sampled scan still run on explicit orderings with numpy, many at once.
-The key shortcut there: when the left-to-right scan considers vertex v,
-the prefix is exactly the set of vertices placed before v.  So the
-indegree from the left that the scan sees for v equals the number of
-in-neighbors of v placed before v, without materializing prefixes.
+The Lemma 3 check that every scan ends on the maximum left indegree,
+and the sampled scan, still run on explicit orderings with numpy, many
+at once.  The key shortcut there: when the left-to-right scan considers
+vertex v, the prefix is exactly the set of vertices placed before v.  So
+the indegree from the left that the scan sees for v equals the number
+of in-neighbors of v placed before v, without materializing prefixes.
 run_selection walks a batch position by position and keeps, per
 ordering and vertex, a running count of the nominations placed so far,
 so each step reads the placed vertex's count and adds one to its
 target's, for all orderings at once.  left_indegree_matrix counts the
-same numbers per vertex from positions, in O(n) vector operations, for
-the correlation check on the one table of all n! orderings.
+same numbers per vertex from positions, in O(n) vector operations; the
+tests read the correlation check's reference histograms off it.
 
 Everything here is 0-based and array-typed; the public modules convert
 at the boundary.
@@ -43,17 +45,17 @@ import numpy as np
 from .graphs import AnyGraph, CapacityError, exact_dtype
 
 # Largest n of the ordering table, the one (n!, n) int16 array (72 MB at
-# n = 10) behind the correlation check and the Lemma 3 scan.  Only the
-# correlation check reaches it; the sweep budget stops the scan at n = 10.
-# (Tightness rows switch from exact to sampled at DP_CAP, not here.)
+# n = 10) behind the Lemma 3 scan.  The sweep budget stops the scan at
+# n = 10 first.  (Tightness rows switch from exact to sampled at DP_CAP,
+# not here.)
 ENUM_CAP = 10
-# Largest n at which exact perm, and exact mix above MIX_SMALL_N, run the
-# prefix-set DP: about 0.3 s and 50 MB for a random graph at n = 16, and
-# each further vertex roughly doubles both.
+# Largest n at which exact perm, exact mix above MIX_SMALL_N and the
+# correlation check run the prefix-set DP: about 0.3 s and 50 MB for a
+# random graph at n = 16, and each further vertex roughly doubles both.
 DP_CAP = 16
-# Index entries (graph, prefix set, d, candidate) per numpy pass of
-# batch_selection_counts, which bounds its memory: a batch is split into
-# passes of whole graphs, and a graph too big for one pass gets its own.
+# Index entries (graph, prefix set, state code) per pass of the
+# prefix-set walk, which bounds its memory: a batch is split into passes
+# of whole graphs, and a graph too big for one pass gets its own.
 STATE_BUDGET = 1 << 14
 # Orderings per run_selection call: sampled_selection_counts draws this
 # many at a time and the Lemma 3 scan slices its table into blocks of
@@ -65,15 +67,20 @@ _table_cache: dict[int, np.ndarray] = {}
 
 
 def _build_perms(n: int) -> np.ndarray:
+    """Block cut of the table is the (n-1)-table with vertex n - 1
+    inserted at position cut, written in place: a list of blocks and
+    their concatenation would peak at twice the table."""
     if n == 1:
         return np.zeros((1, 1), dtype=np.int16)
     base = _build_perms(n - 1)
     rows = base.shape[0]
-    blocks = []
+    perms = np.empty((n * rows, n), dtype=np.int16)
     for cut in range(n):
-        col = np.full((rows, 1), n - 1, dtype=np.int16)
-        blocks.append(np.concatenate([base[:, :cut], col, base[:, cut:]], axis=1))
-    return np.concatenate(blocks, axis=0)
+        block = perms[cut * rows : (cut + 1) * rows]
+        block[:, :cut] = base[:, :cut]
+        block[:, cut] = n - 1
+        block[:, cut + 1 :] = base[:, cut:]
+    return perms
 
 
 def permutation_table(n: int) -> np.ndarray:
@@ -98,10 +105,10 @@ def out_array(g: AnyGraph) -> np.ndarray:
 
 def left_indegree_matrix(out0: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """C[r, v] = number of in-neighbors of v placed before v in ordering
-    r, pos[r, u] the position of vertex u.  The correlation check passes
-    permutation_table(n) as pos: row r read as positions is the inverse
-    of ordering r, inverting is a bijection of S_n, and the check only
-    sums over all n! orderings, so its counts need no argsort."""
+    r, pos[r, u] the position of vertex u.  Read on permutation_table(n)
+    as pos, it covers all n! orderings with no argsort: row r read as
+    positions is the inverse of ordering r, and inverting is a bijection
+    of S_n."""
     rows, n = pos.shape
     c = np.zeros((rows, n), dtype=np.int16)
     for u in range(n):
@@ -178,7 +185,7 @@ def _set_layers(n: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray,
         free = np.nonzero((sets[:, None] & bits) == 0)[1].astype(np.int32)
         free = free.reshape(len(sets), n - k)
         triples.append((sets, free, rank[sets[:, None] | bits[free]]))
-    return np.array(popcount, dtype=np.int32), tuple(triples)
+    return np.array(popcount, dtype=np.int16), tuple(triples)
 
 
 def selection_counts(out0: np.ndarray) -> tuple[list[int], int]:
@@ -203,82 +210,164 @@ def batch_selection_counts(out0s: np.ndarray) -> np.ndarray:
     CapacityError above DP_CAP.
 
     After a prefix the scan's future depends only on the set S of placed
-    vertices, the candidate c and c's indegree from the left d.  A layer
-    holds the live states (graph, S, d, c) with the number of orderings
-    of S reaching each, as flat arrays.  Appending v, whose left indegree
-    is full = |in(v) & S|, v takes over when full - [c nominates v] >= d
-    and then d = full.  So v always takes over when full > d, and d stays
-    the running maximum of the left indegrees, at most the maximum
-    indegree.  Each layer extends every state by every unplaced vertex
-    at once and merges equal states by summing their counts over a dense
-    index of (graph, rank of S, d, c).  The sums are float64, exact
-    because no count exceeds n! <= 16! < 2^53.  The graphs go in order
-    of maximum indegree, and each pass takes as many of the next ones as
-    keep its index, graphs * C(n, n/2) * top * n entries with top one
-    more than the pass's largest indegree, within STATE_BUDGET, which
-    bounds memory; a graph too big for one pass gets its own.
+    vertices, the candidate c and c's indegree from the left d, so the
+    walk (_prefix_walk) carries the states (graph, S, d, c).  Appending
+    v, whose left indegree is full = |in(v) & S|, v takes over when
+    full - [c nominates v] >= d and then d = full.  So v always takes
+    over when full > d, and d stays the running maximum of the left
+    indegrees, at most the maximum indegree.
     """
     graphs, n = out0s.shape
+    _check_dp_cap(n, "exact perm", "; sample it instead with eval --samples or MECHANISMS['perm'].sample")
+    counts = np.empty((graphs, n), dtype=np.int64)
+    for part, targets, inmask, top in _dp_passes(out0s, lambda tops: tops * n):
+        counts[part] = _counts_pass(targets, inmask, top)
+    return counts
+
+
+def correlation_histograms(out0s: np.ndarray, vstars: np.ndarray) -> np.ndarray:
+    """Joint histograms, over all n! orderings, of (a, m) for each row of
+    a (graphs, n) array of 0-based targets (-1 for an absent edge): a is
+    the left indegree of the row's vertex vstars[row] (0-based), m the
+    largest left indegree among the other vertices.  Returns a (graphs,
+    delta + 1, delta + 1) int64 array indexed [row, a, m], delta the
+    largest indegree in the batch.  Raises CapacityError above DP_CAP.
+
+    The walk (_prefix_walk) carries the states (graph, S, a, m), with a
+    "not yet placed" until v* is: appending v with left indegree full =
+    |in(v) & S| sets a = full if v is v*, and raises m to full otherwise.
+    """
+    graphs, n = out0s.shape
+    _check_dp_cap(n, "the correlation check")
+    top = int(indegrees(out0s).max(initial=0)) + 1
+    hist = np.zeros((graphs, top, top), dtype=np.int64)
+    for part, _, inmask, ptop in _dp_passes(out0s, lambda tops: (tops + 1) * tops):
+        hist[part, :ptop, :ptop] = _correlation_pass(inmask, vstars[part], ptop)
+    return hist
+
+
+def _check_dp_cap(n: int, what: str, advice: str = "") -> None:
     if n > DP_CAP:
         raise CapacityError(
-            f"exact perm runs a DP over all 2^{n} prefix sets and is capped "
-            f"at n <= {DP_CAP}; sample it instead with eval --samples or "
-            f"MECHANISMS['perm'].sample"
+            f"{what} runs a DP over all 2^{n} prefix sets and is capped "
+            f"at n <= {DP_CAP}{advice}"
         )
+
+
+def _dp_passes(out0s: np.ndarray, width):
+    """Split a batch of graphs of one size into the passes of one
+    prefix-set walk each.  Yields (rows, targets, inmask, top) per pass:
+    the batch rows it covers, their int32 targets and in-neighbour
+    masks, and top, one more than the pass's largest indegree.
+
+    The graphs go in order of maximum indegree, and each pass takes as
+    many of the next ones as keep graphs * C(n, n/2) * width(top) within
+    STATE_BUDGET, width(top) the states a walk's rule keeps per prefix
+    set; this bounds the merge index and so memory.  A graph too big for
+    one pass gets its own.
+    """
+    graphs, n = out0s.shape
     if not graphs:
-        return np.zeros((0, n), dtype=np.int64)
-    popcount, layers = _set_layers(n)
+        return
+    popcount, _ = _set_layers(n)
     targets = out0s.astype(np.int32)
     rows = np.arange(graphs)
     inmask = np.zeros((graphs, n + 1), dtype=np.int32)  # column n gathers absent edges
     for u in range(n):
         inmask[rows, targets[:, u]] |= 1 << u
     inmask = np.ascontiguousarray(inmask[:, :n])
-    tops = popcount[inmask].max(axis=1) + 1  # d ranges over 0..max indegree
+    tops = popcount[inmask].max(axis=1) + 1  # left indegrees range over 0..max indegree
     # grouped, not argsorted: an argsort here moved later buffers and raised the sampler's peak RSS
     order = np.concatenate([np.flatnonzero(tops == t) for t in np.flatnonzero(np.bincount(tops))])
     tops = tops[order]
-    room = STATE_BUDGET // (math.comb(n, n // 2) * n)  # graphs * top per pass
-    counts = np.empty((graphs, n), dtype=np.int64)
+    room = STATE_BUDGET // math.comb(n, n // 2)  # graphs * width per pass
     start = 0
     while start < graphs:
-        run = tops[start : start + room // tops[start]]  # tops only grow along it
-        stop = start + max(1, int(np.count_nonzero(run * np.arange(1, len(run) + 1) <= room)))
+        run = tops[start : start + room // int(width(tops[start]))]  # tops only grow along it
+        stop = start + max(1, int(np.count_nonzero(width(run) * np.arange(1, len(run) + 1) <= room)))
         part = order[start:stop]
-        counts[part] = _counts_pass(targets[part], inmask[part], int(tops[stop - 1]), popcount, layers)
+        yield part, targets[part], inmask[part], int(tops[stop - 1])
         start = stop
-    return counts
 
 
-def _counts_pass(
-    targets: np.ndarray, inmask: np.ndarray, top: int, popcount: np.ndarray, layers: tuple
-) -> np.ndarray:
-    """batch_selection_counts' DP on one pass of graphs: a (graphs, n)
-    float64 array of counts."""
+def _counts_pass(targets: np.ndarray, inmask: np.ndarray, top: int) -> np.ndarray:
+    """batch_selection_counts on one pass of graphs: a (graphs, n)
+    float64 array of counts.  A state's code is d * n + c."""
     graphs, n = targets.shape
-    # the layer of 1-sets: S = {v} (rank v), c = v, d = 0, one ordering
+    g, z, w = _prefix_walk(
+        inmask,
+        np.tile(np.arange(n, dtype=np.int32), graphs),  # S = {v}: c = v, d = 0
+        lambda k: min(top, k + 1) * n,  # d <= k after k + 1 placed
+        functools.partial(_scan_step, targets.ravel(), n),
+    )
+    return np.bincount(g * n + z % n, w, minlength=graphs * n).reshape(graphs, n)
+
+
+def _scan_step(targets, n, g, z, v, full):
+    # v takes over when full - [c nominates v] >= d
+    d, c = np.divmod(z, n)
+    take = full - (targets.take(g * n + c)[:, None] == v) >= d[:, None]
+    return np.where(take, full * n + v, z[:, None])
+
+
+def _correlation_pass(inmask: np.ndarray, vstars: np.ndarray, top: int) -> np.ndarray:
+    """correlation_histograms on one pass of graphs: a (graphs, top, top)
+    float64 array.  A state's code is a * top + m, with a = top while v*
+    is not yet placed."""
+    graphs, n = inmask.shape
+    first = np.tile(np.arange(n), graphs) == np.repeat(vstars, n)
+    g, z, w = _prefix_walk(
+        inmask,
+        np.where(first, 0, top * top).astype(np.int32),  # S = {v}: a = 0 or not placed, m = 0
+        lambda k: (top + 1) * top,
+        functools.partial(_correlation_step, vstars.astype(np.int32), top),
+    )
+    return np.bincount(g * (top * top) + z, w, minlength=graphs * top * top).reshape(graphs, top, top)
+
+
+def _correlation_step(vstars, top, g, z, v, full):
+    m = z % top
+    mine = v == vstars.take(g)[:, None]
+    # v* sets a and keeps m; any other v keeps a and raises m to full
+    return np.where(mine, full * top + m[:, None], np.maximum(z[:, None], (z - m)[:, None] + full))
+
+
+def _prefix_walk(inmask, z, span, step):
+    """The prefix-set walk behind both DPs, on one pass of graphs with
+    (graphs, n) in-neighbour masks inmask.
+
+    A state is (graph, S, z): S the set of placed vertices and z a
+    rule's code for what it keeps, with the number of orderings of S
+    reaching it.  The walk starts from the 1-sets, S = {v} for each
+    graph and vertex in that order with codes z, and grows S by one
+    vertex per layer.  There step(g, z, v, full) maps every state and
+    each of its unplaced vertices v, whose left indegree is full =
+    |in(v) & S|, to the grown state's code, a (states, n - k) array in
+    0..span(k) - 1 after k + 1 placed.  Equal states merge by summing
+    their counts over a dense index of (graph, rank of S, z).  The sums
+    are float64, exact because no count exceeds n! <= 16! < 2^53.  Every
+    left indegree comes from one (graphs, 2^n, n) table of |in(v) & S|.
+
+    Returns (g, z, w) of the live states at the full set.
+    """
+    graphs, n = inmask.shape
+    popcount, layers = _set_layers(n)
+    # int16, not int8: the steps' codes multiply these by n or top
+    left = popcount[np.arange(1 << n, dtype=np.int32)[:, None] & inmask[:, None, :]].ravel()
     g = np.repeat(np.arange(graphs, dtype=np.int32), n)
-    r = np.tile(np.arange(n, dtype=np.int32), graphs)
-    c, d, w = r.copy(), np.zeros(graphs * n, dtype=np.int32), np.ones(graphs * n)
-    targets, inmask = targets.ravel(), inmask.ravel()
+    r = np.tile(np.arange(n, dtype=np.int32), graphs)  # the rank of {v} is v
+    w = np.ones(graphs * n)
     for k, (sets, free, grown) in enumerate(layers, start=1):
-        size, span = math.comb(n, k + 1), min(top, k + 1)  # d <= k after k + 1 placed
+        size, zspan = math.comb(n, k + 1), span(k)
         v = free[r]  # (states, n - k): each state's unplaced vertices
-        full = popcount[inmask[(g * n)[:, None] + v] & sets[r][:, None]]
-        held = d[:, None]
-        take = (full > held) | (full == held) & (targets[g * n + c][:, None] != v)
-        key = (g * size)[:, None] + grown[r]
-        key *= span
-        key += np.where(take, full, held)
-        key *= n
-        key += np.where(take, v, c[:, None])
+        full = left.take((((g << n) + sets.take(r)) * n)[:, None] + v)
+        key = ((g * size)[:, None] + grown[r]) * zspan + step(g, z, v, full)
         acc = np.bincount(key.ravel(), np.repeat(w, n - k))
-        live = np.flatnonzero(acc)
+        live = np.flatnonzero(acc > 0)
         w = acc[live]
-        live, c = np.divmod(live.astype(np.int32), n)
-        live, d = np.divmod(live, span)
+        live, z = np.divmod(live.astype(np.int32), zspan)
         g, r = np.divmod(live, size)
-    return np.bincount(g * n + c, w, minlength=graphs * n).reshape(graphs, n)
+    return g, z, w
 
 
 def sampled_selection_counts(

@@ -9,7 +9,9 @@ ints at any n, the reference for those paths at every size.
 prug_p_vector and prug_q_vector are the two-slot rule read directly off
 one ordering, the reference for the prug sampler's per-graph tables.
 correlation_histogram reads the correlation check's left indegrees off
-each ordering's positions, with no ordering table.
+each ordering's positions, with no ordering table.  ordering_table is
+the ordering table built by concatenating blocks, the reference for
+the row order of engine.permutation_table.
 late_takeover_run is the one deliberately wrong rule here, a negative
 control for the Lemma 3 scan.
 """
@@ -253,6 +255,17 @@ def correlation_histogram(g: AnyGraph, vstar: int) -> dict[tuple[int, int], int]
         key = (a, max(left.values()))
         hist[key] = hist.get(key, 0) + 1
     return hist
+
+
+def ordering_table(n: int) -> np.ndarray:
+    """All n! orderings of 0..n-1 as rows, in the row order of
+    engine.permutation_table: block cut of the table is the (n-1)-table
+    with vertex n - 1 inserted at position cut."""
+    if n == 1:
+        return np.zeros((1, 1), dtype=np.int16)
+    base = ordering_table(n - 1)
+    col = np.full((base.shape[0], 1), n - 1, dtype=np.int16)
+    return np.concatenate([np.concatenate([base[:, :cut], col, base[:, cut:]], axis=1) for cut in range(n)])
 
 
 def iter_out_tuples(n: int):

@@ -28,6 +28,7 @@ from impartial.analysis import (
     tightness_scan,
     upper_bound,
     verify_negative_correlation,
+    verify_negative_correlations,
     verify_upper_bound_chain,
     worst_case,
 )
@@ -645,12 +646,12 @@ def test_correlation_on_seeded_graphs():
 
 
 def test_correlation_matches_the_position_oracle_on_every_class():
-    # the check reads the ordering table's rows as positions; the oracle
-    # reads each ordering's own positions, so equal conditionals confirm
-    # that the inverse orderings cover the same counts
+    # the check sums over prefix sets; the oracle reads each ordering's
+    # own positions.  Each class also goes in with vertex 1's edge removed.
     for n in range(3, 7):
-        for out, _ in iso_classes(n):
-            g = NominationGraph(out)
+        classes = [NominationGraph(out) for out, _ in iso_classes(n)]
+        for g in classes + [g.remove_out_edge(1) for g in classes]:
+            out = g.out
             rep = verify_negative_correlation(g)
             hist = oracle.correlation_histogram(g, rep.vstar)
             levels = [sum(k for (a, _), k in hist.items() if a == j) for j in range(rep.delta + 1)]
@@ -663,6 +664,78 @@ def test_correlation_matches_the_position_oracle_on_every_class():
             assert [(c.i, c.j) for c in rep.comparisons] == pairs and not rep.vacuous, out
             for c in rep.comparisons:
                 assert (c.given_aj, c.given_ai) == (given_a(c.j, c.i), given_a(c.i, c.i)), (out, c)
+
+
+def table_histogram(g, vstar, levels):
+    """The (levels, levels) joint histogram of (a, m) read off the
+    ordering table, the reference for engine.correlation_histograms.
+    Row r of the table read as positions is the inverse of ordering r,
+    and the inverses are again all n! orderings."""
+    c = engine.left_indegree_matrix(engine.out_array(g), engine.permutation_table(g.n))
+    a = c[:, vstar - 1].copy()
+    c[:, vstar - 1] = -1
+    m = c.max(axis=1)
+    return np.bincount(a * levels + m, minlength=levels * levels).reshape(levels, levels)
+
+
+def correlation_batch(n, count, seed):
+    """count seeded graphs, then the first two again with a seeded edge
+    removed, and a seeded v* for each (any vertex will do)."""
+    rng = SeedStream(seed)
+    graphs = [random_graph(n, rng) for _ in range(count)]
+    graphs += [g.remove_out_edge(rng.vertex(n)) for g in graphs[:2]]
+    return graphs, [rng.vertex(n) for _ in graphs]
+
+
+def dp_histograms(graphs, vstars):
+    out0s = np.stack([engine.out_array(g) for g in graphs])
+    hists = engine.correlation_histograms(out0s, np.array(vstars) - 1)
+    assert hists.dtype == np.int64
+    top = int(engine.indegrees(out0s).max()) + 1
+    assert hists.shape == (len(graphs), top, top)
+    return hists
+
+
+@pytest.mark.parametrize("n, count", [(7, 12), (8, 6), (9, 3), (10, 1)])
+def test_correlation_dp_matches_the_ordering_table(n, count):
+    graphs, vstars = correlation_batch(n, count, 300 + n)
+    hists = dp_histograms(graphs, vstars)
+    for g, v, hist in zip(graphs, vstars, hists):
+        assert np.array_equal(hist, table_histogram(g, v, hists.shape[1])), (g.out, v)
+
+
+def test_correlation_dp_mutant_fails_the_table_check(monkeypatch):
+    # a step where v*'s own arrival also raises m, the others' maximum
+    def mutant(vstars, top, g, z, v, full):
+        m = z % top
+        mine = v == vstars.take(g)[:, None]
+        return np.where(mine, full * top + np.maximum(m[:, None], full),
+                        np.maximum(z[:, None], (z - m)[:, None] + full))
+
+    monkeypatch.setattr(engine, "_correlation_step", mutant)
+    graphs, vstars = correlation_batch(7, 4, 307)
+    hists = dp_histograms(graphs, vstars)
+    assert not all(np.array_equal(hist, table_histogram(g, v, hists.shape[1]))
+                   for g, v, hist in zip(graphs, vstars, hists))
+
+
+def test_correlation_batch_of_mixed_sizes():
+    # the CLI puts the n = 7 example graph before graphs of its --n
+    rng = SeedStream(31)
+    graphs = [correlation_example_graph(), random_graph(5, rng),
+              random_graph(7, rng).remove_out_edge(2), random_graph(5, rng), random_graph(8, rng)]
+    reps = verify_negative_correlations(graphs)
+    assert [rep.graph for rep in reps] == graphs
+    for g, rep in zip(graphs, reps):
+        assert rep == verify_negative_correlation(g)
+        hist = table_histogram(g, rep.vstar, rep.delta + 1).tolist()
+
+        def given_a(j, i):
+            return Fraction(sum(hist[j][i:]), sum(hist[j]))
+
+        assert [(c.given_aj, c.given_ai) for c in rep.comparisons] == [
+            (given_a(c.j, c.i), given_a(c.i, c.i)) for c in rep.comparisons
+        ], g.out
 
 
 # ---------------------------------------------------------------------------

@@ -217,13 +217,13 @@ def test_eval_capacity_exit_code(capsys, tmp_path):
 def test_sweep_capacity_exit_code(capsys):
     # the n = 10 ordering scan is charged 2273 classes * 10! units,
     # perm's n = 11 impartiality 6389 * 100 * (11 + 2^11), no class is
-    # generated past n = 12, and no ordering table is built past ENUM_CAP
+    # generated past n = 12, and the correlation DP stops at DP_CAP
     for argv in (("worst-case", "--mech", "perm", "--n", "13"),
                  ("verify", "bounds", "--mech", "perm", "--n", "10"),
                  ("verify", "lemma3", "--n", "10"),
                  ("verify", "impartial", "--mech", "perm", "--n", "11"),
                  ("worst-case", "--mech", "rd", "--n", "30"),
-                 ("verify", "correlation", "--n", "11", "--graphs", "1")):
+                 ("verify", "correlation", "--n", "17", "--graphs", "1")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == "" and "capacity" in err, argv
         assert "budget_rows" not in err

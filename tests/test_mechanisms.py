@@ -176,11 +176,12 @@ def test_selection_dp_matches_oracle_exhaustive():
 
 
 def test_permutation_table_is_one_cached_array_of_every_ordering():
-    for n in range(1, 8):
+    for n in range(1, 9):
         perms = engine.permutation_table(n)
         assert isinstance(perms, np.ndarray) and perms.dtype == np.int16
         assert perms.shape == (math.factorial(n), n)
         assert set(map(tuple, perms.tolist())) == set(itertools.permutations(range(n)))
+        assert np.array_equal(perms, oracle.ordering_table(n))  # the row order is kept
         assert engine.permutation_table(n) is perms
 
 
@@ -304,6 +305,28 @@ def test_batch_over_several_passes_equals_per_graph_calls(monkeypatch):
     monkeypatch.setattr(engine, "STATE_BUDGET", 1)  # no graph fits: one pass each
     assert np.array_equal(engine.batch_selection_counts(out0s), single)
     assert passes == [1] * len(graphs)
+
+
+def test_dp_pinned_on_high_indegree_graphs():
+    # counts pinned from the DP before it read left indegrees from one
+    # table, on graphs whose maximum indegree nears n: the DP's state
+    # codes reach left indegree * n + vertex, which wraps in int8 at n = 13
+    star = {
+        13: [5748019200, 479001600],
+        16: [19615115520000, 1307674368000],
+    }
+    for n, head in star.items():
+        counts, _ = engine.selection_counts(engine.out_array(NominationGraph((2,) + (1,) * (n - 1))))
+        assert counts == head + [0] * (n - 2), n
+    near_star = NominationGraph((2, 3, 1) + (1,) * 9 + (3, 3))  # n = 14
+    counts, _ = engine.selection_counts(engine.out_array(near_star))
+    assert counts == [66672668160, 4717440000, 15788183040] + [0] * 11
+    g = lower_bound_family(9, 1)  # n = 15, indegree 9
+    counts, _ = engine.selection_counts(engine.out_array(g))
+    assert counts == [
+        901716157440, 319874365440, 0, 0, 0, 0, 0, 0, 0, 43664624640, 0,
+        42419220480, 0, 0, 0,
+    ]
 
 
 def test_dp_pinned_at_13():
