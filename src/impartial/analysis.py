@@ -5,11 +5,11 @@ as a Monte Carlo estimate.  Every exact value comes from a mechanism's
 one exact path: Mechanism.counts on a batch of graphs as one integer
 array, or Mechanism.exact on one graph.  The sweeps read each class's
 ratio off the count arrays, and the verifiers compare whole count
-arrays at once, one probability against another by cross-multiplying
-counts and denominators, so a rational is built only for a value they
-report.  The exhaustive checks cover the full graph class for a given n
-(all (n-1)^n target assignments), so zero-tolerance comparisons against
-the closed-form guarantees are meaningful.  Every mechanism and the Lemma 3 scan commute with
+arrays at once: a batch has one denominator, so two probabilities in it
+are equal exactly when their counts are, and a rational is built only
+for a value they report.  The exhaustive checks cover the full graph
+class for a given n (all (n-1)^n target assignments), so zero-tolerance
+comparisons against the closed-form guarantees are meaningful.  Every mechanism and the Lemma 3 scan commute with
 relabelling, so the sweeps, exhaustive impartiality and the scan walk
 one representative per isomorphism class, weighted by the labelled
 graphs in its class.
@@ -44,7 +44,6 @@ from .graphs import (
     Permutation,
     SelectionDistribution,
     derived,
-    exact_dtype,
     iso_classes,
 )
 from .mechanisms import (
@@ -62,7 +61,8 @@ PRUGD_DELTA2_GUARANTEE = Fraction(65, 96)
 PRUGD_DELTA3_SINGLE_HIGH_GUARANTEE = Fraction(13, 18)
 
 # Work budget of every walk of the isomorphism classes (sweep_graphs,
-# scan_orderings and exhaustive check_impartial), in the units they charge.
+# scan_orderings and exhaustive check_impartial) and of sampled
+# check_impartial, in the units they charge.
 SWEEP_BUDGET = 300_000_000
 # Seeded relabellings per family graph in the ceiling chain's symmetry
 # precheck above n = 6.
@@ -197,26 +197,13 @@ def ratio_of(mechanism: str, g: NominationGraph, dist: SelectionDistribution) ->
     return RatioReport(g, mechanism, expected, delta, Fraction(weighted, den * delta))
 
 
-def _same_probability(a: np.ndarray, a_den: np.ndarray, b: np.ndarray, b_den: np.ndarray) -> np.ndarray:
-    """a / a_den == b / b_den elementwise, for broadcasting count and
-    denominator arrays with every count between 0 and its denominator:
-    the counts themselves when all denominators agree, otherwise the
-    cross products, in Python ints when they could pass int64."""
-    dens = np.concatenate([a_den.ravel(), b_den.ravel()])
-    if not dens.size or (dens == dens[0]).all():
-        return a == b
-    dtype = exact_dtype(int(dens.max()) ** 2)
-    a, a_den, b, b_den = (x.astype(dtype, copy=False) for x in (a, a_den, b, b_den))
-    return a * b_den == b * a_den
-
-
-def _unique_counts(mech: Mechanism, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _unique_counts(mech: Mechanism, rows: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     """mech's counts on the distinct rows of a (graphs, n) target array,
-    each evaluated once: (counts, dens, index), row i's counts being
-    counts[index[i]] over dens[index[i]]."""
+    each evaluated once: (counts, den, index), row i's counts being
+    counts[index[i]] over den."""
     unique, index = np.unique(rows, axis=0, return_inverse=True)
-    counts, dens = mech.counts(unique)
-    return counts, dens, index.reshape(-1)
+    counts, den = mech.counts(unique)
+    return counts, den, index.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -259,22 +246,27 @@ def _graph_units(n: int, mechanisms: tuple[str, ...]) -> int:
     above MIX_SMALL_N).  A unit is about 2 us on one core, so
     SWEEP_BUDGET is about 10 min: the batched DP took 1.9-2.6 us per 2^n
     and class over all classes at n = 9, 10 and 11 and every sixth at
-    n = 12."""
+    n = 12.  The DP refuses n > DP_CAP, so its charge stops growing
+    there rather than build 2^n for a huge n."""
     dp_runs = mechanisms.count("perm") + (n > MIX_SMALL_N) * mechanisms.count("mix")
-    return n + dp_runs * 2**n
+    return n + dp_runs * 2 ** min(n, engine.DP_CAP + 1)
 
 
-def _class_walk(what: str, n: int, per_class: int) -> tuple[tuple, tuple[int, ...]]:
-    """(representatives, weights) of the isomorphism classes of size n,
-    for a walk charged per_class units per class; a walk charged more
-    than SWEEP_BUDGET raises CapacityError rather than run for hours."""
-    reps, weights = zip(*iso_classes(n))
-    work = len(reps) * per_class
+def _charge(what: str, n: int, work: int) -> None:
+    """Raise CapacityError for a run charged more than SWEEP_BUDGET
+    units rather than run for hours."""
     if work > SWEEP_BUDGET:
         raise CapacityError(
             f"{what} at n={n} needs {work} units of work, over the "
             f"budget of {SWEEP_BUDGET}; reduce n"
         )
+
+
+def _class_walk(what: str, n: int, per_class: int) -> tuple[tuple, tuple[int, ...]]:
+    """(representatives, weights) of the isomorphism classes of size n,
+    for a walk charged per_class units per class against SWEEP_BUDGET."""
+    reps, weights = zip(*iso_classes(n))
+    _charge(what, n, len(reps) * per_class)
     return reps, weights
 
 
@@ -297,10 +289,9 @@ def _class_rows(mechanisms: tuple[str, ...], reps: Sequence[tuple[int, ...]]) ->
     deltas = deg.max(axis=1)
     columns = []
     for name in mechanisms:
-        counts, dens = get_mechanism(name).counts(out0s)
+        counts, den = get_mechanism(name).counts(out0s)
         weighted = (counts * deg).sum(axis=1)  # ratio_of's numerator, per class
-        columns.append([Fraction(int(w), int(den) * int(delta))
-                        for w, den, delta in zip(weighted, dens, deltas)])
+        columns.append([Fraction(int(w), den * int(delta)) for w, delta in zip(weighted, deltas)])
     return list(zip(deltas.tolist(), (deg >= 2).sum(axis=1).tolist(), *columns))
 
 
@@ -419,21 +410,24 @@ def check_impartial(
     counts each class's weight per graph and per deviation.  A class is
     charged its (n-1)^2 evaluations against SWEEP_BUDGET, so perm and mix
     run up to n = 10.  For any other mechanism use mode="sampled", which
-    checks every deviation of seeded random graphs.
+    checks every deviation of seeded random graphs; each is charged as a
+    class is, before any is drawn, so at the default 200 graphs perm and
+    mix run up to n = 13 and rd, prug and prugd up to n = 115.
 
     The graphs and their deviations go to Mechanism.counts in windows of
     about IMPARTIAL_WINDOW, each distinct graph of a window once, and
-    every deviator's count is compared with its count on the graph by
-    cross-multiplying; the witness is the first failing move in walk
-    order (graph, then vertex, then new target).
+    every deviator's count is compared with its count on the graph (a
+    window has one denominator); the witness is the first failing move
+    in walk order (graph, then vertex, then new target).
     """
     mech = get_mechanism(mechanism)
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"mode must be exhaustive or sampled, got {mode!r}")
+    units = (n - 1) ** 2 * _graph_units(n, (mech.name,))  # per graph
     if mode == "exhaustive":
-        per_class = (n - 1) ** 2 * _graph_units(n, (mech.name,))
-        reps, weights = _class_walk("exhaustive impartiality", n, per_class)
+        reps, weights = _class_walk("exhaustive impartiality", n, units)
     else:
+        _charge("sampled impartiality", n, samples * units)
         rng = SeedStream(seed).split("impartiality-graphs")
         reps, weights = [random_graph(n, rng).out for _ in range(samples)], [1] * samples
 
@@ -449,16 +443,16 @@ def check_impartial(
         g, v, u = np.nonzero(legal)
         deviated = base[g]
         deviated[np.arange(len(g)), v] = u
-        counts, dens, index = _unique_counts(mech, np.concatenate([base, deviated]))
+        counts, den, index = _unique_counts(mech, np.concatenate([base, deviated]))
         before, after = index[g], index[k:]
-        same = _same_probability(counts[after, v], dens[after], counts[before, v], dens[before])
+        same = counts[after, v] == counts[before, v]
         if not same.all():
             first = int(np.argmin(same))
             c, move = divmod(first, moves)
             witness = DeviationWitness(
                 NominationGraph(reps[i + c]), int(v[first]) + 1, int(u[first]) + 1,
-                Fraction(int(counts[before[first], v[first]]), int(dens[before[first]])),
-                Fraction(int(counts[after[first], v[first]]), int(dens[after[first]])),
+                Fraction(int(counts[before[first], v[first]]), den),
+                Fraction(int(counts[after[first], v[first]]), den),
             )
             done = sum(weights[i : i + c])
             return ImpartialityReport(
@@ -662,21 +656,17 @@ def verify_upper_bound_chain(
     renamed = np.broadcast_to(pis, (graphs, relabellings, n))
     images = np.empty((graphs, relabellings, n), dtype=outs.dtype)
     np.put_along_axis(images, renamed, pis[np.arange(relabellings)[:, None], outs[:, None, :]], axis=2)
-    counts, dens, index = _unique_counts(mech, np.concatenate([outs, images.reshape(-1, n)]))
+    counts, den, index = _unique_counts(mech, np.concatenate([outs, images.reshape(-1, n)]))
     base, image = index[:graphs], index[graphs:].reshape(graphs, relabellings)
     # image[pi(v)] against base[v], for every (family graph, relabelling, vertex)
-    same = _same_probability(
-        np.take_along_axis(counts[image], renamed, axis=2), dens[image][:, :, None],
-        counts[base][:, None, :], dens[base][:, None, None],
-    )
+    same = np.take_along_axis(counts[image], renamed, axis=2) == counts[base][:, None, :]
     if not same.all():
         g, pi, v = np.unravel_index(int(np.argmin(same)), same.shape)
         raise SymmetryError(mech.name, family[g], Permutation(tuple((pis[pi] + 1).tolist())), int(v) + 1)
 
     # only the values the chain reads become rationals, from rows
     # mech.counts has checked
-    dist = {graph.out: derived(SelectionDistribution, numerators=tuple(counts[i].tolist()),
-                               denominator=int(dens[i]))
+    dist = {graph.out: derived(SelectionDistribution, numerators=tuple(counts[i].tolist()), denominator=den)
             for graph, i in zip(family, base)}
 
     def prob(g: NominationGraph, v: int) -> Fraction:

@@ -11,8 +11,9 @@ Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error
 behind perm, mix and the correlation check, the n <= 12
 isomorphism-class generator, or the work budget of an exhaustive sweep
 or check (which stops the Lemma 3 scan at n = 10, before its n <= 10
-table of all orderings does); or the run ran out of memory, as a
-graph too large to build does,
+table of all orderings does) or of sampled impartiality (which stops
+perm and mix at n = 14 with the default 200 graphs); or the run ran
+out of memory, as a graph too large to build does,
 4 an internal error: an unexpected exception, reported on stderr as
 "internal error: ..." with its traceback, 141 stdout was closed before
 all output was written (a reader such as `head` went away).  Outputs

@@ -8,8 +8,11 @@ PartialNominationGraph and only tightens its validation.  iso_code
 names a total graph's isomorphism class, and iso_classes lists the
 classes of a size with a representative of each.  A
 SelectionDistribution is a mechanism's exact result: integer counts
-over one denominator, read as rationals.  check_counts holds the rules
-every exact result obeys and checks a whole batch of them at once;
+over one denominator, read as rationals.  A batch of exact results is
+a (graphs, n) integer count array over one integer denominator for the
+whole batch, as every mechanism's denominator depends on n alone, so
+two results of a batch compare by their counts.  check_counts holds
+the rules every exact result obeys and checks a whole batch at once;
 Mechanism.counts runs it on every batch, and a SelectionDistribution
 that a caller builds on a batch of one.  derived builds a value from
 checked ones without a second check, as Mechanism.exact does from its
@@ -280,40 +283,36 @@ def exact_dtype(bound: int) -> type:
 _as_index = np.frompyfunc(operator.index, 1, 1)
 
 
-def check_counts(counts: np.ndarray, dens: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Check a batch of exact results, row i of the (graphs, n) counts
-    over dens[i] (one denominator for every row if dens is a scalar),
-    and return (counts, dens) as integer arrays: signed integer arrays
-    as given, any other entries as Python ints.
+def check_counts(counts: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """Check a batch of exact results, the (graphs, n) counts over the
+    one denominator den, and return (counts, den): counts as a signed
+    integer array as given, any other entries as Python ints, and den
+    as a Python int.
 
-    The rules: every count and denominator is an integer (a Fraction or
-    float is rejected, not truncated), each denominator is at least 1,
-    each count lies between 0 and its denominator, and each row sums to
-    at most its denominator, summed in Python ints when the sum could
-    pass int64.  Raises InputError on the first row that breaks one; an
-    empty batch passes.
+    The rules: every count and the denominator are integers (a Fraction
+    or float is rejected, not truncated), the denominator is at least 1,
+    each count lies between 0 and the denominator, and each row sums to
+    at most the denominator, summed in Python ints when the sum could
+    pass int64.  Raises InputError on the first row that breaks one.
     """
-    graphs, n = counts.shape
+    n = counts.shape[1]
     try:
-        counts, dens = (a if a.dtype.kind == "i" else _as_index(a)
-                        for a in (counts, np.broadcast_to(np.asarray(dens), (graphs,))))
+        if counts.dtype.kind != "i":
+            counts = _as_index(counts)
+        den = operator.index(den)
     except TypeError as exc:
         raise InputError(f"selection counts must be integers: {exc}") from None
-    if not graphs:
-        return counts, dens
-    if (dens < 1).any():
-        raise InputError(f"denominator {dens[np.argmax(dens < 1)]} is not positive")
-    outside = (counts < 0) | (counts > dens[:, None])
+    if den < 1:
+        raise InputError(f"denominator {den} is not positive")
+    outside = (counts < 0) | (counts > den)
     if outside.any():
         g, v = divmod(int(np.argmax(outside)), n)
-        prob = Fraction(int(counts[g, v]), int(dens[g]))
-        raise InputError(f"probability of vertex {v + 1} out of [0,1]: {prob}")
-    totals = counts.astype(exact_dtype(n * int(dens.max())), copy=False).sum(axis=1)
-    over = totals > dens
+        raise InputError(f"probability of vertex {v + 1} out of [0,1]: {Fraction(int(counts[g, v]), den)}")
+    totals = counts.astype(exact_dtype(n * den), copy=False).sum(axis=1)
+    over = totals > den
     if over.any():
-        g = int(np.argmax(over))
-        raise InputError(f"probabilities sum to {Fraction(int(totals[g]), int(dens[g]))} > 1")
-    return counts, dens
+        raise InputError(f"probabilities sum to {Fraction(int(totals[np.argmax(over)]), den)} > 1")
+    return counts, den
 
 
 @dataclass(frozen=True, slots=True)
@@ -338,9 +337,9 @@ class SelectionDistribution:
         if len(nums) < 2:
             raise InputError("distribution needs at least 2 vertices")
         # dtype object: numpy would turn a row of Python ints past 2^63 into floats
-        counts, dens = check_counts(np.array([nums], dtype=object), self.denominator)
+        counts, den = check_counts(np.array([nums], dtype=object), self.denominator)
         object.__setattr__(self, "numerators", tuple(counts[0].tolist()))
-        object.__setattr__(self, "denominator", int(dens[0]))
+        object.__setattr__(self, "denominator", den)
 
     @property
     def n(self) -> int:

@@ -4,8 +4,9 @@ A mechanism is reached through its Mechanism entry in MECHANISMS,
 which checks the graph once and then runs one of two paths.  The exact
 path is one function per mechanism (the ``*_counts`` functions) that
 maps a (graphs, n) array of 0-based targets to a (graphs, n) array of
-integer selection counts over a denominator; Mechanism.counts runs it
-and checks the whole batch at once with graphs.check_counts, and
+integer selection counts over one denominator for the batch, which
+depends on n alone; Mechanism.counts runs it and checks the whole
+batch at once with graphs.check_counts, and
 Mechanism.exact is that path on a batch of one, returned as a
 SelectionDistribution built from the checked row without a second
 check.  perm is one call of the engine's batched DP over prefix sets,
@@ -15,8 +16,9 @@ through it, at engine.DP_CAP vertices.  rd,
 prug and prugd are numpy closed forms over the whole batch with no cap.
 Counts are int64 while the largest of them fits, and Python ints
 (dtype object) above, so they never wrap.  A rule written for one
-graph at a time joins the same path through per_graph.  The sampling
-path is a factory (the ``*_sampler`` functions) that reads the graph
+graph at a time joins the same path through per_graph, which scales
+its rows to the lcm of their denominators.  The sampling path is a
+factory (the ``*_sampler`` functions) that reads the graph
 once and returns a draw; each call of the draw simulates the rule on
 one ordering or vertex drawn from a SeedStream.
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -53,8 +55,8 @@ from .graphs import (
 from .rng import SeedStream, as_stream
 
 # The exact path's result on a batch: a (graphs, n) integer count array
-# and the denominator, one for the batch or one per row.
-Counts = tuple[np.ndarray, Union[int, np.ndarray]]
+# and the one denominator of the batch.
+Counts = tuple[np.ndarray, int]
 Draw = Callable[[SeedStream], Optional[int]]  # one seeded draw on a fixed graph
 
 MIX_PERM_WEIGHT = Fraction(825, 1049)
@@ -289,19 +291,21 @@ def mix_sampler(g: NominationGraph) -> Draw:
 def per_graph(counts: Callable[[AnyGraph], tuple[Sequence[int], int]]) -> Callable[[np.ndarray], Counts]:
     """An exact path made of a rule written for one graph at a time, which
     returns one count per vertex and a denominator: it runs the rule on
-    each row's graph and leaves the checks to Mechanism.counts."""
+    each row's graph, checks each row with check_counts before scaling
+    it (lcm(0, 4) is 0, and lcm rejects a Fraction), and scales the rows
+    to the lcm of their denominators, 1 on an empty batch."""
 
     def batch(out0s: np.ndarray) -> Counts:
         graphs, n = out0s.shape
-        rows, dens = [], []
+        rows = []
         for out0 in out0s.tolist():
             out = tuple(None if t < 0 else t + 1 for t in out0)
             numerators, den = counts((PartialNominationGraph if None in out else NominationGraph)(out))
             if len(numerators) != n:
                 raise InputError(f"a per-graph rule gave {len(numerators)} counts for {n} vertices")
-            rows.append(list(numerators))
-            dens.append(den)
-        return np.array(rows, dtype=object).reshape(graphs, n), np.array(dens, dtype=object)
+            rows.append(check_counts(np.array([numerators], dtype=object), den))
+        den = math.lcm(*(d for _, d in rows))
+        return np.array([row[0] * (den // d) for row, d in rows], dtype=object).reshape(graphs, n), den
 
     return batch
 
@@ -316,8 +320,8 @@ class Mechanism:
     the paths behind them never check.
     counts(out0s) is the one exact entry: it runs the exact path on a
     (graphs, n) array of 0-based targets and returns the (graphs, n)
-    counts with one denominator per row, after checking that there is
-    one count per vertex and then the whole batch once with
+    counts and the one denominator of the batch, after checking that
+    the counts have that shape and then the whole batch once with
     check_counts.
     exact(g) is counts on a batch of one, as a SelectionDistribution
     built from the row counts has checked, without checking it again.
@@ -330,20 +334,19 @@ class Mechanism:
     _counts: Callable[[np.ndarray], Counts]
     _sampler: Callable[[AnyGraph], Draw]
 
-    def counts(self, out0s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        graphs, n = out0s.shape
+    def counts(self, out0s: np.ndarray) -> Counts:
         self._check_total((out0s < 0).any())
         counts, den = self._counts(out0s)
         counts = np.asarray(counts)
-        if counts.shape != (graphs, n):
-            raise InputError(f"{self.name} gave {counts.shape[-1]} counts for {n} vertices")
+        if counts.shape != out0s.shape:
+            raise InputError(f"{self.name} gave counts of shape {counts.shape}, "
+                             f"expected (graphs, n) = {out0s.shape}")
         return check_counts(counts, den)
 
     def exact(self, g: AnyGraph) -> SelectionDistribution:
-        counts, dens = self.counts(engine.out_array(g)[None])
-        # counts has checked the row; tolist and int give Python ints
-        return derived(SelectionDistribution, numerators=tuple(counts[0].tolist()),
-                       denominator=int(dens[0]))
+        counts, den = self.counts(engine.out_array(g)[None])
+        # counts has checked the row and made den a Python int; tolist gives Python ints
+        return derived(SelectionDistribution, numerators=tuple(counts[0].tolist()), denominator=den)
 
     def sampler(self, g: AnyGraph) -> Draw:
         self._check_total(None in g.out)

@@ -216,12 +216,14 @@ def test_eval_capacity_exit_code(capsys, tmp_path):
 
 def test_sweep_capacity_exit_code(capsys):
     # the n = 10 ordering scan is charged 2273 classes * 10! units,
-    # perm's n = 11 impartiality 6389 * 100 * (11 + 2^11), no class is
-    # generated past n = 12, and the correlation DP stops at DP_CAP
+    # perm's n = 11 impartiality 6389 * 100 * (11 + 2^11) and its sampled
+    # one at n = 16 200 graphs * 225 * (16 + 2^16), no class is generated
+    # past n = 12, and the correlation DP stops at DP_CAP
     for argv in (("worst-case", "--mech", "perm", "--n", "13"),
                  ("verify", "bounds", "--mech", "perm", "--n", "10"),
                  ("verify", "lemma3", "--n", "10"),
                  ("verify", "impartial", "--mech", "perm", "--n", "11"),
+                 ("verify", "impartial", "--mech", "perm", "--mode", "sampled", "--n", "16", "--seed", "1"),
                  ("worst-case", "--mech", "rd", "--n", "30"),
                  ("verify", "correlation", "--n", "17", "--graphs", "1")):
         code, out, err = run_cli(capsys, *argv)

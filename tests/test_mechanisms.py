@@ -347,12 +347,12 @@ def test_batch_counts_equal_exact_per_graph():
         graphs += seeded_graphs(n, 5, 90 + n)
         out0s = np.stack([engine.out_array(g) for g in graphs])
         for name, mech in MECHANISMS.items():
-            counts, dens = mech.counts(out0s)
-            got = [SelectionDistribution(tuple(c.tolist()), int(d)) for c, d in zip(counts, dens)]
+            counts, den = mech.counts(out0s)
+            got = [SelectionDistribution(tuple(c.tolist()), den) for c in counts]
             assert got == [mech.exact(g) for g in graphs], (name, n)
     partial = [PartialNominationGraph((2, None, 1)), PartialNominationGraph((None, 3, 1))]
     out0s = np.stack([engine.out_array(g) for g in partial])
-    counts, dens = PERM.counts(out0s)
+    counts, _ = PERM.counts(out0s)
     assert [tuple(c) for c in counts.tolist()] == [PERM.exact(g).numerators for g in partial]
     with pytest.raises(InputError, match="total"):
         MIX.counts(out0s)
@@ -364,8 +364,8 @@ def test_batch_counts_equal_exact_per_graph():
 def batch_counts(mech, graphs):
     """mech's batch exact path on graphs of one size, as (counts, den)
     pairs of Python ints."""
-    counts, dens = mech.counts(np.stack([engine.out_array(g) for g in graphs]))
-    return [(c.tolist(), int(d)) for c, d in zip(counts, dens)]
+    counts, den = mech.counts(np.stack([engine.out_array(g) for g in graphs]))
+    return [(c.tolist(), den) for c in counts]
 
 
 def test_closed_forms_match_the_per_graph_oracles_on_every_class():
@@ -414,9 +414,27 @@ def test_batch_counts_are_checked_without_wrapping():
     halves = Mechanism("halves", True, lambda out0s: (np.full(out0s.shape, 0.5), 1), perm_sampler)
     with pytest.raises(InputError, match="integers"):
         halves.counts(two_cycle)
-    rows = Mechanism("rows", True, per_graph(lambda g: ([1] * g.n, g.n)), perm_sampler)
-    counts, dens = rows.counts(np.array([[1, 0], [1, -1]]))  # a total and a partial graph
-    assert counts.tolist() == [[1, 1], [1, 1]] and dens.tolist() == [2, 2]
+    # a shape other than (graphs, n) is named, rows too many or a flat row
+    for bad in (np.ones((3, 2), dtype=np.int64), np.ones(2, dtype=np.int64)):
+        shaped = Mechanism("shaped", True, lambda out0s: (bad, 4), perm_sampler)
+        with pytest.raises(InputError) as err:
+            shaped.counts(np.array([[1, 0], [1, 0]]))
+        assert str(err.value) == f"shaped gave counts of shape {bad.shape}, expected (graphs, n) = (2, 2)"
+    # per_graph scales its rows to the lcm of their denominators
+    rows = Mechanism("rows", True, per_graph(lambda g: ((2, 2), 4) if None in g.out else ((1, 1), 2)),
+                     perm_sampler)
+    counts, den = rows.counts(np.array([[1, 0], [1, -1]]))  # a total and a partial graph
+    assert counts.tolist() == [[2, 2], [2, 2]] and den == 4
+    assert rows.counts(np.empty((0, 2), dtype=np.int64))[1] == 1
+    # a bad denominator in a later row is reported, not scaled by
+    for bad, message in ((0, "denominator 0 is not positive"), (-4, "denominator -4 is not positive"),
+                         (Fraction(4), "selection counts must be integers: "
+                                       "'Fraction' object cannot be interpreted as an integer")):
+        mixed = Mechanism("mixed", True, per_graph(lambda g: ((0, 0), bad) if None in g.out else ((1, 1), 2)),
+                          perm_sampler)
+        with pytest.raises(InputError) as err:
+            mixed.counts(np.array([[1, 0], [1, -1]]))
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("row, den, message", [
@@ -437,8 +455,8 @@ def test_both_exact_entries_check_counts_alike(row, den, message):
         return dist.numerators, dist.denominator
 
     def batch():
-        counts, dens = fixed.counts(np.array([[1, 0]]))
-        return tuple(counts[0].tolist()), int(dens[0])
+        counts, den = fixed.counts(np.array([[1, 0]]))
+        return tuple(counts[0].tolist()), den
 
     for entry in (one, batch):
         if message is None:
@@ -892,9 +910,10 @@ def test_exact_checks_its_row_once(monkeypatch):
 @pytest.mark.parametrize("n", [5, 8])
 def test_counts_on_an_empty_batch(n):
     for name, mech in MECHANISMS.items():
-        counts, dens = mech.counts(np.empty((0, n), dtype=np.int16))
+        counts, den = mech.counts(np.empty((0, n), dtype=np.int16))
         assert counts.shape == (0, n) and counts.dtype == np.int64, name
-        assert dens.shape == (0,) and dens.dtype == np.int64, name
+        # the batch's denominator depends on n alone
+        assert den == mech.counts(engine.out_array(cycle(n))[None])[1] and type(den) is int, name
 
 
 def test_registry_sample_takes_a_seed_or_a_stream():
