@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -252,13 +250,13 @@ def _graph_units(n: int, mechanisms: tuple[str, ...]) -> int:
     return n + dp_runs * 2 ** min(n, engine.DP_CAP + 1)
 
 
-def _charge(what: str, n: int, work: int) -> None:
-    """Raise CapacityError for a run charged more than SWEEP_BUDGET
-    units rather than run for hours."""
+def _charge(what: str, n: int, work: int, remedy: str = "reduce n") -> None:
+    """Raise CapacityError, naming the remedy, for a run charged more
+    than SWEEP_BUDGET units rather than run for hours."""
     if work > SWEEP_BUDGET:
         raise CapacityError(
             f"{what} at n={n} needs {work} units of work, over the "
-            f"budget of {SWEEP_BUDGET}; reduce n"
+            f"budget of {SWEEP_BUDGET}; {remedy}"
         )
 
 
@@ -278,6 +276,10 @@ def _in_chunks(worker: Callable, items: Sequence, jobs: int, *args) -> list:
     workers = min(jobs, len(chunks), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(*args, chunk) for chunk in chunks]
+    # imported here: loading them costs every process that never starts a pool
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(worker, *([a] * len(chunks) for a in args), chunks))
 
@@ -427,7 +429,7 @@ def check_impartial(
     if mode == "exhaustive":
         reps, weights = _class_walk("exhaustive impartiality", n, units)
     else:
-        _charge("sampled impartiality", n, samples * units)
+        _charge("sampled impartiality", n, samples * units, "reduce n or --samples")
         rng = SeedStream(seed).split("impartiality-graphs")
         reps, weights = [random_graph(n, rng).out for _ in range(samples)], [1] * samples
 
@@ -649,7 +651,7 @@ def verify_upper_bound_chain(
         pis = np.array(list(itertools.permutations(range(n))))
     else:
         rng = SeedStream(seed).split("chain-relabellings")
-        pis = np.array([rng.permutation(n).seq for _ in range(CHAIN_RELABELLINGS)]) - 1
+        pis = np.array([rng.permutation(n) for _ in range(CHAIN_RELABELLINGS)]) - 1
     outs = np.array([graph.out for graph in family]) - 1
     graphs, relabellings = len(family), len(pis)
     # relabelling by pi sends each edge (v, t) to (pi(v), pi(t))

@@ -46,7 +46,6 @@ from .graphs import (
     InputError,
     NominationGraph,
     PartialNominationGraph,
-    Permutation,
     SelectionDistribution,
     check_counts,
     derived,
@@ -71,9 +70,10 @@ PRUGD_CHUNK = 1 << 14
 # ---------------------------------------------------------------------------
 # Permutation mechanism
 
-def perm_run(g: AnyGraph, pi: Permutation) -> int:
-    """Scan the vertices in pi's order, keeping the candidate with the
-    highest indegree from the left, and return the selected vertex.
+def perm_run(g: AnyGraph, seq: Sequence[int]) -> int:
+    """Scan the vertices in the order of seq, an ordering of 1..n given
+    as any sequence, keeping the candidate with the highest indegree
+    from the left, and return the selected vertex.
 
     A newly considered vertex takes over on ties (>=), and the edge from
     the current candidate is ignored in the comparison, while the stored
@@ -86,14 +86,14 @@ def perm_run(g: AnyGraph, pi: Permutation) -> int:
     the left is read off as it is reached and a run costs O(n).
     """
     n = g.n
-    if pi.n != n:
-        raise InputError(f"permutation size {pi.n} != graph size {n}")
+    if len(seq) != n:
+        raise InputError(f"permutation size {len(seq)} != graph size {n}")
     out = g.out
     left = [0] * (n + 1)  # slot 0 absorbs absent edges and is never read
-    cand = pi.seq[0]
+    cand = seq[0]
     d = max_left = 0
     left[out[cand - 1] or 0] += 1
-    for v in pi.seq[1:]:
+    for v in seq[1:]:
         full = left[v]
         if full - (out[cand - 1] == v) >= d:
             cand = v
@@ -115,7 +115,8 @@ def perm_counts(out0s: np.ndarray) -> Counts:
 
 
 def perm_sampler(g: AnyGraph) -> Draw:
-    """Run the scan on one uniform ordering per draw."""
+    """Run the scan on one uniform ordering per draw, the tuple that
+    SeedStream.permutation returns."""
     n = g.n
     return lambda rng: perm_run(g, rng.permutation(n))
 
@@ -154,7 +155,9 @@ def prug_sampler(g: AnyGraph) -> Draw:
     """Per draw: a uniform ordering, the weight vector of that ordering
     plus that of its reverse in eighths (the reverse-paired average,
     summing to at most 8), then a vertex drawn from it; None when no
-    vertex is selected.
+    vertex is selected.  The categorical draw is given only the nonzero
+    eighths, at most four, in vertex order: a zero weight never holds
+    the uniform integer, so the pick is the one the full vector gives.
 
     In one ordering the front vertex, the (indegree, position)-maximum,
     is the last member of the top indegree class T.  It gets 3 quarters
@@ -194,24 +197,25 @@ def prug_sampler(g: AnyGraph) -> Draw:
         return found
 
     def draw(rng: SeedStream) -> Optional[int]:
-        seq = rng.permutation(n).seq
+        seq = rng.permutation(n)
         head, tail = first_two(seq), first_two(reversed(seq))
-        w = [0] * n
         if len(top) > 1:
-            # the front and runner-up of seq, then of its reverse
+            # the front and runner-up of seq, then of its reverse; the
+            # two fronts differ, and a runner-up may be the other front
+            w = {tail[0]: 2, head[0]: 2}
             for front, runner in (tail, head):
-                w[front - 1] += 2
                 if out[runner - 1] == front:
-                    w[runner - 1] += 2
+                    w[runner] = w.get(runner, 0) + 2
         else:
-            w[t - 1] = 2 * (3 if gap else 2)
+            w = {t: 2 * (3 if gap else 2)}
             # the last marked vertex of seq, and of its reverse, scores
             # if it nominates t (so it is not t, and follows t)
             for runner in (tail[0], head[0]):
                 if out[runner - 1] == t:
-                    w[runner - 1] += 2
-        i = rng.categorical(w, 8)
-        return None if i is None else i + 1
+                    w[runner] = w.get(runner, 0) + 2
+        picks = sorted(w)
+        i = rng.categorical([w[v] for v in picks], 8)
+        return None if i is None else picks[i]
 
     return draw
 

@@ -310,7 +310,7 @@ def test_in_chunks_pool_is_capped_by_chunks_and_cpus(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(analysis.os, "cpu_count", lambda: 64)
     serial = sweep_graphs(6, ("rd",))
     assert sweep_graphs(6, ("rd",), jobs=500) == serial
@@ -474,8 +474,13 @@ def test_check_impartial_budget_and_sampled():
     # each class is charged its (n-1)^2 evaluations at the sweep's units
     # per graph: perm runs up to n = 10
     assert 2273 * 81 * (10 + 2**10) <= analysis.SWEEP_BUDGET
-    with pytest.raises(CapacityError, match=f"needs {6389 * 100 * (11 + 2**11)} units"):
+    # a walk can only be made smaller; a sampled check can also draw fewer
+    # graphs, and its message names --samples
+    with pytest.raises(CapacityError, match=f"needs {6389 * 100 * (11 + 2**11)} units .*; reduce n$"):
         check_impartial("perm", 11)
+    with pytest.raises(CapacityError, match=r"needs 554252400 units .*; reduce n or --samples$"):
+        check_impartial("perm", 14, mode="sampled", seed=1)
+    assert 100 * 13**2 * (14 + 2**14) == 277_126_200 <= analysis.SWEEP_BUDGET
     assert check_impartial("rd", 7).graphs_checked == 6**7
     rep = check_impartial("rd", 7, mode="sampled", seed=5, samples=20)
     assert rep.passed and rep.graphs_checked == 20

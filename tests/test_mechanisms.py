@@ -52,12 +52,12 @@ def seeded_graphs(n, count, seed):
 def test_perm_run_two_cycle_traces():
     # vertex 2 ties at 0 (its edge from the candidate 1 is ignored) and
     # takes over
-    assert perm_run(TWO_CYCLE, Permutation((1, 2))) == 2
-    assert perm_run(TWO_CYCLE, Permutation((2, 1))) == 1
+    assert perm_run(TWO_CYCLE, (1, 2)) == 2
+    assert perm_run(TWO_CYCLE, (2, 1)) == 1
 
 
 def test_perm_run_three_vertices():
-    assert perm_run(TRIANGLE_IN, Permutation((3, 2, 1))) == 1
+    assert perm_run(TRIANGLE_IN, (3, 2, 1)) == 1
     assert TRIANGLE_IN.indegrees()[1 - 1] == 2
 
 
@@ -65,7 +65,7 @@ def test_perm_run_selects_a_maximum_left_indegree():
     for g in seeded_graphs(6, 20, 11):
         for order in itertools.islice(itertools.permutations(g.vertices), 40):
             left = [g.indegree_from(v, order[:i]) for i, v in enumerate(order)]
-            selected = perm_run(g, Permutation(order))
+            selected = perm_run(g, order)
             assert left[order.index(selected)] == max(left)
 
 
@@ -74,7 +74,7 @@ def test_perm_run_matches_scan_oracle_exhaustive():
         totals = list(oracle.all_graphs(n))
         for g in totals + list(one_edge_removed(totals)):
             for order in itertools.permutations(g.vertices):
-                assert perm_run(g, Permutation(order)) == oracle.scan_select(g, order), (g.out, order)
+                assert perm_run(g, order) == oracle.scan_select(g, order), (g.out, order)
 
 
 # 200 draws from one SeedStream(7) on random_graph(50, 3), pinned so that
@@ -100,18 +100,28 @@ def test_perm_sample_seeded_stream_pinned():
 
 
 def test_permutation_stream_is_the_stdlib_shuffle():
-    # SeedStream.permutation runs Fisher-Yates on getrandbits; it must
-    # read the stream random.Random.shuffle reads, draw for draw, and
-    # leave the generator in the same state
+    # SeedStream.permutation runs Fisher-Yates on getrandbits, and
+    # randrange and vertex run randrange's rejection loop on it; they
+    # must read the streams random.Random.shuffle and randrange read,
+    # draw for draw, and leave the generator in the same state
+    bounds = (1, 2, 3, 7, 8, 9, 1049, 2**31 + 1, 2**70)
     for seed in range(300):
         for n in (1, 2, 3, 5, 7, 23, 50, 200):
             stream, reference = SeedStream(seed), random.Random(seed)
             for _ in range(3):
                 seq = list(range(1, n + 1))
                 reference.shuffle(seq)
-                assert stream.permutation(n).seq == tuple(seq), (seed, n)
-                assert stream.randrange(8) == reference.randrange(8)
+                assert stream.permutation(n) == tuple(seq), (seed, n)
+                for b in bounds:
+                    assert stream.randrange(b) == reference.randrange(b), (seed, b)
+                    assert stream.vertex(b) == reference.randrange(b) + 1, (seed, b)
             assert stream._rng.getstate() == reference.getstate(), (seed, n)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_randrange_of_an_empty_range_is_refused(n):
+    with pytest.raises(ValueError):
+        SeedStream(0).randrange(n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,8 +130,8 @@ def test_permutation_draws_are_permutations(seed, n):
     rng = SeedStream(seed)
     for _ in range(3):
         pi = rng.permutation(n)
-        assert sorted(pi.seq) == list(range(1, n + 1))
-        assert Permutation(pi.seq) == pi
+        assert type(pi) is tuple and sorted(pi) == list(range(1, n + 1))
+        assert Permutation(pi).seq == pi
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -651,28 +661,62 @@ def test_prug_sample_seeded_stream_pinned():
     assert [draw(rng) or 0 for _ in range(200)] == PRUG_SAMPLE_PINNED
 
 
-class OrderingStub:
-    """A stream whose permutation is a fixed ordering and whose
-    categorical draw records its weights and selects no one."""
+# 200 draws each of perm and prug from one SeedStream(7) on a graph with
+# an absent edge, 0 for no selection, pinned so that the scan's and the
+# eighths' handling of a missing nomination stays fixed
+PARTIAL = PartialNominationGraph((3, None, 1, 1, 2))
+PERM_PARTIAL_PINNED = [
+    3, 1, 1, 1, 1, 1, 1, 3, 3, 1, 1, 3, 3, 1, 1, 3, 1, 2, 1, 3,
+    3, 1, 1, 3, 1, 1, 2, 1, 2, 2, 3, 1, 2, 1, 1, 3, 1, 1, 1, 1,
+    1, 1, 1, 1, 2, 1, 3, 1, 3, 1, 1, 1, 2, 1, 2, 1, 3, 3, 1, 2,
+    1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 3, 3, 3, 1, 1, 1, 2, 1, 1, 1,
+    1, 3, 3, 3, 2, 1, 2, 1, 2, 1, 1, 3, 2, 1, 1, 3, 1, 1, 3, 2,
+    1, 2, 1, 1, 1, 1, 1, 1, 3, 3, 1, 1, 1, 1, 3, 2, 2, 1, 2, 3,
+    1, 2, 3, 1, 3, 1, 1, 1, 1, 3, 1, 3, 1, 1, 1, 1, 1, 1, 1, 1,
+    1, 2, 1, 1, 1, 3, 1, 2, 1, 1, 1, 1, 1, 2, 1, 2, 1, 1, 3, 1,
+    3, 1, 1, 3, 1, 2, 1, 1, 1, 1, 3, 2, 3, 2, 1, 1, 3, 1, 1, 1,
+    3, 1, 3, 1, 1, 1, 3, 1, 1, 1, 1, 1, 1, 1, 2, 1, 3, 1, 3, 2,
+]
+PRUG_PARTIAL_PINNED = [
+    1, 1, 1, 1, 0, 3, 0, 3, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 3, 1,
+    0, 0, 3, 1, 1, 3, 3, 0, 0, 1, 1, 1, 3, 0, 0, 0, 1, 1, 0, 1,
+    1, 1, 1, 3, 1, 3, 0, 0, 3, 1, 1, 0, 1, 0, 1, 3, 0, 1, 1, 1,
+    1, 0, 1, 3, 3, 0, 1, 3, 1, 1, 1, 1, 1, 0, 1, 3, 0, 3, 0, 0,
+    1, 3, 1, 1, 3, 1, 1, 1, 3, 1, 1, 1, 1, 1, 3, 3, 0, 1, 1, 0,
+    1, 0, 1, 1, 1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 0, 0, 0, 1, 1,
+    3, 0, 0, 0, 3, 1, 3, 1, 3, 1, 1, 1, 0, 0, 0, 3, 0, 1, 0, 1,
+    1, 1, 1, 0, 1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 0, 1, 3, 1, 1, 1,
+    3, 0, 3, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 3, 0, 1, 1, 1, 1, 1,
+    3, 3, 1, 0, 1, 1, 0, 0, 1, 1, 1, 1, 1, 3, 3, 1, 3, 1, 1, 1,
+]
 
-    def __init__(self, order):
+
+@pytest.mark.parametrize("sampler, pinned", [(perm_sampler, PERM_PARTIAL_PINNED),
+                                             (prug_sampler, PRUG_PARTIAL_PINNED)])
+def test_partial_graph_seeded_streams_pinned(sampler, pinned):
+    draw = sampler(PARTIAL)
+    rng = SeedStream(7)
+    assert [draw(rng) or 0 for _ in range(200)] == pinned
+
+
+class OrderingStub(FixedDraw):
+    """A stream whose permutation is a fixed ordering and whose uniform
+    integer draw is always r."""
+
+    def __init__(self, order, r):
+        super().__init__(r)
         self.order = order
-        self.weights = []
 
     def permutation(self, n):
         assert n == len(self.order)
-        return Permutation(self.order)
-
-    def categorical(self, weights, total):
-        assert total == 8
-        self.weights.append(tuple(weights))
-        return None
+        return self.order
 
 
 def test_prug_sampler_eighths_match_the_reference_rule_exhaustive():
     # every ordering of every class representative for n <= 6, and of
     # each representative with one edge removed and the edgeless graph
-    # for n <= 5: the vector the sampler draws from is prug_q_vector's
+    # for n <= 5: the eighths a vertex wins among the eight uniform
+    # integers of the categorical draw are prug_q_vector's
     checked = 0
     for n in range(2, 7):
         graphs = [NominationGraph(out) for out, _ in iso_classes(n)]
@@ -682,9 +726,9 @@ def test_prug_sampler_eighths_match_the_reference_rule_exhaustive():
         for g in graphs:
             draw = prug_sampler(g)
             for order in itertools.permutations(g.vertices):
-                stub = OrderingStub(order)
-                assert draw(stub) is None
-                assert stub.weights == [oracle.prug_q_vector(g, Permutation(order))], (g.out, order)
+                picks = Counter(draw(OrderingStub(order, r)) for r in range(8))
+                eighths = tuple(picks[v] for v in g.vertices)
+                assert eighths == oracle.prug_q_vector(g, Permutation(order)), (g.out, order)
                 checked += 1
     assert checked == 30_518 + 7_122  # (graph, ordering) pairs: total, then partial
 
