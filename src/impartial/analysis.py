@@ -198,10 +198,17 @@ def ratio_of(mechanism: str, g: NominationGraph, dist: SelectionDistribution) ->
 def _unique_counts(mech: Mechanism, rows: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     """mech's counts on the distinct rows of a (graphs, n) target array,
     each evaluated once: (counts, den, index), row i's counts being
-    counts[index[i]] over den."""
-    unique, index = np.unique(rows, axis=0, return_inverse=True)
-    counts, den = mech.counts(unique)
-    return counts, den, index.reshape(-1)
+    counts[index[i]] over den.  The rows are sorted with one lexsort (in
+    some order; which does not matter), several times faster than
+    np.unique(axis=0)."""
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    index = np.empty(len(rows), dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    counts, den = mech.counts(ranked[first])
+    return counts, den, index
 
 
 # ---------------------------------------------------------------------------

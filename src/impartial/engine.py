@@ -11,13 +11,16 @@ v*'s left indegree or "not yet placed", the others' maximum), for the
 correlation check.  The walk, _prefix_walk, holds each layer's live
 states, for a whole batch of graphs of one size, as flat numpy arrays
 and extends them all in one vectorised step per layer, in passes
-_dp_passes packs; selection_counts is the one-graph entry of exact
-perm.  The counts are exact integers, so dividing by n! at the end
-loses nothing.  The two-slot rule's counts over all n! orderings depend
-only on the indegree classes, so two_slot_quarter_counts computes them
-in closed form without enumerating anything, for a whole batch of
-graphs at once, in int64 while they fit and in Python ints above
-(graphs.exact_dtype).
+_dp_passes packs.  A layer's expansions are slot-major (unplaced slot,
+state) arrays, so each per-state operand broadcasts along the long
+axis; the rules pick the grown code by arithmetic on a 0/1 mask, not
+by branching, and the last layer's states go to the caller's bincount
+unmerged.  selection_counts is the one-graph entry of exact perm.  The
+counts are exact integers, so dividing by n! at the end loses nothing.
+The two-slot rule's counts over all n! orderings depend only on the
+indegree classes, so two_slot_quarter_counts computes them in closed
+form without enumerating anything, for a whole batch of graphs at once,
+in int64 while they fit and in Python ints above (graphs.exact_dtype).
 
 The Lemma 3 check that every scan ends on the maximum left indegree,
 and the sampled scan, still run on explicit orderings with numpy, many
@@ -50,8 +53,10 @@ from .graphs import AnyGraph, CapacityError, exact_dtype
 # not here.)
 ENUM_CAP = 10
 # Largest n at which exact perm, exact mix above MIX_SMALL_N and the
-# correlation check run the prefix-set DP: about 0.3 s and 50 MB for a
-# random graph at n = 16, and each further vertex roughly doubles both.
+# correlation check run the prefix-set DP: for a random graph at n = 16,
+# on a 2-core Xeon, about 0.25 s on a first call (0.11-0.13 s once
+# _set_layers is cached) and a 35 MB traced peak; each further vertex
+# roughly doubles both.
 DP_CAP = 16
 # Index entries (graph, prefix set, state code) per pass of the
 # prefix-set walk, which bounds its memory: a batch is split into passes
@@ -167,7 +172,8 @@ def run_selection(out0: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.n
 def _set_layers(n: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]]:
     """The popcount of every n-bit mask, and per set size k = 1..n-1 a
     triple: the k-sets' masks in rank order (the order of their masks),
-    each set's unplaced vertices, and the rank of the set plus each of
+    and two C-contiguous (n - k, C(n, k)) arrays, slot-major: column i
+    holds set i's unplaced vertices and the rank of set i plus each of
     them among the (k+1)-sets."""
     popcount = [m.bit_count() for m in range(1 << n)]
     by_size = sorted(range(1 << n), key=popcount.__getitem__)  # stable: by mask within a size
@@ -183,8 +189,8 @@ def _set_layers(n: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray,
     for k in range(1, n):
         sets = layers[k]
         free = np.nonzero((sets[:, None] & bits) == 0)[1].astype(np.int32)
-        free = free.reshape(len(sets), n - k)
-        triples.append((sets, free, rank[sets[:, None] | bits[free]]))
+        free = np.ascontiguousarray(free.reshape(len(sets), n - k).T)
+        triples.append((sets, free, rank[sets | bits[free]]))
     return np.array(popcount, dtype=np.int16), tuple(triples)
 
 
@@ -218,7 +224,7 @@ def batch_selection_counts(out0s: np.ndarray) -> np.ndarray:
     indegrees, at most the maximum indegree.
     """
     graphs, n = out0s.shape
-    _check_dp_cap(n, "exact perm", "; sample it instead with eval --samples or MECHANISMS['perm'].sample")
+    _check_dp_cap(n, "exact perm and exact mix run", "; sample them instead with eval --samples")
     counts = np.empty((graphs, n), dtype=np.int64)
     for part, targets, inmask, top in _dp_passes(out0s, lambda tops: tops * n):
         counts[part] = _counts_pass(targets, inmask, top)
@@ -238,7 +244,7 @@ def correlation_histograms(out0s: np.ndarray, vstars: np.ndarray) -> np.ndarray:
     |in(v) & S| sets a = full if v is v*, and raises m to full otherwise.
     """
     graphs, n = out0s.shape
-    _check_dp_cap(n, "the correlation check")
+    _check_dp_cap(n, "the correlation check runs")
     top = int(indegrees(out0s).max(initial=0)) + 1
     hist = np.zeros((graphs, top, top), dtype=np.int64)
     for part, _, inmask, ptop in _dp_passes(out0s, lambda tops: (tops + 1) * tops):
@@ -249,8 +255,8 @@ def correlation_histograms(out0s: np.ndarray, vstars: np.ndarray) -> np.ndarray:
 def _check_dp_cap(n: int, what: str, advice: str = "") -> None:
     if n > DP_CAP:
         raise CapacityError(
-            f"{what} runs a DP over all 2^{n} prefix sets and is capped "
-            f"at n <= {DP_CAP}{advice}"
+            f"{what} a DP over all 2^{n} prefix sets, capped at "
+            f"n <= {DP_CAP}{advice}"
         )
 
 
@@ -304,10 +310,15 @@ def _counts_pass(targets: np.ndarray, inmask: np.ndarray, top: int) -> np.ndarra
 
 
 def _scan_step(targets, n, g, z, v, full):
-    # v takes over when full - [c nominates v] >= d
+    # v takes over when full - [c nominates v] >= d; code = z + take *
+    # (full * n + v - z) in place, as np.where costs several times more
     d, c = np.divmod(z, n)
-    take = full - (targets.take(g * n + c)[:, None] == v) >= d[:, None]
-    return np.where(take, full * n + v, z[:, None])
+    take = full - (targets.take(g * n + c) == v) >= d
+    code = full * n + v
+    code -= z
+    code *= take
+    code += z
+    return code
 
 
 def _correlation_pass(inmask: np.ndarray, vstars: np.ndarray, top: int) -> np.ndarray:
@@ -326,10 +337,17 @@ def _correlation_pass(inmask: np.ndarray, vstars: np.ndarray, top: int) -> np.nd
 
 
 def _correlation_step(vstars, top, g, z, v, full):
+    # v* sets a and keeps m; any other v keeps a and raises m to full:
+    # code = other + mine * (full * top + m - other) in place
     m = z % top
-    mine = v == vstars.take(g)[:, None]
-    # v* sets a and keeps m; any other v keeps a and raises m to full
-    return np.where(mine, full * top + m[:, None], np.maximum(z[:, None], (z - m)[:, None] + full))
+    mine = v == vstars.take(g)
+    other = z - m + full
+    np.maximum(other, z, out=other)
+    code = full * top + m
+    code -= other
+    code *= mine
+    code += other
+    return code
 
 
 def _prefix_walk(inmask, z, span, step):
@@ -342,32 +360,42 @@ def _prefix_walk(inmask, z, span, step):
     graph and vertex in that order with codes z, and grows S by one
     vertex per layer.  There step(g, z, v, full) maps every state and
     each of its unplaced vertices v, whose left indegree is full =
-    |in(v) & S|, to the grown state's code, a (states, n - k) array in
-    0..span(k) - 1 after k + 1 placed.  Equal states merge by summing
-    their counts over a dense index of (graph, rank of S, z).  The sums
-    are float64, exact because no count exceeds n! <= 16! < 2^53.  Every
+    |in(v) & S|, to the grown state's code in 0..span(k) - 1 after k + 1
+    placed.  A layer's expansions are slot-major (n - k, states) arrays,
+    row j holding every state's j-th unplaced vertex, so the per-state
+    arrays g and z broadcast as plain (states,) arrays along the long
+    last axis, and the steps select between codes by arithmetic on the
+    0/1 mask rather than np.where.  Equal states merge by summing their
+    counts over a dense index of (graph, rank of S, z), entry j * states
+    + s of the raveled index belonging to state s.  The sums are
+    float64, exact because no count exceeds n! <= 16! < 2^53.  Every
     left indegree comes from one (graphs, 2^n, n) table of |in(v) & S|.
 
-    Returns (g, z, w) of the live states at the full set.
+    Returns (g, z, w) of the states at the full set, unmerged: the last
+    layer's equal states are left for the caller's bincount to sum.
     """
     graphs, n = inmask.shape
     popcount, layers = _set_layers(n)
     # int16, not int8: the steps' codes multiply these by n or top
-    left = popcount[np.arange(1 << n, dtype=np.int32)[:, None] & inmask[:, None, :]].ravel()
+    left = popcount.take(np.arange(1 << n, dtype=np.int32)[:, None] & inmask[:, None, :]).ravel()
     g = np.repeat(np.arange(graphs, dtype=np.int32), n)
     r = np.tile(np.arange(n, dtype=np.int32), graphs)  # the rank of {v} is v
     w = np.ones(graphs * n)
     for k, (sets, free, grown) in enumerate(layers, start=1):
+        v = free.take(r, axis=1)  # (n - k, states): each state's unplaced vertices
+        full = left.take(((g << n) + sets.take(r)) * n + v)
+        z = step(g, z, v, full)
+        if k == n - 1:  # one slot left: S is the full set
+            break
         size, zspan = math.comb(n, k + 1), span(k)
-        v = free[r]  # (states, n - k): each state's unplaced vertices
-        full = left.take((((g << n) + sets.take(r)) * n)[:, None] + v)
-        key = ((g * size)[:, None] + grown[r]) * zspan + step(g, z, v, full)
-        acc = np.bincount(key.ravel(), np.repeat(w, n - k))
+        # z becomes the merge key in place, which keeps down the layer's peak
+        z += (grown.take(r, axis=1) + g * size) * zspan
+        acc = np.bincount(z.ravel(), np.tile(w, n - k))
         live = np.flatnonzero(acc > 0)
         w = acc[live]
         live, z = np.divmod(live.astype(np.int32), zspan)
         g, r = np.divmod(live, size)
-    return g, z, w
+    return g, z.ravel(), w
 
 
 def sampled_selection_counts(

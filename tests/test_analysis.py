@@ -712,10 +712,11 @@ def test_correlation_dp_matches_the_ordering_table(n, count):
 def test_correlation_dp_mutant_fails_the_table_check(monkeypatch):
     # a step where v*'s own arrival also raises m, the others' maximum
     def mutant(vstars, top, g, z, v, full):
+        # the walk's expansions are (n - k, states): per-state arrays
+        # broadcast along the last axis
         m = z % top
-        mine = v == vstars.take(g)[:, None]
-        return np.where(mine, full * top + np.maximum(m[:, None], full),
-                        np.maximum(z[:, None], (z - m)[:, None] + full))
+        mine = v == vstars.take(g)
+        return np.where(mine, full * top + np.maximum(m, full), np.maximum(z, z - m + full))
 
     monkeypatch.setattr(engine, "_correlation_step", mutant)
     graphs, vstars = correlation_batch(7, 4, 307)
@@ -743,8 +744,40 @@ def test_correlation_batch_of_mixed_sizes():
         ], g.out
 
 
+def test_correlation_dp_pinned_at_the_cap():
+    # random_graph(16, SeedStream(320)) and v* = 12, the stream's next
+    # vertex; the histogram pinned from the DP before its expansions
+    # were stored slot-major
+    g = NominationGraph((9, 10, 12, 2, 9, 10, 6, 2, 7, 5, 2, 13, 9, 12, 13, 13))
+    hist = engine.correlation_histograms(engine.out_array(g)[None], np.array([11]))
+    assert hist.tolist() == [[
+        [0, 317316679680, 2214313221120, 4442633395200],
+        [0, 409845596160, 2316897623040, 4247520076800],
+        [0, 514920806400, 2633184153600, 3826158336000],
+        [0, 0, 0, 0],
+    ]]
+
+
 # ---------------------------------------------------------------------------
 # upper-bound chain
+
+def test_unique_counts_match_every_row():
+    # seeded batches with repeated rows and absent edges (-1 entries)
+    rng = SeedStream(41)
+    for n in (5, 6):
+        graphs = [random_graph(n, rng) for _ in range(30)]
+        graphs += [g.remove_out_edge(rng.vertex(n)) for g in graphs[:10]]
+        outs = np.stack([engine.out_array(g) for g in graphs])
+        picks = [rng.randrange(len(outs)) for _ in range(200)]
+        for name, mech in MECHANISMS.items():
+            # rows 30 on are partial: a mechanism defined only on total
+            # graphs gets a total row in their place
+            rows = outs[picks if mech.accepts_partial else [p % 30 for p in picks]]
+            counts, den, index = analysis._unique_counts(mech, rows)
+            assert len(counts) == len(np.unique(rows, axis=0)), (n, name)
+            expected, expected_den = mech.counts(rows)
+            assert den == expected_den and np.array_equal(counts[index], expected), (n, name)
+
 
 def test_chain_perm_n6():
     rep = verify_upper_bound_chain("perm", 6)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import _oracles as oracle
 from impartial import analysis, engine
 from impartial.cli import main
-from impartial.generators import lower_bound_family, random_graph, ub_family
+from impartial.generators import cycle, lower_bound_family, random_graph, ub_family
 from impartial.graphs import graph_to_text
 from impartial.mechanisms import MECHANISMS
 
@@ -246,6 +246,13 @@ def test_eval_prugd_has_no_cap_but_mix_keeps_the_scan_cap(capsys, tmp_path):
     path.write_text(graph_to_text(lower_bound_family(2, 7)) + "\n")  # n = 17
     code, _, err = run_cli(capsys, "eval", "--mech", "mix", "--graph", str(path))
     assert code == 3 and "capacity" in err
+
+
+def test_mix_past_the_dp_cap_is_named_in_the_capacity_message(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text(graph_to_text(cycle(17)) + "\n")
+    code, out, err = run_cli(capsys, "eval", "--mech", "mix", "--graph", str(path))
+    assert (code, out) == (3, "") and "mix" in err and "eval --samples" in err
 
 
 def test_eval_perm_and_mix_exact_past_the_ordering_table(capsys, tmp_path):

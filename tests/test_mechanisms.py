@@ -351,6 +351,35 @@ def test_dp_pinned_at_13():
     ]
 
 
+def test_dp_pinned_at_the_cap():
+    # the graph of gen family=random n=16 seed=3, counts pinned from the
+    # DP before its expansions were stored slot-major
+    g = NominationGraph((5, 11, 10, 3, 7, 16, 11, 9, 12, 11, 2, 10, 1, 16, 14, 8))
+    counts, runs = engine.selection_counts(engine.out_array(g))
+    assert runs == math.factorial(16)
+    assert counts == [
+        374788513296, 498842672200, 564638614830, 0, 380862230112, 0,
+        453351814560, 406647591840, 386893536120, 4913897625520,
+        7969747855232, 565142511920, 0, 494563055490, 0, 3913413866880,
+    ]
+
+
+def test_dp_mutant_step_fails_the_oracle(monkeypatch):
+    # a scan step where v takes over only when it beats the candidate,
+    # full - [c nominates v] > d, must show against the per-ordering
+    # oracle on some class at n = 5
+    def mutant(targets, n, g, z, v, full):
+        d, c = np.divmod(z, n)
+        take = full - (targets.take(g * n + c) == v) > d
+        return np.where(take, full * n + v, z)
+
+    monkeypatch.setattr(engine, "_scan_step", mutant)
+    classes = [NominationGraph(out) for out, _ in iso_classes(5)]
+    counts = engine.batch_selection_counts(np.stack([engine.out_array(g) for g in classes]))
+    assert any([Fraction(int(c), 120) for c in row] != oracle.perm_dist(g)
+               for g, row in zip(classes, counts))
+
+
 def test_batch_counts_equal_exact_per_graph():
     for n in (4, 6):
         graphs = [ub_family(6, 1), cycle(6)] if n == 6 else []
