@@ -32,7 +32,9 @@ import traceback
 from fractions import Fraction
 from typing import Optional
 
-from . import __version__, analysis
+import numpy as np
+
+from . import __version__, analysis, engine
 from .generators import family_graph
 from .graphs import (
     CapacityError,
@@ -142,11 +144,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 "decimal": frac_decimal(rep.ratio),
             }
     else:
-        rng = SeedStream(_resolve_seed(args, required=True))
-        draw = mech.sampler(graph)
-        counts = [0] * (graph.n + 1)  # counts[v] for vertex v, counts[0] for no one
-        for _ in range(args.samples):
-            counts[draw(rng) or 0] += 1
+        draws, rng = mech.sampler(graph), SeedStream(_resolve_seed(args, required=True))
+        counts = np.zeros(graph.n + 1, dtype=np.int64)  # counts[v] for vertex v, counts[0] for no one
+        for start in range(0, args.samples, engine.SAMPLE_CHUNK):  # keeps memory flat in --samples
+            counts += np.bincount(draws(rng, min(engine.SAMPLE_CHUNK, args.samples - start)), minlength=graph.n + 1)
+        counts = counts.tolist()
         k = args.samples
         header = ["vertex", "count", "freq", "ci3"]
         table = []

@@ -23,17 +23,18 @@ form without enumerating anything, for a whole batch of graphs at once,
 in int64 while they fit and in Python ints above (graphs.exact_dtype).
 
 The Lemma 3 check that every scan ends on the maximum left indegree,
-and the sampled scan, still run on explicit orderings with numpy, many
-at once.  The key shortcut there: when the left-to-right scan considers
-vertex v, the prefix is exactly the set of vertices placed before v.  So
-the indegree from the left that the scan sees for v equals the number
-of in-neighbors of v placed before v, without materializing prefixes.
-run_selection walks a batch position by position and keeps, per
-ordering and vertex, a running count of the nominations placed so far,
-so each step reads the placed vertex's count and adds one to its
-target's, for all orderings at once.  left_indegree_matrix counts the
-same numbers per vertex from positions, in O(n) vector operations; the
-tests read the correlation check's reference histograms off it.
+the sampled scan and the mechanisms' samplers run on explicit orderings
+with numpy, many at once.  The key shortcut there: when the
+left-to-right scan considers vertex v, the prefix is exactly the set of
+vertices placed before v.  So the indegree from the left that the scan
+sees for v equals the number of in-neighbors of v placed before v,
+without materializing prefixes.  run_selection walks a batch position
+by position and keeps, per ordering and vertex, a running count of the
+nominations placed so far, so each step reads the placed vertex's count
+and adds one to its target's, for all orderings at once.
+left_indegree_matrix counts the same numbers per vertex from positions,
+in O(n) vector operations; the tests read the correlation check's
+reference histograms off it.
 
 Everything here is 0-based and array-typed; the public modules convert
 at the boundary.
@@ -62,11 +63,12 @@ DP_CAP = 16
 # prefix-set walk, which bounds its memory: a batch is split into passes
 # of whole graphs, and a graph too big for one pass gets its own.
 STATE_BUDGET = 1 << 14
-# Orderings per run_selection call: sampled_selection_counts draws this
-# many at a time and the Lemma 3 scan slices its table into blocks of
-# this many.  It bounds their memory (a sampler peak of about 4.8 MB at
-# n = 23, by tracemalloc) and keeps a block's arrays in cache; the draws
-# do not depend on it.
+# Orderings per run_selection call: sampled_selection_counts and the
+# mechanisms' samplers draw this many at a time, and the Lemma 3 scan
+# slices its table into blocks of this many.  It bounds their memory (by
+# tracemalloc, a peak of about 4.8 MB for the scan at n = 23 and 0.5 to
+# 4.9 MB for the samplers at n = 50) and keeps a block's arrays in cache;
+# the draws do not depend on it.
 SAMPLE_CHUNK = 10000
 _table_cache: dict[int, np.ndarray] = {}
 
@@ -166,6 +168,22 @@ def run_selection(out0: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.n
             x += step
         np.maximum(top, contrib, out=top)
     return cand, d, top
+
+
+def orderings(partners: np.ndarray) -> np.ndarray:
+    """The (n, k) position-major int16 orderings run_selection scans,
+    from (k, n - 1) Fisher-Yates swap partners drawn below n, n - 1,
+    ..., 2: column c of the partners swaps position n - 1 - c, in order,
+    as SeedStream.permutation does one ordering at a time."""
+    k, n = partners.shape[0], partners.shape[1] + 1
+    order = np.repeat(np.arange(n, dtype=np.int16)[:, None], k, axis=1)
+    flat = order.ravel()
+    cols = np.arange(k)
+    for c in range(n - 1):
+        at = partners[:, c] * np.intp(k) + cols
+        # a partner at the position itself swaps its value with itself
+        order[n - 1 - c], flat[at] = flat[at], order[n - 1 - c].copy()
+    return order
 
 
 @functools.lru_cache(maxsize=2)
@@ -438,6 +456,25 @@ def runner_up_gap_quarter_counts(out0: np.ndarray) -> tuple[list[int], int]:
     return counts[0].tolist(), nfact
 
 
+def _two_slot_classes(out0s: np.ndarray):
+    """Per row of a (graphs, n) target array: the indegrees, their maximum
+    dmax, the mask of T (indegree dmax) and its size, the first top vertex
+    t, t's gap test, and the mask of T2 (indegree dmax - 1)."""
+    graphs, n = out0s.shape
+    rows = np.arange(graphs)
+    deg = indegrees(out0s)
+    dmax = deg.max(axis=1)
+    top = deg == dmax[:, None]
+    t = deg.argmax(axis=1)
+    t_target = out0s[rows, t]
+    rivals = deg.copy()  # the others' indegrees once t's edge is removed
+    rivals[rows, t] = -1
+    edged = t_target >= 0
+    rivals[rows[edged], t_target[edged]] -= 1
+    gap = dmax >= rivals.max(axis=1) + 2
+    return deg, dmax, top, top.sum(axis=1), t, gap, deg == (dmax - 1)[:, None]
+
+
 def two_slot_quarter_counts(out0s: np.ndarray) -> tuple[np.ndarray, int]:
     """Exact per-vertex counts, in quarter units, of the two-slot rule
     summed over all n! orderings, in closed form, for each row of a
@@ -467,12 +504,9 @@ def two_slot_quarter_counts(out0s: np.ndarray) -> tuple[np.ndarray, int]:
     nfact = math.factorial(n)
     dtype = exact_dtype(4 * nfact)
     rows = np.arange(graphs)
-    deg = indegrees(out0s)
+    deg, dmax, top, k, t, gap, second = _two_slot_classes(out0s)
     absent = out0s < 0
     target_deg = np.where(absent, -1, np.take_along_axis(deg, np.where(absent, 0, out0s), axis=1))
-    dmax = deg.max(axis=1)
-    top = deg == dmax[:, None]
-    k = top.sum(axis=1)
     two = np.full(graphs, 2 * nfact, dtype=dtype)
     # k >= 2 (kk keeps the k = 1 rows clear of a zero divisor)
     kk = np.maximum(k, 2).astype(dtype)
@@ -480,16 +514,49 @@ def two_slot_quarter_counts(out0s: np.ndarray) -> tuple[np.ndarray, int]:
     pairs = np.where(target_deg == dmax[:, None], pair[:, None], 0)
     several = np.where(top, share[:, None] + pairs, 0)
     # k = 1, T = {t}
-    t = deg.argmax(axis=1)
-    t_target = out0s[rows, t]
-    rivals = deg.copy()  # the others' indegrees once t's edge is removed
-    rivals[rows, t] = -1
-    edged = t_target >= 0
-    rivals[rows[edged], t_target[edged]] -= 1
-    gap = dmax >= rivals.max(axis=1) + 2
-    second = deg == (dmax - 1)[:, None]
     runner = two // (second.sum(axis=1) + 1).astype(dtype)
     single = np.where((out0s == t[:, None]) & second, runner[:, None], 0)
     single[rows, t] = np.where(gap, 3, 2).astype(dtype) * nfact
     return np.where((k >= 2)[:, None], several, single), nfact
 
+
+def two_slot_draws(out0s: np.ndarray, which: np.ndarray, orders: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The two-slot rule's seeded draws on the (n, k) position-major
+    orderings orders: column i runs row which[i] of the (graphs, n)
+    int16 targets out0s and picks by r[i] in 0..7.  Returns the (k,)
+    selected vertices, 1-based, 0 for no one; ValueError if a column's
+    weights sum past 8.
+
+    A column weighs its ordering's quarters (two_slot_quarter_counts)
+    plus its reverse's, in eighths.  The front is the last member of T,
+    the runner-up the one before it when |T| >= 2, or when T = {t} the
+    last of T2, scoring only after t; so the last marked vertex (T, plus
+    T2 when T = {t}) stands in for it, and a column reads only its first
+    two and last two marked vertices.  The pick is the lowest vertex
+    whose cumulative weight in vertex order exceeds r, as
+    SeedStream.categorical picks."""
+    _, _, top, size, t, gap, second = _two_slot_classes(out0s)
+    lone = size == 1
+    marked = (top | (lone[:, None] & second)).ravel()
+    n, k = orders.shape
+    base = which * n  # where each column's graph starts in out0s raveled
+    # a position at a time keeps the index arrays to (k,)
+    ranks = np.cumsum([marked.take(row + base) for row in orders], axis=0, dtype=np.int16)
+
+    def marked_vertex(rank):  # the rank-th marked vertex of each column
+        return orders[(ranks >= rank).argmax(axis=0), np.arange(k)]
+
+    head, head2, tail, tail2 = (marked_vertex(rank) for rank in (1, 2, ranks[-1], ranks[-1] - 1))
+    front = np.where(lone & gap, 3, 2).astype(np.int16)  # per ordering, in quarters
+    lone, t, front = (a.take(which) for a in (lone, t.astype(np.int16), front))
+    # the fronts and runners-up of the ordering (tail end) and its reverse
+    fronts = np.where(lone, t, tail), np.where(lone, t, head)
+    runners = np.where(lone, tail, tail2), np.where(lone, head, head2)
+    x = np.stack([*fronts, *runners])  # int16 from here on, as run_selection
+    w = np.stack([front] * 2 + [(out0s.ravel().take(base + u) == f) * np.int16(2) for u, f in zip(runners, fronts)])
+    if (w.sum(axis=0) > 8).any():
+        raise ValueError(f"two-slot weights sum to {int(w.sum(axis=0).max())} > 8 eighths")
+    # eighths at or below each slot's vertex, then the lowest vertex past r
+    below = sum(w[s] * (x[s] <= x) for s in range(4))
+    pick = np.where((w > 0) & (below > r), x, n).min(axis=0)
+    return np.where(pick < n, pick + 1, 0)

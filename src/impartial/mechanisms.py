@@ -18,9 +18,12 @@ Counts are int64 while the largest of them fits, and Python ints
 (dtype object) above, so they never wrap.  A rule written for one
 graph at a time joins the same path through per_graph, which scales
 its rows to the lcm of their denominators.  The sampling path is a
-factory (the ``*_sampler`` functions) that reads the graph
-once and returns a draw; each call of the draw simulates the rule on
-one ordering or vertex drawn from a SeedStream.
+factory (the ``*_sampler`` functions) that reads the graph once and
+returns draws(rng, k), the k selected vertices, 0 for no one.  It runs
+the rule in numpy on engine.SAMPLE_CHUNK rows at a time from
+SeedStream.uniform_rows, which reads the words one-at-a-time draws
+read (an ordering is its row of swap partners); mix draws its coin per
+draw, since the coin decides which row comes next.
 
 perm  - left-to-right candidate scan along a uniform random ordering.
 rd    - random dictatorship: a uniform vertex's nominee.
@@ -36,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -56,7 +59,10 @@ from .rng import SeedStream, as_stream
 # The exact path's result on a batch: a (graphs, n) integer count array
 # and the one denominator of the batch.
 Counts = tuple[np.ndarray, int]
-Draw = Callable[[SeedStream], Optional[int]]  # one seeded draw on a fixed graph
+# k seeded draws on a fixed graph as a (k,) array, 0 for no one
+Draws = Callable[[SeedStream, int], np.ndarray]
+# a sampler's row bounds and its rule on (k, len(bounds)) rows
+Rows = tuple[tuple[int, ...], Callable[[np.ndarray], np.ndarray]]
 
 MIX_PERM_WEIGHT = Fraction(825, 1049)
 MIX_PRUGD_WEIGHT = Fraction(224, 1049)
@@ -70,42 +76,20 @@ PRUGD_CHUNK = 1 << 14
 # ---------------------------------------------------------------------------
 # Permutation mechanism
 
-def perm_run(g: AnyGraph, seq: Sequence[int]) -> int:
-    """Scan the vertices in the order of seq, an ordering of 1..n given
-    as any sequence, keeping the candidate with the highest indegree
-    from the left, and return the selected vertex.
-
-    A newly considered vertex takes over on ties (>=), and the edge from
-    the current candidate is ignored in the comparison, while the stored
-    indegree counts the full prefix.  That asymmetry is what keeps the
-    rule impartial.  Raises RuntimeError if the selected vertex misses
-    the maximum indegree from the left, which Lemma 3 rules out.
-
-    The scan keeps one running count per vertex, left[t] = the number of
-    already placed vertices that nominate t, so a vertex's indegree from
-    the left is read off as it is reached and a run costs O(n).
-    """
-    n = g.n
-    if len(seq) != n:
-        raise InputError(f"permutation size {len(seq)} != graph size {n}")
-    out = g.out
-    left = [0] * (n + 1)  # slot 0 absorbs absent edges and is never read
-    cand = seq[0]
-    d = max_left = 0
-    left[out[cand - 1] or 0] += 1
-    for v in seq[1:]:
-        full = left[v]
-        if full - (out[cand - 1] == v) >= d:
-            cand = v
-            d = full
-        if full > max_left:  # not max(): a call per vertex doubles the scan's cost
-            max_left = full
-        left[out[v - 1] or 0] += 1
-    if d != max_left:
-        raise RuntimeError(
-            f"selected vertex {cand} has left indegree {d}, not the maximum {max_left}"
-        )
-    return cand
+def perm_select(out0: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """The scan's selected vertex, 1-based, on each column of the (n, k)
+    position-major 0-based orderings orders, by engine.run_selection: a
+    vertex takes over on ties, and the edge from the candidate is
+    ignored in the comparison but counted in the stored indegree, which
+    keeps the rule impartial.  RuntimeError if a selection misses the
+    maximum left indegree, which Lemma 3 rules out."""
+    selected, d, top = engine.run_selection(out0, orders.T)
+    missed = np.flatnonzero(d != top)
+    if len(missed):
+        i = missed[0]
+        raise RuntimeError(f"selected vertex {selected[i] + 1} has left indegree {d[i]}, "
+                           f"not the maximum {top[i]}")
+    return selected + 1
 
 
 def perm_counts(out0s: np.ndarray) -> Counts:
@@ -114,11 +98,14 @@ def perm_counts(out0s: np.ndarray) -> Counts:
     return engine.batch_selection_counts(out0s), math.factorial(out0s.shape[1])
 
 
-def perm_sampler(g: AnyGraph) -> Draw:
-    """Run the scan on one uniform ordering per draw, the tuple that
-    SeedStream.permutation returns."""
-    n = g.n
-    return lambda rng: perm_run(g, rng.permutation(n))
+def perm_sampler(g: AnyGraph) -> Draws:
+    """The scan on one uniform ordering per draw."""
+    return _chunked(*_perm_rows(g))
+
+
+def _perm_rows(g: AnyGraph) -> Rows:
+    out0 = engine.out_array(g)
+    return tuple(range(g.n, 1, -1)), lambda rows: perm_select(out0, engine.orderings(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +116,10 @@ def rd_counts(out0s: np.ndarray) -> Counts:
     return engine.indegrees(out0s), out0s.shape[1]
 
 
-def rd_sampler(g: NominationGraph) -> Draw:
+def rd_sampler(g: NominationGraph) -> Draws:
     """One uniform vertex per draw; it selects its nominee."""
-    n, out = g.n, g.out
-    return lambda rng: out[rng.vertex(n) - 1]
+    out = np.array(g.out)
+    return _chunked((g.n,), lambda rows: out[rows[:, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -151,73 +138,13 @@ def prug_counts(out0s: np.ndarray) -> Counts:
     return counts, 4 * runs
 
 
-def prug_sampler(g: AnyGraph) -> Draw:
-    """Per draw: a uniform ordering, the weight vector of that ordering
-    plus that of its reverse in eighths (the reverse-paired average,
-    summing to at most 8), then a vertex drawn from it; None when no
-    vertex is selected.  The categorical draw is given only the nonzero
-    eighths, at most four, in vertex order: a zero weight never holds
-    the uniform integer, so the pick is the one the full vector gives.
-
-    In one ordering the front vertex, the (indegree, position)-maximum,
-    is the last member of the top indegree class T.  It gets 3 quarters
-    if, once its own edge is removed, it still leads every other vertex
-    by at least 2, otherwise 2.  A tied rival always blocks that gap, so
-    only a lone top t can pass it, and the test runs here, once.  The
-    runner-up gets 2 quarters if it nominates the front and either ties
-    the maximum indegree or sits one below it while placed to the right
-    of the front.  With |T| >= 2 it is the next-to-last member of T.
-    With T = {t} it is the last vertex of indegree dmax - 1, which
-    scores only if it follows t.  So a draw reads its ordering only at
-    the first two and last two marked vertices (the members of T, plus
-    the indegree dmax - 1 class when |T| = 1), and the reverse ordering
-    swaps the two ends.
-    """
-    n, out = g.n, g.out
-    degs = g.indegrees()
-    dmax = max(degs)
-    top = [v for v in g.vertices if degs[v - 1] == dmax]
-    t, gap = top[0], False
-    if len(top) == 1:
-        reduced = list(degs)
-        if out[t - 1] is not None:
-            reduced[out[t - 1] - 1] -= 1
-        gap = all(dmax >= reduced[v - 1] + 2 for v in g.vertices if v != t)
-    marked = [False] * (n + 1)
-    for v in g.vertices:
-        marked[v] = degs[v - 1] == dmax or (len(top) == 1 and degs[v - 1] == dmax - 1)
-
-    def first_two(vertices: Iterable[int]) -> list[int]:
-        found = []
-        for v in vertices:
-            if marked[v]:
-                found.append(v)
-                if len(found) == 2:
-                    break
-        return found
-
-    def draw(rng: SeedStream) -> Optional[int]:
-        seq = rng.permutation(n)
-        head, tail = first_two(seq), first_two(reversed(seq))
-        if len(top) > 1:
-            # the front and runner-up of seq, then of its reverse; the
-            # two fronts differ, and a runner-up may be the other front
-            w = {tail[0]: 2, head[0]: 2}
-            for front, runner in (tail, head):
-                if out[runner - 1] == front:
-                    w[runner] = w.get(runner, 0) + 2
-        else:
-            w = {t: 2 * (3 if gap else 2)}
-            # the last marked vertex of seq, and of its reverse, scores
-            # if it nominates t (so it is not t, and follows t)
-            for runner in (tail[0], head[0]):
-                if out[runner - 1] == t:
-                    w[runner] = w.get(runner, 0) + 2
-        picks = sorted(w)
-        i = rng.categorical([w[v] for v in picks], 8)
-        return None if i is None else picks[i]
-
-    return draw
+def prug_sampler(g: AnyGraph) -> Draws:
+    """Per draw: a uniform ordering, then a uniform integer below 8 that
+    picks by the weights of the ordering plus its reverse in eighths (the
+    reverse-paired average), by engine.two_slot_draws."""
+    out0s = engine.out_array(g)[None]
+    return _chunked((*range(g.n, 1, -1), 8), lambda rows: engine.two_slot_draws(
+        out0s, np.zeros(len(rows), dtype=np.intp), engine.orderings(rows[:, :-1]), rows[:, -1]))
 
 
 # ---------------------------------------------------------------------------
@@ -247,20 +174,22 @@ def prugd_counts(out0s: np.ndarray) -> Counts:
     return counts, n * den
 
 
-def prugd_sampler(g: NominationGraph) -> Draw:
+def prugd_sampler(g: NominationGraph) -> Draws:
     """Per draw: a uniform default vertex, then a prug draw on the graph
-    without its edge.  Each default's prug sampler is built on first use."""
-    n = g.n
-    inner: list[Optional[Draw]] = [None] * (n + 1)
+    without its edge; no one there selects the default."""
+    return _chunked(*_prugd_rows(g))
 
-    def draw(rng: SeedStream) -> int:
-        vbar = rng.vertex(n)
-        if inner[vbar] is None:
-            inner[vbar] = prug_sampler(g.remove_out_edge(vbar))
-        picked = inner[vbar](rng)
-        return vbar if picked is None else picked
 
-    return draw
+def _prugd_rows(g: NominationGraph) -> Rows:
+    copies = np.repeat(engine.out_array(g)[None], g.n, axis=0)
+    copies[np.arange(g.n), np.arange(g.n)] = -1  # row j: the graph without j's edge
+
+    def rule(rows: np.ndarray) -> np.ndarray:
+        default = rows[:, 0].astype(np.intp)  # which copy each column reads
+        picked = engine.two_slot_draws(copies, default, engine.orderings(rows[:, 1:-1]), rows[:, -1])
+        return np.where(picked > 0, picked, default + 1)
+
+    return (g.n, *range(g.n, 1, -1), 8), rule
 
 
 # ---------------------------------------------------------------------------
@@ -279,18 +208,52 @@ def mix_counts(out0s: np.ndarray) -> Counts:
     return blend, MIX_PERM_WEIGHT.denominator * den
 
 
-def mix_sampler(g: NominationGraph) -> Draw:
+def mix_sampler(g: NominationGraph) -> Draws:
     """rd for n <= 5; otherwise one uniform integer below 1049 per draw
-    picks perm when it falls below 825, prugd otherwise."""
+    picks perm when it falls below 825, prugd otherwise.  Each coin
+    decides the next row, so the coins go one draw at a time, and each
+    rule then runs once on its rows of the chunk."""
     if g.n <= MIX_SMALL_N:
         return rd_sampler(g)
-    perm, prugd = perm_sampler(g), prugd_sampler(g)
+    (perm_bounds, perm), (prugd_bounds, prugd) = _perm_rows(g), _prugd_rows(g)
     den, cut = MIX_PERM_WEIGHT.denominator, MIX_PERM_WEIGHT.numerator
-    return lambda rng: perm(rng) if rng.randrange(den) < cut else prugd(rng)
+
+    def chunk(rng: SeedStream, k: int) -> np.ndarray:
+        coins, rows = np.empty(k, dtype=bool), None  # row i: draw i's, left-aligned
+        for i in range(k):
+            coin = coins[i] = rng.randrange(den) < cut
+            row = rng.uniform_rows(perm_bounds if coin else prugd_bounds, 1)[0]
+            if rows is None:  # n > 256 decides the dtype of both kinds of row
+                rows = np.empty((k, len(prugd_bounds)), dtype=row.dtype)
+            rows[i, : len(row)] = row
+        out = np.empty(k, dtype=np.int32)
+        out[coins] = perm(rows[coins, : len(perm_bounds)])
+        out[~coins] = prugd(rows[~coins])
+        return out
+
+    return _in_chunks(chunk)
 
 
 # ---------------------------------------------------------------------------
 # Registry
+
+def _chunked(bounds: tuple[int, ...], rule: Callable[[np.ndarray], np.ndarray]) -> Draws:
+    return _in_chunks(lambda rng, k: rule(rng.uniform_rows(bounds, k)))  # rule on rows below bounds
+
+
+def _in_chunks(chunk: Callable[[SeedStream, int], np.ndarray]) -> Draws:
+    """Draws made engine.SAMPLE_CHUNK at a time by chunk(rng, k); each
+    reads on from where the last stopped, so the draws do not depend on it."""
+
+    def draws(rng: SeedStream, k: int) -> np.ndarray:
+        out = np.empty(k, dtype=np.int32)
+        step = engine.SAMPLE_CHUNK
+        for start in range(0, k, step):
+            out[start : start + step] = chunk(rng, min(step, k - start))
+        return out
+
+    return draws
+
 
 def per_graph(counts: Callable[[AnyGraph], tuple[Sequence[int], int]]) -> Callable[[np.ndarray], Counts]:
     """An exact path made of a rule written for one graph at a time, which
@@ -329,14 +292,15 @@ class Mechanism:
     check_counts.
     exact(g) is counts on a batch of one, as a SelectionDistribution
     built from the row counts has checked, without checking it again.
-    sampler(g) reads the graph once and returns a draw that takes a
-    SeedStream; sample() is one draw from a seed or a SeedStream.
+    sampler(g) reads the graph once and returns draws(rng, k): k draws
+    from a SeedStream as a (k,) array in draw order, 0 for no one;
+    sample() is one draw from a seed or a SeedStream, None for no one.
     """
 
     name: str
     accepts_partial: bool
     _counts: Callable[[np.ndarray], Counts]
-    _sampler: Callable[[AnyGraph], Draw]
+    _sampler: Callable[[AnyGraph], Draws]
 
     def counts(self, out0s: np.ndarray) -> Counts:
         self._check_total((out0s < 0).any())
@@ -352,12 +316,12 @@ class Mechanism:
         # counts has checked the row and made den a Python int; tolist gives Python ints
         return derived(SelectionDistribution, numerators=tuple(counts[0].tolist()), denominator=den)
 
-    def sampler(self, g: AnyGraph) -> Draw:
+    def sampler(self, g: AnyGraph) -> Draws:
         self._check_total(None in g.out)
         return self._sampler(g)
 
     def sample(self, g: AnyGraph, seed: int | SeedStream) -> Optional[int]:
-        return self.sampler(g)(as_stream(seed))
+        return int(self.sampler(g)(as_stream(seed), 1)[0]) or None
 
     def _check_total(self, edge_missing: bool) -> None:
         if edge_missing and not self.accepts_partial:

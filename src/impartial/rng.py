@@ -1,19 +1,19 @@
 """Seedable randomness for the samplers.
 
 A SeedStream wraps a Mersenne-Twister state behind the draw kinds the
-samplers need: uniform permutations, uniform vertices, uniform integers
-below a bound (the mix coin), categorical draws over integer weights,
+program needs: rows of uniform integers below given bounds (what the
+samplers draw, many rows at once), uniform integers below a bound (the
+mix coin), uniform permutations, categorical draws over integer weights,
 and uniform rationals with resolution 2**-64.  Every integer draw reads
 exactly the words random.Random reads on CPython 3.10 and 3.11, straight
 from getrandbits and without its argument handling.  A uniform integer
 below n takes k = n.bit_length() bits, redrawn while they are at least
 n, as randrange(n) does.  A permutation is a Fisher-Yates pass over
 positions with one such draw per swap: for each 0-based position i from
-n - 1 down to 1, (i + 1).bit_length() bits, redrawn while they exceed i,
-as shuffle does; the bit widths come from a table the stream keeps
-per n.  A categorical draw takes one uniform integer below the weights'
-common denominator, so every outcome has exactly its weight's
-probability.
+n - 1 down to 1, a partner below i + 1, as shuffle does, so the partners
+are one row below the bounds n, n - 1, ..., 2.  A categorical draw takes
+one uniform integer below the weights' common denominator, so every
+outcome has exactly its weight's probability.
 
 Streams are deterministic per seed and can be split into independent
 child streams by label, which keeps parallel work reproducible.
@@ -25,6 +25,8 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .graphs import InputError
 
 _TWO64 = 1 << 64
@@ -34,8 +36,9 @@ class SeedStream:
     def __init__(self, seed: int) -> None:
         self.seed = int(seed)
         self._rng = random.Random(self.seed)
-        # n -> the (position, bit width) pairs of a Fisher-Yates pass over 1..n
-        self._swaps: dict[int, tuple[tuple[int, int], ...]] = {}
+        # bounds -> their (bound, bit width) pairs, and whether every
+        # bound is at most 256
+        self._rows: dict[tuple[int, ...], tuple[tuple[tuple[int, int], ...], bool]] = {}
 
     def split(self, label: str) -> "SeedStream":
         """Child stream whose seed is derived from (seed, label)."""
@@ -62,25 +65,38 @@ class SeedStream:
             r = bits(k)
         return r
 
-    def vertex(self, n: int) -> int:
-        """Uniform vertex in 1..n."""
-        return self.randrange(n) + 1
+    def uniform_rows(self, bounds: Sequence[int], k: int) -> np.ndarray:
+        """k rows of uniform integers as a (k, len(bounds)) array, entry
+        j of a row in 0..bounds[j] - 1, drawn row by row and left to
+        right, each as randrange(bounds[j]) draws it; ValueError for a
+        bound below 1.  The entries gather one byte each while every
+        bound is at most 256 (uint8), and as Python ints above (int64).
+        The bit widths are kept per bounds, so a one-row call is cheap."""
+        bounds = tuple(bounds)
+        if bounds not in self._rows:
+            if min(bounds, default=1) < 1:
+                raise ValueError(f"empty range in uniform_rows bounds {bounds}")
+            self._rows[bounds] = tuple((b, b.bit_length()) for b in bounds), max(bounds, default=1) <= 256
+        pairs, small = self._rows[bounds]
+        bits = self._rng.getrandbits
+        flat = bytearray() if small else []
+        add = flat.append
+        for _ in range(k):
+            for b, w in pairs:
+                r = bits(w)
+                while r >= b:
+                    r = bits(w)
+                add(r)
+        rows = np.frombuffer(flat, dtype=np.uint8) if small else np.array(flat, dtype=np.int64)
+        return rows.reshape(k, len(pairs))
 
     def permutation(self, n: int) -> tuple[int, ...]:
         """Uniform ordering of 1..n as a tuple, by Fisher-Yates over
-        positions, each swap partner drawn from getrandbits by rejection."""
+        positions with the swap partners of one uniform_rows row."""
         if n < 1:
             raise InputError(f"a permutation needs n >= 1, got {n}")
-        try:
-            swaps = self._swaps[n]
-        except KeyError:
-            swaps = self._swaps[n] = tuple((i, (i + 1).bit_length()) for i in range(n - 1, 0, -1))
         seq = list(range(1, n + 1))
-        bits = self._rng.getrandbits
-        for i, k in swaps:
-            j = bits(k)
-            while j > i:
-                j = bits(k)
+        for i, j in zip(range(n - 1, 0, -1), self.uniform_rows(range(n, 1, -1), 1)[0].tolist()):
             seq[i], seq[j] = seq[j], seq[i]
         return tuple(seq)
 

@@ -7,23 +7,29 @@ two_slot_quarter_counts and dv_wrap_counts are the scalar forms of the
 package's array paths for prug and prugd, one graph at a time in Python
 ints at any n, the reference for those paths at every size.
 prug_p_vector and prug_q_vector are the two-slot rule read directly off
-one ordering, the reference for the prug sampler's per-graph tables.
+one ordering, the reference for engine.two_slot_draws.
 correlation_histogram reads the correlation check's left indegrees off
 each ordering's positions, with no ordering table.  ordering_table is
 the ordering table built by concatenating blocks, the reference for
 the row order of engine.permutation_table.
 late_takeover_run is the one deliberately wrong rule here, a negative
 control for the Lemma 3 scan.
+perm_run and the *_sampler functions are the per-draw samplers: each
+draw simulates its rule on one ordering or vertex from the SeedStream's
+one-at-a-time draws (permutation, randrange, categorical), the
+reference for the package's batch samplers, draw for draw.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from fractions import Fraction
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from impartial.graphs import AnyGraph, InputError, NominationGraph, Permutation
+from impartial.rng import SeedStream
 
 
 def scan_select(g: AnyGraph, order: tuple[int, ...], exclude_candidate: bool = True) -> int:
@@ -298,3 +304,123 @@ def late_takeover_run(out0, perms):
         cand = np.where(upd, v, cand)
         d = np.where(upd, c[idx, v], d)
     return cand, d, c.max(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# per-draw samplers
+
+def perm_run(g: AnyGraph, seq: Sequence[int]) -> int:
+    """The scan along the ordering seq of 1..n with one running count per
+    vertex, left[t] = the number of already placed vertices that
+    nominate t; RuntimeError if the selected vertex misses the maximum
+    indegree from the left."""
+    n = g.n
+    if len(seq) != n:
+        raise InputError(f"permutation size {len(seq)} != graph size {n}")
+    out = g.out
+    left = [0] * (n + 1)  # slot 0 absorbs absent edges and is never read
+    cand = seq[0]
+    d = max_left = 0
+    left[out[cand - 1] or 0] += 1
+    for v in seq[1:]:
+        full = left[v]
+        if full - (out[cand - 1] == v) >= d:
+            cand = v
+            d = full
+        if full > max_left:
+            max_left = full
+        left[out[v - 1] or 0] += 1
+    if d != max_left:
+        raise RuntimeError(
+            f"selected vertex {cand} has left indegree {d}, not the maximum {max_left}"
+        )
+    return cand
+
+
+def perm_sampler(g: AnyGraph):
+    """The scan on one SeedStream.permutation per draw."""
+    n = g.n
+    return lambda rng: perm_run(g, rng.permutation(n))
+
+
+def rd_sampler(g: NominationGraph):
+    """One uniform vertex per draw; it selects its nominee."""
+    n, out = g.n, g.out
+    return lambda rng: out[rng.randrange(n)]
+
+
+def prug_sampler(g: AnyGraph):
+    """Per draw: a uniform ordering, the weight vector of that ordering
+    plus that of its reverse in eighths, read off the first two and last
+    two marked vertices (T, plus T2 when T = {t}), then a categorical
+    draw over the nonzero eighths in vertex order; None for no one."""
+    n, out = g.n, g.out
+    degs = g.indegrees()
+    dmax = max(degs)
+    top = [v for v in g.vertices if degs[v - 1] == dmax]
+    t, gap = top[0], False
+    if len(top) == 1:
+        reduced = list(degs)
+        if out[t - 1] is not None:
+            reduced[out[t - 1] - 1] -= 1
+        gap = all(dmax >= reduced[v - 1] + 2 for v in g.vertices if v != t)
+    marked = [False] * (n + 1)
+    for v in g.vertices:
+        marked[v] = degs[v - 1] == dmax or (len(top) == 1 and degs[v - 1] == dmax - 1)
+
+    def first_two(vertices: Iterable[int]) -> list[int]:
+        found = []
+        for v in vertices:
+            if marked[v]:
+                found.append(v)
+                if len(found) == 2:
+                    break
+        return found
+
+    def draw(rng: SeedStream) -> Optional[int]:
+        seq = rng.permutation(n)
+        head, tail = first_two(seq), first_two(reversed(seq))
+        if len(top) > 1:
+            w = {tail[0]: 2, head[0]: 2}
+            for front, runner in (tail, head):
+                if out[runner - 1] == front:
+                    w[runner] = w.get(runner, 0) + 2
+        else:
+            w = {t: 2 * (3 if gap else 2)}
+            for runner in (tail[0], head[0]):
+                if out[runner - 1] == t:
+                    w[runner] = w.get(runner, 0) + 2
+        picks = sorted(w)
+        i = rng.categorical([w[v] for v in picks], 8)
+        return None if i is None else picks[i]
+
+    return draw
+
+
+def prugd_sampler(g: NominationGraph):
+    """Per draw: a uniform default vertex, then a prug draw on the graph
+    without its edge, whose no one is the default."""
+    n = g.n
+    inner = [None] * (n + 1)
+
+    def draw(rng: SeedStream) -> int:
+        vbar = rng.randrange(n) + 1
+        if inner[vbar] is None:
+            inner[vbar] = prug_sampler(g.remove_out_edge(vbar))
+        picked = inner[vbar](rng)
+        return vbar if picked is None else picked
+
+    return draw
+
+
+def mix_sampler(g: NominationGraph):
+    """rd for n <= 5; otherwise a coin below 1049 per draw picks perm
+    under 825, prugd otherwise."""
+    if g.n <= 5:
+        return rd_sampler(g)
+    perm, prugd = perm_sampler(g), prugd_sampler(g)
+    return lambda rng: perm(rng) if rng.randrange(1049) < 825 else prugd(rng)
+
+
+SAMPLERS = {"perm": perm_sampler, "rd": rd_sampler, "prug": prug_sampler,
+            "prugd": prugd_sampler, "mix": mix_sampler}

@@ -688,8 +688,8 @@ def correlation_batch(n, count, seed):
     removed, and a seeded v* for each (any vertex will do)."""
     rng = SeedStream(seed)
     graphs = [random_graph(n, rng) for _ in range(count)]
-    graphs += [g.remove_out_edge(rng.vertex(n)) for g in graphs[:2]]
-    return graphs, [rng.vertex(n) for _ in graphs]
+    graphs += [g.remove_out_edge(rng.randrange(n) + 1) for g in graphs[:2]]
+    return graphs, [rng.randrange(n) + 1 for _ in graphs]
 
 
 def dp_histograms(graphs, vstars):
@@ -766,7 +766,7 @@ def test_unique_counts_match_every_row():
     rng = SeedStream(41)
     for n in (5, 6):
         graphs = [random_graph(n, rng) for _ in range(30)]
-        graphs += [g.remove_out_edge(rng.vertex(n)) for g in graphs[:10]]
+        graphs += [g.remove_out_edge(rng.randrange(n) + 1) for g in graphs[:10]]
         outs = np.stack([engine.out_array(g) for g in graphs])
         picks = [rng.randrange(len(outs)) for _ in range(200)]
         for name, mech in MECHANISMS.items():

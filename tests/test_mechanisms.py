@@ -26,8 +26,8 @@ from impartial.mechanisms import (
     get_mechanism,
     per_graph,
     mix_sampler,
-    perm_run,
     perm_sampler,
+    perm_select,
     prug_sampler,
     prugd_sampler,
     rd_sampler,
@@ -46,26 +46,30 @@ def seeded_graphs(n, count, seed):
     return [random_graph(n, rng) for _ in range(count)]
 
 
+def perm_run(g, *orders):
+    """The batch perm rule's selections on orderings of 1..n."""
+    return perm_select(engine.out_array(g), np.array(orders, dtype=np.int16).T - 1).tolist()
+
+
 # ---------------------------------------------------------------------------
 # permutation mechanism
 
 def test_perm_run_two_cycle_traces():
     # vertex 2 ties at 0 (its edge from the candidate 1 is ignored) and
     # takes over
-    assert perm_run(TWO_CYCLE, (1, 2)) == 2
-    assert perm_run(TWO_CYCLE, (2, 1)) == 1
+    assert perm_run(TWO_CYCLE, (1, 2), (2, 1)) == [2, 1]
 
 
 def test_perm_run_three_vertices():
-    assert perm_run(TRIANGLE_IN, (3, 2, 1)) == 1
+    assert perm_run(TRIANGLE_IN, (3, 2, 1)) == [1]
     assert TRIANGLE_IN.indegrees()[1 - 1] == 2
 
 
 def test_perm_run_selects_a_maximum_left_indegree():
     for g in seeded_graphs(6, 20, 11):
-        for order in itertools.islice(itertools.permutations(g.vertices), 40):
+        orders = list(itertools.islice(itertools.permutations(g.vertices), 40))
+        for order, selected in zip(orders, perm_run(g, *orders)):
             left = [g.indegree_from(v, order[:i]) for i, v in enumerate(order)]
-            selected = perm_run(g, order)
             assert left[order.index(selected)] == max(left)
 
 
@@ -73,8 +77,21 @@ def test_perm_run_matches_scan_oracle_exhaustive():
     for n in (2, 3, 4):
         totals = list(oracle.all_graphs(n))
         for g in totals + list(one_edge_removed(totals)):
-            for order in itertools.permutations(g.vertices):
-                assert perm_run(g, order) == oracle.scan_select(g, order), (g.out, order)
+            orders = list(itertools.permutations(g.vertices))
+            expected = [oracle.scan_select(g, order) for order in orders]
+            assert perm_run(g, *orders) == expected, g.out
+            assert [oracle.perm_run(g, order) for order in orders] == expected, g.out
+
+
+def test_perm_rule_raises_when_a_selection_misses_the_maximum(monkeypatch):
+    # a scan whose takeover needs > instead of >= ends below the maximum
+    # left indegree on some ordering, and the batch rule must say so
+    g = ub_family(6, 0)
+    orders = list(itertools.permutations(g.vertices))
+    perm_run(g, *orders)
+    monkeypatch.setattr(engine, "run_selection", oracle.late_takeover_run)
+    with pytest.raises(RuntimeError, match="not the maximum"):
+        perm_run(g, *orders)
 
 
 # 200 draws from one SeedStream(7) on random_graph(50, 3), pinned so that
@@ -94,16 +111,15 @@ PERM_SAMPLE_PINNED = [
 
 
 def test_perm_sample_seeded_stream_pinned():
-    draw = perm_sampler(random_graph(50, 3))
-    rng = SeedStream(7)
-    assert [draw(rng) for _ in range(200)] == PERM_SAMPLE_PINNED
+    draws = perm_sampler(random_graph(50, 3))
+    assert draws(SeedStream(7), 200).tolist() == PERM_SAMPLE_PINNED
 
 
 def test_permutation_stream_is_the_stdlib_shuffle():
     # SeedStream.permutation runs Fisher-Yates on getrandbits, and
-    # randrange and vertex run randrange's rejection loop on it; they
-    # must read the streams random.Random.shuffle and randrange read,
-    # draw for draw, and leave the generator in the same state
+    # randrange and uniform_rows run randrange's rejection loop on it;
+    # they must read the streams random.Random.shuffle and randrange
+    # read, draw for draw, and leave the generator in the same state
     bounds = (1, 2, 3, 7, 8, 9, 1049, 2**31 + 1, 2**70)
     for seed in range(300):
         for n in (1, 2, 3, 5, 7, 23, 50, 200):
@@ -114,7 +130,9 @@ def test_permutation_stream_is_the_stdlib_shuffle():
                 assert stream.permutation(n) == tuple(seq), (seed, n)
                 for b in bounds:
                     assert stream.randrange(b) == reference.randrange(b), (seed, b)
-                    assert stream.vertex(b) == reference.randrange(b) + 1, (seed, b)
+                for row in (bounds[:6] + (256,), bounds[:-1]):  # one byte an entry, then int64
+                    expected = [[reference.randrange(b) for b in row] for _ in range(2)]
+                    assert stream.uniform_rows(row, 2).tolist() == expected, (seed, row)
             assert stream._rng.getstate() == reference.getstate(), (seed, n)
 
 
@@ -122,6 +140,8 @@ def test_permutation_stream_is_the_stdlib_shuffle():
 def test_randrange_of_an_empty_range_is_refused(n):
     with pytest.raises(ValueError):
         SeedStream(0).randrange(n)
+    with pytest.raises(ValueError):
+        SeedStream(0).uniform_rows((3, n), 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -267,7 +287,7 @@ def partial_graphs_of(totals, seed):
     partials = []
     for g in totals:
         for _ in range(1 + rng.randrange(2)):
-            g = g.remove_out_edge(rng.vertex(g.n))
+            g = g.remove_out_edge(rng.randrange(g.n) + 1)
         partials.append(g)
     return partials
 
@@ -508,13 +528,10 @@ def test_both_exact_entries_check_counts_alike(row, den, message):
 
 def test_perm_sample_deterministic_and_consistent():
     assert PERM.sample(TRIANGLE_IN, 42) == PERM.sample(TRIANGLE_IN, 42)
-    rng = SeedStream(7)
-    draw = perm_sampler(TWO_CYCLE)
-    counts = [0, 0]
     draws = 20_000
-    for _ in range(draws):
-        counts[draw(rng) - 1] += 1
-    f = counts[0] / draws
+    counts = np.bincount(perm_sampler(TWO_CYCLE)(SeedStream(7), draws), minlength=3)
+    assert counts[0] == 0
+    f = counts[1] / draws
     assert abs(f - 0.5) < 3 * math.sqrt(0.25 / draws)
 
 
@@ -538,9 +555,8 @@ def test_rd_total_is_one(n, seed):
 
 
 def test_rd_sample_matches_support():
-    draw = rd_sampler(TRIANGLE_IN)
-    rng = SeedStream(3)
-    assert all(draw(rng) in (1, 2) for _ in range(200))
+    draws = rd_sampler(TRIANGLE_IN)(SeedStream(3), 200)
+    assert set(draws.tolist()) <= {1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +621,7 @@ def test_prug_closed_form_matches_oracle_seeded():
     rng = SeedStream(43)
     for n, count in ((5, 6), (6, 4), (7, 2), (8, 1)):
         totals = [random_graph(n, rng) for _ in range(count)]
-        partials = [g.remove_out_edge(rng.vertex(n)) for g in totals]
+        partials = [g.remove_out_edge(rng.randrange(n) + 1) for g in totals]
         for g in totals + partials:
             assert list(PRUG.exact(g).probs) == oracle.prug_dist(g), g.out
 
@@ -633,10 +649,8 @@ def test_prug_exact_sum_at_most_one_exhaustive():
 
 
 def test_prug_sample_star_none_rate():
-    rng = SeedStream(11)
-    draw = prug_sampler(STAR4)
     draws = 20_000
-    nones = sum(1 for _ in range(draws) if draw(rng) is None)
+    nones = int((prug_sampler(STAR4)(SeedStream(11), draws) == 0).sum())
     f = nones / draws
     assert abs(f - 0.25) < 3 * math.sqrt(0.25 * 0.75 / draws)
 
@@ -685,9 +699,8 @@ PRUG_SAMPLE_PINNED = [
 
 
 def test_prug_sample_seeded_stream_pinned():
-    draw = prug_sampler(random_graph(50, 3))
-    rng = SeedStream(7)
-    assert [draw(rng) or 0 for _ in range(200)] == PRUG_SAMPLE_PINNED
+    draws = prug_sampler(random_graph(50, 3))
+    assert draws(SeedStream(7), 200).tolist() == PRUG_SAMPLE_PINNED
 
 
 # 200 draws each of perm and prug from one SeedStream(7) on a graph with
@@ -723,29 +736,23 @@ PRUG_PARTIAL_PINNED = [
 @pytest.mark.parametrize("sampler, pinned", [(perm_sampler, PERM_PARTIAL_PINNED),
                                              (prug_sampler, PRUG_PARTIAL_PINNED)])
 def test_partial_graph_seeded_streams_pinned(sampler, pinned):
-    draw = sampler(PARTIAL)
-    rng = SeedStream(7)
-    assert [draw(rng) or 0 for _ in range(200)] == pinned
+    draws = sampler(PARTIAL)
+    assert draws(SeedStream(7), 200).tolist() == pinned
 
 
-class OrderingStub(FixedDraw):
-    """A stream whose permutation is a fixed ordering and whose uniform
-    integer draw is always r."""
-
-    def __init__(self, order, r):
-        super().__init__(r)
-        self.order = order
-
-    def permutation(self, n):
-        assert n == len(self.order)
-        return self.order
+def two_slot_picks(g, orders, r):
+    """engine.two_slot_draws on g, one column per (ordering of 1..n, r)
+    pair."""
+    cols = np.array(orders, dtype=np.int16).T - 1
+    return engine.two_slot_draws(engine.out_array(g)[None], np.zeros(len(orders), dtype=np.intp),
+                                 cols, np.asarray(r))
 
 
 def test_prug_sampler_eighths_match_the_reference_rule_exhaustive():
     # every ordering of every class representative for n <= 6, and of
     # each representative with one edge removed and the edgeless graph
-    # for n <= 5: the eighths a vertex wins among the eight uniform
-    # integers of the categorical draw are prug_q_vector's
+    # for n <= 5: the eighths a vertex wins among the eight values of r
+    # the vectorised rule picks by are prug_q_vector's
     checked = 0
     for n in range(2, 7):
         graphs = [NominationGraph(out) for out, _ in iso_classes(n)]
@@ -753,13 +760,35 @@ def test_prug_sampler_eighths_match_the_reference_rule_exhaustive():
             graphs += list(dict.fromkeys(one_edge_removed(graphs)))
             graphs.append(PartialNominationGraph((None,) * n))
         for g in graphs:
-            draw = prug_sampler(g)
-            for order in itertools.permutations(g.vertices):
-                picks = Counter(draw(OrderingStub(order, r)) for r in range(8))
-                eighths = tuple(picks[v] for v in g.vertices)
-                assert eighths == oracle.prug_q_vector(g, Permutation(order)), (g.out, order)
+            orders = list(itertools.permutations(g.vertices))
+            picks = two_slot_picks(g, [o for o in orders for _ in range(8)], np.tile(np.arange(8), len(orders)))
+            slots = np.repeat(np.arange(len(orders)) * (n + 1), 8) + picks
+            wins = np.bincount(slots, minlength=len(orders) * (n + 1)).reshape(len(orders), n + 1)
+            for order, row in zip(orders, wins.tolist()):
+                assert tuple(row[1:]) == oracle.prug_q_vector(g, Permutation(order)), (g.out, order)
                 checked += 1
     assert checked == 30_518 + 7_122  # (graph, ordering) pairs: total, then partial
+
+
+def test_prug_rule_raises_when_the_eighths_sum_past_8(monkeypatch):
+    # T = {1} and T2 = {2, 3}, both nominating 1; 1 fails the gap test
+    # (2 stays one below it), so it gets 2 quarters per ordering.  A
+    # mutant gap test that passes every lone top vertex grants it 3, and
+    # an ordering with 2 and 3 at the two marked ends weighs 6 + 2 + 2
+    # eighths.
+    g = NominationGraph((3, 1, 1, 1, 2, 2, 3))
+    orders = [(2, 1, 3, 4, 5, 6, 7)] * 8
+    picks = two_slot_picks(g, orders, np.arange(8))
+    assert np.bincount(picks, minlength=4).tolist() == [0, 4, 2, 2]
+    classes = engine._two_slot_classes
+
+    def always_gap(out0s):
+        *head, gap, second = classes(out0s)
+        return (*head, np.ones_like(gap), second)
+
+    monkeypatch.setattr(engine, "_two_slot_classes", always_gap)
+    with pytest.raises(ValueError, match="> 8"):
+        two_slot_picks(g, orders, np.arange(8))
 
 
 # ---------------------------------------------------------------------------
@@ -829,9 +858,8 @@ PRUGD_SAMPLE_PINNED = [
 
 
 def test_prugd_sample_seeded_stream_pinned():
-    draw = prugd_sampler(random_graph(50, 3))
-    rng = SeedStream(7)
-    assert [draw(rng) for _ in range(200)] == PRUGD_SAMPLE_PINNED
+    draws = prugd_sampler(random_graph(50, 3))
+    assert draws(SeedStream(7), 200).tolist() == PRUGD_SAMPLE_PINNED
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +898,8 @@ def test_mix_sample_deterministic():
 
 
 class CoinStub:
-    """A stream whose every randrange call returns one fixed value."""
+    """A stream whose every randrange call returns one fixed value and
+    whose rows are all zeros; it records the bounds it is asked for."""
 
     def __init__(self, value):
         self.value = value
@@ -880,17 +909,23 @@ class CoinStub:
         self.bounds.append(n)
         return self.value
 
+    def uniform_rows(self, bounds, k):
+        self.bounds.append(tuple(bounds))
+        return np.zeros((k, len(bounds)), dtype=np.uint8)
+
 
 def test_mix_coin_sends_825_of_1049_values_to_perm(monkeypatch):
-    monkeypatch.setattr(mechanisms, "perm_sampler", lambda g: lambda rng: "perm")
-    monkeypatch.setattr(mechanisms, "prugd_sampler", lambda g: lambda rng: "prugd")
-    draw = mechanisms.mix_sampler(ub_family(6, 0))
+    # perm's rule selects vertex 1 and prugd's vertex 2, on any rows
+    monkeypatch.setattr(mechanisms, "_perm_rows", lambda g: (("perm",), lambda rows: np.ones(len(rows))))
+    monkeypatch.setattr(mechanisms, "_prugd_rows", lambda g: (("prugd",), lambda rows: np.full(len(rows), 2)))
+    draws = mechanisms.mix_sampler(ub_family(6, 0))
     picks = Counter()
     for value in range(1049):
         stub = CoinStub(value)
-        picks[draw(stub)] += 1
-        assert stub.bounds == [1049]
-    assert picks == {"perm": 825, "prugd": 224}
+        (picked,) = draws(stub, 1).tolist()
+        picks[picked] += 1
+        assert stub.bounds == [1049, ("perm",) if picked == 1 else ("prugd",)]
+    assert picks == {1: 825, 2: 224}
 
 
 # 200 draws from one SeedStream(7) on random_graph(50, 3), pinned so that
@@ -910,9 +945,8 @@ MIX_SAMPLE_PINNED = [
 
 
 def test_mix_sample_seeded_stream_pinned():
-    draw = mix_sampler(random_graph(50, 3))
-    rng = SeedStream(7)
-    assert [draw(rng) for _ in range(200)] == MIX_SAMPLE_PINNED
+    draws = mix_sampler(random_graph(50, 3))
+    assert draws(SeedStream(7), 200).tolist() == MIX_SAMPLE_PINNED
 
 
 # ---------------------------------------------------------------------------
@@ -949,8 +983,7 @@ def test_total_graph_rule_reads_the_edges_not_the_type():
     for name, mech in MECHANISMS.items():
         draws = []
         for g in (total, all_edges):
-            draw, rng = mech.sampler(g), SeedStream(11)
-            draws.append([draw(rng) for _ in range(50)])
+            draws.append(mech.sampler(g)(SeedStream(11), 50).tolist())
         assert draws[0] == draws[1], name
 
 
@@ -1012,3 +1045,47 @@ def test_all_samplers_agree_with_support():
                 assert name == "prug" and dist.total < 1
             else:
                 assert picked in support
+
+
+# ---------------------------------------------------------------------------
+# batch samplers against the per-draw oracle
+
+def sampler_cases():
+    """Every class at n <= 6, three partial graphs and one seeded random
+    graph per n from 7 to 50 and at n = 300, whose rows no longer fit in
+    a byte."""
+    for n in range(2, 7):
+        yield from (NominationGraph(out) for out, _ in iso_classes(n))
+    yield from map(PartialNominationGraph, [(3, None, 1, 1, 2), (None,) * 4, (2, None, 2, 3, None, 1)])
+    rng = SeedStream(29)
+    yield from (random_graph(n, rng) for n in [*range(7, 51), 300])
+
+
+def test_batch_samplers_match_the_per_draw_oracle():
+    # draw for draw, and the generator ends in the same state
+    cases = 0
+    for seed, g in enumerate(sampler_cases()):
+        for name, mech in MECHANISMS.items():
+            if None in g.out and not mech.accepts_partial:
+                continue
+            batch, reference = SeedStream(seed), SeedStream(seed)
+            draw = oracle.SAMPLERS[name](g)
+            expected = [draw(reference) or 0 for _ in range(100)]
+            assert mech.sampler(g)(batch, 100).tolist() == expected, (name, g.out)
+            assert batch._rng.getstate() == reference._rng.getstate(), (name, g.out)
+            cases += 1
+    assert cases == 5 * (1 + 2 + 6 + 13 + 40 + 45) + 2 * 3  # classes at n = 2..6, random, partial
+
+
+@pytest.mark.parametrize("chunk", [1, 7, engine.SAMPLE_CHUNK])
+def test_sampled_draws_do_not_depend_on_the_chunk(monkeypatch, chunk):
+    monkeypatch.setattr(engine, "SAMPLE_CHUNK", chunk)
+    g = random_graph(50, 3)
+    pinned = {"perm": PERM_SAMPLE_PINNED, "prug": PRUG_SAMPLE_PINNED,
+              "prugd": PRUGD_SAMPLE_PINNED, "mix": MIX_SAMPLE_PINNED}
+    for name, draws in pinned.items():
+        assert MECHANISMS[name].sampler(g)(SeedStream(7), 200).tolist() == draws, name
+    draw, rng = oracle.rd_sampler(g), SeedStream(7)
+    assert RD.sampler(g)(SeedStream(7), 200).tolist() == [draw(rng) for _ in range(200)]
+    assert PERM.sampler(PARTIAL)(SeedStream(7), 200).tolist() == PERM_PARTIAL_PINNED
+    assert PRUG.sampler(PARTIAL)(SeedStream(7), 200).tolist() == PRUG_PARTIAL_PINNED
