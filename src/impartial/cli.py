@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, analysis, engine
+from . import __version__, analysis
 from .generators import family_graph
 from .graphs import (
     CapacityError,
@@ -145,10 +145,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             }
     else:
         draws, rng = mech.sampler(graph), SeedStream(_resolve_seed(args, required=True))
-        counts = np.zeros(graph.n + 1, dtype=np.int64)  # counts[v] for vertex v, counts[0] for no one
-        for start in range(0, args.samples, engine.SAMPLE_CHUNK):  # keeps memory flat in --samples
-            counts += np.bincount(draws(rng, min(engine.SAMPLE_CHUNK, args.samples - start)), minlength=graph.n + 1)
-        counts = counts.tolist()
+        # counts[v] for vertex v, counts[0] for no one, a chunk at a time (flat in --samples)
+        counts = sum(np.bincount(p, minlength=graph.n + 1) for p in draws.chunks(rng, args.samples)).tolist()
         k = args.samples
         header = ["vertex", "count", "freq", "ci3"]
         table = []

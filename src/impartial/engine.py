@@ -23,18 +23,17 @@ form without enumerating anything, for a whole batch of graphs at once,
 in int64 while they fit and in Python ints above (graphs.exact_dtype).
 
 The Lemma 3 check that every scan ends on the maximum left indegree,
-the sampled scan and the mechanisms' samplers run on explicit orderings
-with numpy, many at once.  The key shortcut there: when the
-left-to-right scan considers vertex v, the prefix is exactly the set of
-vertices placed before v.  So the indegree from the left that the scan
-sees for v equals the number of in-neighbors of v placed before v,
-without materializing prefixes.  run_selection walks a batch position
-by position and keeps, per ordering and vertex, a running count of the
-nominations placed so far, so each step reads the placed vertex's count
-and adds one to its target's, for all orderings at once.
-left_indegree_matrix counts the same numbers per vertex from positions,
-in O(n) vector operations; the tests read the correlation check's
-reference histograms off it.
+the sampled scan and the samplers run on explicit orderings with numpy,
+many at once.  The key shortcut there: when the left-to-right scan considers
+vertex v, the prefix is exactly the set of vertices placed before v.  So
+the indegree from the left that the scan sees for v equals the number
+of in-neighbors of v placed before v, without materializing prefixes.
+run_selection walks a batch position by position and keeps, per
+ordering and vertex, a running count of the nominations placed so far,
+so each step reads the placed vertex's count and adds one to its
+target's, for all orderings at once.  left_indegree_matrix counts the
+same numbers per vertex from positions, in O(n) vector operations; the
+tests read the correlation check's reference histograms off it.
 
 Everything here is 0-based and array-typed; the public modules convert
 at the boundary.
@@ -63,12 +62,13 @@ DP_CAP = 16
 # prefix-set walk, which bounds its memory: a batch is split into passes
 # of whole graphs, and a graph too big for one pass gets its own.
 STATE_BUDGET = 1 << 14
-# Orderings per run_selection call: sampled_selection_counts and the
-# mechanisms' samplers draw this many at a time, and the Lemma 3 scan
-# slices its table into blocks of this many.  It bounds their memory (by
-# tracemalloc, a peak of about 4.8 MB for the scan at n = 23 and 0.5 to
-# 4.9 MB for the samplers at n = 50) and keeps a block's arrays in cache;
-# the draws do not depend on it.
+# Orderings per run_selection call: sampled_selection_counts draws this
+# many at a time, the Lemma 3 scan slices its table into blocks of this
+# many, and the samplers draw this many rows of up to 64 entries and as
+# many wider rows as fill 64 * SAMPLE_CHUNK entries (sample_rows).  It
+# bounds their memory (by tracemalloc, a peak of about 4.8 MB for the scan
+# at n = 23, and 0.3-4.8 MB for the samplers at n = 50, 4-7 MB at
+# n = 2000) and keeps a block's arrays in cache; the draws do not depend on it.
 SAMPLE_CHUNK = 10000
 _table_cache: dict[int, np.ndarray] = {}
 
@@ -105,9 +105,19 @@ def permutation_table(n: int) -> np.ndarray:
     return _table_cache[n]
 
 
+def sample_rows(width: int) -> int:
+    """Draws per sampler chunk for rows of width entries (see SAMPLE_CHUNK)."""
+    return max(1, SAMPLE_CHUNK * 64 // max(width, 64))
+
+
+def vertex_dtype(n: int) -> type:
+    """int16 while vertex numbers and counts up to n fit, int32 above."""
+    return np.int16 if n < 1 << 15 else np.int32
+
+
 def out_array(g: AnyGraph) -> np.ndarray:
     """0-based target array; -1 marks an absent edge."""
-    return np.array([-1 if t is None else t - 1 for t in g.out], dtype=np.int16)
+    return np.array([-1 if t is None else t - 1 for t in g.out], dtype=vertex_dtype(g.n))
 
 
 def left_indegree_matrix(out0: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -143,17 +153,18 @@ def run_selection(out0: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.n
     counts into its own slot, which is never read again once it is placed.
     """
     rows, n = perms.shape
-    order = np.ascontiguousarray(perms.T, dtype=np.int16)
-    target = np.where(out0 < 0, np.arange(n), out0).astype(np.int16)
+    dtype = vertex_dtype(n)
+    order = np.ascontiguousarray(perms.T, dtype=dtype)
+    target = np.where(out0 < 0, np.arange(n), out0).astype(dtype)
     base = np.arange(0, rows * n, n)  # ordering r's counts are left[r*n : r*n + n]
-    left = np.zeros(rows * n, dtype=np.int16)
+    left = np.zeros(rows * n, dtype=dtype)
     at = np.empty(rows, dtype=np.intp)  # take and fancy indexing run fastest on intp indices
-    step = np.empty(rows, dtype=np.int16)
+    step = np.empty(rows, dtype=dtype)
     cand = order[0].copy()
     held = target.take(cand)  # the candidate's target
     t = held
-    d = np.zeros(rows, dtype=np.int16)
-    top = np.zeros(rows, dtype=np.int16)
+    d = np.zeros(rows, dtype=dtype)
+    top = np.zeros(rows, dtype=dtype)
     for j in range(1, n):
         left[np.add(base, t, out=at)] += 1
         v = order[j]
@@ -171,16 +182,16 @@ def run_selection(out0: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def orderings(partners: np.ndarray) -> np.ndarray:
-    """The (n, k) position-major int16 orderings run_selection scans,
-    from (k, n - 1) Fisher-Yates swap partners drawn below n, n - 1,
-    ..., 2: column c of the partners swaps position n - 1 - c, in order,
-    as SeedStream.permutation does one ordering at a time."""
+    """The (n, k) position-major orderings run_selection scans, from
+    (k, n - 1) Fisher-Yates swap partners drawn below n, n - 1, ..., 2:
+    column c of the partners swaps position n - 1 - c, in order, as
+    SeedStream.permutation does one ordering at a time."""
     k, n = partners.shape[0], partners.shape[1] + 1
-    order = np.repeat(np.arange(n, dtype=np.int16)[:, None], k, axis=1)
+    order = np.repeat(np.arange(n, dtype=vertex_dtype(n))[:, None], k, axis=1)
     flat = order.ravel()
     cols = np.arange(k)
     for c in range(n - 1):
-        at = partners[:, c] * np.intp(k) + cols
+        at = partners[:, c].astype(np.intp) * k + cols
         # a partner at the position itself swaps its value with itself
         order[n - 1 - c], flat[at] = flat[at], order[n - 1 - c].copy()
     return order
@@ -456,25 +467,6 @@ def runner_up_gap_quarter_counts(out0: np.ndarray) -> tuple[list[int], int]:
     return counts[0].tolist(), nfact
 
 
-def _two_slot_classes(out0s: np.ndarray):
-    """Per row of a (graphs, n) target array: the indegrees, their maximum
-    dmax, the mask of T (indegree dmax) and its size, the first top vertex
-    t, t's gap test, and the mask of T2 (indegree dmax - 1)."""
-    graphs, n = out0s.shape
-    rows = np.arange(graphs)
-    deg = indegrees(out0s)
-    dmax = deg.max(axis=1)
-    top = deg == dmax[:, None]
-    t = deg.argmax(axis=1)
-    t_target = out0s[rows, t]
-    rivals = deg.copy()  # the others' indegrees once t's edge is removed
-    rivals[rows, t] = -1
-    edged = t_target >= 0
-    rivals[rows[edged], t_target[edged]] -= 1
-    gap = dmax >= rivals.max(axis=1) + 2
-    return deg, dmax, top, top.sum(axis=1), t, gap, deg == (dmax - 1)[:, None]
-
-
 def two_slot_quarter_counts(out0s: np.ndarray) -> tuple[np.ndarray, int]:
     """Exact per-vertex counts, in quarter units, of the two-slot rule
     summed over all n! orderings, in closed form, for each row of a
@@ -504,9 +496,12 @@ def two_slot_quarter_counts(out0s: np.ndarray) -> tuple[np.ndarray, int]:
     nfact = math.factorial(n)
     dtype = exact_dtype(4 * nfact)
     rows = np.arange(graphs)
-    deg, dmax, top, k, t, gap, second = _two_slot_classes(out0s)
+    deg = indegrees(out0s)
     absent = out0s < 0
     target_deg = np.where(absent, -1, np.take_along_axis(deg, np.where(absent, 0, out0s), axis=1))
+    dmax = deg.max(axis=1)
+    top = deg == dmax[:, None]
+    k = top.sum(axis=1)
     two = np.full(graphs, 2 * nfact, dtype=dtype)
     # k >= 2 (kk keeps the k = 1 rows clear of a zero divisor)
     kk = np.maximum(k, 2).astype(dtype)
@@ -514,49 +509,85 @@ def two_slot_quarter_counts(out0s: np.ndarray) -> tuple[np.ndarray, int]:
     pairs = np.where(target_deg == dmax[:, None], pair[:, None], 0)
     several = np.where(top, share[:, None] + pairs, 0)
     # k = 1, T = {t}
+    t = deg.argmax(axis=1)
+    t_target = out0s[rows, t]
+    rivals = deg.copy()  # the others' indegrees once t's edge is removed
+    rivals[rows, t] = -1
+    edged = t_target >= 0
+    rivals[rows[edged], t_target[edged]] -= 1
+    gap = dmax >= rivals.max(axis=1) + 2
+    second = deg == (dmax - 1)[:, None]
     runner = two // (second.sum(axis=1) + 1).astype(dtype)
     single = np.where((out0s == t[:, None]) & second, runner[:, None], 0)
     single[rows, t] = np.where(gap, 3, 2).astype(dtype) * nfact
     return np.where((k >= 2)[:, None], several, single), nfact
 
 
-def two_slot_draws(out0s: np.ndarray, which: np.ndarray, orders: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The two-slot rule's seeded draws on the (n, k) position-major
-    orderings orders: column i runs row which[i] of the (graphs, n)
-    int16 targets out0s and picks by r[i] in 0..7.  Returns the (k,)
+def _two_slot_tables(out0: np.ndarray, removed: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The indegrees of out0 and, per variant i (out0 without removed[i]'s
+    edge, -1 for none): the vertex v whose indegree drops (-1 for none),
+    the least indegree of a marked vertex (T, plus T2 when T = {t}), t
+    when T = {t} (-1 otherwise) and the front's quarters, all read off
+    the graph's classes in O(n + variants)."""
+    n = len(out0)
+    deg = np.bincount(out0[out0 >= 0], minlength=n)
+    cnt = np.bincount(deg + 1, minlength=n + 2)  # cnt[x + 1]: vertices of indegree x
+    big = deg.max()  # a variant's top indegree is big or big - 1
+    lead = np.array([np.append(np.flatnonzero(deg == x)[:2], [n, n])[:2] for x in (big, big - 1)])
+    v = np.where(removed >= 0, out0[removed], -1)
+    dv = np.where(v >= 0, deg[v], -2)  # -2 is no indegree
+
+    def count(x):  # vertices of indegree x in each variant
+        return cnt[x + 1] - (dv == x) + (dv - 1 == x)
+
+    dmax = big - ((dv == big) & (cnt[big + 1] == 1))
+    lone = count(dmax) == 1
+    first, second = lead[big - dmax].T  # the first two of indegree dmax before v drops
+    t = np.minimum(np.where(first != v, first, second), np.where(dv - 1 == dmax, v, n))
+    w = np.where(t != removed, out0[t], -1)  # t's target in the variant
+    # the gap test: no rival stays one below t once t's edge is removed
+    gap = count(dmax - 1) == ((w >= 0) & (deg[w] - (w == v) == dmax - 1))
+    return deg, v, dmax - lone, np.where(lone, t, -1), np.where(lone & gap, 3, 2)
+
+
+def two_slot_rule(out0: np.ndarray, removed: np.ndarray):
+    """draws(which, orders, r): the two-slot rule on column i of the
+    (n, k) position-major orderings orders, run on variant which[i] of
+    _two_slot_tables and picking by r[i] in 0..7.  Returns the (k,)
     selected vertices, 1-based, 0 for no one; ValueError if a column's
     weights sum past 8.
 
     A column weighs its ordering's quarters (two_slot_quarter_counts)
     plus its reverse's, in eighths.  The front is the last member of T,
     the runner-up the one before it when |T| >= 2, or when T = {t} the
-    last of T2, scoring only after t; so the last marked vertex (T, plus
-    T2 when T = {t}) stands in for it, and a column reads only its first
-    two and last two marked vertices.  The pick is the lowest vertex
-    whose cumulative weight in vertex order exceeds r, as
-    SeedStream.categorical picks."""
-    _, _, top, size, t, gap, second = _two_slot_classes(out0s)
-    lone = size == 1
-    marked = (top | (lone[:, None] & second)).ravel()
-    n, k = orders.shape
-    base = which * n  # where each column's graph starts in out0s raveled
-    # a position at a time keeps the index arrays to (k,)
-    ranks = np.cumsum([marked.take(row + base) for row in orders], axis=0, dtype=np.int16)
+    last of T2, scoring only after t; so the last marked vertex stands
+    in for it, and a column reads only its first two and last two marked
+    vertices.  The pick is the lowest vertex whose cumulative weight in
+    vertex order exceeds r, as SeedStream.categorical picks."""
+    n, dtype = len(out0), vertex_dtype(len(out0) + 1)
+    deg, v, lo, lone_t, front = (a.astype(dtype) for a in _two_slot_tables(out0, removed))
 
-    def marked_vertex(rank):  # the rank-th marked vertex of each column
-        return orders[(ranks >= rank).argmax(axis=0), np.arange(k)]
+    def draws(which: np.ndarray, orders: np.ndarray, r: np.ndarray) -> np.ndarray:
+        vc, loc = v.take(which), lo.take(which)
+        ranks = np.cumsum([deg.take(row) - (row == vc) >= loc for row in orders], axis=0, dtype=dtype)
 
-    head, head2, tail, tail2 = (marked_vertex(rank) for rank in (1, 2, ranks[-1], ranks[-1] - 1))
-    front = np.where(lone & gap, 3, 2).astype(np.int16)  # per ordering, in quarters
-    lone, t, front = (a.take(which) for a in (lone, t.astype(np.int16), front))
-    # the fronts and runners-up of the ordering (tail end) and its reverse
-    fronts = np.where(lone, t, tail), np.where(lone, t, head)
-    runners = np.where(lone, tail, tail2), np.where(lone, head, head2)
-    x = np.stack([*fronts, *runners])  # int16 from here on, as run_selection
-    w = np.stack([front] * 2 + [(out0s.ravel().take(base + u) == f) * np.int16(2) for u, f in zip(runners, fronts)])
-    if (w.sum(axis=0) > 8).any():
-        raise ValueError(f"two-slot weights sum to {int(w.sum(axis=0).max())} > 8 eighths")
-    # eighths at or below each slot's vertex, then the lowest vertex past r
-    below = sum(w[s] * (x[s] <= x) for s in range(4))
-    pick = np.where((w > 0) & (below > r), x, n).min(axis=0)
-    return np.where(pick < n, pick + 1, 0)
+        def marked_vertex(rank):  # the rank-th marked vertex of each column
+            return orders[(ranks >= rank).argmax(axis=0), np.arange(len(which))]
+
+        head, head2, tail, tail2 = (marked_vertex(rank) for rank in (1, 2, ranks[-1], ranks[-1] - 1))
+        t, gone = lone_t.take(which), removed.take(which)
+        lone = t >= 0
+        # the fronts and runners-up of the ordering (tail end) and its reverse
+        fronts = np.where(lone, t, tail), np.where(lone, t, head)
+        runners = np.where(lone, tail, tail2), np.where(lone, head, head2)
+        x = np.stack([*fronts, *runners])
+        w = np.stack([front.take(which)] * 2
+                     + [((out0.take(u) == f) & (u != gone)) * dtype(2) for u, f in zip(runners, fronts)])
+        # eighths at or below each slot's vertex (at most, a column's total)
+        below = sum(w[s] * (x[s] <= x) for s in range(4))
+        if below.max(initial=0) > 8:
+            raise ValueError(f"two-slot weights sum to {int(below.max())} > 8 eighths")
+        pick = np.where((w > 0) & (below > r), x, n).min(axis=0)  # the lowest vertex past r
+        return np.where(pick < n, pick + 1, 0)
+
+    return draws

@@ -19,11 +19,9 @@ Counts are int64 while the largest of them fits, and Python ints
 graph at a time joins the same path through per_graph, which scales
 its rows to the lcm of their denominators.  The sampling path is a
 factory (the ``*_sampler`` functions) that reads the graph once and
-returns draws(rng, k), the k selected vertices, 0 for no one.  It runs
-the rule in numpy on engine.SAMPLE_CHUNK rows at a time from
-SeedStream.uniform_rows, which reads the words one-at-a-time draws
-read (an ordering is its row of swap partners); mix draws its coin per
-draw, since the coin decides which row comes next.
+returns Draws: it runs the rule in numpy a chunk of rows at a time from
+SeedStream.uniform_rows, which reads the words one-at-a-time draws read
+(an ordering is its row of swap partners); mix draws a coin per draw.
 
 perm  - left-to-right candidate scan along a uniform random ordering.
 rd    - random dictatorship: a uniform vertex's nominee.
@@ -39,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -59,8 +57,6 @@ from .rng import SeedStream, as_stream
 # The exact path's result on a batch: a (graphs, n) integer count array
 # and the one denominator of the batch.
 Counts = tuple[np.ndarray, int]
-# k seeded draws on a fixed graph as a (k,) array, 0 for no one
-Draws = Callable[[SeedStream, int], np.ndarray]
 # a sampler's row bounds and its rule on (k, len(bounds)) rows
 Rows = tuple[tuple[int, ...], Callable[[np.ndarray], np.ndarray]]
 
@@ -100,7 +96,7 @@ def perm_counts(out0s: np.ndarray) -> Counts:
 
 def perm_sampler(g: AnyGraph) -> Draws:
     """The scan on one uniform ordering per draw."""
-    return _chunked(*_perm_rows(g))
+    return _from_rows(*_perm_rows(g))
 
 
 def _perm_rows(g: AnyGraph) -> Rows:
@@ -119,7 +115,7 @@ def rd_counts(out0s: np.ndarray) -> Counts:
 def rd_sampler(g: NominationGraph) -> Draws:
     """One uniform vertex per draw; it selects its nominee."""
     out = np.array(g.out)
-    return _chunked((g.n,), lambda rows: out[rows[:, 0]])
+    return _from_rows((g.n,), lambda rows: out[rows[:, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +137,10 @@ def prug_counts(out0s: np.ndarray) -> Counts:
 def prug_sampler(g: AnyGraph) -> Draws:
     """Per draw: a uniform ordering, then a uniform integer below 8 that
     picks by the weights of the ordering plus its reverse in eighths (the
-    reverse-paired average), by engine.two_slot_draws."""
-    out0s = engine.out_array(g)[None]
-    return _chunked((*range(g.n, 1, -1), 8), lambda rows: engine.two_slot_draws(
-        out0s, np.zeros(len(rows), dtype=np.intp), engine.orderings(rows[:, :-1]), rows[:, -1]))
+    reverse-paired average), by engine.two_slot_rule."""
+    rule = engine.two_slot_rule(engine.out_array(g), np.array([-1]))
+    return _from_rows((*range(g.n, 1, -1), 8), lambda rows: rule(
+        np.zeros(len(rows), dtype=np.intp), engine.orderings(rows[:, :-1]), rows[:, -1]))
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +173,15 @@ def prugd_counts(out0s: np.ndarray) -> Counts:
 def prugd_sampler(g: NominationGraph) -> Draws:
     """Per draw: a uniform default vertex, then a prug draw on the graph
     without its edge; no one there selects the default."""
-    return _chunked(*_prugd_rows(g))
+    return _from_rows(*_prugd_rows(g))
 
 
 def _prugd_rows(g: NominationGraph) -> Rows:
-    copies = np.repeat(engine.out_array(g)[None], g.n, axis=0)
-    copies[np.arange(g.n), np.arange(g.n)] = -1  # row j: the graph without j's edge
+    two_slot = engine.two_slot_rule(engine.out_array(g), np.arange(g.n))  # variant j: without j's edge
 
     def rule(rows: np.ndarray) -> np.ndarray:
-        default = rows[:, 0].astype(np.intp)  # which copy each column reads
-        picked = engine.two_slot_draws(copies, default, engine.orderings(rows[:, 1:-1]), rows[:, -1])
+        default = rows[:, 0].astype(np.intp)
+        picked = two_slot(default, engine.orderings(rows[:, 1:-1]), rows[:, -1])
         return np.where(picked > 0, picked, default + 1)
 
     return (g.n, *range(g.n, 1, -1), 8), rule
@@ -223,7 +218,7 @@ def mix_sampler(g: NominationGraph) -> Draws:
         for i in range(k):
             coin = coins[i] = rng.randrange(den) < cut
             row = rng.uniform_rows(perm_bounds if coin else prugd_bounds, 1)[0]
-            if rows is None:  # n > 256 decides the dtype of both kinds of row
+            if rows is None:  # the two kinds of row share a dtype, which n > 5 sets
                 rows = np.empty((k, len(prugd_bounds)), dtype=row.dtype)
             rows[i, : len(row)] = row
         out = np.empty(k, dtype=np.int32)
@@ -231,28 +226,32 @@ def mix_sampler(g: NominationGraph) -> Draws:
         out[~coins] = prugd(rows[~coins])
         return out
 
-    return _in_chunks(chunk)
+    return Draws(chunk, len(prugd_bounds))
 
 
 # ---------------------------------------------------------------------------
 # Registry
 
-def _chunked(bounds: tuple[int, ...], rule: Callable[[np.ndarray], np.ndarray]) -> Draws:
-    return _in_chunks(lambda rng, k: rule(rng.uniform_rows(bounds, k)))  # rule on rows below bounds
+@dataclass(frozen=True)
+class Draws:
+    """draws(rng, k): k seeded draws on a fixed graph as a (k,) int32
+    array in draw order, 0 for no one; chunks(rng, k) yields it in the
+    chunks chunk(rng, rows) makes, engine.sample_rows(width) rows each."""
 
+    chunk: Callable[[SeedStream, int], np.ndarray]
+    width: int
 
-def _in_chunks(chunk: Callable[[SeedStream, int], np.ndarray]) -> Draws:
-    """Draws made engine.SAMPLE_CHUNK at a time by chunk(rng, k); each
-    reads on from where the last stopped, so the draws do not depend on it."""
+    def __call__(self, rng: SeedStream, k: int) -> np.ndarray:
+        return np.concatenate([np.empty(0, dtype=np.int32), *self.chunks(rng, k)], dtype=np.int32)
 
-    def draws(rng: SeedStream, k: int) -> np.ndarray:
-        out = np.empty(k, dtype=np.int32)
-        step = engine.SAMPLE_CHUNK
+    def chunks(self, rng: SeedStream, k: int) -> Iterator[np.ndarray]:
+        step = engine.sample_rows(self.width)
         for start in range(0, k, step):
-            out[start : start + step] = chunk(rng, min(step, k - start))
-        return out
+            yield self.chunk(rng, min(step, k - start))
 
-    return draws
+
+def _from_rows(bounds: tuple[int, ...], rule: Callable[[np.ndarray], np.ndarray]) -> Draws:
+    return Draws(lambda rng, k: rule(rng.uniform_rows(bounds, k)), len(bounds))  # rule on rows below bounds
 
 
 def per_graph(counts: Callable[[AnyGraph], tuple[Sequence[int], int]]) -> Callable[[np.ndarray], Counts]:
@@ -292,9 +291,10 @@ class Mechanism:
     check_counts.
     exact(g) is counts on a batch of one, as a SelectionDistribution
     built from the row counts has checked, without checking it again.
-    sampler(g) reads the graph once and returns draws(rng, k): k draws
-    from a SeedStream as a (k,) array in draw order, 0 for no one;
-    sample() is one draw from a seed or a SeedStream, None for no one.
+    sampler(g) reads the graph once and returns Draws: draws(rng, k) is
+    k draws from a SeedStream as a (k,) array in draw order, 0 for no
+    one, and draws.chunks(rng, k) the same a chunk at a time; sample()
+    is one draw from a seed or a SeedStream, None for no one.
     """
 
     name: str

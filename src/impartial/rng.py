@@ -36,9 +36,8 @@ class SeedStream:
     def __init__(self, seed: int) -> None:
         self.seed = int(seed)
         self._rng = random.Random(self.seed)
-        # bounds -> their (bound, bit width) pairs, and whether every
-        # bound is at most 256
-        self._rows: dict[tuple[int, ...], tuple[tuple[tuple[int, int], ...], bool]] = {}
+        # bounds -> their (bound, bit width) pairs and the rows' dtype
+        self._rows: dict[tuple[int, ...], tuple[tuple[tuple[int, int], ...], np.dtype]] = {}
 
     def split(self, label: str) -> "SeedStream":
         """Child stream whose seed is derived from (seed, label)."""
@@ -69,17 +68,22 @@ class SeedStream:
         """k rows of uniform integers as a (k, len(bounds)) array, entry
         j of a row in 0..bounds[j] - 1, drawn row by row and left to
         right, each as randrange(bounds[j]) draws it; ValueError for a
-        bound below 1.  The entries gather one byte each while every
-        bound is at most 256 (uint8), and as Python ints above (int64).
+        bound below 1.  The entries gather in the least unsigned type
+        that holds them, one byte each while every bound is at most 256.
         The bit widths are kept per bounds, so a one-row call is cheap."""
         bounds = tuple(bounds)
         if bounds not in self._rows:
             if min(bounds, default=1) < 1:
                 raise ValueError(f"empty range in uniform_rows bounds {bounds}")
-            self._rows[bounds] = tuple((b, b.bit_length()) for b in bounds), max(bounds, default=1) <= 256
-        pairs, small = self._rows[bounds]
+            self._rows[bounds] = (tuple((b, b.bit_length()) for b in bounds),
+                                  np.min_scalar_type(max(bounds, default=1) - 1))
+        pairs, dtype = self._rows[bounds]
         bits = self._rng.getrandbits
-        flat = bytearray() if small else []
+        if dtype == np.uint8:
+            flat = bytearray()  # appends faster than array("B")
+        else:
+            from array import array  # here, as loading it costs resident memory
+            flat = array(dtype.char)
         add = flat.append
         for _ in range(k):
             for b, w in pairs:
@@ -87,8 +91,7 @@ class SeedStream:
                 while r >= b:
                     r = bits(w)
                 add(r)
-        rows = np.frombuffer(flat, dtype=np.uint8) if small else np.array(flat, dtype=np.int64)
-        return rows.reshape(k, len(pairs))
+        return np.frombuffer(flat, dtype=dtype).reshape(k, len(pairs))
 
     def permutation(self, n: int) -> tuple[int, ...]:
         """Uniform ordering of 1..n as a tuple, by Fisher-Yates over

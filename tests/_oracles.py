@@ -7,7 +7,7 @@ two_slot_quarter_counts and dv_wrap_counts are the scalar forms of the
 package's array paths for prug and prugd, one graph at a time in Python
 ints at any n, the reference for those paths at every size.
 prug_p_vector and prug_q_vector are the two-slot rule read directly off
-one ordering, the reference for engine.two_slot_draws.
+one ordering, the reference for engine.two_slot_rule.
 correlation_histogram reads the correlation check's left indegrees off
 each ordering's positions, with no ordering table.  ordering_table is
 the ordering table built by concatenating blocks, the reference for

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -130,7 +131,7 @@ def test_permutation_stream_is_the_stdlib_shuffle():
                 assert stream.permutation(n) == tuple(seq), (seed, n)
                 for b in bounds:
                     assert stream.randrange(b) == reference.randrange(b), (seed, b)
-                for row in (bounds[:6] + (256,), bounds[:-1]):  # one byte an entry, then int64
+                for row in (bounds[:6] + (256,), bounds[:-1]):  # one byte an entry, then four
                     expected = [[reference.randrange(b) for b in row] for _ in range(2)]
                     assert stream.uniform_rows(row, 2).tolist() == expected, (seed, row)
             assert stream._rng.getstate() == reference.getstate(), (seed, n)
@@ -741,11 +742,11 @@ def test_partial_graph_seeded_streams_pinned(sampler, pinned):
 
 
 def two_slot_picks(g, orders, r):
-    """engine.two_slot_draws on g, one column per (ordering of 1..n, r)
+    """engine.two_slot_rule on g, one column per (ordering of 1..n, r)
     pair."""
     cols = np.array(orders, dtype=np.int16).T - 1
-    return engine.two_slot_draws(engine.out_array(g)[None], np.zeros(len(orders), dtype=np.intp),
-                                 cols, np.asarray(r))
+    rule = engine.two_slot_rule(engine.out_array(g), np.array([-1]))
+    return rule(np.zeros(len(orders), dtype=np.intp), cols, np.asarray(r))
 
 
 def test_prug_sampler_eighths_match_the_reference_rule_exhaustive():
@@ -780,13 +781,13 @@ def test_prug_rule_raises_when_the_eighths_sum_past_8(monkeypatch):
     orders = [(2, 1, 3, 4, 5, 6, 7)] * 8
     picks = two_slot_picks(g, orders, np.arange(8))
     assert np.bincount(picks, minlength=4).tolist() == [0, 4, 2, 2]
-    classes = engine._two_slot_classes
+    tables = engine._two_slot_tables
 
-    def always_gap(out0s):
-        *head, gap, second = classes(out0s)
-        return (*head, np.ones_like(gap), second)
+    def always_gap(out0, removed):
+        *head, t, front = tables(out0, removed)
+        return (*head, t, np.where(t >= 0, 3, front))
 
-    monkeypatch.setattr(engine, "_two_slot_classes", always_gap)
+    monkeypatch.setattr(engine, "_two_slot_tables", always_gap)
     with pytest.raises(ValueError, match="> 8"):
         two_slot_picks(g, orders, np.arange(8))
 
@@ -1089,3 +1090,58 @@ def test_sampled_draws_do_not_depend_on_the_chunk(monkeypatch, chunk):
     assert RD.sampler(g)(SeedStream(7), 200).tolist() == [draw(rng) for _ in range(200)]
     assert PERM.sampler(PARTIAL)(SeedStream(7), 200).tolist() == PERM_PARTIAL_PINNED
     assert PRUG.sampler(PARTIAL)(SeedStream(7), 200).tolist() == PRUG_PARTIAL_PINNED
+
+
+def test_two_slot_tables_match_each_edge_removed_copy():
+    # each variant's tables, read off the graph's classes, against the
+    # classes of the copy itself: every class at n <= 6 and seeded random
+    # graphs, without each vertex's edge and without none
+    rng = SeedStream(31)
+    graphs = [NominationGraph(out) for n in range(2, 7) for out, _ in iso_classes(n)]
+    graphs += [random_graph(n, rng) for n in range(7, 41)]
+    for g in graphs:
+        removed = np.arange(-1, g.n)
+        deg, *tables = engine._two_slot_tables(engine.out_array(g), removed)
+        assert tuple(deg.tolist()) == g.indegrees()
+        tables = np.stack(tables).T.tolist()
+        for j, row in zip(removed.tolist(), tables):
+            h = g if j < 0 else g.remove_out_edge(j + 1)
+            degs = h.indegrees()
+            dmax = max(degs)
+            top = [v for v in h.vertices if degs[v - 1] == dmax]
+            v = -1 if j < 0 else g.out[j] - 1
+            expected = [v, dmax - (len(top) == 1), -1, 2]
+            if len(top) == 1:
+                (t,) = top
+                reduced = list(degs)
+                if h.out[t - 1] is not None:
+                    reduced[h.out[t - 1] - 1] -= 1
+                gap = all(dmax >= reduced[u - 1] + 2 for u in h.vertices if u != t)
+                expected[2:] = t - 1, 3 if gap else 2
+            assert row == expected, (g.out, j)
+
+
+def test_samplers_hold_their_memory_at_n_2000():
+    # a chunk holds about SAMPLE_CHUNK * 64 entries whatever n (perm
+    # draws one chunk and one draw more), and prugd and mix read the n
+    # defaults off one table; whole-graph copies and chunks of
+    # SAMPLE_CHUNK orderings took 27 to 88 MB here
+    g = random_graph(2000, SeedStream(1))
+    for name, mech in MECHANISMS.items():
+        k = engine.sample_rows(g.n) + 1 if name == "perm" else 3
+        tracemalloc.start()
+        try:
+            mech.sampler(g)(SeedStream(7), k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, (name, peak)
+
+
+def test_samplers_run_past_int16_vertices():
+    # n = 2^15 + 1: vertex numbers and indegrees no longer fit in int16
+    g = random_graph(2**15 + 1, SeedStream(2))
+    for name in ("perm", "prugd"):
+        batch, reference = SeedStream(3), SeedStream(3)
+        draw = oracle.SAMPLERS[name](g)
+        assert MECHANISMS[name].sampler(g)(batch, 1).tolist() == [draw(reference)], name
