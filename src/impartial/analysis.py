@@ -9,10 +9,10 @@ arrays at once: a batch has one denominator, so two probabilities in it
 are equal exactly when their counts are, and a rational is built only
 for a value they report.  The exhaustive checks cover the full graph
 class for a given n (all (n-1)^n target assignments), so zero-tolerance
-comparisons against the closed-form guarantees are meaningful.  Every mechanism and the Lemma 3 scan commute with
-relabelling, so the sweeps, exhaustive impartiality and the scan walk
-one representative per isomorphism class, weighted by the labelled
-graphs in its class.
+comparisons against the closed-form guarantees are meaningful.  Every
+mechanism and the Lemma 3 scan commute with relabelling, so the sweeps,
+exhaustive impartiality and the scan walk one representative per
+isomorphism class, weighted by the labelled graphs in its class.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -65,11 +65,10 @@ SWEEP_BUDGET = 300_000_000
 # Seeded relabellings per family graph in the ceiling chain's symmetry
 # precheck above n = 6.
 CHAIN_RELABELLINGS = 200
-# Graphs, counting each graph's deviations, that exhaustive
-# check_impartial evaluates in one Mechanism.counts call; the graphs
-# alike within such a window (deviations of sibling classes) are
-# evaluated once.
-IMPARTIAL_WINDOW = 1 << 14
+# Rows per window of a walk (_walk), each graph counted with the graphs
+# its worker derives from it; impartiality evaluates the graphs alike
+# within a window (deviations of sibling classes) once.
+WINDOW = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +247,11 @@ class GraphSweep:
 def _graph_units(n: int, mechanisms: tuple[str, ...]) -> int:
     """Work units charged for evaluating the named mechanisms on one
     graph: n, plus 2^n for each run of the prefix-set DP (perm, and mix
-    above MIX_SMALL_N).  A unit is about 2 us on one core, so
-    SWEEP_BUDGET is about 10 min: the batched DP took 1.9-2.6 us per 2^n
-    and class over all classes at n = 9, 10 and 11 and every sixth at
-    n = 12.  The DP refuses n > DP_CAP, so its charge stops growing
-    there rather than build 2^n for a huge n."""
+    above MIX_SMALL_N).  A unit took 0.7 us on one core of a 2-core
+    Xeon in the perm sweep at n = 11 and 12 (9 s and 53 s), and 0.46 us
+    in perm impartiality at n = 9, so SWEEP_BUDGET is about 3.5 min.
+    The DP refuses n > DP_CAP, so its charge stops growing there rather
+    than build 2^n for a huge n."""
     dp_runs = mechanisms.count("perm") + (n > MIX_SMALL_N) * mechanisms.count("mix")
     return n + dp_runs * 2 ** min(n, engine.DP_CAP + 1)
 
@@ -267,28 +266,30 @@ def _charge(what: str, n: int, work: int, remedy: str = "reduce n") -> None:
         )
 
 
-def _class_walk(what: str, n: int, per_class: int) -> tuple[tuple, tuple[int, ...]]:
-    """(representatives, weights) of the isomorphism classes of size n,
-    for a walk charged per_class units per class against SWEEP_BUDGET."""
-    reps, weights = zip(*iso_classes(n))
-    _charge(what, n, len(reps) * per_class)
-    return reps, weights
-
-
-def _in_chunks(worker: Callable, items: Sequence, jobs: int, *args) -> list:
-    """worker(*args, chunk) over consecutive chunks of items, in order,
-    on a pool of at most jobs, chunk-count and CPU-count processes."""
-    step = max(1, math.ceil(len(items) / (jobs * 4)))
-    chunks = [items[i : i + step] for i in range(0, len(items), step)]
-    workers = min(jobs, len(chunks), os.cpu_count() or 1)
+def _walk(what: str, n: int, units: int, reps: Sequence, worker: Callable, *args,
+          rows: int = 1, jobs: int = 1) -> Iterator:
+    """worker(*args, window), lazily and in order, over windows of reps,
+    the graphs of size n a walk covers, charged units each against
+    SWEEP_BUDGET first.  A window holds whole graphs, at most WINDOW rows
+    at rows per graph (itself and the graphs its worker derives from it),
+    and with jobs > 1 at most a 4 * jobs-th of reps; then the windows go
+    to a pool of at most jobs, window-count and CPU-count processes.  A
+    caller that stops early cancels the windows the pool has not started."""
+    _charge(what, n, len(reps) * units)
+    step = max(1, WINDOW // rows)
+    if jobs > 1:
+        step = min(step, math.ceil(len(reps) / (jobs * 4)))
+    windows = [reps[i : i + step] for i in range(0, len(reps), step)]
+    workers = min(jobs, len(windows), os.cpu_count() or 1)
     if workers <= 1:
-        return [worker(*args, chunk) for chunk in chunks]
+        yield from (worker(*args, window) for window in windows)
+        return
     # imported here: loading them costs every process that never starts a pool
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-        return list(pool.map(worker, *([a] * len(chunks) for a in args), chunks))
+        yield from pool.map(worker, *([a] * len(windows) for a in args), windows)
 
 
 def _class_rows(mechanisms: tuple[str, ...], reps: Sequence[tuple[int, ...]]) -> list[tuple]:
@@ -313,14 +314,13 @@ def sweep_graphs(n: int, mechanisms: Sequence[str] = ("perm",), jobs: int = 1) -
     jobs > 1 splits the classes over a process pool.
 
     Each class is charged _graph_units against SWEEP_BUDGET, which
-    admits every mechanism up to CLASS_CAP (perm at n = 12 in about
-    3 min).
+    admits every mechanism up to CLASS_CAP (perm at n = 12 in 53 s).
     """
     mechanisms = tuple(mechanisms)
     for m in mechanisms:
         get_mechanism(m)  # raises InputError on an unknown name
-    reps, weights = _class_walk("sweep", n, _graph_units(n, mechanisms))
-    parts = _in_chunks(_class_rows, reps, jobs, mechanisms)
+    reps, weights = zip(*iso_classes(n))
+    parts = _walk("sweep", n, _graph_units(n, mechanisms), reps, _class_rows, mechanisms, jobs=jobs)
     deltas, high2s, *columns = zip(*(row for part in parts for row in part))
     return GraphSweep(reps, weights, deltas, high2s, dict(zip(mechanisms, columns)))
 
@@ -354,8 +354,9 @@ def scan_orderings(n: int, jobs: int = 1) -> tuple[int, int, int]:
     splits the classes over a process pool.
     """
     nfact = math.factorial(n)
-    reps, weights = _class_walk("ordering scan", n, nfact)
-    violations = [v for part in _in_chunks(_scan_range, reps, jobs, n) for v in part]
+    reps, weights = zip(*iso_classes(n))
+    parts = _walk("ordering scan", n, nfact, reps, _scan_range, n, jobs=jobs)
+    violations = [v for part in parts for v in part]
     graphs = sum(weights)
     return graphs, graphs * nfact, sum(w * v for w, v in zip(weights, violations))
 
@@ -401,12 +402,42 @@ class ImpartialityReport:
         return self.counterexample is None
 
 
+def _impartial_window(mech: Mechanism, reps: Sequence) -> tuple[int, Optional[tuple]]:
+    """check_impartial on a window of graphs: (graphs, first failing
+    move), the move as (graph index, move index in walk order, witness),
+    or None if every move passes.  The graphs and their deviations go to
+    one Mechanism.counts call, each distinct graph once, and every
+    deviator's count is compared with its count on the graph (a window
+    has one denominator)."""
+    base = np.array(reps) - 1
+    k, n = base.shape
+    # the moves (graph, v, u) in walk order: by graph, then v, then u
+    vertex = np.arange(n)
+    legal = (vertex[None, None, :] != vertex[None, :, None]) & (vertex != base[:, :, None])
+    g, v, u = np.nonzero(legal)
+    deviated = base[g]
+    deviated[np.arange(len(g)), v] = u
+    counts, den, index = _unique_counts(mech, np.concatenate([base, deviated]))
+    before, after = index[g], index[k:]
+    same = counts[after, v] == counts[before, v]
+    if same.all():
+        return k, None
+    first = int(np.argmin(same))
+    c, move = divmod(first, n * (n - 2))
+    return k, (c, move, DeviationWitness(
+        NominationGraph(reps[c]), int(v[first]) + 1, int(u[first]) + 1,
+        Fraction(int(counts[before[first], v[first]]), den),
+        Fraction(int(counts[after[first], v[first]]), den),
+    ))
+
+
 def check_impartial(
     mechanism: str | Mechanism,
     n: int,
     mode: str = "exhaustive",
     seed: int = 0,
     samples: int = 200,
+    jobs: int = 1,
 ) -> ImpartialityReport:
     """Check that redirecting one vertex's nomination never changes that
     vertex's own exact selection probability; stops at the first
@@ -423,54 +454,31 @@ def check_impartial(
     class is, before any is drawn, so at the default 200 graphs perm and
     mix run up to n = 13 and rd, prug and prugd up to n = 115.
 
-    The graphs and their deviations go to Mechanism.counts in windows of
-    about IMPARTIAL_WINDOW, each distinct graph of a window once, and
-    every deviator's count is compared with its count on the graph (a
-    window has one denominator); the witness is the first failing move
-    in walk order (graph, then vertex, then new target).
+    The graphs go to _impartial_window in windows of _walk, over jobs
+    processes; the witness is the first failing move in walk order
+    (graph, then vertex, then new target).
     """
     mech = get_mechanism(mechanism)
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"mode must be exhaustive or sampled, got {mode!r}")
     units = (n - 1) ** 2 * _graph_units(n, (mech.name,))  # per graph
     if mode == "exhaustive":
-        reps, weights = _class_walk("exhaustive impartiality", n, units)
+        reps, weights = zip(*iso_classes(n))
     else:
         _charge("sampled impartiality", n, samples * units, "reduce n or --samples")
         rng = SeedStream(seed).split("impartiality-graphs")
         reps, weights = [random_graph(n, rng).out for _ in range(samples)], [1] * samples
-
     moves = n * (n - 2)  # per graph: every vertex to each target but itself and its own
-    step = max(1, IMPARTIAL_WINDOW // (moves + 1))
-    graphs_checked = 0
-    for i in range(0, len(reps), step):
-        base = np.array(reps[i : i + step]) - 1
-        k = len(base)
-        # the moves (graph, v, u) in walk order: by graph, then v, then u
-        vertex = np.arange(n)
-        legal = (vertex[None, None, :] != vertex[None, :, None]) & (vertex != base[:, :, None])
-        g, v, u = np.nonzero(legal)
-        deviated = base[g]
-        deviated[np.arange(len(g)), v] = u
-        counts, den, index = _unique_counts(mech, np.concatenate([base, deviated]))
-        before, after = index[g], index[k:]
-        same = counts[after, v] == counts[before, v]
-        if not same.all():
-            first = int(np.argmin(same))
-            c, move = divmod(first, moves)
-            witness = DeviationWitness(
-                NominationGraph(reps[i + c]), int(v[first]) + 1, int(u[first]) + 1,
-                Fraction(int(counts[before[first], v[first]]), den),
-                Fraction(int(counts[after[first], v[first]]), den),
-            )
-            done = sum(weights[i : i + c])
-            return ImpartialityReport(
-                graphs_checked + done + weights[i + c],
-                (graphs_checked + done) * moves + weights[i + c] * (move + 1),
-                witness,
-            )
-        graphs_checked += sum(weights[i : i + k])
-    return ImpartialityReport(graphs_checked, graphs_checked * moves, None)
+    walked = 0
+    for k, first in _walk(f"{mode} impartiality", n, units, reps, _impartial_window, mech,
+                          rows=moves + 1, jobs=jobs):
+        if first is not None:
+            c, move, witness = first
+            done, w = sum(weights[: walked + c]), weights[walked + c]
+            return ImpartialityReport(done + w, done * moves + w * (move + 1), witness)
+        walked += k
+    graphs = sum(weights)
+    return ImpartialityReport(graphs, graphs * moves, None)
 
 
 # ---------------------------------------------------------------------------
@@ -509,25 +517,16 @@ class CorrelationReport:
         return self.level_probs_ok and all(c.ok for c in self.comparisons)
 
 
-def verify_negative_correlation(g: AnyGraph) -> CorrelationReport:
-    """Exhaustively check that lowering the fixed top vertex's indegree
-    from the left can only raise the chance that some other vertex has
-    indegree at least i from the left.
-
-    Also checks that the top vertex's left indegree is uniform over
-    0..delta.  Conditioning events are never empty here for that reason,
-    but an empty one would be reported as vacuous rather than compared.
-    This is verify_negative_correlations on one graph.
-    """
-    return verify_negative_correlations([g])[0]
-
-
 def verify_negative_correlations(graphs: Sequence[AnyGraph]) -> list[CorrelationReport]:
-    """verify_negative_correlation on each graph, in order.  The graphs
-    of each size go to engine.correlation_histograms as one batch, which
-    sums the joint histogram of (a, m) over all n! orderings by a
-    prefix-set DP: a is the top vertex's left indegree, m the others'
-    maximum.  Raises CapacityError above engine.DP_CAP."""
+    """Exhaustively check on each graph, in order, that lowering the top
+    vertex's left indegree can only raise the chance that another vertex
+    has left indegree at least i, and that the top vertex's left
+    indegree is uniform over 0..delta (so no conditioning event is
+    empty; one would be reported as vacuous).  The graphs of each size
+    go to engine.correlation_histograms as one batch, which sums the
+    joint histogram of (a, m) over all n! orderings by a prefix-set DP:
+    a is the top vertex's left indegree, m the others' maximum.  Raises
+    CapacityError above engine.DP_CAP."""
     reports: list[Optional[CorrelationReport]] = [None] * len(graphs)
     by_size: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):

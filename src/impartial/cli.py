@@ -171,7 +171,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _verify_impartial(args: argparse.Namespace, payload: dict) -> bool:
     seed = _resolve_seed(args, required=args.mode == "sampled") or 0
     rep = analysis.check_impartial(
-        args.mech, args.n, mode=args.mode, seed=seed, samples=args.samples or 200
+        args.mech, args.n, mode=args.mode, seed=seed, samples=args.samples or 200, jobs=args.jobs
     )
     payload["graphs_checked"] = rep.graphs_checked
     payload["deviations_checked"] = rep.deviations_checked
@@ -406,7 +406,8 @@ def _positive_int_list(text: str) -> str:
 _positive_int_list.__name__ = "int list"  # as in "invalid int list value"
 
 
-_JOBS_HELP = "worker processes: sweeps and the Lemma 3 scan split their isomorphism classes"
+_JOBS_HELP = ("worker processes: the sweeps, the Lemma 3 scan and impartiality (exhaustive or "
+              "sampled) split their graphs")
 
 
 def build_parser() -> argparse.ArgumentParser:

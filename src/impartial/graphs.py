@@ -110,17 +110,6 @@ class PartialNominationGraph:
                 degs[t - 1] += 1
         return tuple(degs)
 
-    def max_indegree_and_top(self) -> tuple[int, frozenset[int], int]:
-        """Maximum indegree, the set attaining it, and its smallest member.
-
-        The smallest-index member is the fixed deterministic choice of
-        top vertex used wherever a single representative is needed.
-        """
-        degs = self.indegrees()
-        dmax = max(degs)
-        top = frozenset(v for v in self.vertices if degs[v - 1] == dmax)
-        return dmax, top, min(top)
-
     def remove_out_edge(self, v: int) -> "PartialNominationGraph":
         """Drop v's outgoing edge; idempotent if it is already absent."""
         _check_vertex(v, self.n)

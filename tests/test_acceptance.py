@@ -25,7 +25,7 @@ from impartial.analysis import (
     sweep_graphs,
     tightness_scan,
     upper_bound,
-    verify_negative_correlation,
+    verify_negative_correlations,
     verify_upper_bound_chain,
 )
 from impartial.cli import main as cli_main
@@ -212,11 +212,11 @@ def test_criterion_10_left_max_invariant(monkeypatch):
 
 
 def test_criterion_11_correlation_checks():
-    rep = verify_negative_correlation(correlation_example_graph())
+    rep = verify_negative_correlations([correlation_example_graph()])[0]
     assert rep.passed and not rep.vacuous
     rng = SeedStream(7_2024).split("acceptance-correlation")
     for _ in range(200):
-        rep = verify_negative_correlation(random_graph(7, rng))
+        rep = verify_negative_correlations([random_graph(7, rng)])[0]
         assert rep.passed, rep.graph.out
         assert rep.level_probs_ok
     note(11, "correlation inequalities hold on the example graph and 200 seeded graphs at n=7")

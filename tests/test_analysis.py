@@ -27,7 +27,6 @@ from impartial.analysis import (
     sweep_graphs,
     tightness_scan,
     upper_bound,
-    verify_negative_correlation,
     verify_negative_correlations,
     verify_upper_bound_chain,
     worst_case,
@@ -170,8 +169,8 @@ def test_worst_case_rd_small_n():
     for n in (2, 3, 4, 5):
         rep = worst_case("rd", n)
         assert rep.min_ratio == Fraction(1, 2) + Fraction(1, n)
-        assert rep.witness.max_indegree_and_top()[0] == 2 or n == 2
-    assert worst_case("rd", 5).witness.max_indegree_and_top()[0] == 2
+        assert max(rep.witness.indegrees()) == 2 or n == 2
+    assert max(worst_case("rd", 5).witness.indegrees()) == 2
 
 
 def test_worst_case_perm_small_n():
@@ -292,9 +291,9 @@ def test_sweep_parallel_matches_serial():
     assert scan_orderings(4, jobs=1) == scan_orderings(4, jobs=2)
 
 
-def test_in_chunks_pool_is_capped_by_chunks_and_cpus(monkeypatch):
-    # the pool starts no more workers than there are chunks or CPUs,
-    # whatever jobs asks for; the chunking, and so the result, is unchanged
+def test_walk_pool_is_capped_by_windows_and_cpus(monkeypatch):
+    # the pool starts no more workers than there are windows or CPUs,
+    # whatever jobs asks for; the windows, and so the result, are unchanged
     sizes = []
 
     class SerialPool:
@@ -314,13 +313,29 @@ def test_in_chunks_pool_is_capped_by_chunks_and_cpus(monkeypatch):
     monkeypatch.setattr(analysis.os, "cpu_count", lambda: 64)
     serial = sweep_graphs(6, ("rd",))
     assert sweep_graphs(6, ("rd",), jobs=500) == serial
-    assert sizes == [40]  # one chunk per class at n = 6
+    assert sizes == [40]  # one window per class at n = 6
+    drawn = {"mode": "sampled", "seed": 1, "samples": 20}
+    assert check_impartial("rd", 6, jobs=500) == check_impartial("rd", 6)
+    assert check_impartial("mix", 6, jobs=500, **drawn) == check_impartial("mix", 6, **drawn)
+    assert sizes == [40, 40, 20]  # one window per class, or per drawn graph
+    # a failing check reports the same first witness and counts through
+    # the pool; the test-local mechanism cannot pickle into a real one
+    naive = _naive_perm()
+    for (n, sampled), pinned in NAIVE_FIRST_FAILS.items():
+        kwargs = {"mode": "sampled", "seed": 0, "samples": 20} if sampled else {}
+        rep = check_impartial(naive, n, jobs=500, **kwargs)
+        w = rep.counterexample
+        assert (w.graph.out, w.vertex, w.new_target, rep.graphs_checked,
+                rep.deviations_checked) == pinned
+    assert sizes[3:] == [6, 20, 20]
     monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
     assert scan_orderings(5, jobs=500) == scan_orderings(5)
-    assert sizes == [40, 2]
+    assert check_impartial("perm", 5, jobs=500) == check_impartial("perm", 5)
+    assert sizes[6:] == [2, 2]
     monkeypatch.setattr(analysis.os, "cpu_count", lambda: None)
     assert sweep_graphs(6, ("rd",), jobs=500) == serial  # one CPU: no pool
-    assert sizes == [40, 2]
+    assert check_impartial("rd", 6, jobs=500) == check_impartial("rd", 6)
+    assert len(sizes) == 8
 
 
 def test_sweep_budget_guard(monkeypatch):
@@ -448,21 +463,24 @@ def test_class_walk_matches_the_labelled_walk(monkeypatch):
         assert scan_orderings(n)[2] == labelled == violations
 
 
+# the naive scan's first failing move in walk order, with the labelled
+# counts up to it: (n, sampled) -> (graph, vertex, new target, graphs, deviations)
+NAIVE_FIRST_FAILS = {
+    (4, False): ((2, 3, 4, 1), 1, 3, 9, 30),
+    (4, True): ((2, 4, 1, 1), 1, 3, 1, 1),
+    (5, True): ((2, 3, 2, 2, 3), 2, 1, 1, 4),
+}
+
+
 def test_naive_scan_variant_fails_impartiality():
     naive = _naive_perm()
     sampled = {"mode": "sampled", "seed": 0, "samples": 20}
-    # the first failing move in walk order, with the labelled counts up to it
-    pinned = {
-        (4, False): ((2, 3, 4, 1), 1, 3, 9, 30),
-        (4, True): ((2, 4, 1, 1), 1, 3, 1, 1),
-        (5, True): ((2, 3, 2, 2, 3), 2, 1, 1, 4),
-    }
     for n, kwargs in ((4, {}), (4, sampled), (5, sampled)):
         rep = check_impartial(naive, n, **kwargs)
         assert not rep.passed, (n, kwargs)
         w = rep.counterexample
         assert (w.graph.out, w.vertex, w.new_target, rep.graphs_checked,
-                rep.deviations_checked) == pinned[n, bool(kwargs)]
+                rep.deviations_checked) == NAIVE_FIRST_FAILS[n, bool(kwargs)]
         assert w.vertex >= 1 and w.new_target not in (w.vertex, w.graph.out[w.vertex - 1])
         deviated = w.graph.retarget(w.vertex, w.new_target)
         assert w.prob_before == naive.exact(w.graph).prob_of(w.vertex)
@@ -487,20 +505,18 @@ def test_check_impartial_budget_and_sampled():
 
 
 def test_budget_admits_the_perm_sweep_at_12_and_perm_impartiality_at_10(monkeypatch):
-    # at about 2 us a unit the budget is about 10 min on one core: the
-    # perm sweep at n = 12 (about 3 min) and perm impartiality at n = 10
-    # (about 4.5 min) pass it.  An admitted walk is stopped right after
-    # its budget check.
+    # the perm sweep at n = 12 and perm impartiality at n = 10 pass the
+    # budget.  An admitted walk is stopped right after its budget check.
     class Admitted(Exception):
         pass
 
-    walk = analysis._class_walk
+    charge = analysis._charge
 
     def checked(*args):
-        walk(*args)
+        charge(*args)
         raise Admitted
 
-    monkeypatch.setattr(analysis, "_class_walk", checked)
+    monkeypatch.setattr(analysis, "_charge", checked)
     with pytest.raises(Admitted):
         worst_case("perm", 12)
     with pytest.raises(Admitted):
@@ -522,7 +538,8 @@ def _half_on_top(half):
     that is not impartial, unless half is truncated to 0."""
 
     def counts(g):
-        top = g.max_indegree_and_top()[2]
+        deg = g.indegrees()
+        top = deg.index(max(deg)) + 1
         return [half if v == top else 0 for v in g.vertices], 1
 
     return counts
@@ -629,16 +646,16 @@ def test_perm_and_rd_relabel_invariance_exhaustive():
 
 def test_correlation_example_graph_passes():
     g = correlation_example_graph()
-    assert g.max_indegree_and_top() == (3, frozenset({7}), 7)
-    rep = verify_negative_correlation(g)
-    assert rep.passed and not rep.vacuous
+    assert g.indegrees() == (1, 0, 2, 1, 0, 0, 3)
+    rep = verify_negative_correlations([g])[0]
+    assert rep.passed and not rep.vacuous and rep.vstar == 7
     assert {(c.i, c.j) for c in rep.comparisons} == {
         (1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)
     }
 
 
 def test_correlation_level_probs_uniform():
-    rep = verify_negative_correlation(lower_bound_family(2, 1))
+    rep = verify_negative_correlations([lower_bound_family(2, 1)])[0]
     assert rep.level_probs == (Fraction(1, 3),) * 3
     assert rep.level_probs_ok
 
@@ -646,7 +663,7 @@ def test_correlation_level_probs_uniform():
 def test_correlation_on_seeded_graphs():
     rng = SeedStream(77)
     for _ in range(20):
-        rep = verify_negative_correlation(random_graph(6, rng))
+        rep = verify_negative_correlations([random_graph(6, rng)])[0]
         assert rep.passed
 
 
@@ -657,7 +674,7 @@ def test_correlation_matches_the_position_oracle_on_every_class():
         classes = [NominationGraph(out) for out, _ in iso_classes(n)]
         for g in classes + [g.remove_out_edge(1) for g in classes]:
             out = g.out
-            rep = verify_negative_correlation(g)
+            rep = verify_negative_correlations([g])[0]
             hist = oracle.correlation_histogram(g, rep.vstar)
             levels = [sum(k for (a, _), k in hist.items() if a == j) for j in range(rep.delta + 1)]
             assert rep.level_probs == tuple(Fraction(k, math.factorial(n)) for k in levels), out
@@ -733,7 +750,6 @@ def test_correlation_batch_of_mixed_sizes():
     reps = verify_negative_correlations(graphs)
     assert [rep.graph for rep in reps] == graphs
     for g, rep in zip(graphs, reps):
-        assert rep == verify_negative_correlation(g)
         hist = table_histogram(g, rep.vstar, rep.delta + 1).tolist()
 
         def given_a(j, i):

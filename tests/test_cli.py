@@ -407,6 +407,19 @@ def test_verify_impartial_pass(capsys):
     assert payload["graphs_checked"] == 81
 
 
+def test_verify_impartial_jobs_leave_the_report_unchanged(capsys):
+    # the windows go to a real spawn pool with --jobs 2; only the echoed
+    # configuration differs
+    for argv in (("--n", "6"), ("--mode", "sampled", "--n", "7", "--samples", "20", "--seed", "1")):
+        reports = []
+        for jobs in ("1", "2"):
+            code, out, _ = run_cli(capsys, "verify", "impartial", "--mech", "perm", *argv, "--jobs", jobs)
+            payload = json.loads(out)
+            assert code == 0 and payload["config"].pop("jobs") == int(jobs)
+            reports.append(payload)
+        assert reports[0] == reports[1], argv
+
+
 def test_verify_bounds_rd(capsys):
     code, out, _ = run_cli(capsys, "verify", "bounds", "--mech", "rd", "--n", "4")
     payload = json.loads(out)

@@ -85,10 +85,10 @@ def test_ub_family_prime():
     g = ub_family_prime(7, 1)
     base = ub_family(7, 1)
     assert g.out == base.retarget(2, 7).out
-    delta, top, vstar = g.max_indegree_and_top()
-    assert (delta, top, vstar) == (2, frozenset({2}), 2)
-    g2 = ub_family_prime(7, 2)
-    assert g2.max_indegree_and_top()[1] == frozenset({2})
+    deg = g.indegrees()
+    assert max(deg) == deg[1] == 2 and deg.count(2) == 1  # vertex 2 alone on top
+    deg2 = ub_family_prime(7, 2).indegrees()
+    assert deg2[1] == max(deg2) and deg2.count(max(deg2)) == 1
     with pytest.raises(InputError):
         ub_family_prime(7, 0)
 
