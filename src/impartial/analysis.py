@@ -273,8 +273,10 @@ def _walk(what: str, n: int, units: int, reps: Sequence, worker: Callable, *args
     SWEEP_BUDGET first.  A window holds whole graphs, at most WINDOW rows
     at rows per graph (itself and the graphs its worker derives from it),
     and with jobs > 1 at most a 4 * jobs-th of reps; then the windows go
-    to a pool of at most jobs, window-count and CPU-count processes.  A
-    caller that stops early cancels the windows the pool has not started."""
+    to a pool of at most jobs, window-count and CPU-count processes.
+    The pool is handed every window at once, so a caller that stops
+    early cancels only the windows no worker has taken yet: up to
+    jobs + 1 of them still run, and the pool's shutdown waits for them."""
     _charge(what, n, len(reps) * units)
     step = max(1, WINDOW // rows)
     if jobs > 1:

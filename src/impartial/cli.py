@@ -19,6 +19,13 @@ out of memory, as a graph too large to build does,
 all output was written (a reader such as `head` went away).  Outputs
 embed the full run configuration and carry no timestamps, so identical
 invocations produce identical bytes.
+
+`main(argv)` may be called repeatedly in one process: the first call
+builds the argument parser and later calls reuse it, while each call
+looks up its subcommand's handler afresh.  `--jobs` above 1 splits the
+walks of `verify bounds`, `verify lemma3`, `verify impartial` and
+`worst-case`; the other `verify` checks run in one process and refuse it
+(exit 2).
 """
 from __future__ import annotations
 
@@ -62,7 +69,7 @@ def frac_decimal(f: Fraction | float) -> str:
 
 
 def _config_header(args: argparse.Namespace) -> dict:
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
+    cfg = {k: v for k, v in sorted(vars(args).items()) if v is not None}
     return {"tool": "impartial", "version": __version__, "config": cfg}
 
 
@@ -327,9 +334,13 @@ _VERIFY_CHECKS = {
     "tightness": _verify_tightness,
     "lemma3": _verify_lemma3,
 }
+_SPLIT_CHECKS = ("bounds", "lemma3", "impartial")  # the checks that read --jobs
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.jobs > 1 and args.check not in _SPLIT_CHECKS:
+        raise InputError(f"--jobs {args.jobs}: only verify {'|'.join(_SPLIT_CHECKS)} split their "
+                         f"graphs; verify {args.check} runs in one process")
     payload = _config_header(args)
     ok = _VERIFY_CHECKS[args.check](args, payload)
     payload["passed"] = ok
@@ -406,8 +417,8 @@ def _positive_int_list(text: str) -> str:
 _positive_int_list.__name__ = "int list"  # as in "invalid int list value"
 
 
-_JOBS_HELP = ("worker processes: the sweeps, the Lemma 3 scan and impartiality (exhaustive or "
-              "sampled) split their graphs")
+_JOBS_HELP = ("worker processes: worst-case and verify bounds, lemma3 and impartial (exhaustive "
+              "or sampled) split their graphs; the other verify checks take only 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="emit a named family graph in text form")
     p.add_argument("params", nargs="+", help="family=NAME plus key=value parameters")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("eval", help="exact distribution or seeded sampling on a graph")
     p.add_argument("--mech", required=True, choices=sorted(MECHANISMS))
@@ -431,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--samples", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("verify", help="run one verification check; exit 0 iff it passes")
     p.add_argument("check", choices=sorted(_VERIFY_CHECKS))
@@ -444,27 +453,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, default=2)
     p.add_argument("--nprimes", type=_positive_int_list, default="1,2,3", help="comma list for tightness")
     p.add_argument("--jobs", type=_int_at_least(1), default=1, help=_JOBS_HELP)
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("figure3", help="per-delta guarantee table")
     p.add_argument("--delta-max", type=int, default=15)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_cmd_figure3)
 
     p = sub.add_parser("worst-case", help="exhaustive minimum ratio with witness")
     p.add_argument("--mech", required=True, choices=sorted(MECHANISMS))
     p.add_argument("--n", type=_int_at_least(2), required=True)
     p.add_argument("--jobs", type=_int_at_least(1), default=1, help=_JOBS_HELP)
-    p.set_defaults(func=_cmd_worst_case)
 
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None  # built by the first main() call
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # looked up per call, so a handler replaced after the first call is the one that runs
+    handlers = {"gen": _cmd_gen, "eval": _cmd_eval, "verify": _cmd_verify,
+                "figure3": _cmd_figure3, "worst-case": _cmd_worst_case}
     try:
-        code = args.func(args)
+        code = handlers[args.command](args)
         sys.stdout.flush()  # a closed pipe fails here, inside the handlers
         return code
     except BrokenPipeError:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
-from impartial import analysis, engine
+from impartial import analysis, cli, engine
 from impartial.cli import main
 from impartial.generators import cycle, lower_bound_family, random_graph, ub_family
 from impartial.graphs import graph_to_text
@@ -332,6 +332,16 @@ def test_jobs_zero_usage(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [("correlation", "--n", "5", "--graphs", "2"),
+                                  ("ub-chain", "--mech", "rd", "--n", "6"), ("tightness",)])
+def test_jobs_above_one_usage_where_the_check_does_not_split(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv, "--jobs", "2")
+    assert code == 2 and out == ""
+    assert "only verify bounds|lemma3|impartial split" in err, err
+    code, out, _ = run_cli(capsys, "verify", *argv, "--jobs", "1")
+    assert code == 0 and json.loads(out)["config"]["jobs"] == 1
+
+
 def test_non_integer_number_usage(capsys):
     code, err = usage_exit(capsys, "verify", "bounds", "--n", "five")
     assert code == 2 and "invalid int value" in err
@@ -524,6 +534,63 @@ def test_unknown_mechanism_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--mech", "nope"])
     assert exc.value.code == 2
+
+
+def _run_any(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the argv
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_a_reused_parser_gives_each_command_what_a_fresh_one_does(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("5; 3,5,1,1,2\n")
+    commands = [
+        ("eval", "--mech", "prug", "--graph", str(path), "--samples", "50", "--seed", "3"),
+        ("eval", "--mech", "prug", "--graph", str(path)),
+        ("eval", "--mech", "prug", "--graph", str(path), "--samples", "0"),
+        ("verify", "tightness"),
+    ]
+    reused = [_run_any(capsys, argv) for argv in commands]
+    fresh = []
+    for argv in commands:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(_run_any(capsys, argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0]
+    config = json.loads(reused[1][1])["config"]
+    assert "samples" not in config and "seed" not in config, config
+
+
+def test_a_handler_replaced_after_the_first_call_is_the_one_that_runs(capsys, monkeypatch):
+    assert run_cli(capsys, "figure3", "--delta-max", "2")[0] == 0
+    seen = []
+
+    def handler(args):
+        seen.append(args.mech)
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_eval", handler)
+    assert run_cli(capsys, "eval", "--mech", "rd") == (0, "", "")
+    assert seen == ["rd"]
+
+
+def test_the_parser_is_built_once_across_calls(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(build())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv in (("figure3",), ("gen", "family=cycle", "n=3"), ("eval",), ("figure3", "--format", "json")):
+        _run_any(capsys, argv)
+    assert len(built) == 1 and cli._parser is built[0]
 
 
 # ---------------------------------------------------------------------------
