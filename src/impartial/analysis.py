@@ -327,40 +327,25 @@ def sweep_graphs(n: int, mechanisms: Sequence[str] = ("perm",), jobs: int = 1) -
     return GraphSweep(reps, weights, deltas, high2s, dict(zip(mechanisms, columns)))
 
 
-def _scan_range(n: int, outs: Sequence[tuple[int, ...]]) -> list[int]:
-    """Per graph, the orderings on which the candidate scan misses the
-    maximum indegree from the left.  The table goes to the scan in
-    blocks of SAMPLE_CHUNK orderings, which bounds the scan's memory
-    and keeps its arrays in cache."""
-    perms = engine.permutation_table(n)
-    step = engine.SAMPLE_CHUNK
-    blocks = [perms[lo : lo + step] for lo in range(0, len(perms), step)]
-    violations = []
-    for out in outs:
-        out0 = np.array(out, dtype=np.int16) - 1
-        runs = (engine.run_selection(out0, block) for block in blocks)
-        violations.append(sum(int((final_d != max_left).sum()) for _, final_d, max_left in runs))
-    return violations
-
-
 def scan_orderings(n: int, jobs: int = 1) -> tuple[int, int, int]:
     """The Lemma 3 check: (graphs, runs, violations) of the candidate
-    scan run on each of the n! orderings of every graph of size n, one
-    by one, counting the runs that miss the maximum indegree from the
-    left (Lemma 3 says none).
+    scan over each of the n! orderings of every graph of size n,
+    counting the runs that miss the maximum indegree from the left
+    (Lemma 3 says none), as engine.left_max_misses's prefix-set walk
+    covers them, not run by run.
 
     A relabelling maps a graph's orderings one to one onto its image's
-    and commutes with the scan, so the scan runs on each class
+    and commutes with the scan, so the walk covers each class
     representative and weights its counts by the class's labelled
-    graphs.  Charged n! units per class, so it runs up to n = 9; jobs > 1
-    splits the classes over a process pool.
+    graphs.  Charged per class as the perm sweep is, up to CLASS_CAP;
+    jobs > 1 splits the classes over a process pool.
     """
-    nfact = math.factorial(n)
     reps, weights = zip(*iso_classes(n))
-    parts = _walk("ordering scan", n, nfact, reps, _scan_range, n, jobs=jobs)
-    violations = [v for part in parts for v in part]
+    parts = _walk("ordering scan", n, _graph_units(n, ("perm",)), np.array(reps) - 1,
+                  engine.left_max_misses, jobs=jobs)
+    violations = np.concatenate(list(parts)).tolist()
     graphs = sum(weights)
-    return graphs, graphs * nfact, sum(w * v for w, v in zip(weights, violations))
+    return graphs, graphs * math.factorial(n), sum(w * v for w, v in zip(weights, violations))
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error
 3 an exact computation exceeded its cap: the n <= 16 prefix-set DP
 behind perm, mix and the correlation check, the n <= 12
 isomorphism-class generator, or the work budget of an exhaustive sweep
-or check (which stops the Lemma 3 scan at n = 10, before its n <= 10
-table of all orderings does) or of sampled impartiality (which stops
-perm and mix at n = 14 with the default 200 graphs); or the run ran
-out of memory, as a graph too large to build does,
+or check (which stops perm and mix impartiality at n = 11) or of
+sampled impartiality (which stops perm and mix at n = 14 with the
+default 200 graphs); or the run ran out of memory, as a graph too
+large to build does,
 4 an internal error: an unexpected exception, reported on stderr as
 "internal error: ..." with its traceback, 141 stdout was closed before
 all output was written (a reader such as `head` went away).  Outputs
@@ -341,6 +341,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.jobs > 1 and args.check not in _SPLIT_CHECKS:
         raise InputError(f"--jobs {args.jobs}: only verify {'|'.join(_SPLIT_CHECKS)} split their "
                          f"graphs; verify {args.check} runs in one process")
+    args.n = args.n or (6 if args.check == "ub-chain" else 5)  # the ceiling chain starts at 6
     payload = _config_header(args)
     ok = _VERIFY_CHECKS[args.check](args, payload)
     payload["passed"] = ok
@@ -445,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run one verification check; exit 0 iff it passes")
     p.add_argument("check", choices=sorted(_VERIFY_CHECKS))
     p.add_argument("--mech", default="perm", choices=sorted(MECHANISMS))
-    p.add_argument("--n", type=_int_at_least(2), default=5)
+    p.add_argument("--n", type=_int_at_least(2), default=None)  # 6 for ub-chain, else 5
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--samples", type=_int_at_least(1), default=None)

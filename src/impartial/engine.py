@@ -8,23 +8,24 @@ counts per (prefix set, candidate, candidate's left indegree) and covers
 all n! orderings in one sweep over the 2^n prefix sets, up to DP_CAP.
 correlation_histograms runs the same walk with the state (prefix set,
 v*'s left indegree or "not yet placed", the others' maximum), for the
-correlation check.  The walk, _prefix_walk, holds each layer's live
-states, for a whole batch of graphs of one size, as flat numpy arrays
-and extends them all in one vectorised step per layer, in passes
-_dp_passes packs.  A layer's expansions are slot-major (unplaced slot,
-state) arrays, so each per-state operand broadcasts along the long
-axis; the rules pick the grown code by arithmetic on a 0/1 mask, not
-by branching, and the last layer's states go to the caller's bincount
-unmerged.  selection_counts is the one-graph entry of exact perm.  The
-counts are exact integers, so dividing by n! at the end loses nothing.
+correlation check, and left_max_misses adds the running maximum of the
+left indegrees to the scan's state, for the Lemma 3 check.  The walk,
+_prefix_walk, holds each layer's live states, for a whole batch of
+graphs of one size, as flat numpy arrays and extends them all in one
+vectorised step per layer, in passes _dp_passes packs.  A layer's
+expansions are slot-major (unplaced slot, state) arrays, so each
+per-state operand broadcasts along the long axis; the rules pick the
+grown code by arithmetic on a 0/1 mask, not by branching, and the last
+layer's states go to the caller's bincount unmerged.  selection_counts
+is the one-graph entry of exact perm.  The counts are exact integers,
+so dividing by n! at the end loses nothing.
 The two-slot rule's counts over all n! orderings depend only on the
 indegree classes, so two_slot_quarter_counts computes them in closed
 form without enumerating anything, for a whole batch of graphs at once,
 in int64 while they fit and in Python ints above (graphs.exact_dtype).
 
-The Lemma 3 check that every scan ends on the maximum left indegree,
-the sampled scan and the samplers run on explicit orderings with numpy,
-many at once.  The key shortcut there: when the left-to-right scan considers
+Only sampling runs the scan on explicit orderings, with numpy, many at
+once.  The key shortcut there: when the left-to-right scan considers
 vertex v, the prefix is exactly the set of vertices placed before v.  So
 the indegree from the left that the scan sees for v equals the number
 of in-neighbors of v placed before v, without materializing prefixes.
@@ -47,10 +48,9 @@ import numpy as np
 
 from .graphs import AnyGraph, CapacityError, exact_dtype
 
-# Largest n of the ordering table, the one (n!, n) int16 array (72 MB at
-# n = 10) behind the Lemma 3 scan.  The sweep budget stops the scan at
-# n = 10 first.  (Tightness rows switch from exact to sampled at DP_CAP,
-# not here.)
+# Largest n of permutation_table, the (n!, n) int16 array of every
+# ordering (72 MB at n = 10).  No program path reads it: it is kept for
+# perfbench's tracer and worker, and as the tests' reference.
 ENUM_CAP = 10
 # Largest n at which exact perm, exact mix above MIX_SMALL_N and the
 # correlation check run the prefix-set DP: for a random graph at n = 16,
@@ -63,12 +63,11 @@ DP_CAP = 16
 # of whole graphs, and a graph too big for one pass gets its own.
 STATE_BUDGET = 1 << 14
 # Orderings per run_selection call: sampled_selection_counts draws this
-# many at a time, the Lemma 3 scan slices its table into blocks of this
-# many, and the samplers draw this many rows of up to 64 entries and as
-# many wider rows as fill 64 * SAMPLE_CHUNK entries (sample_rows).  It
-# bounds their memory (by tracemalloc, a peak of about 4.8 MB for the scan
-# at n = 23, and 0.3-4.8 MB for the samplers at n = 50, 4-7 MB at
-# n = 2000) and keeps a block's arrays in cache; the draws do not depend on it.
+# many at a time, and the samplers draw this many rows of up to 64
+# entries and as many wider rows as fill 64 * SAMPLE_CHUNK entries
+# (sample_rows).  It bounds their memory (by tracemalloc, 0.3-4.8 MB for
+# the samplers at n = 50, 4-7 MB at n = 2000) and keeps a block's arrays
+# in cache; the draws do not depend on it.
 SAMPLE_CHUNK = 10000
 _table_cache: dict[int, np.ndarray] = {}
 
@@ -92,7 +91,7 @@ def _build_perms(n: int) -> np.ndarray:
 
 def permutation_table(n: int) -> np.ndarray:
     """All n! orderings as one (n!, n) int16 array, perms[r, j] = the
-    vertex at position j of ordering r.  Cached per n."""
+    vertex at position j of ordering r, cached per n (see ENUM_CAP)."""
     if n > ENUM_CAP:
         raise CapacityError(
             f"full permutation table for n={n} exceeds the n<={ENUM_CAP} cap"
@@ -241,7 +240,7 @@ def batch_selection_counts(out0s: np.ndarray) -> np.ndarray:
 
     The DP only reaches states whose candidate holds the maximum
     indegree from the left (see below), so it cannot miss that maximum;
-    the ordering-by-ordering check of Lemma 3 is run_selection.  Raises
+    the check of Lemma 3 is left_max_misses.  Raises
     CapacityError above DP_CAP.
 
     After a prefix the scan's future depends only on the set S of placed
@@ -279,6 +278,29 @@ def correlation_histograms(out0s: np.ndarray, vstars: np.ndarray) -> np.ndarray:
     for part, _, inmask, ptop in _dp_passes(out0s, lambda tops: (tops + 1) * tops):
         hist[part, :ptop, :ptop] = _correlation_pass(inmask, vstars[part], ptop)
     return hist
+
+
+def left_max_misses(out0s: np.ndarray) -> np.ndarray:
+    """The orderings, of all n!, on which the candidate scan ends below
+    the maximum left indegree (Lemma 3 says none), for each row of a
+    (graphs, n) array of 0-based targets (-1 for an absent edge): a
+    (graphs,) int64 array.  Raises CapacityError above DP_CAP.
+
+    The walk (_prefix_walk) carries the states (graph, S, d, m, c),
+    coded (d * top + m) * n + c: batch_selection_counts' c and d, and m
+    the running maximum of the left indegrees apart from the rule, so a
+    run that misses it ends with d != m.
+    """
+    graphs, n = out0s.shape
+    _check_dp_cap(n, "the Lemma 3 check runs")
+    misses = np.empty(graphs, dtype=np.int64)
+    for part, targets, inmask, top in _dp_passes(out0s, lambda tops: tops * tops * n):
+        start = np.tile(np.arange(n, dtype=np.int32), len(part))  # S = {v}: c = v, d = m = 0
+        step = functools.partial(_left_max_step, targets.ravel(), n, top)
+        g, z, w = _prefix_walk(inmask, start, lambda k: top * top * n, step)
+        d, m = np.divmod(z // n, top)
+        misses[part] = np.bincount(g, w * (d != m), minlength=len(part))
+    return misses
 
 
 def _check_dp_cap(n: int, what: str, advice: str = "") -> None:
@@ -350,6 +372,17 @@ def _scan_step(targets, n, g, z, v, full):
     return code
 
 
+def _left_max_step(targets, n, top, g, z, v, full):
+    # _scan_step's takeover, and m rises to full either way (not in
+    # place: m is (states,)); code = kept + take * (taken - kept)
+    rest, c = np.divmod(z, n)
+    d, m = np.divmod(rest, top)
+    take = full - (targets.take(g * n + c) == v) >= d
+    code = (d * top + np.maximum(m, full)) * n + c
+    code += take * ((full - d) * (top * n) + (v - c))
+    return code
+
+
 def _correlation_pass(inmask: np.ndarray, vstars: np.ndarray, top: int) -> np.ndarray:
     """correlation_histograms on one pass of graphs: a (graphs, top, top)
     float64 array.  A state's code is a * top + m, with a = top while v*
@@ -380,8 +413,8 @@ def _correlation_step(vstars, top, g, z, v, full):
 
 
 def _prefix_walk(inmask, z, span, step):
-    """The prefix-set walk behind both DPs, on one pass of graphs with
-    (graphs, n) in-neighbour masks inmask.
+    """The prefix-set walk behind the three rules, on one pass of
+    graphs with (graphs, n) in-neighbour masks inmask.
 
     A state is (graph, S, z): S the set of placed vertices and z a
     rule's code for what it keeps, with the number of orderings of S

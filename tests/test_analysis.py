@@ -341,16 +341,14 @@ def test_walk_pool_is_capped_by_windows_and_cpus(monkeypatch):
 def test_sweep_budget_guard(monkeypatch):
     # a sweep is charged per class: n units, plus 2^n for each run of the
     # prefix-set DP (perm, and mix above n = 5); the ordering scan is
-    # charged n! per class
+    # charged per class as the perm sweep is
     assert analysis.SWEEP_BUDGET == 300_000_000
     assert 18264 * (12 + 2 * 2**12) <= analysis.SWEEP_BUDGET  # perm and mix at CLASS_CAP
-    assert 797 * math.factorial(9) <= analysis.SWEEP_BUDGET
     with pytest.raises(CapacityError, match=f"needs {18264 * (12 + 5 * 2**12)} units"):
         sweep_graphs(12, ("perm", "mix", "perm", "mix", "perm"))
-    with pytest.raises(CapacityError, match=f"needs {2273 * math.factorial(10)} units"):
-        scan_orderings(10)
-    with pytest.raises(CapacityError, match="n <= 12"):
-        sweep_graphs(30, ("rd",))
+    for walk in (lambda: sweep_graphs(30, ("rd",)), lambda: scan_orderings(13)):
+        with pytest.raises(CapacityError, match="n <= 12"):
+            walk()
     # mix runs the DP only above n = 5, the closed forms never
     monkeypatch.setattr(analysis, "SWEEP_BUDGET", 0)
     for n, mechs, charge in ((5, ("mix", "rd", "prug", "prugd"), 13 * 5),
@@ -358,10 +356,13 @@ def test_sweep_budget_guard(monkeypatch):
                              (6, ("perm", "mix"), 40 * (6 + 2 * 64))):
         with pytest.raises(CapacityError, match=f"needs {charge} units"):
             sweep_graphs(n, mechs)
+    for n, classes in ((4, 6), (6, 40), (10, 2273)):
+        with pytest.raises(CapacityError, match=f"needs {classes * (n + 2**n)} units"):
+            scan_orderings(n)
     # the budget is inclusive: a sweep charged exactly the budget runs
     monkeypatch.setattr(analysis, "SWEEP_BUDGET", 40 * (6 + 64))
     assert sweep_graphs(6, ("perm",)).graphs_checked == 5**6
-    monkeypatch.setattr(analysis, "SWEEP_BUDGET", 6 * 24)
+    monkeypatch.setattr(analysis, "SWEEP_BUDGET", 6 * (4 + 2**4))
     assert scan_orderings(4)[1] == 81 * 24
     with pytest.raises(CapacityError):
         sweep_graphs(7, ("perm",))
@@ -434,12 +435,17 @@ def _labelled_impartial(mech, n):
     )
 
 
-def _labelled_scan_violations(n, run):
-    """Runs of the scan kernel run, over every ordering of every labelled
-    graph of size n, that miss the maximum left indegree."""
+def _scan_misses(n, outs, run):
+    """Per out tuple of size n, the runs of the scan kernel run over
+    every ordering that miss the maximum left indegree."""
     perms = engine.permutation_table(n)
-    runs = (run(np.array(out, dtype=np.int16) - 1, perms) for out in oracle.iter_out_tuples(n))
-    return sum(int((d != m).sum()) for _, d, m in runs)
+    runs = (run(np.array(out, dtype=np.int16) - 1, perms) for out in outs)
+    return [int((d != m).sum()) for _, d, m in runs]
+
+
+def _labelled_scan_violations(n, run):
+    """_scan_misses summed over every labelled graph of size n."""
+    return sum(_scan_misses(n, oracle.iter_out_tuples(n), run))
 
 
 def test_class_walk_matches_the_labelled_walk(monkeypatch):
@@ -457,10 +463,27 @@ def test_class_walk_matches_the_labelled_walk(monkeypatch):
                 assert rep.graphs_checked == (n - 1) ** n
                 assert rep.deviations_checked == (n - 1) ** n * n * (n - 2)
         assert scan_orderings(n)[2] == _labelled_scan_violations(n, engine.run_selection) == 0
-    monkeypatch.setattr(engine, "run_selection", oracle.late_takeover_run)
-    for n, violations in ((3, 24), (4, 504)):
+    monkeypatch.setattr(engine, "_left_max_step", oracle.late_takeover_step)
+    for n, violations in ((3, 24), (4, 504), (5, 19200)):
         labelled = _labelled_scan_violations(n, oracle.late_takeover_run)
         assert scan_orderings(n)[2] == labelled == violations
+
+
+def test_left_max_walk_matches_the_explicit_scan_on_every_class(monkeypatch):
+    # the walk's misses equal the explicit scan's class by class: 0 for
+    # the true rule at n <= 8, and for the late-takeover mutant, whose
+    # misses are not 0, the oracle's at n <= 6
+    reps = {n: [out for out, _ in iso_classes(n)] for n in range(2, 9)}
+    for n in range(2, 9):
+        scan = _scan_misses(n, reps[n], engine.run_selection)
+        assert engine.left_max_misses(np.array(reps[n]) - 1).tolist() == scan
+    monkeypatch.setattr(engine, "_left_max_step", oracle.late_takeover_step)
+    totals = []
+    for n in range(2, 7):
+        scan = _scan_misses(n, reps[n], oracle.late_takeover_run)
+        assert engine.left_max_misses(np.array(reps[n]) - 1).tolist() == scan, n
+        totals.append(sum(scan))
+    assert totals == [2, 6, 32, 220, 3233]
 
 
 # the naive scan's first failing move in walk order, with the labelled

@@ -215,13 +215,13 @@ def test_eval_capacity_exit_code(capsys, tmp_path):
 
 
 def test_sweep_capacity_exit_code(capsys):
-    # the n = 10 ordering scan is charged 2273 classes * 10! units,
-    # perm's n = 11 impartiality 6389 * 100 * (11 + 2^11) and its sampled
-    # one at n = 16 200 graphs * 225 * (16 + 2^16), no class is generated
-    # past n = 12, and the correlation DP stops at DP_CAP
+    # perm's n = 11 impartiality is charged 6389 * 100 * (11 + 2^11) units
+    # and its sampled one at n = 16 200 graphs * 225 * (16 + 2^16), no
+    # class is generated past n = 12 (which stops the ordering scan
+    # behind lemma3 and perm bounds), and the correlation DP stops at DP_CAP
     for argv in (("worst-case", "--mech", "perm", "--n", "13"),
-                 ("verify", "bounds", "--mech", "perm", "--n", "10"),
-                 ("verify", "lemma3", "--n", "10"),
+                 ("verify", "bounds", "--mech", "perm", "--n", "13"),
+                 ("verify", "lemma3", "--n", "13"),
                  ("verify", "impartial", "--mech", "perm", "--n", "11"),
                  ("verify", "impartial", "--mech", "perm", "--mode", "sampled", "--n", "16", "--seed", "1"),
                  ("worst-case", "--mech", "rd", "--n", "30"),
@@ -479,6 +479,15 @@ def test_verify_ub_chain_perm(capsys):
     assert payload["bound"] == "35/48"
 
 
+def test_verify_ub_chain_defaults_to_n_6(capsys):
+    # the chain starts at n = 6, so a bare ub-chain runs there; every
+    # other check keeps --n 5
+    bare = run_cli(capsys, "verify", "ub-chain", "--mech", "perm")
+    assert bare == run_cli(capsys, "verify", "ub-chain", "--mech", "perm", "--n", "6")
+    assert bare[0] == 0 and json.loads(bare[1])["config"]["n"] == 6
+    assert run_cli(capsys, "verify", "lemma3") == run_cli(capsys, "verify", "lemma3", "--n", "5")
+
+
 def test_verify_tightness(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "tightness", "--delta", "2", "--nprimes", "1,2"
@@ -497,12 +506,13 @@ def test_verify_lemma3(capsys):
 
 
 def test_verify_lemma3_fails_on_a_late_takeover(capsys, monkeypatch):
-    monkeypatch.setattr(engine, "run_selection", oracle.late_takeover_run)
-    code, out, _ = run_cli(capsys, "verify", "lemma3", "--n", "4")
-    payload = json.loads(out)
-    assert code == 1 and not payload["passed"]
-    assert payload["orderings_run"] == 81 * 24
-    assert payload["left_max_violations"] == 504  # the labelled count
+    monkeypatch.setattr(engine, "_left_max_step", oracle.late_takeover_step)
+    for n, runs, violations in ((3, 8 * 6, 24), (4, 81 * 24, 504), (5, 1024 * 120, 19200)):
+        code, out, _ = run_cli(capsys, "verify", "lemma3", "--n", str(n))
+        payload = json.loads(out)
+        assert code == 1 and not payload["passed"]
+        assert payload["orderings_run"] == runs
+        assert payload["left_max_violations"] == violations  # the labelled count
 
 
 def test_figure3_csv(capsys):
