@@ -12,13 +12,14 @@ correlation check, and left_max_misses adds the running maximum of the
 left indegrees to the scan's state, for the Lemma 3 check.  The walk,
 _prefix_walk, holds each layer's live states, for a whole batch of
 graphs of one size, as flat numpy arrays and extends them all in one
-vectorised step per layer, in passes _dp_passes packs.  A layer's
-expansions are slot-major (unplaced slot, state) arrays, so each
-per-state operand broadcasts along the long axis; the rules pick the
-grown code by arithmetic on a 0/1 mask, not by branching, and the last
-layer's states go to the caller's bincount unmerged.  selection_counts
-is the one-graph entry of exact perm.  The counts are exact integers,
-so dividing by n! at the end loses nothing.
+vectorised step per layer, in passes one driver, _rule_passes, packs
+for all three rules.  A layer's expansions are slot-major (unplaced
+slot, state) arrays, so each per-state operand broadcasts along the
+long axis; the rules pick the grown code by arithmetic on a 0/1 mask,
+not by branching, and the last layer's states go to the caller's
+bincount unmerged.  selection_counts is the one-graph entry of exact
+perm.  The counts are exact integers, so dividing by n! at the end
+loses nothing.
 The two-slot rule's counts over all n! orderings depend only on the
 indegree classes, so two_slot_quarter_counts computes them in closed
 form without enumerating anything, for a whole batch of graphs at once,
@@ -245,17 +246,22 @@ def batch_selection_counts(out0s: np.ndarray) -> np.ndarray:
 
     After a prefix the scan's future depends only on the set S of placed
     vertices, the candidate c and c's indegree from the left d, so the
-    walk (_prefix_walk) carries the states (graph, S, d, c).  Appending
-    v, whose left indegree is full = |in(v) & S|, v takes over when
-    full - [c nominates v] >= d and then d = full.  So v always takes
-    over when full > d, and d stays the running maximum of the left
-    indegrees, at most the maximum indegree.
+    walk (_prefix_walk) carries the states (graph, S, d, c), coded
+    d * n + c.  Appending v, whose left indegree is full = |in(v) & S|,
+    v takes over when full - [c nominates v] >= d and then d = full.  So
+    v always takes over when full > d, and d stays the running maximum
+    of the left indegrees, at most the maximum indegree.
     """
     graphs, n = out0s.shape
-    _check_dp_cap(n, "exact perm and exact mix run", "; sample them instead with eval --samples")
     counts = np.empty((graphs, n), dtype=np.int64)
-    for part, targets, inmask, top in _dp_passes(out0s, lambda tops: tops * n):
-        counts[part] = _counts_pass(targets, inmask, top)
+
+    def rule(rows, targets, top):  # S = {v}: c = v, d = 0; d <= k after k + 1 placed
+        return np.arange(n), lambda k: min(top, k + 1) * n, functools.partial(_scan_step, targets.ravel(), n)
+
+    passes = _rule_passes(out0s, "exact perm and exact mix run", lambda tops: tops * n, rule,
+                          "; sample them instead with eval --samples")
+    for rows, _, g, z, w in passes:
+        counts[rows] = np.bincount(g * n + z % n, w, minlength=len(rows) * n).reshape(len(rows), n)
     return counts
 
 
@@ -267,16 +273,24 @@ def correlation_histograms(out0s: np.ndarray, vstars: np.ndarray) -> np.ndarray:
     delta + 1, delta + 1) int64 array indexed [row, a, m], delta the
     largest indegree in the batch.  Raises CapacityError above DP_CAP.
 
-    The walk (_prefix_walk) carries the states (graph, S, a, m), with a
-    "not yet placed" until v* is: appending v with left indegree full =
-    |in(v) & S| sets a = full if v is v*, and raises m to full otherwise.
+    The walk (_prefix_walk) carries the states (graph, S, a, m), coded
+    a * top + m with a = top until v* is placed: appending v with left
+    indegree full = |in(v) & S| sets a = full if v is v*, and raises m
+    to full otherwise.
     """
     graphs, n = out0s.shape
-    _check_dp_cap(n, "the correlation check runs")
     top = int(indegrees(out0s).max(initial=0)) + 1
     hist = np.zeros((graphs, top, top), dtype=np.int64)
-    for part, _, inmask, ptop in _dp_passes(out0s, lambda tops: (tops + 1) * tops):
-        hist[part, :ptop, :ptop] = _correlation_pass(inmask, vstars[part], ptop)
+
+    def rule(rows, targets, ptop):  # S = {v}: a = 0 or not placed, m = 0
+        mine = vstars[rows].astype(np.int32)
+        start = np.where(np.arange(n) == mine[:, None], 0, ptop * ptop)
+        return start, lambda k: (ptop + 1) * ptop, functools.partial(_correlation_step, mine, ptop)
+
+    passes = _rule_passes(out0s, "the correlation check runs", lambda tops: (tops + 1) * tops, rule)
+    for rows, ptop, g, z, w in passes:
+        joint = np.bincount(g * (ptop * ptop) + z, w, minlength=len(rows) * ptop * ptop)
+        hist[rows, :ptop, :ptop] = joint.reshape(len(rows), ptop, ptop)
     return hist
 
 
@@ -292,38 +306,39 @@ def left_max_misses(out0s: np.ndarray) -> np.ndarray:
     run that misses it ends with d != m.
     """
     graphs, n = out0s.shape
-    _check_dp_cap(n, "the Lemma 3 check runs")
     misses = np.empty(graphs, dtype=np.int64)
-    for part, targets, inmask, top in _dp_passes(out0s, lambda tops: tops * tops * n):
-        start = np.tile(np.arange(n, dtype=np.int32), len(part))  # S = {v}: c = v, d = m = 0
+
+    def rule(rows, targets, top):  # S = {v}: c = v, d = m = 0; d, m <= k after k + 1 placed
         step = functools.partial(_left_max_step, targets.ravel(), n, top)
-        g, z, w = _prefix_walk(inmask, start, lambda k: top * top * n, step)
+        return np.arange(n), lambda k: min(top, k + 1) * top * n, step
+
+    passes = _rule_passes(out0s, "the Lemma 3 check runs", lambda tops: tops * tops * n, rule)
+    for rows, top, g, z, w in passes:
         d, m = np.divmod(z // n, top)
-        misses[part] = np.bincount(g, w * (d != m), minlength=len(part))
+        misses[rows] = np.bincount(g, w * (d != m), minlength=len(rows))
     return misses
 
 
-def _check_dp_cap(n: int, what: str, advice: str = "") -> None:
+def _rule_passes(out0s: np.ndarray, what: str, width, rule, advice: str = ""):
+    """Run one rule's prefix-set walk over a batch of graphs of one size,
+    in passes.  Above DP_CAP, raises CapacityError naming what runs it.
+
+    The graphs go in order of maximum indegree, and each pass takes as
+    many of the next ones as keep graphs * C(n, n/2) * width(top) within
+    STATE_BUDGET, top one more than the pass's largest indegree and
+    width(top) the states the rule keeps per prefix set; this bounds the
+    merge index and so memory.  A graph too big for one pass gets its
+    own.  rule(rows, targets, top) gets a pass's batch rows and their
+    int32 targets and returns the start codes of S = {v}, per vertex or
+    per (row, vertex), and the walk's span and step (see _prefix_walk).
+    Yields (rows, top, g, z, w) per pass, g indexing rows.
+    """
+    graphs, n = out0s.shape
     if n > DP_CAP:
         raise CapacityError(
             f"{what} a DP over all 2^{n} prefix sets, capped at "
             f"n <= {DP_CAP}{advice}"
         )
-
-
-def _dp_passes(out0s: np.ndarray, width):
-    """Split a batch of graphs of one size into the passes of one
-    prefix-set walk each.  Yields (rows, targets, inmask, top) per pass:
-    the batch rows it covers, their int32 targets and in-neighbour
-    masks, and top, one more than the pass's largest indegree.
-
-    The graphs go in order of maximum indegree, and each pass takes as
-    many of the next ones as keep graphs * C(n, n/2) * width(top) within
-    STATE_BUDGET, width(top) the states a walk's rule keeps per prefix
-    set; this bounds the merge index and so memory.  A graph too big for
-    one pass gets its own.
-    """
-    graphs, n = out0s.shape
     if not graphs:
         return
     popcount, _ = _set_layers(n)
@@ -342,22 +357,11 @@ def _dp_passes(out0s: np.ndarray, width):
     while start < graphs:
         run = tops[start : start + room // int(width(tops[start]))]  # tops only grow along it
         stop = start + max(1, int(np.count_nonzero(width(run) * np.arange(1, len(run) + 1) <= room)))
-        part = order[start:stop]
-        yield part, targets[part], inmask[part], int(tops[stop - 1])
+        part, top = order[start:stop], int(tops[stop - 1])
+        first, span, step = rule(part, targets[part], top)
+        first = np.broadcast_to(first, (len(part), n)).astype(np.int32).ravel()
+        yield (part, top, *_prefix_walk(inmask[part], first, span, step))
         start = stop
-
-
-def _counts_pass(targets: np.ndarray, inmask: np.ndarray, top: int) -> np.ndarray:
-    """batch_selection_counts on one pass of graphs: a (graphs, n)
-    float64 array of counts.  A state's code is d * n + c."""
-    graphs, n = targets.shape
-    g, z, w = _prefix_walk(
-        inmask,
-        np.tile(np.arange(n, dtype=np.int32), graphs),  # S = {v}: c = v, d = 0
-        lambda k: min(top, k + 1) * n,  # d <= k after k + 1 placed
-        functools.partial(_scan_step, targets.ravel(), n),
-    )
-    return np.bincount(g * n + z % n, w, minlength=graphs * n).reshape(graphs, n)
 
 
 def _scan_step(targets, n, g, z, v, full):
@@ -383,21 +387,6 @@ def _left_max_step(targets, n, top, g, z, v, full):
     return code
 
 
-def _correlation_pass(inmask: np.ndarray, vstars: np.ndarray, top: int) -> np.ndarray:
-    """correlation_histograms on one pass of graphs: a (graphs, top, top)
-    float64 array.  A state's code is a * top + m, with a = top while v*
-    is not yet placed."""
-    graphs, n = inmask.shape
-    first = np.tile(np.arange(n), graphs) == np.repeat(vstars, n)
-    g, z, w = _prefix_walk(
-        inmask,
-        np.where(first, 0, top * top).astype(np.int32),  # S = {v}: a = 0 or not placed, m = 0
-        lambda k: (top + 1) * top,
-        functools.partial(_correlation_step, vstars.astype(np.int32), top),
-    )
-    return np.bincount(g * (top * top) + z, w, minlength=graphs * top * top).reshape(graphs, top, top)
-
-
 def _correlation_step(vstars, top, g, z, v, full):
     # v* sets a and keeps m; any other v keeps a and raises m to full:
     # code = other + mine * (full * top + m - other) in place
@@ -414,7 +403,8 @@ def _correlation_step(vstars, top, g, z, v, full):
 
 def _prefix_walk(inmask, z, span, step):
     """The prefix-set walk behind the three rules, on one pass of
-    graphs with (graphs, n) in-neighbour masks inmask.
+    graphs with (graphs, n) in-neighbour masks inmask; its one caller is
+    _rule_passes.
 
     A state is (graph, S, z): S the set of placed vertices and z a
     rule's code for what it keeps, with the number of orderings of S

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -239,29 +240,40 @@ def test_sweep_runs_the_dp_once_per_class(monkeypatch):
 
 
 def test_dp_passes_stay_within_the_state_budget(monkeypatch):
-    passes = []  # (graphs, top, 1 + the largest indegree among them) per DP pass
-    kernel = engine._counts_pass
+    # (graphs, merge spans after 2..n-1 placed, 1 + the largest indegree among them) per walk
+    passes = []
+    walk = engine._prefix_walk
 
-    def counted(targets, inmask, top, *args):
-        passes.append((len(targets), top, int(engine.indegrees(targets).max()) + 1))
-        return kernel(targets, inmask, top, *args)
+    def counted(inmask, z, span, step):
+        n = inmask.shape[1]
+        own = max(int(m).bit_count() for m in inmask.ravel()) + 1
+        passes.append((inmask.shape[0], [span(k) for k in range(1, n - 1)], own))
+        return walk(inmask, z, span, step)
 
-    monkeypatch.setattr(engine, "_counts_pass", counted)
+    monkeypatch.setattr(engine, "_prefix_walk", counted)
 
-    def check(n, most):
+    def check(n, most, width, span):
         assert 0 < len(passes) <= most, n
-        width = math.comb(n, n // 2) * n
-        for graphs, top, own in passes:
-            assert top == own, n  # each pass indexes d up to its own largest indegree
-            assert graphs == 1 or graphs * width * top <= engine.STATE_BUDGET, (n, graphs, top)
+        room = engine.STATE_BUDGET // math.comb(n, n // 2)
+        for graphs, spans, top in passes:
+            # each pass indexes its states up to its own largest indegree
+            assert spans == [span(top, k) for k in range(1, n - 1)], (n, top)
+            assert graphs == 1 or graphs * width(top) <= room, (n, graphs, top)
         passes.clear()
 
     # at most the pass counts of the earlier packing, which cut a batch
     # by its largest indegree and regrouped one too big for one pass
     sweep_graphs(9, ("perm",))
-    check(9, 284)
+    check(9, 284, lambda top: top * 9, lambda top, k: min(top, k + 1) * 9)
     assert check_impartial("perm", 7).passed
-    check(7, 139)
+    check(7, 139, lambda top: top * 7, lambda top, k: min(top, k + 1) * 7)
+    # the correlation and Lemma 3 rules, at most the passes each made on
+    # its own before the three shared one driver
+    out0s = np.array([out for out, _ in iso_classes(8)]) - 1
+    engine.correlation_histograms(out0s, engine.indegrees(out0s).argmax(axis=1))
+    check(8, 27, lambda top: (top + 1) * top, lambda top, k: (top + 1) * top)
+    assert scan_orderings(8)[2] == 0
+    check(8, 211, lambda top: top * top * 8, lambda top, k: min(top, k + 1) * top * 8)
 
 
 def test_sweep_low_perm_ratio_structure():
@@ -484,6 +496,22 @@ def test_left_max_walk_matches_the_explicit_scan_on_every_class(monkeypatch):
         assert engine.left_max_misses(np.array(reps[n]) - 1).tolist() == scan, n
         totals.append(sum(scan))
     assert totals == [2, 6, 32, 220, 3233]
+
+
+def test_left_max_walk_holds_its_memory_on_a_star():
+    # every vertex nominates 0 and 0 nominates 1, so top = n; by
+    # tracemalloc a merge index of top * top * n codes per prefix set
+    # peaked at 25 MB, one sized to the left indegrees that k + 1 placed
+    # vertices reach at 14 MB
+    out0 = np.array([1] + [0] * 11)
+    tracemalloc.start()
+    try:
+        misses = engine.left_max_misses(out0[None])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert misses.tolist() == [0]
+    assert peak < 20e6, peak
 
 
 # the naive scan's first failing move in walk order, with the labelled

@@ -189,6 +189,15 @@ def test_perm_exact_capacity():
         PERM.exact(cycle(17))
 
 
+def test_each_walk_names_itself_past_the_dp_cap():
+    out0s = engine.out_array(cycle(17))[None]
+    cap = r" a DP over all 2\^17 prefix sets, capped at n <= 16$"
+    with pytest.raises(CapacityError, match="^the Lemma 3 check runs" + cap):
+        engine.left_max_misses(out0s)
+    with pytest.raises(CapacityError, match="^the correlation check runs" + cap):
+        engine.correlation_histograms(out0s, np.array([0]))
+
+
 # ---------------------------------------------------------------------------
 # the prefix-set DP behind exact perm
 
@@ -317,25 +326,43 @@ def test_batched_dp_matches_ordering_table_on_every_class_at_7():
 
 
 def test_batch_over_several_passes_equals_per_graph_calls(monkeypatch):
+    # each of the walk's three rules gives a batch split into passes what
+    # it gives one graph at a time; the Lemma 3 rule runs the late-takeover
+    # mutant, so its misses are not all 0
     graphs = [h for g in seeded_graphs(6, 30, 606) for h in (g, g.remove_out_edge(3))]
     graphs.append(NominationGraph((2, 1, 1, 1, 1, 1)))  # indegree 5 widens the state index
     out0s = np.stack([engine.out_array(g) for g in graphs])
-    single = [engine.selection_counts(out0)[0] for out0 in out0s]
+    vstars = np.arange(len(graphs)) % 6
+    top = int(engine.indegrees(out0s).max()) + 1
+    monkeypatch.setattr(engine, "_left_max_step", oracle.late_takeover_step)
+
+    def one(i):
+        row = slice(i, i + 1)
+        hist = engine.correlation_histograms(out0s[row], vstars[row])[0]
+        pad = (0, top - len(hist))
+        return engine.selection_counts(out0s[i])[0], np.pad(hist, (pad, pad)), engine.left_max_misses(out0s[row])[0]
+
+    single = [np.array(column) for column in zip(*map(one, range(len(graphs))))]
+    assert single[2].any()
     passes = []
-    kernel = engine._counts_pass
+    walk = engine._prefix_walk
 
-    def counted(targets, *args):
-        passes.append(len(targets))
-        return kernel(targets, *args)
+    def counted(inmask, *args):
+        passes.append(inmask.shape[0])
+        return walk(inmask, *args)
 
-    monkeypatch.setattr(engine, "_counts_pass", counted)
-    monkeypatch.setattr(engine, "STATE_BUDGET", 2000)  # a few graphs per pass
-    assert np.array_equal(engine.batch_selection_counts(out0s), single)
-    assert len(passes) > 10 and sum(passes) == len(graphs)
-    passes.clear()
-    monkeypatch.setattr(engine, "STATE_BUDGET", 1)  # no graph fits: one pass each
-    assert np.array_equal(engine.batch_selection_counts(out0s), single)
-    assert passes == [1] * len(graphs)
+    monkeypatch.setattr(engine, "_prefix_walk", counted)
+    rules = (engine.batch_selection_counts, lambda batch: engine.correlation_histograms(batch, vstars),
+             engine.left_max_misses)
+    for rule, want in zip(rules, single):
+        monkeypatch.setattr(engine, "STATE_BUDGET", 2000)  # a few graphs per pass
+        assert np.array_equal(rule(out0s), want)
+        assert len(passes) > 10 and max(passes) > 1 and sum(passes) == len(graphs)
+        passes.clear()
+        monkeypatch.setattr(engine, "STATE_BUDGET", 1)  # no graph fits: one pass each
+        assert np.array_equal(rule(out0s), want)
+        assert passes == [1] * len(graphs)
+        passes.clear()
 
 
 def test_dp_pinned_on_high_indegree_graphs():
