@@ -19,9 +19,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -134,8 +133,7 @@ def upper_bound(n: int) -> Fraction:
     return Fraction(3 * n**3 - 19 * n**2 + 30 * n - 4, 4 * n * (n - 2) * (n - 4))
 
 
-@dataclass(frozen=True)
-class GuaranteeRow:
+class GuaranteeRow(NamedTuple):
     """One row of the per-delta guarantee table.  case distinguishes the
     delta=3 split on the number of vertices with indegree >= 2."""
 
@@ -169,8 +167,7 @@ def guarantee_rows(delta_max: int = 15) -> list[GuaranteeRow]:
 # ---------------------------------------------------------------------------
 # Performance ratio
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(NamedTuple):
     graph: NominationGraph
     mechanism: str
     expected_indegree: Fraction
@@ -213,8 +210,7 @@ def _unique_counts(mech: Mechanism, rows: np.ndarray) -> tuple[np.ndarray, int, 
 # ---------------------------------------------------------------------------
 # Exhaustive graph-space sweeps
 
-@dataclass(frozen=True)
-class GraphSweep:
+class GraphSweep(NamedTuple):
     """Exact ratios of selected mechanisms over every graph of size n,
     one row per isomorphism class.
 
@@ -348,8 +344,7 @@ def scan_orderings(n: int, jobs: int = 1) -> tuple[int, int, int]:
     return graphs, graphs * math.factorial(n), sum(w * v for w, v in zip(weights, violations))
 
 
-@dataclass(frozen=True)
-class WorstCaseReport:
+class WorstCaseReport(NamedTuple):
     mechanism: str
     n: int
     min_ratio: Fraction
@@ -369,8 +364,7 @@ def worst_case(mechanism: str, n: int, jobs: int = 1) -> WorstCaseReport:
 # ---------------------------------------------------------------------------
 # Impartiality checking
 
-@dataclass(frozen=True)
-class DeviationWitness:
+class DeviationWitness(NamedTuple):
     graph: NominationGraph
     vertex: int
     new_target: int
@@ -378,8 +372,7 @@ class DeviationWitness:
     prob_after: Fraction
 
 
-@dataclass(frozen=True)
-class ImpartialityReport:
+class ImpartialityReport(NamedTuple):
     graphs_checked: int
     deviations_checked: int
     counterexample: Optional[DeviationWitness]
@@ -477,8 +470,7 @@ def correlation_example_graph() -> NominationGraph:
     return NominationGraph((7, 3, 1, 7, 4, 7, 3))
 
 
-@dataclass(frozen=True)
-class CorrelationComparison:
+class CorrelationComparison(NamedTuple):
     i: int
     j: int
     given_aj: Fraction
@@ -489,8 +481,7 @@ class CorrelationComparison:
         return self.given_aj >= self.given_ai
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(NamedTuple):
     graph: AnyGraph
     vstar: int
     delta: int
@@ -585,8 +576,7 @@ class SymmetryError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class UbChainReport:
+class UbChainReport(NamedTuple):
     mechanism: str
     n: int
     nprime: int
@@ -706,8 +696,7 @@ def verify_upper_bound_chain(
 # ---------------------------------------------------------------------------
 # Tightness scan for the permutation mechanism
 
-@dataclass(frozen=True)
-class TightnessRow:
+class TightnessRow(NamedTuple):
     nprime: int
     n: int
     kind: str  # "exact" | "sampled"
@@ -716,8 +705,7 @@ class TightnessRow:
     samples: int
 
 
-@dataclass(frozen=True)
-class TightnessReport:
+class TightnessReport(NamedTuple):
     delta: int
     alpha: Fraction
     rows: tuple[TightnessRow, ...]

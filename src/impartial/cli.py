@@ -30,12 +30,10 @@ walks of `verify bounds`, `verify lemma3`, `verify impartial` and
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
-import traceback
 from fractions import Fraction
 from typing import Optional
 
@@ -79,6 +77,8 @@ def _emit_json(payload: dict) -> None:
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> None:
+    import csv  # here, as loading it costs every command that writes JSON
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -494,6 +494,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"capacity: {str(exc) or 'out of memory'}", file=sys.stderr)
         return CAPACITY
     except Exception as exc:  # a bug, not a failed check: keep it off exit 1
+        import traceback  # here, as only this handler uses it
+
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return INTERNAL

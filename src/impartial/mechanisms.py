@@ -21,7 +21,8 @@ its rows to the lcm of their denominators.  The sampling path is a
 factory (the ``*_sampler`` functions) that reads the graph once and
 returns Draws: it runs the rule in numpy a chunk of rows at a time from
 SeedStream.uniform_rows, which reads the words one-at-a-time draws read
-(an ordering is its row of swap partners); mix draws a coin per draw.
+(an ordering is its row of swap partners); mix reads each draw's coin
+and then the row it picks, a chunk at a time, from SeedStream.coin_rows.
 
 perm  - left-to-right candidate scan along a uniform random ordering.
 rd    - random dictatorship: a uniform vertex's nominee.
@@ -35,9 +36,8 @@ mix   - rd for n <= 5, otherwise a fixed coin between perm and prugd.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -206,21 +206,16 @@ def mix_counts(out0s: np.ndarray) -> Counts:
 def mix_sampler(g: NominationGraph) -> Draws:
     """rd for n <= 5; otherwise one uniform integer below 1049 per draw
     picks perm when it falls below 825, prugd otherwise.  Each coin
-    decides the next row, so the coins go one draw at a time, and each
-    rule then runs once on its rows of the chunk."""
+    decides the next row, so SeedStream.coin_rows draws a chunk's coins
+    and rows in one pass, and each rule then runs once on its rows of
+    the chunk."""
     if g.n <= MIX_SMALL_N:
         return rd_sampler(g)
     (perm_bounds, perm), (prugd_bounds, prugd) = _perm_rows(g), _prugd_rows(g)
     den, cut = MIX_PERM_WEIGHT.denominator, MIX_PERM_WEIGHT.numerator
 
     def chunk(rng: SeedStream, k: int) -> np.ndarray:
-        coins, rows = np.empty(k, dtype=bool), None  # row i: draw i's, left-aligned
-        for i in range(k):
-            coin = coins[i] = rng.randrange(den) < cut
-            row = rng.uniform_rows(perm_bounds if coin else prugd_bounds, 1)[0]
-            if rows is None:  # the two kinds of row share a dtype, which n > 5 sets
-                rows = np.empty((k, len(prugd_bounds)), dtype=row.dtype)
-            rows[i, : len(row)] = row
+        coins, rows = rng.coin_rows(den, cut, perm_bounds, prugd_bounds, k)  # row i: draw i's
         out = np.empty(k, dtype=np.int32)
         out[coins] = perm(rows[coins, : len(perm_bounds)])
         out[~coins] = prugd(rows[~coins])
@@ -232,8 +227,7 @@ def mix_sampler(g: NominationGraph) -> Draws:
 # ---------------------------------------------------------------------------
 # Registry
 
-@dataclass(frozen=True)
-class Draws:
+class Draws(NamedTuple):
     """draws(rng, k): k seeded draws on a fixed graph as a (k,) int32
     array in draw order, 0 for no one; chunks(rng, k) yields it in the
     chunks chunk(rng, rows) makes, engine.sample_rows(width) rows each."""
@@ -276,8 +270,7 @@ def per_graph(counts: Callable[[AnyGraph], tuple[Sequence[int], int]]) -> Callab
     return batch
 
 
-@dataclass(frozen=True)
-class Mechanism:
+class Mechanism(NamedTuple):
     """A named exact path and sampler: the one way into a mechanism.
 
     accepts_partial: defined on graphs with missing out-edges; for a
@@ -295,16 +288,21 @@ class Mechanism:
     k draws from a SeedStream as a (k,) array in draw order, 0 for no
     one, and draws.chunks(rng, k) the same a chunk at a time; sample()
     is one draw from a seed or a SeedStream, None for no one.
+    exact_path and sampling_path are the mechanism's exact path and
+    sampler factory, which counts() and sampler() run after their checks.
+    A Mechanism is a NamedTuple, so it is immutable and built
+    positionally as Mechanism(name, accepts_partial, exact_path,
+    sampling_path).
     """
 
     name: str
     accepts_partial: bool
-    _counts: Callable[[np.ndarray], Counts]
-    _sampler: Callable[[AnyGraph], Draws]
+    exact_path: Callable[[np.ndarray], Counts]
+    sampling_path: Callable[[AnyGraph], Draws]
 
     def counts(self, out0s: np.ndarray) -> Counts:
         self._check_total((out0s < 0).any())
-        counts, den = self._counts(out0s)
+        counts, den = self.exact_path(out0s)
         counts = np.asarray(counts)
         if counts.shape != out0s.shape:
             raise InputError(f"{self.name} gave counts of shape {counts.shape}, "
@@ -318,7 +316,7 @@ class Mechanism:
 
     def sampler(self, g: AnyGraph) -> Draws:
         self._check_total(None in g.out)
-        return self._sampler(g)
+        return self.sampling_path(g)
 
     def sample(self, g: AnyGraph, seed: int | SeedStream) -> Optional[int]:
         return int(self.sampler(g)(as_stream(seed), 1)[0]) or None

@@ -2,8 +2,9 @@
 
 A SeedStream wraps a Mersenne-Twister state behind the draw kinds the
 program needs: rows of uniform integers below given bounds (what the
-samplers draw, many rows at once), uniform integers below a bound (the
-mix coin), uniform permutations, categorical draws over integer weights,
+samplers draw, many rows at once), a coin and then the row it picks
+(the mix sampler, many draws at once), uniform integers below a bound,
+uniform permutations, categorical draws over integer weights,
 and uniform rationals with resolution 2**-64.  Every integer draw reads
 exactly the words random.Random reads on CPython 3.10 and 3.11, straight
 from getrandbits and without its argument handling.  A uniform integer
@@ -71,19 +72,9 @@ class SeedStream:
         bound below 1.  The entries gather in the least unsigned type
         that holds them, one byte each while every bound is at most 256.
         The bit widths are kept per bounds, so a one-row call is cheap."""
-        bounds = tuple(bounds)
-        if bounds not in self._rows:
-            if min(bounds, default=1) < 1:
-                raise ValueError(f"empty range in uniform_rows bounds {bounds}")
-            self._rows[bounds] = (tuple((b, b.bit_length()) for b in bounds),
-                                  np.min_scalar_type(max(bounds, default=1) - 1))
-        pairs, dtype = self._rows[bounds]
+        pairs, dtype = self._pairs(bounds)
         bits = self._rng.getrandbits
-        if dtype == np.uint8:
-            flat = bytearray()  # appends faster than array("B")
-        else:
-            from array import array  # here, as loading it costs resident memory
-            flat = array(dtype.char)
+        flat = _buffer(dtype)
         add = flat.append
         for _ in range(k):
             for b, w in pairs:
@@ -92,6 +83,51 @@ class SeedStream:
                     r = bits(w)
                 add(r)
         return np.frombuffer(flat, dtype=dtype).reshape(k, len(pairs))
+
+    def coin_rows(self, den: int, cut: int, heads: Sequence[int], tails: Sequence[int],
+                  k: int) -> tuple[np.ndarray, np.ndarray]:
+        """k draws of a coin and then a row: per draw, randrange(den)'s
+        integer, heads when it falls below cut, then one uniform_rows row
+        below heads' bounds or tails', in one pass over the stream.
+        Returns the (k,) bool coins, True for heads, and the rows as one
+        (k, w) array, w the longer bounds' length, each row left-aligned
+        and padded with zeros, in the least unsigned type that holds
+        both kinds.  ValueError for a den or bound below 1."""
+        if den < 1:
+            raise ValueError(f"empty range for coin_rows({den})")
+        (head_pairs, head_type), (tail_pairs, tail_type) = self._pairs(heads), self._pairs(tails)
+        width = max(len(head_pairs), len(tail_pairs))
+        head_pad, tail_pad = (0,) * (width - len(head_pairs)), (0,) * (width - len(tail_pairs))
+        dtype = np.promote_types(head_type, tail_type)
+        bits = self._rng.getrandbits
+        coin_bits = den.bit_length()
+        coins, flat = bytearray(), _buffer(dtype)
+        add, pad = flat.append, flat.extend
+        for _ in range(k):
+            r = bits(coin_bits)
+            while r >= den:
+                r = bits(coin_bits)
+            head = r < cut
+            coins.append(head)
+            for b, w in head_pairs if head else tail_pairs:
+                r = bits(w)
+                while r >= b:
+                    r = bits(w)
+                add(r)
+            pad(head_pad if head else tail_pad)
+        return np.frombuffer(coins, dtype=bool), np.frombuffer(flat, dtype=dtype).reshape(k, width)
+
+    def _pairs(self, bounds: Sequence[int]) -> tuple[tuple[tuple[int, int], ...], np.dtype]:
+        """bounds' (bound, bit width) pairs and the least unsigned type
+        that holds their entries, kept per bounds; ValueError for a
+        bound below 1."""
+        bounds = tuple(bounds)
+        if bounds not in self._rows:
+            if min(bounds, default=1) < 1:
+                raise ValueError(f"empty range in uniform_rows bounds {bounds}")
+            self._rows[bounds] = (tuple((b, b.bit_length()) for b in bounds),
+                                  np.min_scalar_type(max(bounds, default=1) - 1))
+        return self._rows[bounds]
 
     def permutation(self, n: int) -> tuple[int, ...]:
         """Uniform ordering of 1..n as a tuple, by Fisher-Yates over
@@ -115,6 +151,14 @@ class SeedStream:
             if r < 0:
                 return i
         return None
+
+
+def _buffer(dtype: np.dtype):
+    """An empty buffer of dtype's items for a row loop to append to."""
+    if dtype == np.uint8:
+        return bytearray()  # appends faster than array("B")
+    from array import array  # here, as loading it costs resident memory
+    return array(dtype.char)
 
 
 def as_stream(seed_or_stream: "int | SeedStream") -> SeedStream:

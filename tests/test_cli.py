@@ -603,6 +603,25 @@ def test_the_parser_is_built_once_across_calls(capsys, monkeypatch):
     assert len(built) == 1 and cli._parser is built[0]
 
 
+def test_start_up_loads_no_csv_traceback_or_dataclass():
+    # a fresh process pays for every module and class it builds at
+    # import: csv and traceback load only where they are used, and the
+    # records of analysis and mechanisms generate no dataclass code
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = (
+        "import sys, impartial.cli, impartial.mechanisms\n"
+        "from impartial import analysis, mechanisms\n"
+        "print(sorted({'csv', 'traceback'} & set(sys.modules)))\n"
+        "print(sorted(name for m in (analysis, mechanisms) for name, c in vars(m).items()\n"
+        "             if isinstance(c, type) and c.__module__ == m.__name__\n"
+        "             and hasattr(c, '__dataclass_fields__')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n[]\n"
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: bounded argv, n <= 5, at most 50 draws, block counts <= 3
 

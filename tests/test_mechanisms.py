@@ -143,6 +143,29 @@ def test_randrange_of_an_empty_range_is_refused(n):
         SeedStream(0).randrange(n)
     with pytest.raises(ValueError):
         SeedStream(0).uniform_rows((3, n), 1)
+    with pytest.raises(ValueError):
+        SeedStream(0).coin_rows(n, 1, (3,), (2,), 1)
+    with pytest.raises(ValueError):
+        SeedStream(0).coin_rows(5, 1, (3,), (2, n), 1)
+
+
+def test_coin_rows_read_the_per_draw_stream():
+    # one coin_rows pass reads what a randrange coin and then a one-row
+    # uniform_rows call read per draw, and leaves the same state
+    kinds = [((7, 6, 5, 4, 3, 2), (7, 7, 6, 5, 4, 3, 2, 8)),  # mix at n = 7: one byte
+             ((300, 299, 2), (300, 8)),  # two bytes, the heads the longer
+             ((2, 3), (2**40, 5, 9))]  # eight bytes, the tails the longer
+    for seed in range(40):
+        for heads, tails in kinds:
+            stream, reference = SeedStream(seed), SeedStream(seed)
+            coins, rows = stream.coin_rows(1049, 825, heads, tails, 50)
+            width = max(len(heads), len(tails))
+            assert rows.shape == (50, width) and rows.dtype == np.min_scalar_type(max(*heads, *tails) - 1)
+            for coin, row in zip(coins.tolist(), rows.tolist()):
+                assert coin == (reference.randrange(1049) < 825), seed
+                want = reference.uniform_rows(heads if coin else tails, 1)[0].tolist()
+                assert row == want + [0] * (width - len(want)), seed
+            assert stream._rng.getstate() == reference._rng.getstate(), seed
 
 
 @settings(max_examples=60, deadline=None)
@@ -926,20 +949,21 @@ def test_mix_sample_deterministic():
 
 
 class CoinStub:
-    """A stream whose every randrange call returns one fixed value and
-    whose rows are all zeros; it records the bounds it is asked for."""
+    """A stream whose every coin is one fixed value below den and whose
+    rows are all zeros; it records the bounds it is asked for, the
+    coin's and then each row's."""
 
     def __init__(self, value):
         self.value = value
         self.bounds = []
 
-    def randrange(self, n):
-        self.bounds.append(n)
-        return self.value
-
-    def uniform_rows(self, bounds, k):
-        self.bounds.append(tuple(bounds))
-        return np.zeros((k, len(bounds)), dtype=np.uint8)
+    def coin_rows(self, den, cut, heads, tails, k):
+        coins = []
+        for _ in range(k):
+            self.bounds.append(den)
+            coins.append(self.value < cut)
+            self.bounds.append(tuple(heads if coins[-1] else tails))
+        return np.array(coins, dtype=bool), np.zeros((k, max(len(heads), len(tails))), dtype=np.uint8)
 
 
 def test_mix_coin_sends_825_of_1049_values_to_perm(monkeypatch):
