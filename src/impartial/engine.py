@@ -592,7 +592,7 @@ def two_slot_rule(out0: np.ndarray, removed: np.ndarray):
 
     def draws(which: np.ndarray, orders: np.ndarray, r: np.ndarray) -> np.ndarray:
         vc, loc = v.take(which), lo.take(which)
-        ranks = np.cumsum([deg.take(row) - (row == vc) >= loc for row in orders], axis=0, dtype=dtype)
+        ranks = np.cumsum(deg.take(orders) - (orders == vc) >= loc, axis=0, dtype=dtype)
 
         def marked_vertex(rank):  # the rank-th marked vertex of each column
             return orders[(ranks >= rank).argmax(axis=0), np.arange(len(which))]

@@ -13,7 +13,9 @@ check.  perm is one call of the engine's batched DP over prefix sets,
 which packs its own passes and returns the scan's outcome counts over
 all n! orderings as one int64 array; its 2^n states cap perm, and mix
 through it, at engine.DP_CAP vertices.  rd,
-prug and prugd are numpy closed forms over the whole batch with no cap.
+prug and prugd are numpy closed forms over the whole batch with no cap;
+prugd reads each default vertex's prug off the graph's indegree
+classes, in O(n) per graph (see prugd_counts).
 Counts are int64 while the largest of them fits, and Python ints
 (dtype object) above, so they never wrap.  A rule written for one
 graph at a time joins the same path through per_graph, which scales
@@ -63,10 +65,6 @@ Rows = tuple[tuple[int, ...], Callable[[np.ndarray], np.ndarray]]
 MIX_PERM_WEIGHT = Fraction(825, 1049)
 MIX_PRUGD_WEIGHT = Fraction(224, 1049)
 MIX_SMALL_N = 5
-# Entries of the edge-removed copies (graphs times n^2) that prugd
-# passes to the two-slot closed form at once, which bounds its memory:
-# each graph becomes n copies, held as Python ints from n = 19.
-PRUGD_CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -147,27 +145,160 @@ def prug_sampler(g: AnyGraph) -> Draws:
 # prug with a default vertex
 
 def prugd_counts(out0s: np.ndarray) -> Counts:
-    """prug run with a uniformly chosen default vertex, over 4 n n!.
+    """prug run with a uniformly chosen default vertex, over 4 n n!, on
+    total graphs.
 
     The default vertex's outgoing edge is removed before prug runs, and
     the default vertex picks up prug's unassigned mass on top of its own
-    share, so the wrapped rule always selects.  The n edge-removed
-    copies of each graph go through prug's closed form as one
-    (graphs * n, n) batch, PRUGD_CHUNK entries at a time.
+    share, so the wrapped rule always selects.  With A_w prug's quarter
+    counts read with the indegrees deg - e_w and the graph's own edges,
+    and tot_w their sum, every vertex v gets
+
+        P[v] = sum_w deg[w] A_w[v] + 4 n! - tot_{out[v]},
+
+    since default j lowers the indegree of out[j] alone, and j's own
+    missing edge moves only j's count, which cancels against j's
+    unassigned mass.  A_w is the graph's own A_G unless w lies in the
+    top class T, or T = {t} and w lies in T2 + {t} (T2 and T3 the
+    vertices of indegree dmax - 1 and dmax - 2), and those w collapse in
+    closed form.  So P[v] depends only on v's class, its target w's class
+    and, when w is in T or T2, on whether w's target is in T and how
+    many of T and of T2 nominate w.  Each graph's case of |T| (_PRUGD_CASES) writes the
+    coefficients of its table over (v's class, w's class) and the
+    weights of those three numbers, so a graph costs O(n).  Every sum
+    stays within a few times the denominator, so int64 holds it while
+    the denominator fits (n <= 18), and Python ints do above.
     """
     graphs, n = out0s.shape
-    den = 4 * math.factorial(n)
-    dtype = exact_dtype(n * den)
-    counts = np.empty((graphs, n), dtype=dtype)
-    step = max(1, PRUGD_CHUNK // (n * n))
-    for i in range(0, graphs, step):
-        part = out0s[i : i + step]
-        copies = np.repeat(part, n, axis=0)  # row g * n + j: graph g without j's edge
-        copies[np.arange(len(copies)), np.tile(np.arange(n), len(part))] = -1
-        quarters = engine.two_slot_quarter_counts(copies)[0].astype(dtype).reshape(len(part), n, n)
-        # default j's unassigned quarters go to j
-        counts[i : i + step] = quarters.sum(axis=1) + (den - quarters.sum(axis=2))
-    return counts, n * den
+    nfact = math.factorial(n)
+    dtype = exact_dtype(4 * n * nfact)
+    rows = np.arange(graphs)[:, None]
+    at = out0s + n * rows  # flat index of each vertex's target
+    deg = np.bincount(at.ravel(), minlength=graphs * n).reshape(graphs, n)
+    dmax = deg.max(axis=1)
+    cls = np.minimum(dmax[:, None] - deg, 3).astype(np.int8)  # 0: T, 1: T2, 2: T3, 3: below
+    del deg
+    code = cls.take(at)
+    code += 4 * cls  # v's class and its target's
+    flat = code + 16 * rows
+    pairs = np.bincount(flat.ravel(), minlength=16 * graphs).reshape(graphs, 16)
+    # the class sizes |T|, |T2|, |T3|, then the vertices of each (class, target's class) a case reads
+    stats = np.concatenate([pairs.reshape(graphs, 4, 4)[:, :3].sum(axis=2), pairs[:, _PAIRS]], axis=1)
+    del pairs
+    case = np.minimum(stats[:, _K], 3) - (stats[:, _K] + stats[:, _S] == 1)
+    sizes = np.bincount(case, minlength=4)
+    ends = sizes.cumsum().tolist()
+    order = None
+    if np.count_nonzero(sizes) > 1:  # several cases: sort them into slices
+        # grouped, not argsorted, and np.dot below, not @: either raised a batch's peak RSS
+        order = np.concatenate([np.flatnonzero(case == c) for c in range(4)])
+        dmax, stats = dmax[order], stats[order]
+    nf = np.full(1, nfact, dtype=dtype)  # an array, so int64 columns join it in its dtype
+    coefs = np.zeros((graphs, _COEFS), dtype=dtype)
+    start = 0
+    for fill, end in zip(_PRUGD_CASES, ends):
+        if end > start:
+            fill(coefs[start:end], n, nf, dmax[start:end], stats[start:end])
+            start = end
+    del dmax, stats
+    if order is not None:
+        coefs[order] = coefs.copy()
+    # per vertex w in T, or in T2 when T = {t}: the weights of [out[w] in
+    # T] and of w's nominators in T, or in T2 when |T| = 2
+    behind = np.bincount(at[cls == (case == 2)[:, None]], minlength=graphs * n).reshape(graphs, n)
+    behind = coefs[:, _NOMINATORS:] * behind
+    behind += coefs[:, _ALPHA : _ALPHA + 1] * (code % 4 == 0)
+    behind *= cls == (case == 1)[:, None]
+    counts = behind.take(at)
+    del behind, at
+    counts += np.dot(coefs[:, : len(_BASIS)], _BASIS).take(flat)
+    return counts, 4 * n * nfact
+
+
+# A case's table over the code 4 * (v's class) + (v's target's class)
+# is a sum of coefficients times the rows of _BASIS, row i marking the
+# codes whose v's class is in _ROWS[i][0] and target's in _ROWS[i][1].
+_ALL, _TOP = range(4), (0,)
+_ROWS = ((_ALL, _ALL), (_TOP, _ALL), ((1,), _ALL), (_ALL, _TOP), (_ALL, (1,)),
+         (_TOP, _TOP), ((1,), _TOP), ((2,), _TOP), ((0, 1), (0, 1)))
+_BASIS = np.array([[c in cs and t in ts for c in _ALL for t in _ALL] for cs, ts in _ROWS], dtype=np.int64)
+# A graph's coefficients: one per row of _BASIS, then the weights of
+# [out[w] in T] and of w's nominators (see prugd_counts).
+_CONST, _OF_T, _OF_T2, _TO_T, _TO_T2, _T_T, _T2_T, _T3_T, _X_X, _ALPHA, _NOMINATORS, _COEFS = range(12)
+# A graph's stats: |T|, |T2|, |T3|, then its vertices of the codes _PAIRS.
+_PAIRS = [0, 1, 2, 4, 5, 8]
+_K, _S, _S3, _T_TO_T, _T_TO_T2, _T_TO_T3, _T2_TO_T, _T2_TO_T2, _T3_TO_T = range(9)
+
+
+# Each case gets its graphs' rows of the coefficients, n, n! (a (1,)
+# array of the count dtype), and their dmax and stats, and writes the
+# coefficients it uses.
+
+def _lone_over_empty(c, n, nf, d, st):
+    # T = {t}, T2 empty: t takes 3 n! in G, and its own variant leaves t
+    # alone at dmax - 1 over T3, with the gap when T3 - {out[t]} is empty
+    s3 = st[:, _S3]
+    front = 2 + (s3 == st[:, _T_TO_T3])
+    share = 2 * nf // (s3 + 1)
+    c[:, _CONST] = nf
+    c[:, _OF_T] = (3 * (n - d) + d * front) * nf
+    c[:, _T3_T] = d * share
+    c[:, _TO_T] = (3 - front) * nf - st[:, _T3_TO_T] * share
+
+
+def _lone(c, n, nf, d, st):
+    # T = {t} over T2, |T2| = s >= 1: t's gap holds when m = |T2 - {out[t]}|
+    # is 0; a w in T2 leaves t alone over T2 - {w}, with the gap on
+    # (m == 0) s + (m == 1) of them, and t's own variant has the top
+    # class X = {t} + T2 at dmax - 1
+    s, r = st[:, _S], st[:, _T2_TO_T]
+    m = s - st[:, _T_TO_T2]
+    m1 = m == 1
+    front = 2 + (m == 0)
+    two = 2 * nf
+    share, wide = two // (s + 1), two // s
+    pair = share // s
+    tot_g = front * nf + r * share
+    c[:, _CONST] = 4 * nf - tot_g
+    c[:, _OF_T] = ((n - d) * front + (d - 1) * m1) * nf + d * share
+    c[:, _OF_T2] = d * share
+    c[:, _X_X] = d * pair
+    c[:, _T2_T] = (n - d - s * (d - 1)) * share + (d - 1) * (s - 1) * wide
+    c[:, _TO_T] = tot_g - two - (st[:, _T_TO_T2] + r + st[:, _T2_TO_T2]) * pair
+    c[:, _TO_T2] = tot_g - (front + m1) * nf - r * wide
+    c[:, _ALPHA] = wide
+    c[:, _NOMINATORS] = m1 * nf
+
+
+def _pair(c, n, nf, d, st):
+    # T = {a, b}: removing a's indegree leaves b alone over T2 + {a}, with
+    # the gap only when T2 is empty and b nominates a
+    empty = st[:, _S] == 0
+    share = 2 * nf // (st[:, _S] + 2)
+    p = st[:, _T_TO_T]
+    c[:, _CONST] = (2 - p) * nf
+    c[:, _OF_T] = n * nf
+    c[:, _T_T] = (n - 2 * d) * nf + d * (share + empty * nf)
+    c[:, _T2_T] = d * share
+    c[:, _TO_T] = (1 - empty) * p * nf - st[:, _T2_TO_T] * share
+    c[:, _ALPHA] = empty * nf - share
+    c[:, _NOMINATORS] = share
+
+
+def _several(c, n, nf, d, st):
+    # |T| = k >= 3: removing w's indegree leaves T - {w}, and the k
+    # variants sum to k A_G, so only the totals move
+    k, p = st[:, _K], st[:, _T_TO_T]
+    share = 2 * nf // k
+    pair, pair1 = share // (k - 1), 2 * nf // ((k - 1) * (k - 2))
+    c[:, _CONST] = 2 * nf - p * pair
+    c[:, _OF_T] = n * share
+    c[:, _T_T] = n * pair
+    c[:, _TO_T] = p * (pair - pair1)
+    c[:, _ALPHA] = c[:, _NOMINATORS] = pair1
+
+
+_PRUGD_CASES = (_lone_over_empty, _lone, _pair, _several)
 
 
 def prugd_sampler(g: NominationGraph) -> Draws:

@@ -21,7 +21,6 @@ child streams by label, which keeps parallel work reproducible.
 """
 from __future__ import annotations
 
-import hashlib
 import random
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -42,6 +41,8 @@ class SeedStream:
 
     def split(self, label: str) -> "SeedStream":
         """Child stream whose seed is derived from (seed, label)."""
+        import hashlib  # here, not at start-up: only split reads it
+
         digest = hashlib.blake2b(
             f"{self.seed}/{label}".encode(), digest_size=8
         ).digest()

@@ -513,6 +513,77 @@ def test_closed_forms_stay_exact_past_int64():
     assert batch_counts(MIX, graphs) == want
 
 
+# prugd's closed form reads each default's variant off the indegree
+# classes, one case of the top class T at a time: named graphs for each
+PRUGD_CASE_GRAPHS = {
+    "T = {t}, T2 empty, T3 - {out[t]} empty": [STAR4, NominationGraph((2, 1, 1, 1, 1, 1))],
+    "T = {t}, T2 empty, T3 - {out[t]} not empty": [NominationGraph((5, 1, 1, 1, 2))],
+    "T = {t}, m = |T2 - {out[t]}| = 0": [NominationGraph((2, 1, 1, 1, 2))],
+    "T = {t}, m = 1": [NominationGraph((3, 1, 1, 1, 2, 2))],
+    "T = {t}, m = 2": [NominationGraph((4, 1, 1, 1, 2, 2, 3, 3))],
+    "|T| = 2 with the gap": [NominationGraph((2, 1, 1, 2))],
+    "|T| = 2 without the gap": [NominationGraph((2, 1, 1, 2, 3)), NominationGraph((3, 1, 2, 1, 2))],
+    "|T| = n": [cycle(n) for n in range(3, 8)],
+    "|T| = 3": [NominationGraph((2, 3, 1, 1, 2, 3))],
+}
+
+
+def prugd_case(g):
+    """The case prugd_counts takes on g: |T| (3 for three or more), and
+    with T = {t}, |T2| and m = |T2 - {out[t]}|."""
+    deg = g.indegrees()
+    top = max(deg)
+    tops = [v for v, d in enumerate(deg, start=1) if d == top]
+    if len(tops) > 1:
+        return min(len(tops), 3), None, None
+    second = {v for v, d in enumerate(deg, start=1) if d == top - 1}
+    return 1, len(second), len(second - {g.out[tops[0] - 1]})
+
+
+def test_prugd_case_graphs_are_the_cases_they_name():
+    want = {"T = {t}, T2 empty, T3 - {out[t]} empty": (1, 0, 0),
+            "T = {t}, T2 empty, T3 - {out[t]} not empty": (1, 0, 0),
+            "T = {t}, m = |T2 - {out[t]}| = 0": (1, 1, 0), "T = {t}, m = 1": (1, 1, 1),
+            "T = {t}, m = 2": (1, 2, 2), "|T| = 2 with the gap": (2, None, None),
+            "|T| = 2 without the gap": (2, None, None), "|T| = n": (3, None, None),
+            "|T| = 3": (3, None, None)}
+    for name, graphs in PRUGD_CASE_GRAPHS.items():
+        assert all(prugd_case(g) == want[name] for g in graphs), name
+    third = [d == 1 for d in NominationGraph((5, 1, 1, 1, 2)).indegrees()]
+    assert third == [False, True, False, False, True]  # T3 = {2, 5}, out[t] = 5
+
+
+def test_prugd_closed_form_matches_the_per_default_oracle():
+    # oracle.prugd_counts runs the scalar two-slot form on each default
+    # vertex's edge-removed copy; the closed form must agree in a batch
+    # and one graph at a time
+    named = [g for graphs in PRUGD_CASE_GRAPHS.values() for g in graphs]
+    for g in named:
+        assert batch_counts(PRUGD, [g]) == [oracle.prugd_counts(g)], g.out
+        if g.n > mechanisms.MIX_SMALL_N:
+            want = oracle.mix_counts(g, engine.selection_counts(engine.out_array(g))[0])
+            assert batch_counts(MIX, [g]) == [want], g.out
+    for n in range(2, 10):
+        classes = [NominationGraph(out) for out, _ in iso_classes(n)]
+        want = [oracle.prugd_counts(g) for g in classes]
+        assert batch_counts(PRUGD, classes) == want, n
+        assert [batch_counts(PRUGD, [g])[0] for g in classes] == want, n
+    seeded = [g for n in range(10, 60) for g in seeded_graphs(n, 4, 500 + n)]
+    assert {prugd_case(g)[0] for g in seeded} == {1, 2, 3}
+    assert all(batch_counts(PRUGD, [g]) == [oracle.prugd_counts(g)] for g in seeded)
+    for n in (10, 37):
+        graphs = [g for g in seeded if g.n == n] + [cycle(n)]
+        assert batch_counts(PRUGD, graphs) == [oracle.prugd_counts(g) for g in graphs], n
+
+
+def test_prugd_counts_a_large_graph_in_process():
+    # prugd holds O(n) Python ints of 2000!'s size per graph here, not
+    # the n^2 that one prug run per default vertex would
+    counts, den = PRUGD.counts(engine.out_array(random_graph(2000, 3))[None])
+    assert den == 4 * 2000 * math.factorial(2000)
+    assert sum(counts[0].tolist()) == den
+
+
 def test_batch_counts_are_checked_without_wrapping():
     # each count is within its denominator, but the two sum past 2^63,
     # which int64 would wrap to a negative total
