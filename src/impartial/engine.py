@@ -1,5 +1,5 @@
 """Exact and sampled evaluation of the candidate scan, the correlation
-check's joint histograms, and the two-slot closed form.
+check's joint histograms, and the two-slot rule's sampler.
 
 Exact perm counts come from a dynamic program over prefix sets: the
 scan's future after a prefix depends only on which vertices were placed,
@@ -17,13 +17,11 @@ for all three rules.  A layer's expansions are slot-major (unplaced
 slot, state) arrays, so each per-state operand broadcasts along the
 long axis; the rules pick the grown code by arithmetic on a 0/1 mask,
 not by branching, and the last layer's states go to the caller's
-bincount unmerged.  selection_counts is the one-graph entry of exact
-perm.  The counts are exact integers, so dividing by n! at the end
-loses nothing.
-The two-slot rule's counts over all n! orderings depend only on the
-indegree classes, so two_slot_quarter_counts computes them in closed
-form without enumerating anything, for a whole batch of graphs at once,
-in int64 while they fit and in Python ints above (graphs.exact_dtype).
+bincount unmerged.  The counts are exact integers, so dividing by n!
+at the end loses nothing.  No exact path calls selection_counts (one
+graph's batch_selection_counts) or runner_up_gap_quarter_counts (one
+graph's mechanisms.prug_counts): both are kept for perfbench's tracer
+and the tests.
 
 Only sampling runs the scan on explicit orderings, with numpy, many at
 once.  The key shortcut there: when the left-to-right scan considers
@@ -47,7 +45,7 @@ import math
 
 import numpy as np
 
-from .graphs import AnyGraph, CapacityError, exact_dtype
+from .graphs import AnyGraph, CapacityError
 
 # Largest n of permutation_table, the (n!, n) int16 array of every
 # ordering (72 MB at n = 10).  No program path reads it: it is kept for
@@ -483,67 +481,11 @@ def indegrees(out0s: np.ndarray) -> np.ndarray:
 
 
 def runner_up_gap_quarter_counts(out0: np.ndarray) -> tuple[list[int], int]:
-    """two_slot_quarter_counts of one graph's 0-based targets out0 (-1
-    for an absent edge), as a list.  The exact paths run the batch form;
-    this one stays because perfbench's tracer wraps it by name."""
-    counts, nfact = two_slot_quarter_counts(out0[None])
-    return counts[0].tolist(), nfact
-
-
-def two_slot_quarter_counts(out0s: np.ndarray) -> tuple[np.ndarray, int]:
-    """Exact per-vertex counts, in quarter units, of the two-slot rule
-    summed over all n! orderings, in closed form, for each row of a
-    (graphs, n) array of 0-based targets (-1 for an absent edge).
-
-    Per ordering the rule gives the lexicographic (indegree, position)
-    maximum 3/4 (if removing its own edge leaves it ahead of everyone
-    else by at least 2) or 1/2, and gives the runner-up 1/2 when the
-    runner-up nominates the front vertex and either ties the maximum
-    indegree or sits one below it while placed to the right of the front
-    vertex.  Only the relative order of the top set T (indegree dmax)
-    and of T2 (indegree dmax-1) matters, so with k = |T|:
-
-    - k >= 2: the front vertex is uniform over T and a tied rival always
-      blocks the gap, so each member of T gets 2 n!/k; the runner-up is
-      uniform over the ordered pairs of T, so a member nominating another
-      member gets 2 n!/(k(k-1)) more.
-    - k = 1, T = {t}: t gets 3 n! or 2 n! by its gap test; a member of
-      T2 nominating t is the runner-up to the right of t exactly when it
-      comes last among T2 and t, so it gets 2 n!/(|T2|+1).
-
-    Both cases are computed for every row and each row keeps its own.
-    Returns (quarter_counts, n!): a (graphs, n) array, int64 while its
-    total 4 n! fits (n <= 19), Python ints above.
-    """
-    graphs, n = out0s.shape
-    nfact = math.factorial(n)
-    dtype = exact_dtype(4 * nfact)
-    rows = np.arange(graphs)
-    deg = indegrees(out0s)
-    absent = out0s < 0
-    target_deg = np.where(absent, -1, np.take_along_axis(deg, np.where(absent, 0, out0s), axis=1))
-    dmax = deg.max(axis=1)
-    top = deg == dmax[:, None]
-    k = top.sum(axis=1)
-    two = np.full(graphs, 2 * nfact, dtype=dtype)
-    # k >= 2 (kk keeps the k = 1 rows clear of a zero divisor)
-    kk = np.maximum(k, 2).astype(dtype)
-    share, pair = two // kk, two // (kk * (kk - 1))
-    pairs = np.where(target_deg == dmax[:, None], pair[:, None], 0)
-    several = np.where(top, share[:, None] + pairs, 0)
-    # k = 1, T = {t}
-    t = deg.argmax(axis=1)
-    t_target = out0s[rows, t]
-    rivals = deg.copy()  # the others' indegrees once t's edge is removed
-    rivals[rows, t] = -1
-    edged = t_target >= 0
-    rivals[rows[edged], t_target[edged]] -= 1
-    gap = dmax >= rivals.max(axis=1) + 2
-    second = deg == (dmax - 1)[:, None]
-    runner = two // (second.sum(axis=1) + 1).astype(dtype)
-    single = np.where((out0s == t[:, None]) & second, runner[:, None], 0)
-    single[rows, t] = np.where(gap, 3, 2).astype(dtype) * nfact
-    return np.where((k >= 2)[:, None], several, single), nfact
+    """One graph's mechanisms.prug_counts (out0 0-based, -1 for an absent
+    edge) in quarters as a list, and n!; perfbench's tracer wraps it."""
+    from .mechanisms import prug_counts  # mechanisms imports this module
+    counts, den = prug_counts(out0[None])
+    return counts[0].tolist(), den // 4
 
 
 def _two_slot_tables(out0: np.ndarray, removed: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -580,7 +522,7 @@ def two_slot_rule(out0: np.ndarray, removed: np.ndarray):
     selected vertices, 1-based, 0 for no one; ValueError if a column's
     weights sum past 8.
 
-    A column weighs its ordering's quarters (two_slot_quarter_counts)
+    A column weighs its ordering's quarters (mechanisms.prug_counts)
     plus its reverse's, in eighths.  The front is the last member of T,
     the runner-up the one before it when |T| >= 2, or when T = {t} the
     last of T2, scoring only after t; so the last marked vertex stands

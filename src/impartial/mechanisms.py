@@ -13,9 +13,12 @@ check.  perm is one call of the engine's batched DP over prefix sets,
 which packs its own passes and returns the scan's outcome counts over
 all n! orderings as one int64 array; its 2^n states cap perm, and mix
 through it, at engine.DP_CAP vertices.  rd,
-prug and prugd are numpy closed forms over the whole batch with no cap;
-prugd reads each default vertex's prug off the graph's indegree
-classes, in O(n) per graph (see prugd_counts).
+prug and prugd are numpy closed forms over the whole batch with no cap.
+Both two-slot forms read one table of the indegree classes
+(_indegree_classes), coding each vertex by its class and its target's:
+prug's counts are three coefficients per graph over those codes, and
+prugd reads each default vertex's prug off the same codes, in O(n) per
+graph (see prugd_counts).
 Counts are int64 while the largest of them fits, and Python ints
 (dtype object) above, so they never wrap.  A rule written for one
 graph at a time joins the same path through per_graph, which scales
@@ -121,15 +124,36 @@ def rd_sampler(g: NominationGraph) -> Draws:
 
 def prug_counts(out0s: np.ndarray) -> Counts:
     """Sum of the single-ordering weight vectors over all orderings, in
-    quarters, over 4 n!.
+    quarters, over 4 n!, in closed form: no ordering is enumerated.
 
     Averaging them directly equals averaging the reverse-paired vectors
     the sampler draws from, since reversal is a bijection on orderings.
     The total may fall short of 1: the rule is allowed to select no one.
-    The engine sums in closed form, so no ordering is enumerated.
+    Per ordering the front, the (indegree, position) maximum, gets 3/4
+    if it leads every other vertex by 2 once its own edge is removed
+    (its gap), 1/2 otherwise; the runner-up gets 1/2 if it nominates the
+    front and ties it, or sits one below it to its right.  Only the
+    order within T and T2 (_indegree_classes) matters, so with k = |T|:
+
+    - k >= 2: the front is uniform over T and a tied rival blocks the
+      gap, so each member of T gets 2 n!/k; the runner-up is uniform over
+      the ordered pairs of T, so a member nominating another member gets
+      2 n!/(k(k-1)) more.
+    - k = 1, T = {t}: t gets 3 n! if m = |T2 - {out[t]}| is 0 (the gap),
+      else 2 n!; a member of T2 nominating t is the runner-up right of t
+      exactly when it comes last among T2 and t: 2 n!/(|T2|+1).
+
+    Each graph so fills three rows of _BASIS, int64 while 4 n! fits
+    (n <= 19) and Python ints above.
     """
-    counts, runs = engine.two_slot_quarter_counts(out0s)
-    return counts, 4 * runs
+    nfact = math.factorial(out0s.shape[1])
+    _, _, flat, _, stats = _indegree_classes(out0s)
+    k, s, t_to_t2 = (stats[:, i, None] for i in (_K, _S, _T_TO_T2))
+    nf = np.full(1, nfact, dtype=exact_dtype(4 * nfact))  # an array, so int64 columns join it in its dtype
+    table = np.where(k == 1, (2 + (s == t_to_t2)) * nf, 2 * nf // k) * _BASIS[_OF_T]
+    table += 2 * nf // (k * np.maximum(k - 1, 1)) * _BASIS[_T_T]  # T = {t} has no code (T, T)
+    table += (k == 1) * (2 * nf // (s + 1)) * _BASIS[_T2_T]
+    return table.take(flat), 4 * nfact
 
 
 def prug_sampler(g: AnyGraph) -> Draws:
@@ -159,32 +183,20 @@ def prugd_counts(out0s: np.ndarray) -> Counts:
     since default j lowers the indegree of out[j] alone, and j's own
     missing edge moves only j's count, which cancels against j's
     unassigned mass.  A_w is the graph's own A_G unless w lies in the
-    top class T, or T = {t} and w lies in T2 + {t} (T2 and T3 the
-    vertices of indegree dmax - 1 and dmax - 2), and those w collapse in
-    closed form.  So P[v] depends only on v's class, its target w's class
-    and, when w is in T or T2, on whether w's target is in T and how
-    many of T and of T2 nominate w.  Each graph's case of |T| (_PRUGD_CASES) writes the
-    coefficients of its table over (v's class, w's class) and the
-    weights of those three numbers, so a graph costs O(n).  Every sum
-    stays within a few times the denominator, so int64 holds it while
-    the denominator fits (n <= 18), and Python ints do above.
+    top class T, or T = {t} and w lies in T2 + {t} (_indegree_classes),
+    and those w collapse in closed form.  So P[v] depends only on v's
+    class, its target w's class and, when w is in T or T2, on whether
+    w's target is in T and how many of T and of T2 nominate w.  Each
+    graph's case of |T| (_PRUGD_CASES) writes the coefficients of its
+    table over (v's class, w's class) and the weights of those three
+    numbers, so a graph costs O(n).  Every sum stays within a few times
+    the denominator, so int64 holds it while the denominator fits
+    (n <= 18), and Python ints do above.
     """
     graphs, n = out0s.shape
     nfact = math.factorial(n)
     dtype = exact_dtype(4 * n * nfact)
-    rows = np.arange(graphs)[:, None]
-    at = out0s + n * rows  # flat index of each vertex's target
-    deg = np.bincount(at.ravel(), minlength=graphs * n).reshape(graphs, n)
-    dmax = deg.max(axis=1)
-    cls = np.minimum(dmax[:, None] - deg, 3).astype(np.int8)  # 0: T, 1: T2, 2: T3, 3: below
-    del deg
-    code = cls.take(at)
-    code += 4 * cls  # v's class and its target's
-    flat = code + 16 * rows
-    pairs = np.bincount(flat.ravel(), minlength=16 * graphs).reshape(graphs, 16)
-    # the class sizes |T|, |T2|, |T3|, then the vertices of each (class, target's class) a case reads
-    stats = np.concatenate([pairs.reshape(graphs, 4, 4)[:, :3].sum(axis=2), pairs[:, _PAIRS]], axis=1)
-    del pairs
+    at, cls, flat, dmax, stats = _indegree_classes(out0s)
     case = np.minimum(stats[:, _K], 3) - (stats[:, _K] + stats[:, _S] == 1)
     sizes = np.bincount(case, minlength=4)
     ends = sizes.cumsum().tolist()
@@ -205,9 +217,9 @@ def prugd_counts(out0s: np.ndarray) -> Counts:
         coefs[order] = coefs.copy()
     # per vertex w in T, or in T2 when T = {t}: the weights of [out[w] in
     # T] and of w's nominators in T, or in T2 when |T| = 2
-    behind = np.bincount(at[cls == (case == 2)[:, None]], minlength=graphs * n).reshape(graphs, n)
-    behind = coefs[:, _NOMINATORS:] * behind
-    behind += coefs[:, _ALPHA : _ALPHA + 1] * (code % 4 == 0)
+    behind = np.bincount(at[cls[:, :n] == (case == 2)[:, None]], minlength=graphs * (n + 1))
+    behind = coefs[:, _NOMINATORS:] * behind.reshape(graphs, n + 1)
+    behind[:, :n] += coefs[:, _ALPHA : _ALPHA + 1] * ((flat & 3) == 0)
     behind *= cls == (case == 1)[:, None]
     counts = behind.take(at)
     del behind, at
@@ -215,7 +227,30 @@ def prugd_counts(out0s: np.ndarray) -> Counts:
     return counts, 4 * n * nfact
 
 
-# A case's table over the code 4 * (v's class) + (v's target's class)
+def _indegree_classes(out0s: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The indegree classes both two-slot forms read, on a (graphs, n)
+    batch of 0-based targets (-1 for an absent edge): at, each vertex's
+    target's flat index in a (graphs, n + 1) table whose column n is a
+    sink for absent edges; cls, that table's classes (0: T at indegree
+    dmax, 1: T2, 2: T3, 3: below, and the sink, which neither form reads
+    as T or T2); flat, 4 cls[v] + cls[out[v]] + 16 * row per vertex;
+    dmax; and per graph the stats _K .. _T3_TO_T."""
+    graphs, n = out0s.shape
+    rows = np.arange(graphs)[:, None]
+    at = np.where(out0s < 0, n, out0s) + (n + 1) * rows
+    deg = np.bincount(at.ravel(), minlength=graphs * (n + 1)).reshape(graphs, n + 1)
+    dmax = deg[:, :n].max(axis=1)
+    cls = np.minimum(dmax[:, None] - deg, 3).astype(np.int8)
+    cls[:, n] = 3
+    del deg
+    flat = cls.take(at) + 4 * cls[:, :n] + 16 * rows
+    pairs = np.bincount(flat.ravel(), minlength=16 * graphs).reshape(graphs, 16)
+    # the class sizes |T|, |T2|, |T3|, then the vertices of each (class, target's class) a form reads
+    stats = np.concatenate([np.add.reduceat(pairs, [0, 4, 8, 12], axis=1)[:, :3], pairs[:, _PAIRS]], axis=1)
+    return at, cls, flat, dmax, stats
+
+
+# A graph's table over the code 4 * (v's class) + (v's target's class)
 # is a sum of coefficients times the rows of _BASIS, row i marking the
 # codes whose v's class is in _ROWS[i][0] and target's in _ROWS[i][1].
 _ALL, _TOP = range(4), (0,)

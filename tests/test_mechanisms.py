@@ -732,11 +732,27 @@ def one_edge_removed(graphs):
             yield g.remove_out_edge(v)
 
 
+def every_partial_graph(n):
+    """Every target tuple on n vertices, absent edges allowed, the
+    all-absent graph first."""
+    choices = [[None, *(t for t in range(1, n + 1) if t != v)] for v in range(1, n + 1)]
+    return [PartialNominationGraph(out) for out in itertools.product(*choices)]
+
+
 def test_prug_closed_form_matches_oracle_exhaustive():
-    for n in (2, 3, 4):
-        totals = list(oracle.all_graphs(n))
-        for g in totals + list(one_edge_removed(totals)):
+    # every partial graph, so the sink column absent edges point at meets
+    # every class: against the ordering oracle to n = 4, and the scalar
+    # closed form to n = 5
+    for n in range(2, 6):
+        graphs = every_partial_graph(n)
+        assert len(graphs) == n**n and graphs[0].out == (None,) * n
+        assert batch_counts(PRUG, graphs) == [oracle.prug_counts(g) for g in graphs], n
+        for g in graphs if n <= 4 else ():
             assert list(PRUG.exact(g).probs) == oracle.prug_dist(g), g.out
+            # the one-graph wrapper perfbench's tracer wraps: prug's quarters over n!
+            out0 = engine.out_array(g)
+            counts, _ = PRUG.counts(out0[None])
+            assert engine.runner_up_gap_quarter_counts(out0) == (counts[0].tolist(), math.factorial(n))
 
 
 def test_prug_closed_form_matches_oracle_seeded():
