@@ -202,23 +202,21 @@ def _set_layers(n: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray,
     and two C-contiguous (n - k, C(n, k)) arrays, slot-major: column i
     holds set i's unplaced vertices and the rank of set i plus each of
     them among the (k+1)-sets."""
-    popcount = [m.bit_count() for m in range(1 << n)]
-    by_size = sorted(range(1 << n), key=popcount.__getitem__)  # stable: by mask within a size
+    popcount = np.zeros(1, dtype=np.int16)
+    for _ in range(n):  # each pass doubles the masks: those with the new top bit have one bit more
+        popcount = np.concatenate((popcount, popcount + 1))
+    layers = [np.flatnonzero(popcount == k).astype(np.int32) for k in range(n + 1)]  # in rank order
     rank = np.empty(1 << n, dtype=np.int32)
-    layers, start = [], 0
-    for k in range(n + 1):
-        sets = np.array(by_size[start : start + math.comb(n, k)], dtype=np.int32)
-        rank[sets] = np.arange(len(sets))
-        layers.append(sets)
-        start += len(sets)
-    bits = np.array([1 << v for v in range(n)], dtype=np.int32)
+    for sets in layers:
+        rank[sets] = np.arange(len(sets), dtype=np.int32)
+    bits = 1 << np.arange(n, dtype=np.int32)
     triples = []
     for k in range(1, n):
         sets = layers[k]
-        free = np.nonzero((sets[:, None] & bits) == 0)[1].astype(np.int32)
+        free = np.flatnonzero((sets[:, None] & bits) == 0).astype(np.int32) % n  # columns of the unset bits
         free = np.ascontiguousarray(free.reshape(len(sets), n - k).T)
         triples.append((sets, free, rank[sets | bits[free]]))
-    return np.array(popcount, dtype=np.int16), tuple(triples)
+    return popcount, tuple(triples)
 
 
 def selection_counts(out0: np.ndarray) -> tuple[list[int], int]:

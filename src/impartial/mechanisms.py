@@ -18,16 +18,19 @@ Both two-slot forms read one table of the indegree classes
 (_indegree_classes), coding each vertex by its class and its target's:
 prug's counts are three coefficients per graph over those codes, and
 prugd reads each default vertex's prug off the same codes, in O(n) per
-graph (see prugd_counts).
+graph (see prugd_counts); each coefficient is broadcast over its block
+of codes in one (16, graphs) table (_code_table).
 Counts are int64 while the largest of them fits, and Python ints
 (dtype object) above, so they never wrap.  A rule written for one
 graph at a time joins the same path through per_graph, which scales
 its rows to the lcm of their denominators.  The sampling path is a
 factory (the ``*_sampler`` functions) that reads the graph once and
 returns Draws: it runs the rule in numpy a chunk of rows at a time from
-SeedStream.uniform_rows, which reads the words one-at-a-time draws read
-(an ordering is its row of swap partners); mix reads each draw's coin
-and then the row it picks, a chunk at a time, from SeedStream.coin_rows.
+SeedStream.uniform_rows, which takes one 32-bit stream word per entry
+(see rng) and reads, a block at a time, exactly the words one-at-a-time
+draws read (an ordering is its row of swap partners); mix reads each
+draw's coin and then the row it picks, a chunk at a time, from
+SeedStream.coin_rows.
 
 perm  - left-to-right candidate scan along a uniform random ordering.
 rd    - random dictatorship: a uniform vertex's nominee.
@@ -143,16 +146,17 @@ def prug_counts(out0s: np.ndarray) -> Counts:
       else 2 n!; a member of T2 nominating t is the runner-up right of t
       exactly when it comes last among T2 and t: 2 n!/(|T2|+1).
 
-    Each graph so fills three rows of _BASIS, int64 while 4 n! fits
+    Each graph so fills three coefficients of _ROWS, int64 while 4 n! fits
     (n <= 19) and Python ints above.
     """
     nfact = math.factorial(out0s.shape[1])
     _, _, flat, _, stats = _indegree_classes(out0s)
-    k, s, t_to_t2 = (stats[:, i, None] for i in (_K, _S, _T_TO_T2))
-    nf = np.full(1, nfact, dtype=exact_dtype(4 * nfact))  # an array, so int64 columns join it in its dtype
-    table = np.where(k == 1, (2 + (s == t_to_t2)) * nf, 2 * nf // k) * _BASIS[_OF_T]
-    table += 2 * nf // (k * np.maximum(k - 1, 1)) * _BASIS[_T_T]  # T = {t} has no code (T, T)
-    table += (k == 1) * (2 * nf // (s + 1)) * _BASIS[_T2_T]
+    k, s = stats[_K], stats[_S]
+    nf = np.full(1, nfact, dtype=exact_dtype(4 * nfact))  # an array, so int64 rows join it in its dtype
+    table = _code_table(len(out0s), nf.dtype, (
+        (_OF_T, np.where(k == 1, (2 + (s == stats[_T_TO_T2])) * nf, 2 * nf // k)),
+        (_T_T, 2 * nf // (k * np.maximum(k - 1, 1))),  # T = {t} has no code (T, T)
+        (_T2_T, (k == 1) * (2 * nf // (s + 1)))))
     return table.take(flat), 4 * nfact
 
 
@@ -197,33 +201,33 @@ def prugd_counts(out0s: np.ndarray) -> Counts:
     nfact = math.factorial(n)
     dtype = exact_dtype(4 * n * nfact)
     at, cls, flat, dmax, stats = _indegree_classes(out0s)
-    case = np.minimum(stats[:, _K], 3) - (stats[:, _K] + stats[:, _S] == 1)
+    case = np.minimum(stats[_K], 3) - (stats[_K] + stats[_S] == 1)
     sizes = np.bincount(case, minlength=4)
     ends = sizes.cumsum().tolist()
     order = None
     if np.count_nonzero(sizes) > 1:  # several cases: sort them into slices
-        # grouped, not argsorted, and np.dot below, not @: either raised a batch's peak RSS
+        # grouped, not argsorted: an argsort raised a batch's peak RSS
         order = np.concatenate([np.flatnonzero(case == c) for c in range(4)])
-        dmax, stats = dmax[order], stats[order]
-    nf = np.full(1, nfact, dtype=dtype)  # an array, so int64 columns join it in its dtype
-    coefs = np.zeros((graphs, _COEFS), dtype=dtype)
+        dmax, stats = dmax[order], stats[:, order]
+    nf = np.full(1, nfact, dtype=dtype)  # an array, so int64 rows join it in its dtype
+    coefs = np.zeros((_COEFS, graphs), dtype=dtype)
     start = 0
     for fill, end in zip(_PRUGD_CASES, ends):
         if end > start:
-            fill(coefs[start:end], n, nf, dmax[start:end], stats[start:end])
+            fill(coefs[:, start:end], n, nf, dmax[start:end], stats[:, start:end])
             start = end
     del dmax, stats
     if order is not None:
-        coefs[order] = coefs.copy()
+        coefs[:, order] = coefs.copy()
     # per vertex w in T, or in T2 when T = {t}: the weights of [out[w] in
-    # T] and of w's nominators in T, or in T2 when |T| = 2
+    # T] (its code is 0 mod 4) and of w's nominators in T, or in T2 when |T| = 2
     behind = np.bincount(at[cls[:, :n] == (case == 2)[:, None]], minlength=graphs * (n + 1))
-    behind = coefs[:, _NOMINATORS:] * behind.reshape(graphs, n + 1)
-    behind[:, :n] += coefs[:, _ALPHA : _ALPHA + 1] * ((flat & 3) == 0)
+    behind = coefs[_NOMINATORS, :, None] * behind.reshape(graphs, n + 1)
+    behind[:, :n] += coefs[_ALPHA, :, None] * (flat % (4 * graphs) < graphs)
     behind *= cls == (case == 1)[:, None]
     counts = behind.take(at)
     del behind, at
-    counts += np.dot(coefs[:, : len(_BASIS)], _BASIS).take(flat)
+    counts += _code_table(graphs, dtype, enumerate(coefs[: len(_ROWS)])).take(flat)
     return counts, 4 * n * nfact
 
 
@@ -233,8 +237,9 @@ def _indegree_classes(out0s: np.ndarray) -> tuple[np.ndarray, ...]:
     target's flat index in a (graphs, n + 1) table whose column n is a
     sink for absent edges; cls, that table's classes (0: T at indegree
     dmax, 1: T2, 2: T3, 3: below, and the sink, which neither form reads
-    as T or T2); flat, 4 cls[v] + cls[out[v]] + 16 * row per vertex;
-    dmax; and per graph the stats _K .. _T3_TO_T."""
+    as T or T2); flat, each vertex's index in a flat (16, graphs) table
+    over the codes 4 cls[v] + cls[out[v]], code * graphs + row; dmax;
+    and the (9, graphs) stats _K .. _T3_TO_T, a row per stat."""
     graphs, n = out0s.shape
     rows = np.arange(graphs)[:, None]
     at = np.where(out0s < 0, n, out0s) + (n + 1) * rows
@@ -243,21 +248,20 @@ def _indegree_classes(out0s: np.ndarray) -> tuple[np.ndarray, ...]:
     cls = np.minimum(dmax[:, None] - deg, 3).astype(np.int8)
     cls[:, n] = 3
     del deg
-    flat = cls.take(at) + 4 * cls[:, :n] + 16 * rows
-    pairs = np.bincount(flat.ravel(), minlength=16 * graphs).reshape(graphs, 16)
+    flat = (cls.take(at) + 4 * cls[:, :n]).astype(np.intp) * graphs + rows
+    pairs = np.bincount(flat.ravel(), minlength=16 * graphs).reshape(16, graphs)
     # the class sizes |T|, |T2|, |T3|, then the vertices of each (class, target's class) a form reads
-    stats = np.concatenate([np.add.reduceat(pairs, [0, 4, 8, 12], axis=1)[:, :3], pairs[:, _PAIRS]], axis=1)
+    stats = np.concatenate([np.add.reduceat(pairs, [0, 4, 8, 12])[:3], pairs[_PAIRS]])
     return at, cls, flat, dmax, stats
 
 
 # A graph's table over the code 4 * (v's class) + (v's target's class)
-# is a sum of coefficients times the rows of _BASIS, row i marking the
-# codes whose v's class is in _ROWS[i][0] and target's in _ROWS[i][1].
-_ALL, _TOP = range(4), (0,)
-_ROWS = ((_ALL, _ALL), (_TOP, _ALL), ((1,), _ALL), (_ALL, _TOP), (_ALL, (1,)),
-         (_TOP, _TOP), ((1,), _TOP), ((2,), _TOP), ((0, 1), (0, 1)))
-_BASIS = np.array([[c in cs and t in ts for c in _ALL for t in _ALL] for cs, ts in _ROWS], dtype=np.int64)
-# A graph's coefficients: one per row of _BASIS, then the weights of
+# is a sum of coefficients, row i's on the block of codes whose v's
+# class is in the slice _ROWS[i][0] and target's in _ROWS[i][1].
+_ALL, _TOP, _T2 = slice(0, 4), slice(0, 1), slice(1, 2)
+_ROWS = ((_ALL, _ALL), (_TOP, _ALL), (_T2, _ALL), (_ALL, _TOP), (_ALL, _T2),
+         (_TOP, _TOP), (_T2, _TOP), (slice(2, 3), _TOP), (slice(0, 2), slice(0, 2)))
+# A graph's coefficients: one per row of _ROWS, then the weights of
 # [out[w] in T] and of w's nominators (see prugd_counts).
 _CONST, _OF_T, _OF_T2, _TO_T, _TO_T2, _T_T, _T2_T, _T3_T, _X_X, _ALPHA, _NOMINATORS, _COEFS = range(12)
 # A graph's stats: |T|, |T2|, |T3|, then its vertices of the codes _PAIRS.
@@ -265,20 +269,30 @@ _PAIRS = [0, 1, 2, 4, 5, 8]
 _K, _S, _S3, _T_TO_T, _T_TO_T2, _T_TO_T3, _T2_TO_T, _T2_TO_T2, _T3_TO_T = range(9)
 
 
-# Each case gets its graphs' rows of the coefficients, n, n! (a (1,)
+def _code_table(graphs: int, dtype, terms) -> np.ndarray:
+    """The flat (16, graphs) table over the codes (see _indegree_classes)
+    that terms, pairs of a row of _ROWS and its (graphs,) coefficients,
+    sum to: each coefficient broadcast over its row's block of codes."""
+    table = np.zeros((4, 4, graphs), dtype=dtype)
+    for row, coef in terms:
+        table[_ROWS[row]] += coef
+    return table.ravel()
+
+
+# Each case gets its graphs' columns of the coefficients, n, n! (a (1,)
 # array of the count dtype), and their dmax and stats, and writes the
 # coefficients it uses.
 
 def _lone_over_empty(c, n, nf, d, st):
     # T = {t}, T2 empty: t takes 3 n! in G, and its own variant leaves t
     # alone at dmax - 1 over T3, with the gap when T3 - {out[t]} is empty
-    s3 = st[:, _S3]
-    front = 2 + (s3 == st[:, _T_TO_T3])
+    s3 = st[_S3]
+    front = 2 + (s3 == st[_T_TO_T3])
     share = 2 * nf // (s3 + 1)
-    c[:, _CONST] = nf
-    c[:, _OF_T] = (3 * (n - d) + d * front) * nf
-    c[:, _T3_T] = d * share
-    c[:, _TO_T] = (3 - front) * nf - st[:, _T3_TO_T] * share
+    c[_CONST] = nf
+    c[_OF_T] = (3 * (n - d) + d * front) * nf
+    c[_T3_T] = d * share
+    c[_TO_T] = (3 - front) * nf - st[_T3_TO_T] * share
 
 
 def _lone(c, n, nf, d, st):
@@ -286,51 +300,51 @@ def _lone(c, n, nf, d, st):
     # is 0; a w in T2 leaves t alone over T2 - {w}, with the gap on
     # (m == 0) s + (m == 1) of them, and t's own variant has the top
     # class X = {t} + T2 at dmax - 1
-    s, r = st[:, _S], st[:, _T2_TO_T]
-    m = s - st[:, _T_TO_T2]
+    s, r = st[_S], st[_T2_TO_T]
+    m = s - st[_T_TO_T2]
     m1 = m == 1
     front = 2 + (m == 0)
     two = 2 * nf
     share, wide = two // (s + 1), two // s
     pair = share // s
     tot_g = front * nf + r * share
-    c[:, _CONST] = 4 * nf - tot_g
-    c[:, _OF_T] = ((n - d) * front + (d - 1) * m1) * nf + d * share
-    c[:, _OF_T2] = d * share
-    c[:, _X_X] = d * pair
-    c[:, _T2_T] = (n - d - s * (d - 1)) * share + (d - 1) * (s - 1) * wide
-    c[:, _TO_T] = tot_g - two - (st[:, _T_TO_T2] + r + st[:, _T2_TO_T2]) * pair
-    c[:, _TO_T2] = tot_g - (front + m1) * nf - r * wide
-    c[:, _ALPHA] = wide
-    c[:, _NOMINATORS] = m1 * nf
+    c[_CONST] = 4 * nf - tot_g
+    c[_OF_T] = ((n - d) * front + (d - 1) * m1) * nf + d * share
+    c[_OF_T2] = d * share
+    c[_X_X] = d * pair
+    c[_T2_T] = (n - d - s * (d - 1)) * share + (d - 1) * (s - 1) * wide
+    c[_TO_T] = tot_g - two - (st[_T_TO_T2] + r + st[_T2_TO_T2]) * pair
+    c[_TO_T2] = tot_g - (front + m1) * nf - r * wide
+    c[_ALPHA] = wide
+    c[_NOMINATORS] = m1 * nf
 
 
 def _pair(c, n, nf, d, st):
     # T = {a, b}: removing a's indegree leaves b alone over T2 + {a}, with
     # the gap only when T2 is empty and b nominates a
-    empty = st[:, _S] == 0
-    share = 2 * nf // (st[:, _S] + 2)
-    p = st[:, _T_TO_T]
-    c[:, _CONST] = (2 - p) * nf
-    c[:, _OF_T] = n * nf
-    c[:, _T_T] = (n - 2 * d) * nf + d * (share + empty * nf)
-    c[:, _T2_T] = d * share
-    c[:, _TO_T] = (1 - empty) * p * nf - st[:, _T2_TO_T] * share
-    c[:, _ALPHA] = empty * nf - share
-    c[:, _NOMINATORS] = share
+    empty = st[_S] == 0
+    share = 2 * nf // (st[_S] + 2)
+    p = st[_T_TO_T]
+    c[_CONST] = (2 - p) * nf
+    c[_OF_T] = n * nf
+    c[_T_T] = (n - 2 * d) * nf + d * (share + empty * nf)
+    c[_T2_T] = d * share
+    c[_TO_T] = (1 - empty) * p * nf - st[_T2_TO_T] * share
+    c[_ALPHA] = empty * nf - share
+    c[_NOMINATORS] = share
 
 
 def _several(c, n, nf, d, st):
     # |T| = k >= 3: removing w's indegree leaves T - {w}, and the k
     # variants sum to k A_G, so only the totals move
-    k, p = st[:, _K], st[:, _T_TO_T]
+    k, p = st[_K], st[_T_TO_T]
     share = 2 * nf // k
     pair, pair1 = share // (k - 1), 2 * nf // ((k - 1) * (k - 2))
-    c[:, _CONST] = 2 * nf - p * pair
-    c[:, _OF_T] = n * share
-    c[:, _T_T] = n * pair
-    c[:, _TO_T] = p * (pair - pair1)
-    c[:, _ALPHA] = c[:, _NOMINATORS] = pair1
+    c[_CONST] = 2 * nf - p * pair
+    c[_OF_T] = n * share
+    c[_T_T] = n * pair
+    c[_TO_T] = p * (pair - pair1)
+    c[_ALPHA] = c[_NOMINATORS] = pair1
 
 
 _PRUGD_CASES = (_lone_over_empty, _lone, _pair, _several)

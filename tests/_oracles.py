@@ -11,19 +11,24 @@ one ordering, the reference for engine.two_slot_rule.
 correlation_histogram reads the correlation check's left indegrees off
 each ordering's positions, with no ordering table.  ordering_table is
 the ordering table built by concatenating blocks, the reference for
-the row order of engine.permutation_table.
+the row order of engine.permutation_table, and set_layers the prefix-set
+walk's layer tables built from Python ints, the reference for
+engine._set_layers.
 late_takeover_run is the one deliberately wrong rule here, a negative
 control for the Lemma 3 check; late_takeover_step is the same rule as
 a step of the check's prefix-set walk.
-perm_run and the *_sampler functions are the per-draw samplers: each
-draw simulates its rule on one ordering or vertex from the SeedStream's
-one-at-a-time draws (permutation, randrange, categorical), the
-reference for the package's batch samplers, draw for draw.
+word_below, word_row and word_permutation are the samplers' word rule
+one draw at a time, on random.Random.getrandbits(32), the reference for
+SeedStream's rows, coins and permutations.  perm_run and the *_sampler
+functions are the per-draw samplers: each draw simulates its rule on
+one ordering or vertex from those one-at-a-time draws, the reference for
+the package's batch samplers, draw for draw.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -275,6 +280,25 @@ def ordering_table(n: int) -> np.ndarray:
     return np.concatenate([np.concatenate([base[:, :cut], col, base[:, cut:]], axis=1) for cut in range(n)])
 
 
+def set_layers(n: int) -> tuple[list[int], list[tuple[list[int], list[list[int]], list[list[int]]]]]:
+    """engine._set_layers in Python ints: the popcount of every n-bit
+    mask, and per set size k = 1..n-1 the k-sets' masks in increasing
+    order, then slot-major (n - k, C(n, k)) lists of each set's unplaced
+    vertices and the rank of the set plus each of them among the
+    (k+1)-sets."""
+    popcount = [bin(m).count("1") for m in range(1 << n)]
+    layers = [[] for _ in range(n + 1)]
+    for m in range(1 << n):
+        layers[popcount[m]].append(m)
+    rank = {m: i for layer in layers for i, m in enumerate(layer)}
+    triples = []
+    for k in range(1, n):
+        free = [[v for v in range(n) if not m >> v & 1] for m in layers[k]]
+        grown = [[rank[m | 1 << v] for v in row] for m, row in zip(layers[k], free)]
+        triples.append((layers[k], [list(col) for col in zip(*free)], [list(col) for col in zip(*grown)]))
+    return popcount, triples
+
+
 def iter_out_tuples(n: int):
     """The reference walk of the graph space: all (n-1)^n labelled out
     tuples, lexicographically."""
@@ -319,6 +343,33 @@ def late_takeover_step(targets, n, top, g, z, v, full):
 
 
 # ---------------------------------------------------------------------------
+# the word rule, one draw at a time
+
+def word_below(rng: random.Random, b: int) -> int:
+    """A uniform integer below b from one 32-bit word w at a time: w mod
+    b, with w redrawn while w >= 2**32 - (2**32 mod b)."""
+    limit = 2**32 - 2**32 % b
+    w = rng.getrandbits(32)
+    while w >= limit:
+        w = rng.getrandbits(32)
+    return w % b
+
+
+def word_row(rng: random.Random, bounds: Iterable[int]) -> list[int]:
+    return [word_below(rng, b) for b in bounds]
+
+
+def word_permutation(rng: random.Random, n: int) -> tuple[int, ...]:
+    """Fisher-Yates over the positions of 1..n, from position n - 1 down
+    to 1, each swap partner one word_below draw."""
+    seq = list(range(1, n + 1))
+    for i in range(n - 1, 0, -1):
+        j = word_below(rng, i + 1)
+        seq[i], seq[j] = seq[j], seq[i]
+    return tuple(seq)
+
+
+# ---------------------------------------------------------------------------
 # per-draw samplers
 
 def perm_run(g: AnyGraph, seq: Sequence[int]) -> int:
@@ -350,22 +401,23 @@ def perm_run(g: AnyGraph, seq: Sequence[int]) -> int:
 
 
 def perm_sampler(g: AnyGraph):
-    """The scan on one SeedStream.permutation per draw."""
+    """The scan on one word_permutation per draw."""
     n = g.n
-    return lambda rng: perm_run(g, rng.permutation(n))
+    return lambda rng: perm_run(g, word_permutation(rng._rng, n))
 
 
 def rd_sampler(g: NominationGraph):
     """One uniform vertex per draw; it selects its nominee."""
     n, out = g.n, g.out
-    return lambda rng: out[rng.randrange(n)]
+    return lambda rng: out[word_below(rng._rng, n)]
 
 
 def prug_sampler(g: AnyGraph):
     """Per draw: a uniform ordering, the weight vector of that ordering
     plus that of its reverse in eighths, read off the first two and last
-    two marked vertices (T, plus T2 when T = {t}), then a categorical
-    draw over the nonzero eighths in vertex order; None for no one."""
+    two marked vertices (T, plus T2 when T = {t}), then one word_below
+    draw below 8 that picks over the nonzero eighths in vertex order;
+    None for no one."""
     n, out = g.n, g.out
     degs = g.indegrees()
     dmax = max(degs)
@@ -390,7 +442,7 @@ def prug_sampler(g: AnyGraph):
         return found
 
     def draw(rng: SeedStream) -> Optional[int]:
-        seq = rng.permutation(n)
+        seq = word_permutation(rng._rng, n)
         head, tail = first_two(seq), first_two(reversed(seq))
         if len(top) > 1:
             w = {tail[0]: 2, head[0]: 2}
@@ -402,9 +454,12 @@ def prug_sampler(g: AnyGraph):
             for runner in (tail[0], head[0]):
                 if out[runner - 1] == t:
                     w[runner] = w.get(runner, 0) + 2
-        picks = sorted(w)
-        i = rng.categorical([w[v] for v in picks], 8)
-        return None if i is None else picks[i]
+        r = word_below(rng._rng, 8)
+        for v in sorted(w):
+            r -= w[v]
+            if r < 0:
+                return v
+        return None
 
     return draw
 
@@ -416,7 +471,7 @@ def prugd_sampler(g: NominationGraph):
     inner = [None] * (n + 1)
 
     def draw(rng: SeedStream) -> int:
-        vbar = rng.randrange(n) + 1
+        vbar = word_below(rng._rng, n) + 1
         if inner[vbar] is None:
             inner[vbar] = prug_sampler(g.remove_out_edge(vbar))
         picked = inner[vbar](rng)
@@ -431,7 +486,7 @@ def mix_sampler(g: NominationGraph):
     if g.n <= 5:
         return rd_sampler(g)
     perm, prugd = perm_sampler(g), prugd_sampler(g)
-    return lambda rng: perm(rng) if rng.randrange(1049) < 825 else prugd(rng)
+    return lambda rng: perm(rng) if word_below(rng._rng, 1049) < 825 else prugd(rng)
 
 
 SAMPLERS = {"perm": perm_sampler, "rd": rd_sampler, "prug": prug_sampler,

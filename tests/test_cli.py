@@ -99,26 +99,26 @@ def test_eval_sampled_byte_identical(capsys, tmp_path):
 # "5; 3,5,1,1,2" and 300 on random_graph(50, 3), pinned so that every
 # sampler's stream and both output formats stay byte-identical
 EVAL_SAMPLES_SHA256 = {
-    ("n5", "perm", "json"): "b3ec856c6fbb8c310f5ffcf4cd26a4cf19aff8f81702726172f0b52569504fab",
-    ("n5", "perm", "csv"): "54134fedb802ffd6b4a26990b108968ee6a7f99b269aafc4b4b5d3d0c3a6673a",
-    ("n5", "rd", "json"): "aba60d70503e48397938ea79fb1691f62fee44ab9acde15d22722ddadb545b6f",
-    ("n5", "rd", "csv"): "5749dbb4312d149bb734b25bff91961d2f72bb2ef467b64c0b378649a089cb0c",
-    ("n5", "prug", "json"): "b24ed2540b52482ca45c5dbb5fc819d58a5d771a785ab78f58022847b98d9f2d",
-    ("n5", "prug", "csv"): "fbe6356109d1fc69e1615e4f94abb23877b03fe64da736e4938767422cc9ca2d",
-    ("n5", "prugd", "json"): "39d3455728d0a2076633d16bc26e646cec8cb46eb31c27b3b9d0998a3ea8f45d",
-    ("n5", "prugd", "csv"): "e9ff1f3e8ef95cca21dc29b19e51a438a5600606f99eec8d041d9fcdeb473f15",
-    ("n5", "mix", "json"): "98d07c83170e89ed92229d92c06c82d45cb7d04fd8c8a1f7750ad6a6aa494f38",
-    ("n5", "mix", "csv"): "5749dbb4312d149bb734b25bff91961d2f72bb2ef467b64c0b378649a089cb0c",
-    ("n50", "perm", "json"): "2b122bd8cf82adcf748ad92c99411c46561e3c22086d07e61c253a6f5ef52518",
-    ("n50", "perm", "csv"): "7fd7e0a5ae651593af439629feaa96f60532d0e08e0f11e5ae9d629a49176c64",
-    ("n50", "rd", "json"): "fa6c74f88861afe7d3747b285a96f5547d63bea02c00727a6b28a794f18d0a27",
-    ("n50", "rd", "csv"): "35fd1410529df11d04c54ddbf1dba5bbc7fbadb0a21ccb367fd57e9fe2485fa1",
-    ("n50", "prug", "json"): "a5bd870a1dd447388c3a3949a0aa25df9ec32678b2fd82ae06ff34666bb3913c",
-    ("n50", "prug", "csv"): "cc036600112c7a682d9b6e75167bcffc0ee04342061521870d5010d2d5102ead",
-    ("n50", "prugd", "json"): "35a06da07a738df392c79e73da6cece165294a626ada395f059c63643fda5b2b",
-    ("n50", "prugd", "csv"): "eb70cafd451cf47ac8a6b17a6922423c00018fe394a53e6097a93727537d48d6",
-    ("n50", "mix", "json"): "065888a74db3832c3804c32775ce3f1eab32a5996dbddbdb1e7ced03812d758c",
-    ("n50", "mix", "csv"): "b8b80741855daefb7621400460f8a3b7973f573d7b4459f180abd00f14de5884",
+    ("n5", "perm", "json"): "722b736a80e7568ce6713dc3b6739ebb45a4a20a8389f45564ab30470d74cad5",
+    ("n5", "perm", "csv"): "6a67a1292d16de09b9de31d00dd30ffce8b49d5d6a0ffa1f9405e8d62f57f8e2",
+    ("n5", "rd", "json"): "1817de82d19c49f3be68fdbdbfab6bca9795a370bbdd41293ef68570ecf81ee6",
+    ("n5", "rd", "csv"): "9556fe5437459369de5cd45fe4d550a14049975302287f03b00d1b638dd88a40",
+    ("n5", "prug", "json"): "6c93bd9bcbd8a4db23617981c6cf02078c52caebab3bed01fe859a9ed51194fe",
+    ("n5", "prug", "csv"): "08d5a06f04981d052b54b269a7aad9cd65f704a62911a84b55de7f4394ccefd4",
+    ("n5", "prugd", "json"): "545b19d106d0f8f03c345d7b23fad0d2605b991a9931a22d5e31fc1f3aac5667",
+    ("n5", "prugd", "csv"): "bca5a20b1b236a8b687c335c07df7759f7cddf4b9ca31a0fb3a3bf230fef65fc",
+    ("n5", "mix", "json"): "77fb3769e6d953b6255a070bacda6065b6862e6ae21fd617a499dedfc0648c51",
+    ("n5", "mix", "csv"): "9556fe5437459369de5cd45fe4d550a14049975302287f03b00d1b638dd88a40",
+    ("n50", "perm", "json"): "2198a8b3d3e0e8f54a4d755605ff2f4dfb28b401e263c08b35459dd8f17c716c",
+    ("n50", "perm", "csv"): "2fc08c349b1a8cee0668491fa0a7f494f5c5f07af968ca62247b7c595aebf785",
+    ("n50", "rd", "json"): "467e4bb6aada18051085b0f489e3791bbe5fd00c9205f572f06c186e5d046afd",
+    ("n50", "rd", "csv"): "11609b75f7fea4b412db408929765d6a321fe125a7d07394c016bdd09cdf10f0",
+    ("n50", "prug", "json"): "1a3c894ebf79fd9eeb32dd4882b5eedb2fd55c506fb05baff2d89014ecc3395c",
+    ("n50", "prug", "csv"): "cd4e82c6bf8fcd5fe9a07c3bd06d78f1aa16ef447437e24d16fa60a3ac493385",
+    ("n50", "prugd", "json"): "21ecce9adf52f3672ee7723db4bd384e7d29211fc57ce2c800fce35fb2b7ce5b",
+    ("n50", "prugd", "csv"): "1118db263582aade37e834df90841a2d3a92e854368e6b7026f245999f720695",
+    ("n50", "mix", "json"): "ba18b7430a31b58e269f18af46795fc9611875387e5c549d8a74ac6b3c663909",
+    ("n50", "mix", "csv"): "87ef3696d1a46fa5f9d8158f2a3e95fa48ad4075ca2f4046ba775e55121c6014",
 }
 
 

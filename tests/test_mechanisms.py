@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
-from impartial import engine, mechanisms
+from impartial import engine, mechanisms, rng
 from impartial.generators import cycle, lower_bound_family, random_graph, ub_family
 from impartial.graphs import (
     CapacityError,
@@ -98,16 +98,16 @@ def test_perm_rule_raises_when_a_selection_misses_the_maximum(monkeypatch):
 # 200 draws from one SeedStream(7) on random_graph(50, 3), pinned so that
 # the sampler's stream and its selection per ordering stay fixed
 PERM_SAMPLE_PINNED = [
-    10, 37, 39, 32, 39, 32, 10, 39, 47, 32, 37, 25, 32, 32, 36, 1, 42, 25, 42, 32,
-    25, 25, 39, 10, 39, 47, 42, 32, 10, 32, 39, 39, 1, 42, 32, 39, 25, 32, 39, 32,
-    39, 42, 42, 32, 37, 39, 39, 39, 32, 25, 37, 37, 37, 32, 10, 39, 32, 37, 39, 37,
-    42, 32, 39, 25, 39, 39, 42, 32, 42, 39, 10, 47, 39, 32, 37, 10, 37, 39, 32, 18,
-    39, 36, 42, 10, 25, 32, 32, 32, 47, 39, 5, 32, 39, 32, 42, 32, 32, 32, 36, 47,
-    47, 5, 47, 25, 32, 25, 39, 42, 1, 42, 47, 15, 32, 32, 10, 37, 18, 39, 39, 47,
-    39, 42, 32, 47, 42, 39, 47, 5, 47, 32, 10, 10, 18, 42, 39, 32, 39, 32, 47, 32,
-    18, 39, 25, 47, 39, 10, 39, 40, 42, 47, 25, 25, 42, 47, 32, 32, 5, 39, 37, 39,
-    37, 32, 32, 32, 10, 32, 1, 25, 32, 37, 32, 25, 32, 42, 32, 32, 32, 37, 47, 37,
-    32, 39, 39, 25, 10, 10, 39, 32, 25, 5, 10, 39, 32, 47, 10, 37, 32, 32, 39, 10,
+    42, 5, 47, 1, 39, 39, 39, 37, 42, 39, 39, 32, 10, 25, 32, 10, 37, 32, 39, 32,
+    32, 25, 25, 25, 39, 1, 10, 40, 32, 10, 32, 36, 47, 32, 10, 37, 47, 25, 39, 39,
+    32, 25, 39, 47, 25, 25, 5, 47, 32, 32, 25, 39, 42, 25, 10, 47, 25, 32, 25, 32,
+    5, 32, 47, 47, 39, 39, 37, 42, 32, 39, 32, 25, 42, 32, 47, 39, 39, 39, 5, 10,
+    32, 32, 39, 47, 39, 25, 39, 32, 47, 10, 10, 47, 39, 39, 39, 37, 39, 32, 32, 42,
+    39, 39, 32, 39, 37, 39, 15, 32, 39, 37, 39, 10, 39, 10, 37, 32, 25, 42, 37, 32,
+    32, 39, 10, 32, 42, 42, 25, 10, 47, 32, 1, 25, 39, 39, 10, 37, 10, 39, 47, 32,
+    25, 32, 10, 10, 25, 39, 39, 18, 39, 47, 32, 32, 10, 39, 42, 10, 32, 39, 39, 15,
+    32, 39, 42, 10, 32, 39, 47, 32, 37, 25, 47, 32, 32, 39, 37, 18, 47, 37, 37, 32,
+    32, 25, 39, 32, 47, 32, 42, 32, 32, 39, 47, 47, 42, 32, 25, 39, 32, 39, 37, 32,
 ]
 
 
@@ -116,25 +116,118 @@ def test_perm_sample_seeded_stream_pinned():
     assert draws(SeedStream(7), 200).tolist() == PERM_SAMPLE_PINNED
 
 
-def test_permutation_stream_is_the_stdlib_shuffle():
-    # SeedStream.permutation runs Fisher-Yates on getrandbits, and
-    # randrange and uniform_rows run randrange's rejection loop on it;
-    # they must read the streams random.Random.shuffle and randrange
-    # read, draw for draw, and leave the generator in the same state
+def test_stream_draws_read_the_stdlib_and_the_word_rule():
+    # randrange runs randrange's rejection loop on getrandbits and must
+    # read the stream random.Random.randrange reads; permutation and
+    # uniform_rows run the word rule and must read what the per-draw
+    # reference reads; drawn in turns, they leave the generator in the
+    # reference's state
     bounds = (1, 2, 3, 7, 8, 9, 1049, 2**31 + 1, 2**70)
     for seed in range(300):
         for n in (1, 2, 3, 5, 7, 23, 50, 200):
             stream, reference = SeedStream(seed), random.Random(seed)
             for _ in range(3):
-                seq = list(range(1, n + 1))
-                reference.shuffle(seq)
-                assert stream.permutation(n) == tuple(seq), (seed, n)
+                assert stream.permutation(n) == oracle.word_permutation(reference, n), (seed, n)
                 for b in bounds:
                     assert stream.randrange(b) == reference.randrange(b), (seed, b)
                 for row in (bounds[:6] + (256,), bounds[:-1]):  # one byte an entry, then four
-                    expected = [[reference.randrange(b) for b in row] for _ in range(2)]
+                    expected = [oracle.word_row(reference, row) for _ in range(2)]
                     assert stream.uniform_rows(row, 2).tolist() == expected, (seed, row)
             assert stream._rng.getstate() == reference.getstate(), (seed, n)
+
+
+class CountingRandom(random.Random):
+    """random.Random that counts the words the reference reads."""
+
+    words = 0
+
+    def getrandbits(self, k):
+        self.words += 1
+        return super().getrandbits(k)
+
+
+def test_uniform_rows_in_batches_read_the_per_draw_words(monkeypatch):
+    # 13 rows as one call and as 7 + 1 + 5, in blocks of the default
+    # size and of 3 words, read the per-draw reference's words, rejected
+    # ones included, and leave its state; 2**31 + 1 rejects about half
+    # the words and 3 * 2**30 + 7 about a quarter
+    kinds = [(7, 6, 5, 4, 3, 2, 8), (2**31 + 1, 5, 3 * 2**30 + 7), (2**32, 1, 256, 257, 65536, 65537)]
+    for block in (rng._BLOCK, 3):
+        monkeypatch.setattr(rng, "_BLOCK", block)
+        for seed in range(200):
+            for bounds in kinds:
+                for sizes in ((13,), (7, 1, 5)):
+                    stream, reference = SeedStream(seed), CountingRandom(seed)
+                    rows = np.concatenate([stream.uniform_rows(bounds, k) for k in sizes])
+                    assert rows.dtype == np.min_scalar_type(max(bounds) - 1)
+                    expected = [oracle.word_row(reference, bounds) for _ in range(13)]
+                    assert rows.tolist() == expected, (seed, bounds, sizes, block)
+                    assert stream._rng.getstate() == reference.getstate(), (seed, bounds, sizes, block)
+                    if bounds == kinds[1]:
+                        assert reference.words > 13 * len(bounds), seed  # some word was rejected
+
+
+def test_coin_rows_read_the_per_draw_stream(monkeypatch):
+    # one coin_rows pass reads what the reference's coin and then its
+    # row read per draw, in blocks of the default size and of 4 words,
+    # and leaves the same state; the last kind rejects words, in coins
+    # and in rows
+    kinds = [(1049, 825, (7, 6, 5, 4, 3, 2), (7, 7, 6, 5, 4, 3, 2, 8)),  # mix at n = 7: one byte
+             (1049, 825, (300, 299, 2), (300, 8)),  # two bytes, the heads the longer
+             (1049, 825, (2, 3), (2**32, 5, 9)),  # four bytes, the tails the longer
+             (2**31 + 1, 2**30, (3, 2**31 + 1), (3 * 2**30 + 7,))]
+    rejected = set()
+    for block in (rng._BLOCK, 4):
+        monkeypatch.setattr(rng, "_BLOCK", block)
+        for seed in range(40):
+            for den, cut, heads, tails in kinds:
+                stream, reference = SeedStream(seed), CountingRandom(seed)
+                coins, rows = stream.coin_rows(den, cut, heads, tails, 50)
+                width = max(len(heads), len(tails))
+                assert rows.shape == (50, width) and rows.dtype == np.min_scalar_type(max(*heads, *tails) - 1)
+                for coin, row in zip(coins.tolist(), rows.tolist()):
+                    words = reference.words
+                    assert coin == (oracle.word_below(reference, den) < cut), (seed, block)
+                    if reference.words > words + 1:
+                        rejected.add("coin")
+                    words = reference.words
+                    want = oracle.word_row(reference, heads if coin else tails)
+                    assert row == want + [0] * (width - len(want)), (seed, block)
+                    if reference.words > words + len(want):
+                        rejected.add("row")
+                assert stream._rng.getstate() == reference.getstate(), (seed, block)
+    assert rejected == {"coin", "row"}
+
+
+def test_the_word_rule_keeps_the_last_full_run():
+    # a first word w >= 2**31 is the largest word that bound w + 1
+    # accepts, and lies just past what bound w accepts: the first row
+    # keeps it, the second redraws it, in rows and in coins alike
+    kept = rejected = 0
+    for seed in range(40):
+        w = random.Random(seed).getrandbits(32)
+        if w < 2**31:
+            continue
+        for b in (w + 1, w):
+            stream, reference = SeedStream(seed), CountingRandom(seed)
+            assert stream.uniform_rows((b,), 1).tolist() == [oracle.word_row(reference, (b,))], (seed, b)
+            assert stream._rng.getstate() == reference.getstate(), (seed, b)
+            coins, _ = SeedStream(seed).coin_rows(b, w, (), (), 1)
+            assert coins.tolist() == [b == w]  # w mod (w + 1) = w is tails, a redraw is below w
+            kept += reference.words == 1 and b == w + 1
+            rejected += reference.words > 1 and b == w
+    assert kept == rejected > 10
+
+
+@pytest.mark.parametrize("b", [2**32 + 1, 2**40])
+def test_bounds_past_one_word_are_refused(b):
+    with pytest.raises(ValueError, match=str(b)):
+        SeedStream(0).uniform_rows((3, b), 1)
+    with pytest.raises(ValueError, match=str(b)):
+        SeedStream(0).coin_rows(b, 1, (3,), (2,), 1)
+    with pytest.raises(ValueError, match=str(b)):
+        SeedStream(0).coin_rows(5, 1, (3,), (2, b), 1)
+    assert SeedStream(0).uniform_rows((2**32,), 1).dtype == np.uint32
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -147,25 +240,6 @@ def test_randrange_of_an_empty_range_is_refused(n):
         SeedStream(0).coin_rows(n, 1, (3,), (2,), 1)
     with pytest.raises(ValueError):
         SeedStream(0).coin_rows(5, 1, (3,), (2, n), 1)
-
-
-def test_coin_rows_read_the_per_draw_stream():
-    # one coin_rows pass reads what a randrange coin and then a one-row
-    # uniform_rows call read per draw, and leaves the same state
-    kinds = [((7, 6, 5, 4, 3, 2), (7, 7, 6, 5, 4, 3, 2, 8)),  # mix at n = 7: one byte
-             ((300, 299, 2), (300, 8)),  # two bytes, the heads the longer
-             ((2, 3), (2**40, 5, 9))]  # eight bytes, the tails the longer
-    for seed in range(40):
-        for heads, tails in kinds:
-            stream, reference = SeedStream(seed), SeedStream(seed)
-            coins, rows = stream.coin_rows(1049, 825, heads, tails, 50)
-            width = max(len(heads), len(tails))
-            assert rows.shape == (50, width) and rows.dtype == np.min_scalar_type(max(*heads, *tails) - 1)
-            for coin, row in zip(coins.tolist(), rows.tolist()):
-                assert coin == (reference.randrange(1049) < 825), seed
-                want = reference.uniform_rows(heads if coin else tails, 1)[0].tolist()
-                assert row == want + [0] * (width - len(want)), seed
-            assert stream._rng.getstate() == reference._rng.getstate(), seed
 
 
 @settings(max_examples=60, deadline=None)
@@ -246,6 +320,18 @@ def test_permutation_table_is_one_cached_array_of_every_ordering():
         assert set(map(tuple, perms.tolist())) == set(itertools.permutations(range(n)))
         assert np.array_equal(perms, oracle.ordering_table(n))  # the row order is kept
         assert engine.permutation_table(n) is perms
+
+
+def test_set_layers_match_the_python_reference():
+    for n in range(1, 17):
+        popcount, triples = engine._set_layers(n)
+        want_popcount, want_triples = oracle.set_layers(n)
+        assert popcount.dtype == np.int16 and popcount.tolist() == want_popcount, n
+        assert len(triples) == len(want_triples) == n - 1, n
+        for k, (arrays, wants) in enumerate(zip(triples, want_triples), start=1):
+            for a, want in zip(arrays, wants):
+                assert a.dtype == np.int32 and a.flags.c_contiguous, (n, k)
+                assert a.tolist() == want, (n, k)
 
 
 def test_selection_dp_matches_ordering_table():
@@ -823,16 +909,16 @@ def test_categorical_exact_over_every_draw():
 # 200 draws from one SeedStream(7) on random_graph(50, 3), 0 for no
 # selection, pinned so that the integer draws' streams stay fixed
 PRUG_SAMPLE_PINNED = [
-    0, 32, 39, 0, 0, 39, 0, 0, 32, 0, 0, 0, 0, 0, 0, 0, 0, 32, 0, 0,
-    32, 0, 0, 0, 39, 0, 32, 0, 32, 32, 32, 32, 0, 0, 39, 0, 39, 39, 0, 0,
-    0, 0, 39, 0, 39, 0, 0, 0, 0, 39, 32, 32, 0, 39, 0, 0, 0, 0, 0, 39,
-    0, 0, 0, 0, 0, 0, 0, 0, 32, 0, 39, 0, 0, 0, 0, 0, 0, 0, 32, 0,
-    0, 0, 0, 0, 32, 0, 0, 32, 0, 32, 39, 39, 32, 32, 0, 32, 39, 39, 0, 39,
-    39, 32, 32, 0, 0, 0, 32, 0, 32, 32, 39, 39, 32, 0, 32, 39, 32, 32, 0, 0,
-    39, 0, 39, 0, 39, 0, 39, 39, 39, 0, 32, 32, 39, 0, 32, 0, 32, 39, 0, 0,
-    32, 0, 39, 0, 0, 39, 0, 0, 39, 0, 0, 0, 0, 39, 39, 32, 32, 32, 0, 39,
-    32, 0, 0, 0, 0, 0, 32, 0, 0, 32, 0, 0, 39, 0, 39, 39, 39, 0, 32, 39,
-    0, 0, 0, 32, 0, 0, 39, 0, 0, 39, 39, 0, 39, 0, 39, 32, 39, 32, 39, 32,
+    0, 0, 32, 39, 0, 39, 0, 0, 0, 0, 0, 39, 32, 0, 0, 0, 39, 39, 39, 39,
+    0, 0, 39, 32, 0, 32, 0, 32, 0, 0, 39, 32, 32, 0, 0, 0, 39, 39, 0, 0,
+    32, 0, 0, 39, 39, 0, 32, 32, 0, 0, 39, 0, 39, 32, 0, 0, 0, 39, 39, 0,
+    0, 32, 0, 0, 32, 0, 0, 32, 39, 0, 0, 32, 0, 0, 32, 39, 0, 32, 32, 32,
+    0, 0, 39, 0, 32, 0, 0, 32, 39, 39, 0, 0, 39, 0, 32, 0, 0, 0, 39, 0,
+    0, 39, 39, 0, 0, 32, 0, 32, 0, 39, 39, 0, 32, 39, 0, 39, 0, 39, 39, 0,
+    0, 0, 0, 0, 0, 0, 0, 39, 32, 32, 0, 32, 32, 39, 39, 39, 39, 32, 0, 0,
+    0, 39, 0, 39, 0, 0, 32, 39, 32, 32, 0, 0, 0, 32, 0, 0, 0, 0, 39, 39,
+    0, 39, 0, 0, 32, 0, 39, 39, 32, 0, 0, 0, 32, 32, 0, 0, 32, 0, 39, 39,
+    0, 0, 32, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 32, 0, 0, 0, 0, 32, 39,
 ]
 
 
@@ -846,28 +932,28 @@ def test_prug_sample_seeded_stream_pinned():
 # eighths' handling of a missing nomination stays fixed
 PARTIAL = PartialNominationGraph((3, None, 1, 1, 2))
 PERM_PARTIAL_PINNED = [
-    3, 1, 1, 1, 1, 1, 1, 3, 3, 1, 1, 3, 3, 1, 1, 3, 1, 2, 1, 3,
-    3, 1, 1, 3, 1, 1, 2, 1, 2, 2, 3, 1, 2, 1, 1, 3, 1, 1, 1, 1,
-    1, 1, 1, 1, 2, 1, 3, 1, 3, 1, 1, 1, 2, 1, 2, 1, 3, 3, 1, 2,
-    1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 3, 3, 3, 1, 1, 1, 2, 1, 1, 1,
-    1, 3, 3, 3, 2, 1, 2, 1, 2, 1, 1, 3, 2, 1, 1, 3, 1, 1, 3, 2,
-    1, 2, 1, 1, 1, 1, 1, 1, 3, 3, 1, 1, 1, 1, 3, 2, 2, 1, 2, 3,
-    1, 2, 3, 1, 3, 1, 1, 1, 1, 3, 1, 3, 1, 1, 1, 1, 1, 1, 1, 1,
-    1, 2, 1, 1, 1, 3, 1, 2, 1, 1, 1, 1, 1, 2, 1, 2, 1, 1, 3, 1,
-    3, 1, 1, 3, 1, 2, 1, 1, 1, 1, 3, 2, 3, 2, 1, 1, 3, 1, 1, 1,
-    3, 1, 3, 1, 1, 1, 3, 1, 1, 1, 1, 1, 1, 1, 2, 1, 3, 1, 3, 2,
+    1, 1, 1, 1, 3, 1, 3, 3, 2, 3, 1, 2, 1, 1, 1, 1, 3, 2, 2, 1,
+    1, 1, 1, 3, 3, 2, 1, 1, 1, 3, 1, 3, 3, 3, 1, 1, 3, 1, 1, 1,
+    1, 2, 1, 3, 1, 1, 1, 1, 1, 2, 3, 3, 3, 3, 3, 2, 3, 2, 1, 1,
+    3, 1, 1, 1, 3, 3, 1, 2, 2, 1, 2, 1, 1, 3, 1, 3, 3, 2, 3, 3,
+    2, 1, 1, 1, 1, 1, 1, 1, 2, 2, 3, 1, 3, 3, 3, 1, 3, 1, 1, 3,
+    2, 1, 1, 1, 2, 3, 2, 3, 3, 3, 2, 1, 3, 1, 1, 3, 2, 1, 3, 1,
+    3, 1, 1, 3, 3, 2, 2, 3, 2, 1, 1, 1, 2, 3, 1, 2, 1, 1, 1, 1,
+    2, 1, 3, 3, 1, 1, 1, 3, 3, 1, 2, 1, 2, 1, 1, 2, 1, 1, 1, 1,
+    1, 2, 3, 1, 3, 1, 3, 3, 1, 1, 3, 1, 2, 1, 2, 3, 2, 3, 1, 1,
+    1, 1, 2, 1, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 3, 1, 1, 1, 1,
 ]
 PRUG_PARTIAL_PINNED = [
-    1, 1, 1, 1, 0, 3, 0, 3, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 3, 1,
-    0, 0, 3, 1, 1, 3, 3, 0, 0, 1, 1, 1, 3, 0, 0, 0, 1, 1, 0, 1,
-    1, 1, 1, 3, 1, 3, 0, 0, 3, 1, 1, 0, 1, 0, 1, 3, 0, 1, 1, 1,
-    1, 0, 1, 3, 3, 0, 1, 3, 1, 1, 1, 1, 1, 0, 1, 3, 0, 3, 0, 0,
-    1, 3, 1, 1, 3, 1, 1, 1, 3, 1, 1, 1, 1, 1, 3, 3, 0, 1, 1, 0,
-    1, 0, 1, 1, 1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 0, 0, 0, 1, 1,
-    3, 0, 0, 0, 3, 1, 3, 1, 3, 1, 1, 1, 0, 0, 0, 3, 0, 1, 0, 1,
-    1, 1, 1, 0, 1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 0, 1, 3, 1, 1, 1,
-    3, 0, 3, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 3, 0, 1, 1, 1, 1, 1,
-    3, 3, 1, 0, 1, 1, 0, 0, 1, 1, 1, 1, 1, 3, 3, 1, 3, 1, 1, 1,
+    1, 1, 3, 1, 0, 3, 1, 3, 1, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0,
+    1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 0, 1, 0, 1, 1, 0, 1,
+    1, 0, 0, 0, 0, 1, 1, 1, 3, 0, 3, 1, 3, 3, 0, 0, 0, 1, 1, 1,
+    1, 3, 3, 1, 1, 0, 1, 1, 1, 0, 1, 0, 1, 0, 3, 1, 3, 3, 1, 0,
+    1, 1, 0, 1, 0, 1, 0, 1, 0, 0, 1, 1, 1, 3, 1, 1, 1, 1, 1, 0,
+    1, 1, 0, 0, 3, 1, 0, 1, 1, 3, 0, 3, 1, 1, 1, 0, 1, 1, 3, 1,
+    0, 0, 1, 0, 1, 0, 1, 3, 0, 1, 1, 1, 0, 1, 1, 1, 3, 0, 1, 3,
+    1, 0, 0, 1, 0, 3, 1, 3, 3, 0, 1, 3, 3, 3, 1, 1, 0, 1, 1, 0,
+    1, 1, 1, 3, 3, 0, 1, 0, 1, 1, 3, 0, 1, 0, 1, 1, 3, 0, 3, 1,
+    1, 1, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 1, 1, 0, 3, 1, 3, 0, 1,
 ]
 
 
@@ -982,16 +1068,16 @@ def test_prugd_sample_deterministic():
 
 
 PRUGD_SAMPLE_PINNED = [
-    21, 37, 32, 32, 39, 39, 38, 50, 32, 32, 12, 11, 2, 5, 32, 21, 32, 32, 9, 32,
-    11, 5, 36, 17, 39, 1, 32, 47, 32, 4, 12, 32, 32, 32, 39, 32, 30, 33, 32, 32,
-    32, 26, 32, 4, 44, 31, 3, 39, 29, 33, 32, 2, 22, 39, 33, 39, 32, 32, 2, 39,
-    46, 39, 46, 45, 41, 32, 32, 32, 13, 20, 44, 23, 39, 41, 32, 36, 39, 32, 12, 10,
-    32, 44, 39, 39, 39, 32, 32, 39, 39, 39, 41, 1, 32, 39, 18, 39, 33, 39, 8, 32,
-    39, 15, 8, 39, 14, 12, 35, 29, 39, 39, 39, 32, 32, 12, 39, 11, 39, 25, 1, 39,
-    14, 39, 38, 29, 32, 39, 24, 39, 37, 32, 39, 20, 39, 28, 32, 32, 9, 28, 32, 18,
-    39, 24, 24, 32, 29, 32, 39, 16, 14, 35, 10, 32, 6, 18, 46, 32, 21, 16, 23, 32,
-    39, 1, 32, 39, 20, 39, 39, 32, 32, 34, 18, 32, 32, 29, 32, 2, 39, 32, 39, 34,
-    35, 32, 37, 12, 12, 8, 32, 32, 39, 32, 37, 39, 35, 39, 32, 32, 32, 37, 35, 32,
+    32, 41, 7, 32, 9, 40, 24, 32, 5, 39, 39, 14, 34, 39, 23, 32, 23, 24, 39, 25,
+    14, 32, 8, 42, 32, 39, 6, 39, 3, 39, 39, 39, 32, 39, 39, 39, 30, 39, 39, 32,
+    12, 47, 16, 25, 45, 39, 32, 39, 39, 39, 32, 32, 38, 9, 35, 40, 19, 17, 11, 39,
+    12, 41, 39, 32, 46, 39, 32, 40, 5, 32, 39, 32, 50, 39, 32, 21, 14, 32, 39, 26,
+    32, 15, 13, 31, 32, 39, 39, 45, 23, 39, 39, 3, 32, 39, 37, 32, 39, 32, 42, 39,
+    39, 32, 39, 46, 39, 47, 27, 39, 1, 19, 25, 32, 39, 39, 13, 32, 39, 39, 2, 32,
+    32, 5, 24, 22, 39, 39, 19, 26, 32, 18, 39, 49, 49, 32, 32, 4, 11, 37, 39, 40,
+    45, 40, 32, 39, 22, 39, 37, 5, 22, 49, 10, 39, 42, 32, 3, 18, 49, 26, 21, 32,
+    41, 39, 27, 39, 39, 44, 5, 32, 28, 34, 32, 32, 32, 31, 32, 32, 32, 39, 39, 50,
+    32, 39, 32, 39, 39, 14, 32, 9, 42, 39, 12, 21, 32, 32, 39, 41, 32, 32, 39, 35,
 ]
 
 
@@ -1070,16 +1156,16 @@ def test_mix_coin_sends_825_of_1049_values_to_perm(monkeypatch):
 # 200 draws from one SeedStream(7) on random_graph(50, 3), pinned so that
 # the coin's stream and the perm and prugd draws behind it stay fixed
 MIX_SAMPLE_PINNED = [
-    10, 37, 42, 32, 39, 47, 39, 50, 32, 32, 39, 11, 39, 5, 37, 1, 32, 25, 42, 32,
-    39, 5, 32, 32, 32, 37, 39, 25, 37, 37, 12, 47, 37, 37, 42, 39, 42, 25, 32, 39,
-    10, 37, 32, 47, 39, 39, 37, 47, 39, 25, 47, 39, 25, 40, 36, 25, 10, 39, 37, 32,
-    25, 32, 42, 37, 49, 32, 25, 47, 37, 39, 32, 39, 37, 32, 39, 10, 39, 32, 42, 18,
-    37, 42, 32, 25, 39, 36, 39, 39, 47, 39, 39, 32, 42, 32, 32, 42, 37, 39, 39, 39,
-    10, 37, 37, 1, 42, 32, 32, 42, 32, 39, 32, 36, 32, 32, 39, 32, 42, 39, 10, 10,
-    32, 21, 39, 39, 6, 42, 32, 39, 32, 37, 39, 14, 37, 39, 37, 39, 18, 39, 47, 39,
-    42, 37, 39, 15, 21, 39, 32, 10, 10, 32, 39, 25, 39, 32, 47, 10, 36, 47, 25, 37,
-    32, 37, 5, 25, 25, 32, 39, 37, 32, 34, 25, 32, 15, 37, 10, 39, 39, 39, 42, 10,
-    37, 37, 43, 10, 39, 25, 36, 1, 37, 32, 42, 43, 39, 32, 10, 32, 39, 32, 37, 32,
+    32, 31, 37, 10, 39, 37, 37, 39, 42, 42, 42, 39, 47, 39, 25, 32, 16, 10, 35, 39,
+    32, 39, 32, 39, 42, 39, 50, 37, 32, 32, 32, 32, 25, 39, 25, 42, 32, 37, 32, 32,
+    47, 2, 39, 39, 39, 39, 37, 10, 39, 39, 32, 10, 32, 32, 37, 41, 32, 39, 39, 25,
+    39, 10, 39, 25, 32, 36, 18, 25, 47, 25, 47, 32, 15, 32, 25, 47, 39, 5, 39, 39,
+    39, 39, 42, 25, 25, 32, 36, 10, 37, 32, 39, 15, 32, 41, 12, 32, 25, 39, 28, 37,
+    42, 5, 42, 32, 32, 1, 32, 8, 47, 25, 32, 37, 39, 27, 25, 22, 5, 37, 37, 39,
+    47, 32, 32, 39, 47, 37, 39, 39, 2, 37, 39, 5, 32, 47, 25, 39, 47, 39, 42, 25,
+    39, 37, 47, 32, 32, 42, 42, 25, 32, 39, 39, 25, 47, 25, 32, 32, 39, 42, 32, 10,
+    39, 39, 39, 32, 37, 10, 37, 47, 42, 10, 39, 50, 32, 10, 39, 39, 32, 32, 10, 39,
+    10, 39, 37, 15, 43, 47, 47, 32, 47, 25, 47, 25, 47, 39, 10, 32, 32, 8, 25, 39,
 ]
 
 
