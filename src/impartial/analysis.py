@@ -759,8 +759,8 @@ def _sampled_tightness_row(
         )
     deg = np.array(g.indegrees(), dtype=np.int64)
     dmax = int(deg.max())
-    row_seed = SeedStream(seed).split(f"tightness-{delta}-{nprime}").bits64()
-    counts, violations = engine.sampled_selection_counts(engine.out_array(g), samples, row_seed)
+    stream = SeedStream(seed).split(f"tightness-{delta}-{nprime}")
+    counts, violations = engine.sampled_selection_counts(engine.out_array(g), samples, stream)
     if violations:
         raise RuntimeError(f"{violations} runs missed the maximum left indegree")
     value = Fraction(int(np.dot(deg, counts)), samples * dmax)

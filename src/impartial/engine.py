@@ -31,9 +31,13 @@ of in-neighbors of v placed before v, without materializing prefixes.
 run_selection walks a batch position by position and keeps, per
 ordering and vertex, a running count of the nominations placed so far,
 so each step reads the placed vertex's count and adds one to its
-target's, for all orderings at once.  left_indegree_matrix counts the
-same numbers per vertex from positions, in O(n) vector operations; the
-tests read the correlation check's reference histograms off it.
+target's, for all orderings at once.  orderings builds such a batch
+from rows of Fisher-Yates swap partners, and sampled_selection_counts
+counts the scan over the orderings perm's sampler draws from a
+SeedStream, for the sampled tightness rows.  left_indegree_matrix
+counts the same numbers per vertex from positions, in O(n) vector
+operations; the tests read the correlation check's reference
+histograms off it.
 
 Everything here is 0-based and array-typed; the public modules convert
 at the boundary.
@@ -46,6 +50,7 @@ import math
 import numpy as np
 
 from .graphs import AnyGraph, CapacityError
+from .rng import SeedStream
 
 # Largest n of permutation_table, the (n!, n) int16 array of every
 # ordering (72 MB at n = 10).  No program path reads it: it is kept for
@@ -61,12 +66,12 @@ DP_CAP = 16
 # prefix-set walk, which bounds its memory: a batch is split into passes
 # of whole graphs, and a graph too big for one pass gets its own.
 STATE_BUDGET = 1 << 14
-# Orderings per run_selection call: sampled_selection_counts draws this
-# many at a time, and the samplers draw this many rows of up to 64
-# entries and as many wider rows as fill 64 * SAMPLE_CHUNK entries
-# (sample_rows).  It bounds their memory (by tracemalloc, 0.3-4.8 MB for
-# the samplers at n = 50, 4-7 MB at n = 2000) and keeps a block's arrays
-# in cache; the draws do not depend on it.
+# Rows per sampler chunk: the samplers, and sampled_selection_counts on
+# perm's rows, draw this many rows of up to 64 entries and as many wider
+# rows as fill 64 * SAMPLE_CHUNK entries (sample_rows) per run_selection
+# call.  It bounds their memory (by tracemalloc, 0.3-4.8 MB for the
+# samplers at n = 50, 4-7 MB at n = 2000) and keeps a block's arrays in
+# cache; the draws do not depend on it.
 SAMPLE_CHUNK = 10000
 _table_cache: dict[int, np.ndarray] = {}
 
@@ -447,26 +452,25 @@ def _prefix_walk(inmask, z, span, step):
 
 
 def sampled_selection_counts(
-    out0: np.ndarray, samples: int, seed: int
+    out0: np.ndarray, samples: int, rng: SeedStream
 ) -> tuple[np.ndarray, int]:
-    """Per-vertex selection counts over uniformly sampled orderings, drawn
-    in chunks of SAMPLE_CHUNK into one reused buffer.
+    """Per-vertex selection counts of the scan over samples uniform
+    orderings, the orderings perm's sampler draws from rng: rows of swap
+    partners below n, n - 1, ..., 2, sample_rows(n - 1) at a time.
 
-    Deterministic per seed, and independent of SAMPLE_CHUNK.  Returns
-    (counts, violations).
+    Deterministic per stream, and independent of SAMPLE_CHUNK.  Returns
+    (counts, violations), violations the runs whose selection missed the
+    maximum left indegree.
     """
     n = out0.shape[0]
-    rng = np.random.default_rng(seed)
     counts = np.zeros(n, dtype=np.int64)
     violations = 0
-    draws = np.empty((min(SAMPLE_CHUNK, samples), n))
-    remaining = samples
-    while remaining > 0:
-        b = min(SAMPLE_CHUNK, remaining)
-        sel, d, m = run_selection(out0, np.argsort(rng.random(out=draws[:b]), axis=1))
+    step = sample_rows(n - 1)
+    for start in range(0, samples, step):
+        partners = rng.uniform_rows(range(n, 1, -1), min(step, samples - start))
+        sel, d, m = run_selection(out0, orderings(partners).T)
         counts += np.bincount(sel, minlength=n)
         violations += int((d != m).sum())
-        remaining -= b
     return counts, violations
 
 

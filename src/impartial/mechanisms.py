@@ -26,11 +26,14 @@ graph at a time joins the same path through per_graph, which scales
 its rows to the lcm of their denominators.  The sampling path is a
 factory (the ``*_sampler`` functions) that reads the graph once and
 returns Draws: it runs the rule in numpy a chunk of rows at a time from
-SeedStream.uniform_rows, which takes one 32-bit stream word per entry
-(see rng) and reads, a block at a time, exactly the words one-at-a-time
-draws read (an ordering is its row of swap partners); mix reads each
-draw's coin and then the row it picks, a chunk at a time, from
-SeedStream.coin_rows.
+SeedStream.uniform_rows, which takes one 32-bit stream word per run of
+a row's bounds whose product stays at most 2**24, reads the run's
+entries off that word's digits (see rng), and reads, a block at a time,
+exactly the words one-at-a-time draws read (an ordering is its row of
+swap partners, 4 words at n = 23); mix reads each draw's coin, one word
+of its own, and then the row it picks, a chunk at a time, from
+SeedStream.coin_rows.  The sampled tightness rows count perm's scan
+over the same rows (engine.sampled_selection_counts).
 
 perm  - left-to-right candidate scan along a uniform random ordering.
 rd    - random dictatorship: a uniform vertex's nominee.

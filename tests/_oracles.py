@@ -19,7 +19,9 @@ control for the Lemma 3 check; late_takeover_step is the same rule as
 a step of the check's prefix-set walk.
 word_below, word_row and word_permutation are the samplers' word rule
 one draw at a time, on random.Random.getrandbits(32), the reference for
-SeedStream's rows, coins and permutations.  perm_run and the *_sampler
+SeedStream's rows, coins and permutations: word_row cuts its bounds
+into runs (word_runs), draws one word_below per run and reads the
+entries off its digits.  perm_run and the *_sampler
 functions are the per-draw samplers: each draw simulates its rule on
 one ordering or vertex from those one-at-a-time draws, the reference for
 the package's batch samplers, draw for draw.
@@ -355,18 +357,43 @@ def word_below(rng: random.Random, b: int) -> int:
     return w % b
 
 
+def word_runs(bounds: Iterable[int]) -> list[list[int]]:
+    """bounds cut greedily from the left into runs whose products stay
+    at most 2**24."""
+    runs: list[list[int]] = []
+    for b in bounds:
+        if runs and math.prod(runs[-1]) * b <= 2**24:
+            runs[-1].append(b)
+        else:
+            runs.append([b])
+    return runs
+
+
 def word_row(rng: random.Random, bounds: Iterable[int]) -> list[int]:
-    return [word_below(rng, b) for b in bounds]
+    """One word_below draw below each run's product, its entries the
+    value's mixed-radix digits, least significant first."""
+    row = []
+    for run in word_runs(bounds):
+        value = word_below(rng, math.prod(run))
+        for b in run:
+            value, digit = divmod(value, b)
+            row.append(digit)
+    return row
+
+
+def fisher_yates(partners: Sequence[int]) -> tuple[int, ...]:
+    """Fisher-Yates over the positions of 1..n, from position n - 1 down
+    to 1, swapping each with its partner, partners[0] first."""
+    n = len(partners) + 1
+    seq = list(range(1, n + 1))
+    for i, j in zip(range(n - 1, 0, -1), partners):
+        seq[i], seq[j] = seq[j], seq[i]
+    return tuple(seq)
 
 
 def word_permutation(rng: random.Random, n: int) -> tuple[int, ...]:
-    """Fisher-Yates over the positions of 1..n, from position n - 1 down
-    to 1, each swap partner one word_below draw."""
-    seq = list(range(1, n + 1))
-    for i in range(n - 1, 0, -1):
-        j = word_below(rng, i + 1)
-        seq[i], seq[j] = seq[j], seq[i]
-    return tuple(seq)
+    """fisher_yates on one word_row below n, n - 1, ..., 2."""
+    return fisher_yates(word_row(rng, range(n, 1, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +440,22 @@ def rd_sampler(g: NominationGraph):
 
 
 def prug_sampler(g: AnyGraph):
-    """Per draw: a uniform ordering, the weight vector of that ordering
-    plus that of its reverse in eighths, read off the first two and last
-    two marked vertices (T, plus T2 when T = {t}), then one word_below
-    draw below 8 that picks over the nonzero eighths in vertex order;
-    None for no one."""
+    """Per draw: one word_row below n, n - 1, ..., 2, 8, whose partners
+    give a uniform ordering and whose last entry r picks (prug_pick)."""
+    n, pick = g.n, prug_pick(g)
+
+    def draw(rng: SeedStream) -> Optional[int]:
+        row = word_row(rng._rng, (*range(n, 1, -1), 8))
+        return pick(fisher_yates(row[:-1]), row[-1])
+
+    return draw
+
+
+def prug_pick(g: AnyGraph):
+    """pick(seq, r): the weight vector of the ordering seq plus that of
+    its reverse in eighths, read off the first two and last two marked
+    vertices (T, plus T2 when T = {t}); r in 0..7 picks over the nonzero
+    eighths in vertex order; None for no one."""
     n, out = g.n, g.out
     degs = g.indegrees()
     dmax = max(degs)
@@ -441,8 +479,7 @@ def prug_sampler(g: AnyGraph):
                     break
         return found
 
-    def draw(rng: SeedStream) -> Optional[int]:
-        seq = word_permutation(rng._rng, n)
+    def pick(seq: Sequence[int], r: int) -> Optional[int]:
         head, tail = first_two(seq), first_two(reversed(seq))
         if len(top) > 1:
             w = {tail[0]: 2, head[0]: 2}
@@ -454,27 +491,28 @@ def prug_sampler(g: AnyGraph):
             for runner in (tail[0], head[0]):
                 if out[runner - 1] == t:
                     w[runner] = w.get(runner, 0) + 2
-        r = word_below(rng._rng, 8)
         for v in sorted(w):
             r -= w[v]
             if r < 0:
                 return v
         return None
 
-    return draw
+    return pick
 
 
 def prugd_sampler(g: NominationGraph):
-    """Per draw: a uniform default vertex, then a prug draw on the graph
-    without its edge, whose no one is the default."""
+    """Per draw: one word_row below n, n, n - 1, ..., 2, 8: a uniform
+    default vertex, then prug's ordering and pick on the graph without
+    its edge, whose no one is the default."""
     n = g.n
     inner = [None] * (n + 1)
 
     def draw(rng: SeedStream) -> int:
-        vbar = word_below(rng._rng, n) + 1
+        row = word_row(rng._rng, (n, *range(n, 1, -1), 8))
+        vbar = row[0] + 1
         if inner[vbar] is None:
-            inner[vbar] = prug_sampler(g.remove_out_edge(vbar))
-        picked = inner[vbar](rng)
+            inner[vbar] = prug_pick(g.remove_out_edge(vbar))
+        picked = inner[vbar](fisher_yates(row[1:-1]), row[-1])
         return vbar if picked is None else picked
 
     return draw

@@ -917,6 +917,21 @@ def test_tightness_sampled_row():
     assert rep.exact_monotone_ok
 
 
+@pytest.mark.parametrize("nprime", [10, 30])
+def test_sampled_tightness_row_counts_perm_sampler_draws(nprime):
+    # the row counts the selections perm's own sampler draws from the
+    # row's split stream, at n = 23 and n = 63
+    g, samples = lower_bound_family(2, nprime), 20_000
+    label = f"tightness-2-{nprime}"
+    draws = MECHANISMS["perm"].sampler(g)(SeedStream(4).split(label), samples)
+    counts = np.bincount(draws - 1, minlength=g.n)
+    got, violations = engine.sampled_selection_counts(engine.out_array(g), samples, SeedStream(4).split(label))
+    assert got.tolist() == counts.tolist() and violations == 0
+    deg = np.array(g.indegrees())
+    (row,) = tightness_scan(2, (nprime,), samples=samples, seed=4).rows
+    assert row.kind == "sampled" and row.ratio == Fraction(int(deg @ counts), samples * int(deg.max()))
+
+
 # ---------------------------------------------------------------------------
 # rendering
 

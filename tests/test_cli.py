@@ -99,26 +99,26 @@ def test_eval_sampled_byte_identical(capsys, tmp_path):
 # "5; 3,5,1,1,2" and 300 on random_graph(50, 3), pinned so that every
 # sampler's stream and both output formats stay byte-identical
 EVAL_SAMPLES_SHA256 = {
-    ("n5", "perm", "json"): "722b736a80e7568ce6713dc3b6739ebb45a4a20a8389f45564ab30470d74cad5",
-    ("n5", "perm", "csv"): "6a67a1292d16de09b9de31d00dd30ffce8b49d5d6a0ffa1f9405e8d62f57f8e2",
+    ("n5", "perm", "json"): "94a4bd69cad27ffee764c580aaccbb25d27aa9b1731be8ee4104826a1ed25500",
+    ("n5", "perm", "csv"): "fedeb73e688d4ff5dfea977fff768776f951c6d99b782432e52bdd839343adfe",
     ("n5", "rd", "json"): "1817de82d19c49f3be68fdbdbfab6bca9795a370bbdd41293ef68570ecf81ee6",
     ("n5", "rd", "csv"): "9556fe5437459369de5cd45fe4d550a14049975302287f03b00d1b638dd88a40",
-    ("n5", "prug", "json"): "6c93bd9bcbd8a4db23617981c6cf02078c52caebab3bed01fe859a9ed51194fe",
-    ("n5", "prug", "csv"): "08d5a06f04981d052b54b269a7aad9cd65f704a62911a84b55de7f4394ccefd4",
-    ("n5", "prugd", "json"): "545b19d106d0f8f03c345d7b23fad0d2605b991a9931a22d5e31fc1f3aac5667",
-    ("n5", "prugd", "csv"): "bca5a20b1b236a8b687c335c07df7759f7cddf4b9ca31a0fb3a3bf230fef65fc",
+    ("n5", "prug", "json"): "9cf77e88074ed3fc773de2f8d5ec1adc011af0c2c848ae6d97107784ace677ec",
+    ("n5", "prug", "csv"): "9e5316cd7764ed6b33dc67d655073942edcba00adc5f8c5b255ae3775f229e0a",
+    ("n5", "prugd", "json"): "c3355be890c2798ca67a3bbe2d9dcb38ad0bb25837eaeb9d53210669d90a7953",
+    ("n5", "prugd", "csv"): "3e84b4c1462dcc44745950ff1d1d3afad756cb10cf3288aaa60323ce859ab0a3",
     ("n5", "mix", "json"): "77fb3769e6d953b6255a070bacda6065b6862e6ae21fd617a499dedfc0648c51",
     ("n5", "mix", "csv"): "9556fe5437459369de5cd45fe4d550a14049975302287f03b00d1b638dd88a40",
-    ("n50", "perm", "json"): "2198a8b3d3e0e8f54a4d755605ff2f4dfb28b401e263c08b35459dd8f17c716c",
-    ("n50", "perm", "csv"): "2fc08c349b1a8cee0668491fa0a7f494f5c5f07af968ca62247b7c595aebf785",
+    ("n50", "perm", "json"): "bfd17ff99e15cfd12575437beac5620f89091bd6210d992060a6555ba2acd541",
+    ("n50", "perm", "csv"): "89e8be494e23c352494246658f656d1ad4750ddde7467a26b686eef4151c63e6",
     ("n50", "rd", "json"): "467e4bb6aada18051085b0f489e3791bbe5fd00c9205f572f06c186e5d046afd",
     ("n50", "rd", "csv"): "11609b75f7fea4b412db408929765d6a321fe125a7d07394c016bdd09cdf10f0",
-    ("n50", "prug", "json"): "1a3c894ebf79fd9eeb32dd4882b5eedb2fd55c506fb05baff2d89014ecc3395c",
-    ("n50", "prug", "csv"): "cd4e82c6bf8fcd5fe9a07c3bd06d78f1aa16ef447437e24d16fa60a3ac493385",
-    ("n50", "prugd", "json"): "21ecce9adf52f3672ee7723db4bd384e7d29211fc57ce2c800fce35fb2b7ce5b",
-    ("n50", "prugd", "csv"): "1118db263582aade37e834df90841a2d3a92e854368e6b7026f245999f720695",
-    ("n50", "mix", "json"): "ba18b7430a31b58e269f18af46795fc9611875387e5c549d8a74ac6b3c663909",
-    ("n50", "mix", "csv"): "87ef3696d1a46fa5f9d8158f2a3e95fa48ad4075ca2f4046ba775e55121c6014",
+    ("n50", "prug", "json"): "754d099b0092f352a502ec89e4d6669897d3c10fde7bf5d44fe8c4b3986373c5",
+    ("n50", "prug", "csv"): "700fbffbadac7cb40ec966d2d8c32235c63a00d2c3d6cd74126aa1836522f5c5",
+    ("n50", "prugd", "json"): "21f570167e52c67ac8016859c900e315668f8872c80f44382cf5ae634ab69db4",
+    ("n50", "prugd", "csv"): "6d7d56c397a1befbc775c92c4f6f2061413f9c48eca0e0192a2e0820aa2482d2",
+    ("n50", "mix", "json"): "b54b2d9bba7452a139df75bc8504d88612440e0c216e9c5b1f133b0b93f56b19",
+    ("n50", "mix", "csv"): "2b882274128a3dbb3184b6b7dac9321dadae05b054f169f8604d1a26ebdf9b6e",
 }
 
 
@@ -275,11 +275,17 @@ def test_unexpected_exception_exits_internal(capsys, monkeypatch, tmp_path):
     assert "internal error: RuntimeError" in err and "kernel fault" in err
 
 
+def _source_env() -> dict:
+    """The environment of a fresh python process that imports this
+    checkout's package."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_closed_stdout_exits_141_quietly():
     # the reader closes its end before the command writes, as `| head`
     # does once it has its lines: no bug, so no traceback
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = _source_env()
     proc = subprocess.Popen(
         [sys.executable, "-m", "impartial.cli", "figure3"],
         stdout=subprocess.PIPE,
@@ -607,8 +613,7 @@ def test_start_up_loads_no_csv_traceback_or_dataclass():
     # a fresh process pays for every module and class it builds at
     # import: csv and traceback load only where they are used, and the
     # records of analysis and mechanisms generate no dataclass code
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = _source_env()
     probe = (
         "import sys, impartial.cli, impartial.mechanisms\n"
         "from impartial import analysis, mechanisms\n"
@@ -620,6 +625,22 @@ def test_start_up_loads_no_csv_traceback_or_dataclass():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n[]\n"
+
+
+def test_sampled_commands_never_load_numpy_random():
+    # every sampler, the tightness rows' included, draws from SeedStream:
+    # importing numpy.random would cost a fresh process 11-13 ms and 5 MB
+    env = _source_env()
+    probe = (
+        "import sys, impartial.cli as cli\n"
+        "assert cli.main(['verify', 'tightness', '--nprimes', '1,2,3,10', '--samples', '1000', '--seed', '5']) == 0\n"
+        "assert cli.main(['eval', '--mech', 'mix', '--samples', '1000', '--seed', '7']) == 0\n"
+        "print('numpy.random' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], input=graph_to_text(random_graph(23, 3)) + "\n",
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "False\n"
 
 
 # ---------------------------------------------------------------------------

@@ -98,16 +98,16 @@ def test_perm_rule_raises_when_a_selection_misses_the_maximum(monkeypatch):
 # 200 draws from one SeedStream(7) on random_graph(50, 3), pinned so that
 # the sampler's stream and its selection per ordering stay fixed
 PERM_SAMPLE_PINNED = [
-    42, 5, 47, 1, 39, 39, 39, 37, 42, 39, 39, 32, 10, 25, 32, 10, 37, 32, 39, 32,
-    32, 25, 25, 25, 39, 1, 10, 40, 32, 10, 32, 36, 47, 32, 10, 37, 47, 25, 39, 39,
-    32, 25, 39, 47, 25, 25, 5, 47, 32, 32, 25, 39, 42, 25, 10, 47, 25, 32, 25, 32,
-    5, 32, 47, 47, 39, 39, 37, 42, 32, 39, 32, 25, 42, 32, 47, 39, 39, 39, 5, 10,
-    32, 32, 39, 47, 39, 25, 39, 32, 47, 10, 10, 47, 39, 39, 39, 37, 39, 32, 32, 42,
-    39, 39, 32, 39, 37, 39, 15, 32, 39, 37, 39, 10, 39, 10, 37, 32, 25, 42, 37, 32,
-    32, 39, 10, 32, 42, 42, 25, 10, 47, 32, 1, 25, 39, 39, 10, 37, 10, 39, 47, 32,
-    25, 32, 10, 10, 25, 39, 39, 18, 39, 47, 32, 32, 10, 39, 42, 10, 32, 39, 39, 15,
-    32, 39, 42, 10, 32, 39, 47, 32, 37, 25, 47, 32, 32, 39, 37, 18, 47, 37, 37, 32,
-    32, 25, 39, 32, 47, 32, 42, 32, 32, 39, 47, 47, 42, 32, 25, 39, 32, 39, 37, 32,
+    47, 39, 39, 5, 39, 25, 32, 25, 10, 42, 37, 39, 39, 37, 37, 39, 42, 39, 39, 42,
+    39, 32, 39, 32, 32, 32, 47, 25, 47, 25, 47, 10, 32, 37, 32, 25, 32, 32, 47, 47,
+    37, 25, 37, 32, 32, 42, 39, 32, 42, 10, 39, 32, 25, 10, 37, 32, 25, 39, 42, 32,
+    39, 25, 32, 25, 42, 15, 32, 32, 10, 47, 47, 15, 10, 39, 32, 39, 32, 39, 10, 10,
+    39, 32, 10, 42, 47, 42, 39, 39, 39, 32, 32, 39, 39, 25, 10, 47, 40, 32, 39, 32,
+    32, 42, 39, 39, 32, 32, 39, 32, 37, 32, 42, 10, 32, 47, 15, 10, 32, 39, 42, 25,
+    32, 39, 42, 42, 42, 39, 39, 25, 37, 32, 37, 10, 32, 10, 25, 39, 39, 25, 47, 39,
+    47, 39, 37, 42, 37, 10, 39, 32, 39, 36, 39, 1, 47, 47, 32, 32, 47, 25, 32, 39,
+    10, 36, 32, 42, 39, 47, 47, 39, 25, 10, 32, 25, 25, 47, 39, 32, 32, 10, 39, 32,
+    47, 39, 37, 39, 32, 10, 32, 47, 5, 39, 25, 39, 39, 39, 37, 10, 32, 37, 39, 47,
 ]
 
 
@@ -146,12 +146,21 @@ class CountingRandom(random.Random):
         return super().getrandbits(k)
 
 
+# 673 * 97 * 256 = 16 711 936 packs into one run whose word the rule
+# rejects with probability 2**32 mod 16 711 936 / 2**32, about 0.39 %
+PACKED_REJECTING = (673, 97, 256)
+
+
 def test_uniform_rows_in_batches_read_the_per_draw_words(monkeypatch):
     # 13 rows as one call and as 7 + 1 + 5, in blocks of the default
     # size and of 3 words, read the per-draw reference's words, rejected
     # ones included, and leave its state; 2**31 + 1 rejects about half
-    # the words and 3 * 2**30 + 7 about a quarter
-    kinds = [(7, 6, 5, 4, 3, 2, 8), (2**31 + 1, 5, 3 * 2**30 + 7), (2**32, 1, 256, 257, 65536, 65537)]
+    # the words and 3 * 2**30 + 7 about a quarter, each a lone bound
+    # above 2**24; the perm row of n = 23 reads 4 runs, so its rows cross
+    # blocks of 3 words
+    kinds = [(7, 6, 5, 4, 3, 2, 8), (2**31 + 1, 5, 3 * 2**30 + 7), (2**32, 1, 256, 257, 65536, 65537),
+             (*PACKED_REJECTING, *range(23, 1, -1))]
+    rejected = set()
     for block in (rng._BLOCK, 3):
         monkeypatch.setattr(rng, "_BLOCK", block)
         for seed in range(200):
@@ -163,40 +172,81 @@ def test_uniform_rows_in_batches_read_the_per_draw_words(monkeypatch):
                     expected = [oracle.word_row(reference, bounds) for _ in range(13)]
                     assert rows.tolist() == expected, (seed, bounds, sizes, block)
                     assert stream._rng.getstate() == reference.getstate(), (seed, bounds, sizes, block)
-                    if bounds == kinds[1]:
-                        assert reference.words > 13 * len(bounds), seed  # some word was rejected
+                    if reference.words > 13 * len(oracle.word_runs(bounds)):
+                        rejected.add(bounds)
+    assert rejected == {kinds[1], kinds[3]}  # a lone bound and a packed run rejected words
+
+
+def test_packed_runs_match_the_reference_and_words_per_ordering():
+    assert oracle.word_runs(range(23, 1, -1)) == [
+        [23, 22, 21, 20, 19], [18, 17, 16, 15, 14, 13], [12, 11, 10, 9, 8, 7, 6], [5, 4, 3, 2]]
+    assert [len(oracle.word_runs(range(n, 1, -1))) for n in (23, 50, 2000)] == [4, 10, 950]
+    assert oracle.word_runs((2**24, 1, 2**24 + 1, 1, 2)) == [[2**24, 1], [2**24 + 1], [1, 2]]
+    for bounds in ((23, 22, 21, 20, 19, 18), (2**24, 1, 2**24 + 1, 1, 2), (1, 1, 5), PACKED_REJECTING):
+        spec = SeedStream(0)._bounds(bounds)
+        assert spec.mods.tolist() == [math.prod(run) for run in oracle.word_runs(bounds)]
+
+
+def test_two_digits_of_one_word_are_independent():
+    # bounds 6 and 4 share one word below 24; a decode that took both
+    # digits mod the word, not the second off the quotient, would tie
+    # them through the word's parity and leave half the cells empty
+    rows = SeedStream(11).uniform_rows((6, 4), 120_000)
+    cells = np.bincount(rows[:, 0].astype(np.intp) * 4 + rows[:, 1], minlength=24)
+    p = 1 / 24
+    assert np.abs(cells - 120_000 * p).max() <= 5 * math.sqrt(120_000 * p * (1 - p))
+
+
+@pytest.mark.parametrize("bounds", [(4093, 4099), (3, 5592405), (5592405, 3), (8388607, 2), (49, 342391),
+                                    (16777213, 1), (2**24, 1), (2**32,), (3 * 2**30 + 7,)])
+def test_digits_are_exact_in_float64(bounds):
+    # the decode takes each quotient in float64: check it against divmod
+    # on the values where rounding could cross an integer, the lowest
+    # and highest of the run and those next to each multiple of the
+    # first bound near the top (49 * (1 / 49) rounds below 1)
+    spec = SeedStream(0)._bounds(bounds)
+    (product,) = spec.mods.tolist()
+    first = bounds[0]
+    multiples = np.arange(max(0, product // first - 3000), product // first + 1) * first
+    v = np.concatenate([np.arange(2**16), np.arange(product - 2**16, product),
+                        multiples - 1, multiples, multiples + 1])
+    v = v[(v >= 0) & (v < product)]
+    expected = [[x % first, x // first] for x in v.tolist()] if len(bounds) == 2 else v[:, None].tolist()
+    assert spec.digits(v[:, None].astype(spec.mods.dtype)).tolist() == expected
 
 
 def test_coin_rows_read_the_per_draw_stream(monkeypatch):
     # one coin_rows pass reads what the reference's coin and then its
     # row read per draw, in blocks of the default size and of 4 words,
-    # and leaves the same state; the last kind rejects words, in coins
-    # and in rows
+    # and leaves the same state; the last two kinds reject words, in
+    # coins, in lone bounds and in packed runs
     kinds = [(1049, 825, (7, 6, 5, 4, 3, 2), (7, 7, 6, 5, 4, 3, 2, 8)),  # mix at n = 7: one byte
              (1049, 825, (300, 299, 2), (300, 8)),  # two bytes, the heads the longer
              (1049, 825, (2, 3), (2**32, 5, 9)),  # four bytes, the tails the longer
-             (2**31 + 1, 2**30, (3, 2**31 + 1), (3 * 2**30 + 7,))]
+             (2**31 + 1, 2**30, (3, 2**31 + 1), (3 * 2**30 + 7,)),
+             (1049, 825, (*PACKED_REJECTING, *range(23, 1, -1)), (23, *range(23, 1, -1), 8))]
     rejected = set()
     for block in (rng._BLOCK, 4):
         monkeypatch.setattr(rng, "_BLOCK", block)
-        for seed in range(40):
+        for seed in range(200):
             for den, cut, heads, tails in kinds:
                 stream, reference = SeedStream(seed), CountingRandom(seed)
-                coins, rows = stream.coin_rows(den, cut, heads, tails, 50)
+                coins, rows = stream.coin_rows(den, cut, heads, tails, 20)
                 width = max(len(heads), len(tails))
-                assert rows.shape == (50, width) and rows.dtype == np.min_scalar_type(max(*heads, *tails) - 1)
+                assert rows.shape == (20, width) and rows.dtype == np.min_scalar_type(max(*heads, *tails) - 1)
                 for coin, row in zip(coins.tolist(), rows.tolist()):
                     words = reference.words
                     assert coin == (oracle.word_below(reference, den) < cut), (seed, block)
                     if reference.words > words + 1:
                         rejected.add("coin")
                     words = reference.words
-                    want = oracle.word_row(reference, heads if coin else tails)
+                    bounds = heads if coin else tails
+                    want = oracle.word_row(reference, bounds)
                     assert row == want + [0] * (width - len(want)), (seed, block)
-                    if reference.words > words + len(want):
-                        rejected.add("row")
+                    if reference.words > words + len(oracle.word_runs(bounds)):
+                        rejected.add("packed run" if bounds[:3] == PACKED_REJECTING else "row")
                 assert stream._rng.getstate() == reference.getstate(), (seed, block)
-    assert rejected == {"coin", "row"}
+    assert rejected == {"coin", "row", "packed run"}
 
 
 def test_the_word_rule_keeps_the_last_full_run():
@@ -361,10 +411,10 @@ def test_run_selection_matches_the_scan_oracle_on_every_ordering():
 
 
 # seeded counts of the sampled scan on lower_bound_family(2, 10), n = 23,
-# as drawn in chunks of 10 000; the chunk size must not move them
+# from SeedStream(5) in chunks of 10 000; the chunk size must not move them
 SAMPLED_COUNTS_LB_2_10 = [
-    33523, 3099, 3001, 3113, 3120, 3076, 3145, 3136, 3126, 3141, 3105, 4443,
-    0, 3070, 3034, 3087, 3096, 3144, 3144, 3085, 3110, 3077, 3125,
+    33564, 3156, 3146, 3155, 3160, 3101, 3126, 3114, 3070, 3082, 3060, 4292,
+    0, 3121, 3119, 3108, 3154, 3052, 3156, 3142, 3012, 3095, 3015,
 ]
 
 
@@ -372,7 +422,7 @@ SAMPLED_COUNTS_LB_2_10 = [
 def test_sampled_counts_do_not_depend_on_the_chunk(monkeypatch, chunk):
     monkeypatch.setattr(engine, "SAMPLE_CHUNK", chunk)
     out0 = engine.out_array(lower_bound_family(2, 10))
-    counts, violations = engine.sampled_selection_counts(out0, 100_000, 5)
+    counts, violations = engine.sampled_selection_counts(out0, 100_000, SeedStream(5))
     assert counts.tolist() == SAMPLED_COUNTS_LB_2_10
     assert violations == 0
 
@@ -909,16 +959,16 @@ def test_categorical_exact_over_every_draw():
 # 200 draws from one SeedStream(7) on random_graph(50, 3), 0 for no
 # selection, pinned so that the integer draws' streams stay fixed
 PRUG_SAMPLE_PINNED = [
-    0, 0, 32, 39, 0, 39, 0, 0, 0, 0, 0, 39, 32, 0, 0, 0, 39, 39, 39, 39,
-    0, 0, 39, 32, 0, 32, 0, 32, 0, 0, 39, 32, 32, 0, 0, 0, 39, 39, 0, 0,
-    32, 0, 0, 39, 39, 0, 32, 32, 0, 0, 39, 0, 39, 32, 0, 0, 0, 39, 39, 0,
-    0, 32, 0, 0, 32, 0, 0, 32, 39, 0, 0, 32, 0, 0, 32, 39, 0, 32, 32, 32,
-    0, 0, 39, 0, 32, 0, 0, 32, 39, 39, 0, 0, 39, 0, 32, 0, 0, 0, 39, 0,
-    0, 39, 39, 0, 0, 32, 0, 32, 0, 39, 39, 0, 32, 39, 0, 39, 0, 39, 39, 0,
-    0, 0, 0, 0, 0, 0, 0, 39, 32, 32, 0, 32, 32, 39, 39, 39, 39, 32, 0, 0,
-    0, 39, 0, 39, 0, 0, 32, 39, 32, 32, 0, 0, 0, 32, 0, 0, 0, 0, 39, 39,
-    0, 39, 0, 0, 32, 0, 39, 39, 32, 0, 0, 0, 32, 32, 0, 0, 32, 0, 39, 39,
-    0, 0, 32, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 32, 0, 0, 0, 0, 32, 39,
+    32, 0, 0, 0, 0, 39, 0, 32, 32, 39, 0, 32, 0, 32, 32, 0, 32, 0, 0, 0,
+    0, 39, 39, 39, 0, 0, 0, 0, 39, 0, 32, 0, 39, 0, 0, 39, 32, 39, 39, 39,
+    0, 0, 39, 0, 32, 32, 0, 0, 32, 0, 39, 0, 0, 0, 0, 0, 0, 0, 32, 39,
+    39, 39, 0, 0, 0, 0, 0, 0, 0, 0, 39, 0, 32, 0, 0, 39, 0, 0, 0, 39,
+    32, 0, 0, 0, 39, 32, 32, 0, 32, 0, 39, 0, 0, 0, 32, 0, 0, 39, 32, 0,
+    0, 32, 0, 39, 32, 32, 39, 39, 32, 0, 0, 39, 32, 0, 32, 0, 32, 32, 39, 0,
+    39, 39, 0, 0, 39, 0, 32, 39, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+    0, 0, 0, 39, 39, 0, 32, 0, 39, 32, 0, 0, 32, 32, 32, 39, 39, 32, 0, 39,
+    32, 0, 32, 0, 32, 0, 0, 39, 0, 0, 32, 39, 39, 39, 0, 0, 39, 0, 39, 0,
+    0, 0, 39, 0, 32, 0, 0, 32, 39, 0, 39, 32, 39, 0, 39, 0, 0, 32, 32, 0,
 ]
 
 
@@ -932,28 +982,28 @@ def test_prug_sample_seeded_stream_pinned():
 # eighths' handling of a missing nomination stays fixed
 PARTIAL = PartialNominationGraph((3, None, 1, 1, 2))
 PERM_PARTIAL_PINNED = [
-    1, 1, 1, 1, 3, 1, 3, 3, 2, 3, 1, 2, 1, 1, 1, 1, 3, 2, 2, 1,
-    1, 1, 1, 3, 3, 2, 1, 1, 1, 3, 1, 3, 3, 3, 1, 1, 3, 1, 1, 1,
-    1, 2, 1, 3, 1, 1, 1, 1, 1, 2, 3, 3, 3, 3, 3, 2, 3, 2, 1, 1,
-    3, 1, 1, 1, 3, 3, 1, 2, 2, 1, 2, 1, 1, 3, 1, 3, 3, 2, 3, 3,
-    2, 1, 1, 1, 1, 1, 1, 1, 2, 2, 3, 1, 3, 3, 3, 1, 3, 1, 1, 3,
-    2, 1, 1, 1, 2, 3, 2, 3, 3, 3, 2, 1, 3, 1, 1, 3, 2, 1, 3, 1,
-    3, 1, 1, 3, 3, 2, 2, 3, 2, 1, 1, 1, 2, 3, 1, 2, 1, 1, 1, 1,
-    2, 1, 3, 3, 1, 1, 1, 3, 3, 1, 2, 1, 2, 1, 1, 2, 1, 1, 1, 1,
-    1, 2, 3, 1, 3, 1, 3, 3, 1, 1, 3, 1, 2, 1, 2, 3, 2, 3, 1, 1,
-    1, 1, 2, 1, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 3, 1, 1, 1, 1,
+    2, 1, 1, 1, 2, 1, 1, 3, 2, 3, 1, 3, 3, 1, 3, 2, 2, 1, 1, 3,
+    3, 2, 3, 3, 1, 2, 2, 1, 3, 1, 3, 2, 3, 1, 1, 3, 3, 3, 1, 2,
+    2, 2, 2, 3, 1, 1, 1, 1, 3, 1, 1, 1, 1, 1, 1, 1, 1, 3, 1, 1,
+    1, 3, 3, 1, 3, 1, 3, 1, 2, 1, 2, 1, 2, 3, 3, 1, 1, 1, 1, 1,
+    1, 2, 3, 1, 1, 1, 2, 1, 1, 3, 1, 1, 3, 1, 3, 1, 2, 1, 3, 2,
+    2, 1, 2, 1, 2, 2, 2, 1, 3, 2, 3, 1, 1, 1, 1, 1, 1, 1, 2, 1,
+    3, 1, 2, 1, 1, 2, 1, 1, 3, 3, 2, 3, 1, 1, 1, 3, 1, 1, 1, 2,
+    1, 1, 1, 3, 3, 3, 2, 1, 3, 2, 1, 2, 1, 1, 1, 3, 1, 3, 1, 1,
+    1, 1, 2, 1, 2, 3, 3, 1, 1, 2, 1, 1, 2, 3, 1, 1, 1, 1, 2, 1,
+    1, 1, 1, 1, 1, 1, 3, 3, 3, 1, 1, 1, 1, 2, 3, 1, 1, 3, 1, 3,
 ]
 PRUG_PARTIAL_PINNED = [
-    1, 1, 3, 1, 0, 3, 1, 3, 1, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0,
-    1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 0, 1, 0, 1, 1, 0, 1,
-    1, 0, 0, 0, 0, 1, 1, 1, 3, 0, 3, 1, 3, 3, 0, 0, 0, 1, 1, 1,
-    1, 3, 3, 1, 1, 0, 1, 1, 1, 0, 1, 0, 1, 0, 3, 1, 3, 3, 1, 0,
-    1, 1, 0, 1, 0, 1, 0, 1, 0, 0, 1, 1, 1, 3, 1, 1, 1, 1, 1, 0,
-    1, 1, 0, 0, 3, 1, 0, 1, 1, 3, 0, 3, 1, 1, 1, 0, 1, 1, 3, 1,
-    0, 0, 1, 0, 1, 0, 1, 3, 0, 1, 1, 1, 0, 1, 1, 1, 3, 0, 1, 3,
-    1, 0, 0, 1, 0, 3, 1, 3, 3, 0, 1, 3, 3, 3, 1, 1, 0, 1, 1, 0,
-    1, 1, 1, 3, 3, 0, 1, 0, 1, 1, 3, 0, 1, 0, 1, 1, 3, 0, 3, 1,
-    1, 1, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 1, 1, 0, 3, 1, 3, 0, 1,
+    1, 0, 0, 1, 0, 0, 1, 0, 0, 3, 3, 1, 0, 1, 1, 1, 0, 1, 0, 3,
+    0, 1, 1, 3, 3, 0, 0, 1, 3, 1, 1, 0, 3, 0, 1, 1, 0, 0, 1, 0,
+    1, 1, 1, 3, 0, 1, 1, 1, 1, 3, 3, 0, 1, 0, 0, 1, 1, 1, 1, 1,
+    1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 0, 0, 0, 1, 3, 3, 3, 1, 1, 0,
+    3, 1, 0, 3, 0, 0, 1, 3, 1, 1, 1, 0, 1, 1, 0, 1, 0, 1, 3, 3,
+    1, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 3, 1, 3, 1, 1, 1, 3, 3, 3,
+    1, 0, 0, 3, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 3, 0, 1, 1, 3, 0,
+    1, 1, 1, 0, 1, 3, 1, 0, 1, 1, 0, 1, 0, 1, 3, 1, 0, 1, 0, 3,
+    3, 0, 0, 1, 0, 1, 1, 3, 1, 0, 1, 1, 1, 1, 0, 1, 0, 1, 1, 0,
+    0, 1, 1, 1, 0, 1, 1, 3, 3, 1, 1, 1, 1, 1, 0, 3, 0, 0, 3, 1,
 ]
 
 
@@ -1068,16 +1118,16 @@ def test_prugd_sample_deterministic():
 
 
 PRUGD_SAMPLE_PINNED = [
-    32, 41, 7, 32, 9, 40, 24, 32, 5, 39, 39, 14, 34, 39, 23, 32, 23, 24, 39, 25,
-    14, 32, 8, 42, 32, 39, 6, 39, 3, 39, 39, 39, 32, 39, 39, 39, 30, 39, 39, 32,
-    12, 47, 16, 25, 45, 39, 32, 39, 39, 39, 32, 32, 38, 9, 35, 40, 19, 17, 11, 39,
-    12, 41, 39, 32, 46, 39, 32, 40, 5, 32, 39, 32, 50, 39, 32, 21, 14, 32, 39, 26,
-    32, 15, 13, 31, 32, 39, 39, 45, 23, 39, 39, 3, 32, 39, 37, 32, 39, 32, 42, 39,
-    39, 32, 39, 46, 39, 47, 27, 39, 1, 19, 25, 32, 39, 39, 13, 32, 39, 39, 2, 32,
-    32, 5, 24, 22, 39, 39, 19, 26, 32, 18, 39, 49, 49, 32, 32, 4, 11, 37, 39, 40,
-    45, 40, 32, 39, 22, 39, 37, 5, 22, 49, 10, 39, 42, 32, 3, 18, 49, 26, 21, 32,
-    41, 39, 27, 39, 39, 44, 5, 32, 28, 34, 32, 32, 32, 31, 32, 32, 32, 39, 39, 50,
-    32, 39, 32, 39, 39, 14, 32, 9, 42, 39, 12, 21, 32, 32, 39, 41, 32, 32, 39, 35,
+    29, 4, 39, 26, 39, 35, 50, 32, 6, 19, 39, 32, 25, 48, 32, 10, 6, 8, 39, 39,
+    32, 39, 29, 2, 41, 32, 7, 39, 49, 39, 37, 42, 44, 32, 49, 38, 32, 39, 10, 4,
+    32, 32, 12, 32, 30, 1, 39, 39, 39, 50, 32, 39, 48, 29, 24, 32, 32, 49, 50, 32,
+    32, 14, 39, 39, 4, 16, 32, 39, 32, 15, 32, 13, 22, 32, 24, 39, 17, 39, 39, 32,
+    12, 39, 12, 35, 32, 39, 39, 39, 7, 9, 32, 8, 6, 37, 25, 39, 39, 32, 16, 39,
+    39, 33, 39, 32, 45, 32, 3, 39, 37, 39, 28, 39, 37, 39, 39, 32, 12, 32, 32, 42,
+    32, 14, 39, 39, 32, 39, 32, 23, 39, 39, 39, 49, 33, 32, 39, 32, 32, 19, 39, 39,
+    3, 32, 5, 39, 30, 39, 32, 39, 36, 17, 30, 32, 28, 8, 38, 32, 43, 8, 11, 32,
+    39, 3, 39, 32, 39, 39, 5, 39, 28, 26, 32, 11, 39, 17, 25, 39, 39, 39, 38, 39,
+    32, 41, 37, 5, 32, 45, 32, 32, 46, 32, 33, 10, 44, 30, 39, 32, 25, 39, 2, 39,
 ]
 
 
@@ -1156,16 +1206,16 @@ def test_mix_coin_sends_825_of_1049_values_to_perm(monkeypatch):
 # 200 draws from one SeedStream(7) on random_graph(50, 3), pinned so that
 # the coin's stream and the perm and prugd draws behind it stay fixed
 MIX_SAMPLE_PINNED = [
-    32, 31, 37, 10, 39, 37, 37, 39, 42, 42, 42, 39, 47, 39, 25, 32, 16, 10, 35, 39,
-    32, 39, 32, 39, 42, 39, 50, 37, 32, 32, 32, 32, 25, 39, 25, 42, 32, 37, 32, 32,
-    47, 2, 39, 39, 39, 39, 37, 10, 39, 39, 32, 10, 32, 32, 37, 41, 32, 39, 39, 25,
-    39, 10, 39, 25, 32, 36, 18, 25, 47, 25, 47, 32, 15, 32, 25, 47, 39, 5, 39, 39,
-    39, 39, 42, 25, 25, 32, 36, 10, 37, 32, 39, 15, 32, 41, 12, 32, 25, 39, 28, 37,
-    42, 5, 42, 32, 32, 1, 32, 8, 47, 25, 32, 37, 39, 27, 25, 22, 5, 37, 37, 39,
-    47, 32, 32, 39, 47, 37, 39, 39, 2, 37, 39, 5, 32, 47, 25, 39, 47, 39, 42, 25,
-    39, 37, 47, 32, 32, 42, 42, 25, 32, 39, 39, 25, 47, 25, 32, 32, 39, 42, 32, 10,
-    39, 39, 39, 32, 37, 10, 37, 47, 42, 10, 39, 50, 32, 10, 39, 39, 32, 32, 10, 39,
-    10, 39, 37, 15, 43, 47, 47, 32, 47, 25, 47, 25, 47, 39, 10, 32, 32, 8, 25, 39,
+    25, 39, 39, 24, 39, 32, 10, 10, 32, 47, 39, 32, 25, 39, 47, 39, 50, 32, 42, 47,
+    47, 37, 42, 25, 25, 32, 39, 5, 37, 32, 32, 37, 47, 32, 39, 47, 42, 10, 32, 32,
+    39, 39, 47, 32, 44, 10, 20, 10, 50, 32, 47, 23, 32, 32, 47, 10, 25, 37, 42, 32,
+    25, 39, 37, 2, 42, 39, 39, 39, 32, 25, 39, 32, 32, 47, 42, 45, 39, 32, 10, 39,
+    39, 37, 39, 11, 32, 25, 39, 32, 42, 37, 36, 39, 39, 32, 32, 39, 39, 32, 32, 42,
+    32, 32, 39, 37, 42, 39, 42, 42, 25, 42, 36, 39, 10, 47, 37, 25, 18, 39, 25, 21,
+    39, 42, 10, 39, 32, 39, 37, 39, 32, 42, 47, 8, 32, 25, 32, 33, 37, 39, 25, 47,
+    32, 39, 37, 39, 32, 10, 32, 30, 42, 32, 32, 10, 18, 32, 42, 39, 32, 47, 37, 5,
+    32, 39, 42, 32, 32, 10, 15, 32, 39, 39, 32, 33, 39, 25, 25, 32, 42, 42, 10, 42,
+    37, 32, 37, 10, 42, 37, 32, 25, 47, 32, 32, 39, 39, 39, 37, 37, 32, 39, 45, 32,
 ]
 
 
